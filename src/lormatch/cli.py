@@ -13,6 +13,7 @@ printed to standard output), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -511,7 +512,9 @@ def _cmd_verify(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="lormatch",
         description="Exact tools for matching statistics, induced polynomials, "

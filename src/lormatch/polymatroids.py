@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from ._util import bounded_compositions, mask_to_elements, vec_factorial
 from .matchings import SubsetSeq, admits_matching
@@ -292,33 +292,53 @@ def base_egf(pm: Polymatroid) -> Poly:
     )
 
 
+def points_polymatroid(
+    points: AbstractSet[tuple[int, ...]], nvars: int
+) -> Polymatroid | None:
+    """The polymatroid whose base points are exactly `points`, or None.
+
+    The points are integer vectors of length nvars.  The candidate rank of I
+    is the largest partial sum over I across the points; it is kept only
+    when it is a valid polymatroid whose base points are the given set.
+    Every given point of full sum is a base point of the candidate, so the
+    box scan stops at the first base point outside the set, and a count of
+    the points it met rules out points of smaller sum.  The table costs
+    |points| * 2^nvars.
+    """
+    if not points:
+        return None
+    columns = list(zip(*points))
+    members = _bit_indices(nvars)
+    table = [0] + [
+        max(map(sum, zip(*(columns[i] for i in members[mask]))))
+        for mask in range(1, 1 << nvars)
+    ]
+    try:
+        candidate = Polymatroid(nvars, tuple(table))
+    except AxiomViolation:
+        return None
+    caps = [table[1 << i] for i in range(nvars)]
+    inner = range(1, candidate.full_mask)
+    met = 0
+    for cand in bounded_compositions(candidate.full_rank, caps):
+        if cand in points:
+            met += 1
+        elif all(sum(cand[i] for i in members[mask]) <= table[mask] for mask in inner):
+            return None
+    return candidate if met == len(points) else None
+
+
 def support_polymatroid(f: Poly) -> Polymatroid | None:
     """The polymatroid whose base points are supp(f), or None if there is none.
 
-    Requires f homogeneous with nonnegative coefficients.  The candidate rank
-    of I is the largest partial degree sum over supp(f); the candidate is kept
-    only when it is a valid polymatroid whose base points round-trip to the
-    support exactly.
+    Requires f homogeneous with nonnegative coefficients; the work is done by
+    `points_polymatroid` on the support.
     """
     if f.homogeneous_degree() is None:
         raise ValueError("homogeneous polynomial required")
     if any(c < 0 for _, c in f.items()):
         raise ValueError("nonnegative coefficients required")
-    supp = f.support()
-    if not supp:
-        return None
-    members = _bit_indices(f.nvars)
-    table = tuple(
-        max(sum(pt[i] for i in members[mask]) for pt in supp)
-        for mask in range(1 << f.nvars)
-    )
-    try:
-        candidate = Polymatroid(f.nvars, table)
-    except AxiomViolation:
-        return None
-    if base_points(candidate) != supp:
-        return None
-    return candidate
+    return points_polymatroid(f.support(), f.nvars)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Definition-literal brute-force oracles, kept independent of the library's
 fast paths: feasibility by enumerating edge weightings, inertia by
-characteristic-polynomial sign counting, exchange property by double loop."""
+characteristic-polynomial sign counting, exchange property by double loop,
+Lorentzian certification by a sweep over the whole degree box."""
 
 from fractions import Fraction
 
-from lormatch import SubsetSeq
-from lormatch._util import compositions
+from lormatch import CertFailure, FloatPoly, LorentzReport, SubsetSeq, quad_inertia
+from lormatch._util import bounded_compositions, compositions
 
 
 def enumerate_matching(seq: SubsetSeq, alpha, beta, caps=None) -> bool:
@@ -89,11 +90,14 @@ def charpoly_inertia(matrix) -> tuple[int, int, int]:
     return (pos, neg, zero)
 
 
-def m_convex_literal(supp) -> bool:
-    """The symmetric exchange axiom, quantified exactly as stated."""
+def m_convex_witness(supp):
+    """The symmetric exchange axiom, quantified exactly as stated.
+
+    Returns None when it holds, else the first violating pair (a, b) in
+    sorted order."""
     pts = sorted(set(tuple(int(v) for v in p) for p in supp))
     if not pts:
-        return True
+        return None
     if len({sum(p) for p in pts}) > 1:
         raise ValueError("mixed degrees in support")
     index = set(pts)
@@ -113,8 +117,51 @@ def m_convex_literal(supp) -> bool:
                             witnessed = True
                             break
                 if not witnessed:
-                    return False
-    return True
+                    return (a, b)
+    return None
+
+
+def m_convex_literal(supp) -> bool:
+    return m_convex_witness(supp) is None
+
+
+def certify_literal(f, tol=None):
+    """Lorentzian certification as first written: every multi-index of the
+    degree box, each derivative taken term by term, zero derivatives
+    skipped, and the support checked by the literal exchange loop."""
+    is_float = isinstance(f, FloatPoly)
+    if is_float:
+        f = FloatPoly(f.nvars, {e: c for e, c in f.items() if abs(c) > tol})
+    if not f.support():
+        return LorentzReport(True, None, 0)
+    hd = f.homogeneous_degree()
+    if hd is None:
+        terms = f.sorted_terms()
+        return LorentzReport(
+            False, CertFailure("non-homogeneous", exponents=(terms[0][0], terms[-1][0])), 0
+        )
+    for exp, c in f.sorted_terms():
+        if c < (-tol if is_float else 0):
+            return LorentzReport(
+                False, CertFailure("negative-coefficient", exponents=(exp,)), 0
+            )
+    pair = m_convex_witness(f.support())
+    if pair is not None:
+        return LorentzReport(False, CertFailure("support-not-M-convex", exponents=pair), 0)
+    checked = 0
+    for gamma in bounded_compositions(hd - 2, f.degree_profile()):
+        g = f.derivative_multi(gamma)
+        if not g.support():
+            continue
+        checked += 1
+        inertia = quad_inertia(g, tol)
+        if inertia.n_pos > 1:
+            return LorentzReport(
+                False,
+                CertFailure("bad-inertia", derivative=gamma, inertia=inertia.as_tuple()),
+                checked,
+            )
+    return LorentzReport(True, None, checked)
 
 
 def polymatroid_axioms_literal(rank) -> bool:

@@ -24,11 +24,13 @@ from lormatch import (
     certify_lorentzian,
     compose_seq,
     elementary_symmetric,
+    inducing_box,
     is_m_convex,
     match_poly,
     quad_inertia,
     run_check,
     stat_table,
+    symbol_of,
 )
 from oracles import charpoly_inertia, enumerate_matching, m_convex_literal
 
@@ -273,3 +275,11 @@ def test_11_oracle_suite():
                 pool.add(tuple(shifted))
             got, _ = is_m_convex(pool)
             assert got == m_convex_literal(pool)
+
+
+def test_12_six_cycle_symbol_certifies():
+    with criterion(12, "6-cycle inducing symbol at kappa (4,4,4) certifies", 10.0):
+        six_cycle = SubsetSeq(3, (frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})))
+        symbol = symbol_of(inducing_box(six_cycle, (4, 4, 4)))
+        report = certify_lorentzian(symbol).to_json()
+        assert report == {"lorentzian": True, "failure": None, "checked_derivatives": 1950}

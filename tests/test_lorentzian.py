@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lormatch import (
@@ -12,8 +12,9 @@ from lormatch import (
     quad_inertia,
     symmetric_inertia,
 )
+from lormatch._util import compositions
 
-from oracles import charpoly_inertia, m_convex_literal
+from oracles import certify_literal, charpoly_inertia, m_convex_literal, m_convex_witness
 
 
 @st.composite
@@ -30,19 +31,48 @@ def symmetric_matrices(draw, max_dim=4):
 
 
 @st.composite
-def supports(draw, dim=3, total=3, max_size=6):
-    # random sets of lattice points with a fixed coordinate sum
-    pool = []
-
-    def build(prefix, remaining, slots):
-        if slots == 1:
-            pool.append(tuple(prefix + [remaining]))
-            return
-        for v in range(remaining + 1):
-            build(prefix + [v], remaining - v, slots - 1)
-
-    build([], total, dim)
+def supports(draw, max_size=20):
+    # random sets of lattice points with a fixed coordinate sum; with up to
+    # 35 candidates in 4 variables they land on both sides of |S| = 2^n
+    dim = draw(st.integers(2, 4))
+    total = draw(st.integers(0, 4))
+    pool = sorted(compositions(total, dim))
     return draw(st.sets(st.sampled_from(pool), max_size=max_size))
+
+
+@st.composite
+def certify_inputs(draw):
+    """(polynomial, tolerance) pairs that reach every verdict of certification."""
+    nvars = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 4))
+    shape = draw(st.sampled_from(("product", "simplex", "subset")))
+    pool = sorted(compositions(degree, nvars))
+    weights = st.fractions(min_value=Fraction(1, 4), max_value=9, max_denominator=4)
+    if shape == "product":
+        # products of nonnegative linear forms are Lorentzian
+        f = Poly.constant(nvars, 1)
+        for _ in range(degree):
+            form = draw(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars))
+            f = f * _linear_form(form)
+        terms = dict(f.items())
+    elif shape == "simplex":
+        # a full simplex support is M-convex, so random weights reach the
+        # Hessian sweep and often fail it
+        terms = {e: draw(weights) for e in pool}
+    else:
+        supp = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=20))
+        terms = {e: draw(weights) for e in sorted(supp)}
+    if terms and draw(st.integers(0, 9)) == 0:
+        flip = draw(st.sampled_from(sorted(terms)))
+        terms[flip] = -terms[flip]
+    if draw(st.integers(0, 9)) == 0:
+        terms[draw(st.sampled_from(sorted(compositions(degree + 1, nvars))))] = Fraction(1)
+    if draw(st.booleans()):
+        return Poly(nvars, terms), None
+    floats = {e: float(c) for e, c in terms.items()}
+    if draw(st.booleans()):
+        floats[(0,) * nvars] = floats.get((0,) * nvars, 0.0) + 1e-12
+    return FloatPoly(nvars, floats), 1e-9
 
 
 def _linear_form(coeffs):
@@ -120,10 +150,19 @@ class TestMConvex:
         with pytest.raises(ValueError):
             is_m_convex({(1, 0), (1, 1)})
 
+    def test_dense_support_goldens(self):
+        # 15 points in 3 variables: above 2^3, so the polymatroid route decides
+        full = set(compositions(4, 3))
+        assert is_m_convex(full) == (True, None)
+        full.discard((2, 1, 1))
+        assert is_m_convex(full) == (False, ((1, 1, 2), (3, 0, 1)))
+
     @given(supports())
     @settings(max_examples=200, deadline=None)
     def test_against_literal_loop(self, supp):
-        assert is_m_convex(supp)[0] == m_convex_literal(supp)
+        witness = m_convex_witness(supp)
+        assert is_m_convex(supp) == (witness is None, witness)
+        assert m_convex_literal(supp) == (witness is None)
 
 
 class TestCertify:
@@ -209,6 +248,17 @@ class TestCertify:
         assert certify_lorentzian(f, tol=1e-9).verdict
         with pytest.raises(TypeError):
             certify_lorentzian(f)
+
+    @given(certify_inputs())
+    @example((Poly(1, {(1,): 1, (2,): 1}), None))
+    @example((Poly(2, {(1, 1): -1}), None))
+    @example((FloatPoly(2, {(2, 0): 1.0, (0, 2): 1.0}), 1e-9))
+    @example((FloatPoly(2, {(2, 0): 1.0, (1, 1): 1.0, (0, 2): 1.0}), 1e-9))
+    @example((Poly(2, {(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1}), None))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_literal_sweep(self, case):
+        f, tol = case
+        assert certify_lorentzian(f, tol).to_json() == certify_literal(f, tol).to_json()
 
     def test_report_json(self):
         data = certify_lorentzian(Poly(2, {(1, 1): 1})).to_json()

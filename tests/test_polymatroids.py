@@ -25,6 +25,7 @@ from lormatch import (
     uniform_matroid,
     validate_polymatroid,
 )
+from lormatch.polymatroids import points_polymatroid
 from lormatch.polynomials import Poly
 
 from oracles import polymatroid_axioms_literal
@@ -181,6 +182,14 @@ class TestSupportRecognition:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             support_polymatroid(Poly(1, {(2,): -1}))
+
+    def test_point_sets(self):
+        assert points_polymatroid({(1, 0), (0, 1)}, 2) == free_polymatroid(2, 1)
+        assert points_polymatroid(set(), 2) is None
+        # every point is in the box, but (0, 1) has the smaller sum
+        assert points_polymatroid({(1, 1), (2, 0), (0, 2), (0, 1)}, 2) is None
+        # a negative coordinate breaks monotonicity of the partial-sum table
+        assert points_polymatroid({(2, -1), (1, 0), (0, 1)}, 2) is None
 
 
 class TestLinReal:
