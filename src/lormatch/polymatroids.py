@@ -2,17 +2,19 @@
 
 Rank functions are explicit tables with one entry per subset of the ground
 set {1..m}, indexed by bitmask (bit i-1 is element i).  Everything here is
-desk scale: validation, lattice-point scans, and rank queries run brute
-force over the table, which keeps every claim checkable by inspection.
+desk scale: validation and rank queries run brute force over the table,
+which keeps every claim checkable by inspection.  Base points are listed by
+a contraction walk that fixes one coordinate at a time and only ever
+extends prefixes of real base points (see `_walk_base_points`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
-from ._util import bounded_compositions, mask_to_elements, vec_factorial
+from ._util import mask_to_elements, vec_factorial
 from .matchings import SubsetSeq, admits_matching
 from .polynomials import Poly
 
@@ -252,18 +254,38 @@ def induce_matroid(pm: Polymatroid, seq: SubsetSeq) -> Matroid:
     return Matroid(Polymatroid(seq.n, table))
 
 
+def _walk_base_points(pm: Polymatroid) -> Iterator[tuple[int, ...]]:
+    """Integer base points in lexicographic order, one coordinate at a time.
+
+    Fixing x_1 = a leaves the points of a polymatroid on the later elements,
+    of rank min(r(T), r(T + 1) - a) (contraction by a vector); with element
+    1 as bit 0 that table is `min(even, odd - a)` over the adjacent pairs.
+    `a` runs from what the later elements cannot absorb up to the current
+    rank of {1}.  That upper bound is every inequality x(U) <= r(U) whose
+    largest element is the one being fixed, so each emitted point is a base
+    point; submodularity lets every branch reach one, so the work follows
+    the output rather than the box of candidates.
+    """
+
+    def walk(tab: list[int], remaining: int, prefix: tuple[int, ...]):
+        if len(tab) == 2:
+            if tab[1] >= remaining:
+                yield prefix + (remaining,)
+            return
+        evens, odds = tab[0::2], tab[1::2]
+        for a in range(max(0, remaining - tab[-2]), min(tab[1], remaining) + 1):
+            yield from walk(
+                [u if u < v - a else v - a for u, v in zip(evens, odds)],
+                remaining - a,
+                prefix + (a,),
+            )
+
+    return walk(list(pm.rank), pm.full_rank, ())
+
+
 def base_points(pm: Polymatroid) -> frozenset[tuple[int, ...]]:
-    """Integer points of the base polytope, by box-bounded exhaustive scan."""
-    caps = [pm.rank[1 << i] for i in range(pm.m)]
-    members = _bit_indices(pm.m)
-    out = []
-    for cand in bounded_compositions(pm.full_rank, caps):
-        if all(
-            sum(cand[i] for i in members[mask]) <= pm.rank[mask]
-            for mask in range(1, pm.full_mask)
-        ):
-            out.append(cand)
-    return frozenset(out)
+    """Integer points of the base polytope, listed by `_walk_base_points`."""
+    return frozenset(_walk_base_points(pm))
 
 
 def in_base_polytope(pm: Polymatroid, vec: Sequence[int]) -> bool:
@@ -301,9 +323,9 @@ def points_polymatroid(
     is the largest partial sum over I across the points; it is kept only
     when it is a valid polymatroid whose base points are the given set.
     Every given point of full sum is a base point of the candidate, so the
-    box scan stops at the first base point outside the set, and a count of
-    the points it met rules out points of smaller sum.  The table costs
-    |points| * 2^nvars.
+    walk over the candidate's base points stops at the first one outside
+    the set, and a count of the points it met rules out points of smaller
+    sum.  The table costs |points| * 2^nvars.
     """
     if not points:
         return None
@@ -317,14 +339,11 @@ def points_polymatroid(
         candidate = Polymatroid(nvars, tuple(table))
     except AxiomViolation:
         return None
-    caps = [table[1 << i] for i in range(nvars)]
-    inner = range(1, candidate.full_mask)
     met = 0
-    for cand in bounded_compositions(candidate.full_rank, caps):
-        if cand in points:
-            met += 1
-        elif all(sum(cand[i] for i in members[mask]) <= table[mask] for mask in inner):
+    for point in _walk_base_points(candidate):
+        if point not in points:
             return None
+        met += 1
     return candidate if met == len(points) else None
 
 
@@ -475,9 +494,11 @@ def hall_rado_member(
 
     Computed two independent ways and cross-checked: (a) the inequality
     description of the induced base polytope, (b) existence of a base point
-    gamma of the source with (gamma, delta) matchable along the sequence.
-    The equivalence needs the parts to span (union rank = full rank);
-    without that no gamma can have the right total, so the call is refused.
+    gamma of the source with (gamma, delta) matchable along the sequence,
+    tried in lexicographic order as `_walk_base_points` lists them and
+    stopping at the first match.  The equivalence needs the parts to span
+    (union rank = full rank); without that no gamma can have the right
+    total, so the call is refused.
     """
     if seq.m != pm.m:
         raise ValueError(f"sequence over 1..{seq.m}, polymatroid over 1..{pm.m}")
@@ -496,7 +517,7 @@ def hall_rado_member(
         return False
     via_rank = in_base_polytope(induce_polymatroid(pm, seq), d)
     via_flow = any(
-        admits_matching(seq, gamma, d) for gamma in sorted(base_points(pm))
+        admits_matching(seq, gamma, d) for gamma in _walk_base_points(pm)
     )
     if via_rank != via_flow:
         raise InternalCheckError(

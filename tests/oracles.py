@@ -1,7 +1,8 @@
 """Definition-literal brute-force oracles, kept independent of the library's
 fast paths: feasibility by enumerating edge weightings, inertia by
 characteristic-polynomial sign counting, exchange property by double loop,
-Lorentzian certification by a sweep over the whole degree box."""
+Lorentzian certification by a sweep over the whole degree box, base points
+by a scan of every box-bounded composition."""
 
 from fractions import Fraction
 
@@ -176,3 +177,17 @@ def polymatroid_axioms_literal(rank) -> bool:
             if rank[a] + rank[b] < rank[a | b] + rank[a & b]:
                 return False
     return True
+
+
+def base_points_literal(pm) -> frozenset:
+    """Integer points of the base polytope, by box-bounded exhaustive scan."""
+    caps = [pm.rank[1 << i] for i in range(pm.m)]
+    members = [[i for i in range(pm.m) if mask >> i & 1] for mask in range(1 << pm.m)]
+    out = []
+    for cand in bounded_compositions(pm.full_rank, caps):
+        if all(
+            sum(cand[i] for i in members[mask]) <= pm.rank[mask]
+            for mask in range(1, pm.full_mask)
+        ):
+            out.append(cand)
+    return frozenset(out)

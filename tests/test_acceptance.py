@@ -21,9 +21,12 @@ from lormatch import (
     admits_restricted,
     apply_inducing,
     apply_substitution,
+    base_points,
     certify_lorentzian,
     compose_seq,
     elementary_symmetric,
+    free_polymatroid,
+    hall_rado_member,
     inducing_box,
     is_m_convex,
     match_poly,
@@ -31,6 +34,7 @@ from lormatch import (
     run_check,
     stat_table,
     symbol_of,
+    uniform_matroid,
 )
 from oracles import charpoly_inertia, enumerate_matching, m_convex_literal
 
@@ -283,3 +287,15 @@ def test_12_six_cycle_symbol_certifies():
         symbol = symbol_of(inducing_box(six_cycle, (4, 4, 4)))
         report = certify_lorentzian(symbol).to_json()
         assert report == {"lorentzian": True, "failure": None, "checked_derivatives": 1950}
+
+
+def test_13_base_points_follow_the_output():
+    with criterion(13, "U(14,4) base points and a 13-window Hall-Rado query", 3.0):
+        points = base_points(uniform_matroid(14, 4).underlying)
+        assert len(points) == 1001
+        assert all(set(p) <= {0, 1} and sum(p) == 4 for p in points)
+        windows = SubsetSeq(
+            13, tuple(frozenset({j, j % 13 + 1}) for j in range(1, 14))
+        )
+        delta = (2, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
+        assert hall_rado_member(free_polymatroid(13, 3), windows, delta)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from lormatch import (
     AxiomViolation,
+    InternalCheckError,
     LinReal,
     Matroid,
     Polymatroid,
@@ -25,10 +26,11 @@ from lormatch import (
     uniform_matroid,
     validate_polymatroid,
 )
-from lormatch.polymatroids import points_polymatroid
+from lormatch import polymatroids
+from lormatch.polymatroids import _walk_base_points, points_polymatroid
 from lormatch.polynomials import Poly
 
-from oracles import polymatroid_axioms_literal
+from oracles import base_points_literal, polymatroid_axioms_literal
 
 WIDE = SubsetSeq(4, (frozenset({1, 2, 3, 4}), frozenset({2, 3}), frozenset({3, 4})))
 
@@ -56,6 +58,22 @@ def covering_seqs(draw, m, max_n=3):
         if not any(e in s for s in sets):
             sets[draw(st.integers(0, n - 1))].add(e)
     return SubsetSeq(m, tuple(frozenset(s) for s in sets))
+
+
+@st.composite
+def walk_sources(draw):
+    """Realizable ranks, their inductions, free direct sums, uniform matroids."""
+    family = draw(st.sampled_from(["linreal", "induced", "free-sum", "uniform"]))
+    if family == "linreal":
+        return linreal_rank(draw(linreals()))
+    if family == "induced":
+        pm = linreal_rank(draw(linreals()))
+        return induce_polymatroid(pm, draw(covering_seqs(pm.m)))
+    if family == "free-sum":
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        return direct_sum([free_polymatroid(k, draw(st.integers(0, 3))) for k in sizes])
+    m = draw(st.integers(1, 6))
+    return uniform_matroid(m, draw(st.integers(0, m))).underlying
 
 
 class TestValidation:
@@ -152,6 +170,21 @@ class TestBasePoints:
         assert f.coefficient((2, 0)) == Fraction(1, 2)
         assert f.coefficient((1, 1)) == 1
 
+    def test_walk_goldens(self):
+        assert list(_walk_base_points(free_polymatroid(2, 0))) == [(0, 0)]
+        assert list(_walk_base_points(free_polymatroid(1, 3))) == [(3,)]
+        # singleton caps sum to 3, above the full rank 1
+        assert list(_walk_base_points(uniform_matroid(3, 1).underlying)) == [
+            (0, 0, 1),
+            (0, 1, 0),
+            (1, 0, 0),
+        ]
+
+    @given(walk_sources())
+    @settings(max_examples=200, deadline=None)
+    def test_walk_matches_box_scan(self, pm):
+        assert list(_walk_base_points(pm)) == sorted(base_points_literal(pm))
+
     @given(linreals())
     @settings(max_examples=80, deadline=None)
     def test_points_sum_to_full_rank(self, real):
@@ -190,6 +223,11 @@ class TestSupportRecognition:
         assert points_polymatroid({(1, 1), (2, 0), (0, 2), (0, 1)}, 2) is None
         # a negative coordinate breaks monotonicity of the partial-sum table
         assert points_polymatroid({(2, -1), (1, 0), (0, 1)}, 2) is None
+        # the candidate table is the valid free(2, 2); the walk meets (1, 1)
+        assert points_polymatroid({(2, 0), (0, 2)}, 2) is None
+        all_of_three = {(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)}
+        assert len(all_of_three) == 10
+        assert points_polymatroid(all_of_three, 3) == free_polymatroid(3, 3)
 
 
 class TestLinReal:
@@ -233,6 +271,13 @@ class TestHallRado:
         lonely = SubsetSeq(2, (frozenset({1}),))
         with pytest.raises(ValueError, match="span"):
             hall_rado_member(pm, lonely, (1,))
+
+    def test_route_disagreement_raises(self, monkeypatch):
+        # a walk that finds no gamma must be caught by the inequality route
+        monkeypatch.setattr(polymatroids, "_walk_base_points", lambda pm: iter(()))
+        split = SubsetSeq(2, (frozenset({1}), frozenset({2})))
+        with pytest.raises(InternalCheckError):
+            hall_rado_member(free_polymatroid(2, 2), split, (1, 1))
 
     @given(linreals(max_blocks=3), st.data())
     @settings(max_examples=80, deadline=None)
