@@ -61,7 +61,7 @@ from .polymatroids import (
     uniform_matroid,
     validate_polymatroid,
 )
-from .polynomials import FloatPoly, Poly, elementary_symmetric
+from .polynomials import Poly, elementary_symmetric
 from .verification import CHECKS, TrialConfig, replay, run_check
 
 SEED_ENV = "LORMATCH_SEED"
@@ -116,32 +116,32 @@ def _domain(flag: str, exc: Exception) -> DomainError:
     return DomainError({"error": "invalid-value", "flag": flag, "detail": str(exc)})
 
 
-def _parse_seq(raw: str, flag: str = "--sets") -> SubsetSeq:
+def _parse_with(build, raw: str, flag: str):
+    """Parse the flag's JSON and build an object; bad values become domain errors.
+
+    Axiom violations pass through, so they keep their own error payload.
+    """
     data = _parse_json(raw, flag)
     try:
-        return SubsetSeq.from_json(data)
+        return build(data)
+    except AxiomViolation:
+        raise
     except (ValueError, TypeError, KeyError) as exc:
         raise _domain(flag, exc) from exc
+
+
+def _parse_seq(raw: str, flag: str = "--sets") -> SubsetSeq:
+    return _parse_with(SubsetSeq.from_json, raw, flag)
 
 
 def _parse_poly(raw: str, flag: str = "--poly") -> Poly:
-    data = _parse_json(raw, flag)
+    return _parse_with(Poly.from_json, raw, flag)
+
+
+def _parse_list(raw: str, flag: str, convert) -> tuple:
+    """Comma-separated values, each read by ``convert`` (int or Fraction)."""
     try:
-        return Poly.from_json(data)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise _domain(flag, exc) from exc
-
-
-def _parse_ints(raw: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok.strip()) for tok in raw.split(","))
-    except ValueError as exc:
-        raise _domain(flag, exc) from exc
-
-
-def _parse_rationals(raw: str, flag: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(tok.strip()) for tok in raw.split(","))
+        return tuple(convert(tok.strip()) for tok in raw.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise _domain(flag, exc) from exc
 
@@ -191,45 +191,13 @@ def _parse_polymatroid(data, flag: str) -> Polymatroid:
 
 
 def _parse_matroid(raw: str, flag: str) -> Matroid:
-    data = _parse_json(raw, flag)
-    try:
+    def build(data) -> Matroid:
         if isinstance(data, Mapping) and "uniform" in data:
             m, r = data["uniform"]
             return uniform_matroid(int(m), int(r))
         return Matroid(_parse_polymatroid(data, flag))
-    except AxiomViolation:
-        raise
-    except (ValueError, TypeError, KeyError) as exc:
-        raise _domain(flag, exc) from exc
 
-
-def _parse_linreal(raw: str, flag: str = "--real") -> LinReal:
-    data = _parse_json(raw, flag)
-    try:
-        return LinReal.from_json(data)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise _domain(flag, exc) from exc
-
-
-def _float_poly_json(fp: FloatPoly) -> dict:
-    return {
-        "nvars": fp.nvars,
-        "basis": "plain",
-        "terms": [
-            {"exp": list(exp), "coeff": coeff} for exp, coeff in fp.sorted_terms()
-        ],
-    }
-
-
-def _float_box_json(box) -> dict:
-    return {
-        "kappa": list(box.kappa),
-        "n_out": box.n_out,
-        "table": [
-            {"alpha": list(alpha), "poly": _float_poly_json(box.image(alpha))}
-            for alpha in sorted(box.table)
-        ],
-    }
+    return _parse_with(build, raw, flag)
 
 
 def _emit(payload, pretty: bool, raw: str | None = None) -> None:
@@ -248,7 +216,7 @@ def _emit(payload, pretty: bool, raw: str | None = None) -> None:
 
 def _cmd_match(args) -> int:
     seq = _parse_seq(args.sets)
-    alpha = _parse_ints(args.alpha, "--alpha")
+    alpha = _parse_list(args.alpha, "--alpha", int)
     caps = None
     if args.caps is not None:
         caps = caps_from_json(seq, _parse_json(args.caps, "--caps"))
@@ -258,7 +226,7 @@ def _cmd_match(args) -> int:
         degrees = sorted(matched_degrees(seq, alpha))
         _emit({"matched": [list(beta) for beta in degrees]}, args.pretty)
         return 0
-    beta = _parse_ints(args.beta, "--beta")
+    beta = _parse_list(args.beta, "--beta", int)
     if caps is None:
         feasible = admits_matching(seq, alpha, beta)
     else:
@@ -296,7 +264,7 @@ def _cmd_subst(args) -> int:
 def _cmd_ct(args) -> int:
     seq = _parse_seq(args.sets)
     if args.topic is not None:
-        topic = tuple(_parse_ints(args.topic, "--topic")) if args.topic else ()
+        topic = _parse_list(args.topic, "--topic", int) if args.topic else ()
         if args.matroid is not None:
             mat = _parse_matroid(args.matroid, "--matroid")
             count = basis_match_count(mat, seq, topic)
@@ -328,7 +296,7 @@ def _cmd_fpoly(args) -> int:
 
 def _cmd_symbol(args) -> int:
     seq = _parse_seq(args.sets)
-    kappa = _parse_ints(args.kappa, "--kappa")
+    kappa = _parse_list(args.kappa, "--kappa", int)
     if args.op == "substitution":
         matrix = _parse_matrix(args.matrix) if args.matrix is not None else None
         box = substitution_box(seq, matrix, kappa)
@@ -341,17 +309,12 @@ def _cmd_symbol(args) -> int:
             q = Fraction(args.q)
         except (ValueError, ZeroDivisionError) as exc:
             raise _domain("--q", exc) from exc
-        powered = power_box(box, q)
-        if args.table:
-            _emit(_float_box_json(powered), args.pretty)
-        else:
-            _emit(_float_poly_json(symbol_of(powered)), args.pretty)
-        return 0
-    sym = symbol_of(box)
-    if args.table:
-        _emit(box_from_symbol(sym, kappa, seq.n).to_json(), args.pretty)
+        box = power_box(box, q)
+        out = box if args.table else symbol_of(box)
     else:
-        _emit(sym.to_json(), args.pretty)
+        sym = symbol_of(box)
+        out = box_from_symbol(sym, kappa, seq.n) if args.table else sym
+    _emit(out.to_json(), args.pretty)
     return 0
 
 
@@ -382,8 +345,9 @@ def _cmd_pminduce(args) -> int:
         _emit({"polymatroid": pm.to_json() if pm else None}, args.pretty)
         return 0
     payload: dict = {}
+    mat = None
     if args.real is not None:
-        real = _parse_linreal(args.real)
+        real = _parse_with(LinReal.from_json, args.real, "--real")
         if args.sets is not None:
             real = linreal_induce(real, _parse_seq(args.sets))
             payload["realization"] = real.to_json()
@@ -394,14 +358,12 @@ def _cmd_pminduce(args) -> int:
             seq = _parse_seq(args.sets)
             if args.matroid:
                 mat = induce_matroid(pm, seq)
-                payload["matroid"] = mat.to_json()
-                if args.bases:
-                    payload["bases"] = [list(b) for b in matroid_bases(mat)]
                 pm = mat.underlying
             else:
                 pm = induce_polymatroid(pm, seq)
-    if args.matroid and "matroid" not in payload:
-        mat = Matroid(pm)
+    if args.matroid:
+        if mat is None:
+            mat = Matroid(pm)
         payload["matroid"] = mat.to_json()
         if args.bases:
             payload["bases"] = [list(b) for b in matroid_bases(mat)]
@@ -418,20 +380,20 @@ def _cmd_hallrado(args) -> int:
     if (args.pm is None) == (args.real is None):
         raise UsageError("exactly one of --pm or --real is required")
     if args.real is not None:
-        pm = linreal_rank(_parse_linreal(args.real))
+        pm = linreal_rank(_parse_with(LinReal.from_json, args.real, "--real"))
     else:
         pm = _parse_polymatroid(_parse_json(args.pm, "--pm"), "--pm")
     seq = _parse_seq(args.sets)
-    delta = _parse_ints(args.delta, "--delta")
+    delta = _parse_list(args.delta, "--delta", int)
     _emit({"member": hall_rado_member(pm, seq, delta)}, args.pretty)
     return 0
 
 
 def _cmd_tab_family(args) -> int:
     seq = _parse_seq(args.sets)
-    kappa = _parse_ints(args.kappa, "--kappa")
-    a = _parse_rationals(args.a, "--a")
-    b = _parse_rationals(args.b, "--b")
+    kappa = _parse_list(args.kappa, "--kappa", int)
+    a = _parse_list(args.a, "--a", Fraction)
+    b = _parse_list(args.b, "--b", Fraction)
     box = tab_family_box(seq, a, b, kappa)
     augmented = augment_with_singletons(seq)
     payload = {"augmented_sets": augmented.to_json()}
@@ -443,24 +405,13 @@ def _cmd_tab_family(args) -> int:
     return 0
 
 
-def _env_int(name: str, fallback: int) -> int:
+def _env(name: str, fallback, convert):
+    """The environment variable read by ``convert``, or ``fallback`` if unset."""
     value = os.environ.get(name)
     if value is None:
         return fallback
     try:
-        return int(value)
-    except ValueError as exc:
-        raise DomainError(
-            {"error": "invalid-environment", "variable": name, "detail": str(exc)}
-        ) from exc
-
-
-def _env_float(name: str, fallback: float) -> float:
-    value = os.environ.get(name)
-    if value is None:
-        return fallback
-    try:
-        return float(value)
+        return convert(value)
     except ValueError as exc:
         raise DomainError(
             {"error": "invalid-environment", "variable": name, "detail": str(exc)}
@@ -471,11 +422,11 @@ def _cmd_verify(args) -> int:
     if args.list_checks:
         _emit({"checks": list(CHECKS)}, args.pretty)
         return 0
-    seed = args.seed if args.seed is not None else _env_int(SEED_ENV, 1)
+    seed = args.seed if args.seed is not None else _env(SEED_ENV, 1, int)
     tolerance = (
         args.tolerance
         if args.tolerance is not None
-        else _env_float(TOLERANCE_ENV, 1e-9)
+        else _env(TOLERANCE_ENV, 1e-9, float)
     )
     trials = args.trials if args.trials is not None else 100
     try:

@@ -274,6 +274,8 @@ def compose_seq(first: SubsetSeq, second: SubsetSeq) -> SubsetSeq:
 
 def caps_from_json(seq: SubsetSeq, obj: Mapping[str, int]) -> dict[Edge, int]:
     """Parse {"i-j": cap} edge caps and validate against the sequence."""
+    if not isinstance(obj, Mapping):
+        raise ValueError("edge caps JSON must be an object")
     caps = {}
     for key, value in obj.items():
         try:

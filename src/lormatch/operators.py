@@ -5,6 +5,13 @@ x^alpha/alpha! for all alpha below a fixed box bound.  The symbol packs the
 whole table into one polynomial in the output variables y plus one tracking
 variable u per input variable; it is invertible, which makes coefficient
 surgery (fractional powers, reweighted singleton families) mechanical.
+
+`FloatOperatorBox` holds the float tables that fractional powers produce.
+It reuses the validation, access and JSON members of `OperatorBox`, which
+read the polynomial type from `_poly_type`, and the table check still
+refuses an image of the other coefficient kind.  `symbol_of` and
+`box_from_symbol` serve both kinds, reading the rescaling from the
+polynomial type.
 """
 
 from __future__ import annotations
@@ -57,11 +64,15 @@ class OperatorBox:
     n_out: int
     table: Mapping[tuple[int, ...], Poly]
 
+    _poly_type = Poly
+
     def __post_init__(self) -> None:
         kappa = _checked_kappa(self.kappa)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(
-            self, "table", _checked_table(kappa, self.n_out, self.table, Poly)
+            self,
+            "table",
+            _checked_table(kappa, self.n_out, self.table, self._poly_type),
         )
 
     @property
@@ -99,19 +110,15 @@ class FloatOperatorBox:
     n_out: int
     table: Mapping[tuple[int, ...], FloatPoly]
 
-    def __post_init__(self) -> None:
-        kappa = _checked_kappa(self.kappa)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(
-            self, "table", _checked_table(kappa, self.n_out, self.table, FloatPoly)
-        )
+    _poly_type = FloatPoly
 
-    @property
-    def m(self) -> int:
-        return len(self.kappa)
+    __post_init__ = OperatorBox.__post_init__
+    m = OperatorBox.m
+    image = OperatorBox.image
+    to_json = OperatorBox.to_json
 
-    def image(self, alpha: Sequence[int]) -> FloatPoly:
-        return self.table[tuple(int(v) for v in alpha)]
+
+_BOX_TYPES = {Poly: OperatorBox, FloatPoly: FloatOperatorBox}
 
 
 def apply_inducing(seq: SubsetSeq, f: Poly) -> Poly:
@@ -219,19 +226,14 @@ def symbol_of(box: OperatorBox | FloatOperatorBox) -> Poly | FloatPoly:
     table entry a term came from, weighted so inversion is exact."""
     kappa = box.kappa
     kfact = vec_factorial(kappa)
-    exact = isinstance(box, OperatorBox)
     data: dict = {}
     for alpha, poly in box.table.items():
         uexp = tuple(k - a for k, a in zip(kappa, alpha))
         factor = kfact // vec_factorial(uexp)
-        if not exact:
-            factor = float(factor)
         for yexp, c in poly.items():
             key = yexp + uexp
             data[key] = data.get(key, 0) + c * factor
-    if exact:
-        return Poly(box.n_out + box.m, data)
-    return FloatPoly(box.n_out + box.m, data)
+    return box._poly_type(box.n_out + box.m, data)
 
 
 def box_from_symbol(
@@ -246,7 +248,8 @@ def box_from_symbol(
             f"symbol has {sym.nvars} variables, expected {n_out} + {len(k)}"
         )
     kfact = vec_factorial(k)
-    exact = isinstance(sym, Poly)
+    poly_type = type(sym)
+    ratio = poly_type._ratio
     slices: dict[tuple[int, ...], dict] = {alpha: {} for alpha in iter_box(k)}
     for exp, c in sym.items():
         yexp = exp[:n_out]
@@ -254,15 +257,9 @@ def box_from_symbol(
         if any(u > kk for u, kk in zip(uexp, k)):
             raise ValueError(f"u-exponent {uexp} exceeds the box {k}")
         alpha = tuple(kk - u for kk, u in zip(k, uexp))
-        if exact:
-            slices[alpha][yexp] = c * Fraction(vec_factorial(uexp), kfact)
-        else:
-            slices[alpha][yexp] = c * (vec_factorial(uexp) / kfact)
-    if exact:
-        table = {a: Poly(n_out, t) for a, t in slices.items()}
-        return OperatorBox(k, n_out, table)
-    table = {a: FloatPoly(n_out, t) for a, t in slices.items()}
-    return FloatOperatorBox(k, n_out, table)
+        slices[alpha][yexp] = c * ratio(vec_factorial(uexp), kfact)
+    table = {a: poly_type(n_out, t) for a, t in slices.items()}
+    return _BOX_TYPES[poly_type](k, n_out, table)
 
 
 def power_box(box: OperatorBox, q) -> FloatOperatorBox:

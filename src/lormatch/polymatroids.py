@@ -245,13 +245,25 @@ def induce_polymatroid(pm: Polymatroid, seq: SubsetSeq) -> Polymatroid:
 
 
 def induce_matroid(pm: Polymatroid, seq: SubsetSeq) -> Matroid:
-    """Induced rank truncated by cardinality: min(|I|, rank of the part union)."""
+    """Matroid induced by the induced rank f(I) = r(union of the parts in I).
+
+    Its independent sets are the I with |J| <= f(J) for every J within I, and
+    its rank is min over J within I of f(J) + |I - J| (Edmonds).  Dropping one
+    part at a time gives the recursion r(I) = min(f(I), 1 + min_i r(I - i)),
+    one pass over the 2^n table in increasing mask order.
+    """
     if seq.m != pm.m:
         raise ValueError(f"sequence over 1..{seq.m}, polymatroid over 1..{pm.m}")
-    table = tuple(
-        min(mask.bit_count(), pm.rank[u]) for mask, u in enumerate(_union_masks(seq))
-    )
-    return Matroid(Polymatroid(seq.n, table))
+    table = [pm.rank[u] for u in _union_masks(seq)]
+    for mask in range(1, len(table)):
+        best = table[mask]
+        rest = mask
+        while rest:
+            low = rest & -rest
+            best = min(best, table[mask ^ low] + 1)
+            rest ^= low
+        table[mask] = best
+    return Matroid(Polymatroid(seq.n, tuple(table)))
 
 
 def _walk_base_points(pm: Polymatroid) -> Iterator[tuple[int, ...]]:

@@ -5,13 +5,20 @@ the plain monomial basis.  The normalized (divided-power) view, in which the
 weight attached to an exponent vector ``a`` is ``a!`` times the plain
 coefficient of ``x^a``, is exposed through `normalized_coeff` and understood
 by the JSON codec.  All arithmetic is exact; `eval_complex` is the only
-floating-point entry point.  `FloatPoly` is a deliberately separate type for
-float-coefficient data, so the exact and floating paths never mix silently.
+floating-point entry point.
+
+`FloatPoly` holds float-coefficient data.  It reuses the read-only core of
+`Poly` (construction, access, equality, degrees, `derivative_multi`,
+`to_json`) as the same function objects, which read the coefficient kind from
+class attributes.  It is still a separate type and not a subclass: the ring
+operations and the operator-table checks test `isinstance(.., Poly)`, so
+exact and float data never mix silently.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -53,18 +60,36 @@ def _checked_exponent(exp: Sequence[int], nvars: int) -> ExpVec:
     return out
 
 
+def _exact_term_json(terms: Iterable[tuple[ExpVec, Fraction]]) -> list[dict]:
+    return [
+        {"exp": list(exp), "num": str(c.numerator), "den": str(c.denominator)}
+        for exp, c in terms
+    ]
+
+
+def _float_term_json(terms: Iterable[tuple[ExpVec, float]]) -> list[dict]:
+    return [{"exp": list(exp), "coeff": c} for exp, c in terms]
+
+
 class Poly:
     """Immutable sparse polynomial in ``nvars`` variables over the rationals."""
+
+    # coefficient kind, read by the members `FloatPoly` shares
+    _coerce = staticmethod(_to_fraction)
+    _zero = Fraction(0)
+    _ratio = Fraction
+    _term_json = staticmethod(_exact_term_json)
 
     def __init__(self, nvars: int, terms: Mapping | Iterable = ()) -> None:
         if nvars < 1:
             raise ValueError("nvars must be >= 1")
         self.nvars = nvars
         pairs = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[ExpVec, Fraction] = {}
+        coerce = self._coerce
+        data: dict = {}
         for exp, coeff in pairs:
             key = _checked_exponent(exp, nvars)
-            c = _to_fraction(coeff)
+            c = coerce(coeff)
             if key in data:
                 c = data[key] + c
             if c:
@@ -108,12 +133,12 @@ class Poly:
         return frozenset(self._terms)
 
     def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return self._terms.get(_checked_exponent(exp, self.nvars), Fraction(0))
+        return self._terms.get(_checked_exponent(exp, self.nvars), self._zero)
 
     def normalized_coeff(self, exp: Sequence[int]) -> Fraction:
         """Coefficient in the divided-power basis: exp! times the plain one."""
         key = _checked_exponent(exp, self.nvars)
-        return self._terms.get(key, Fraction(0)) * vec_factorial(key)
+        return self._terms.get(key, self._zero) * vec_factorial(key)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -122,7 +147,7 @@ class Poly:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poly):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.nvars == other.nvars and self._terms == other._terms
 
@@ -252,7 +277,8 @@ class Poly:
     def derivative_multi(self, gamma: Sequence[int]) -> "Poly":
         """Iterated partial derivative with multiplicities ``gamma``."""
         g = _checked_exponent(gamma, self.nvars)
-        data: dict[ExpVec, Fraction] = {}
+        zero = self._zero
+        data: dict = {}
         for exp, c in self._terms.items():
             if any(e < gi for e, gi in zip(exp, g)):
                 continue
@@ -262,8 +288,8 @@ class Poly:
                 for t in range(gi):
                     factor *= e - t
             key = tuple(e - gi for e, gi in zip(exp, g))
-            data[key] = data.get(key, Fraction(0)) + c * factor
-        return Poly(self.nvars, data)
+            data[key] = data.get(key, zero) + c * factor
+        return type(self)(self.nvars, data)
 
     def substitute(self, images: Sequence["Poly"], nvars_out: int) -> "Poly":
         """Replace variable i by images[i]; all images live in nvars_out variables."""
@@ -356,20 +382,13 @@ class Poly:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self, basis: str = "plain") -> dict:
+        """Rows of {"exp", "num", "den"}, or {"exp", "coeff"} for `FloatPoly`."""
         if basis not in ("plain", "normalized"):
             raise ValueError(f"unknown basis {basis!r}")
-        rows = []
-        for exp, c in self.sorted_terms():
-            if basis == "normalized":
-                c = c * vec_factorial(exp)
-            rows.append(
-                {
-                    "exp": list(exp),
-                    "num": str(c.numerator),
-                    "den": str(c.denominator),
-                }
-            )
-        return {"nvars": self.nvars, "basis": basis, "terms": rows}
+        terms = self.sorted_terms()
+        if basis == "normalized":
+            terms = [(exp, c * vec_factorial(exp)) for exp, c in terms]
+        return {"nvars": self.nvars, "basis": basis, "terms": self._term_json(terms)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Poly":
@@ -420,81 +439,28 @@ def elementary_symmetric(nvars: int, degree: int) -> Poly:
 class FloatPoly:
     """Float-coefficient companion of `Poly`; read-mostly, no ring operations."""
 
-    def __init__(self, nvars: int, terms: Mapping | Iterable = ()) -> None:
-        if nvars < 1:
-            raise ValueError("nvars must be >= 1")
-        self.nvars = nvars
-        pairs = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[ExpVec, float] = {}
-        for exp, coeff in pairs:
-            key = _checked_exponent(exp, nvars)
-            c = data.get(key, 0.0) + float(coeff)
-            if c != 0.0:
-                data[key] = c
-            else:
-                data.pop(key, None)
-        self._terms = data
+    _coerce = float
+    _zero = 0.0
+    _ratio = operator.truediv
+    _term_json = staticmethod(_float_term_json)
+
+    __init__ = Poly.__init__
+    items = Poly.items
+    sorted_terms = Poly.sorted_terms
+    support = Poly.support
+    coefficient = Poly.coefficient
+    normalized_coeff = Poly.normalized_coeff
+    __len__ = Poly.__len__
+    __bool__ = Poly.__bool__
+    __eq__ = Poly.__eq__
+    degree_profile = Poly.degree_profile
+    homogeneous_degree = Poly.homogeneous_degree
+    derivative_multi = Poly.derivative_multi
+    to_json = Poly.to_json
 
     @classmethod
     def from_poly(cls, poly: Poly) -> "FloatPoly":
         return cls(poly.nvars, {e: float(c) for e, c in poly.items()})
 
-    def items(self) -> Iterator[tuple[ExpVec, float]]:
-        return iter(self._terms.items())
-
-    def sorted_terms(self) -> list[tuple[ExpVec, float]]:
-        return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]))
-
-    def support(self) -> frozenset[ExpVec]:
-        return frozenset(self._terms)
-
-    def coefficient(self, exp: Sequence[int]) -> float:
-        return self._terms.get(_checked_exponent(exp, self.nvars), 0.0)
-
-    def normalized_coeff(self, exp: Sequence[int]) -> float:
-        key = _checked_exponent(exp, self.nvars)
-        return self._terms.get(key, 0.0) * vec_factorial(key)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FloatPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
-
     def __repr__(self) -> str:
         return f"FloatPoly({len(self._terms)} terms, nvars={self.nvars})"
-
-    def homogeneous_degree(self):
-        if not self._terms:
-            return ANY_DEGREE
-        degrees = {sum(e) for e in self._terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
-
-    def degree_profile(self) -> ExpVec:
-        prof = [0] * self.nvars
-        for exp in self._terms:
-            for i, e in enumerate(exp):
-                if e > prof[i]:
-                    prof[i] = e
-        return tuple(prof)
-
-    def derivative_multi(self, gamma: Sequence[int]) -> "FloatPoly":
-        g = _checked_exponent(gamma, self.nvars)
-        data: dict[ExpVec, float] = {}
-        for exp, c in self._terms.items():
-            if any(e < gi for e, gi in zip(exp, g)):
-                continue
-            factor = 1
-            for e, gi in zip(exp, g):
-                for t in range(gi):
-                    factor *= e - t
-            key = tuple(e - gi for e, gi in zip(exp, g))
-            data[key] = data.get(key, 0.0) + c * factor
-        return FloatPoly(self.nvars, data)

@@ -2,7 +2,8 @@
 fast paths: feasibility by enumerating edge weightings, inertia by
 characteristic-polynomial sign counting, exchange property by double loop,
 Lorentzian certification by a sweep over the whole degree box, base points
-by a scan of every box-bounded composition."""
+by a scan of every box-bounded composition, the matroid induced by a
+polymatroid from its largest independent subsets."""
 
 from fractions import Fraction
 
@@ -191,3 +192,29 @@ def base_points_literal(pm) -> frozenset:
         ):
             out.append(cand)
     return frozenset(out)
+
+
+def induce_matroid_literal(pm, seq) -> tuple:
+    """Rank table of the matroid induced along seq: the rank of a set I of
+    parts is the size of the largest K within I with |J| <= r(union of J)
+    for every J within K."""
+    subsets = [
+        [j for j in range(seq.n) if mask >> j & 1] for mask in range(1 << seq.n)
+    ]
+
+    def f(mask):
+        union = set().union(*(seq.sets[j] for j in subsets[mask]))
+        return pm.rank[sum(1 << (e - 1) for e in union)]
+
+    independent = [
+        all(len(subsets[sub]) <= f(sub) for sub in range(mask + 1) if sub & mask == sub)
+        for mask in range(1 << seq.n)
+    ]
+    return tuple(
+        max(
+            len(subsets[sub])
+            for sub in range(mask + 1)
+            if sub & mask == sub and independent[sub]
+        )
+        for mask in range(1 << seq.n)
+    )

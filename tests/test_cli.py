@@ -2,6 +2,8 @@ import inspect
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import lormatch
 from lormatch.cli import run
@@ -99,6 +101,56 @@ class TestParsing:
         payload = json.loads(out)
         assert payload["error"] == "axiom-violation"
         assert payload["axiom"] == "normalization"
+
+    def test_non_object_caps_rejected(self, capsys):
+        code, out, _ = _call(
+            capsys, "match", "--sets", '{"m":2,"sets":[[1],[1,2]]}',
+            "--alpha", "1,0", "--beta", "1,0", "--caps", "[1]",
+        )
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "domain",
+            "detail": "edge caps JSON must be an object",
+        }
+
+    def test_induced_matroid_of_a_loop_and_a_free_pair(self, capsys):
+        data = _json_out(
+            capsys, "pminduce", "--pm", '{"sum":[{"free":[1,0]},{"free":[1,2]}]}',
+            "--sets", '{"m":2,"sets":[[1],[2]]}', "--matroid",
+        )
+        assert data["matroid"] == {"m": 2, "rank": [0, 0, 1, 1]}
+
+
+# canonical stdout of the float operator power, byte for byte: float rows
+# carry "coeff" where exact rows carry "num" and "den"
+POWER_SYMBOL = (
+    '{"basis":"plain","nvars":5,"terms":[{"coeff":1.0,"exp":[0,0,0,1,1]},'
+    '{"coeff":1.0,"exp":[0,0,1,0,1]},{"coeff":1.0,"exp":[0,0,1,1,0]},'
+    '{"coeff":0.5,"exp":[0,0,2,0,0]},{"coeff":1.0,"exp":[0,1,0,1,0]},'
+    '{"coeff":1.0,"exp":[0,1,1,0,0]},{"coeff":1.0,"exp":[1,0,0,0,1]},'
+    '{"coeff":1.0,"exp":[1,0,1,0,0]},{"coeff":1.0,"exp":[1,1,0,0,0]}]}\n'
+)
+POWER_TABLE = (
+    '{"kappa":[1,1],"n_out":3,"table":['
+    '{"alpha":[0,0],"poly":{"basis":"plain","nvars":3,"terms":[{"coeff":1.0,"exp":[0,0,0]}]}},'
+    '{"alpha":[0,1],"poly":{"basis":"plain","nvars":3,"terms":[{"coeff":1.0,"exp":[0,0,1]},'
+    '{"coeff":1.0,"exp":[0,1,0]}]}},'
+    '{"alpha":[1,0],"poly":{"basis":"plain","nvars":3,"terms":[{"coeff":1.0,"exp":[0,0,1]},'
+    '{"coeff":1.0,"exp":[1,0,0]}]}},'
+    '{"alpha":[1,1],"poly":{"basis":"plain","nvars":3,"terms":[{"coeff":0.5,"exp":[0,0,2]},'
+    '{"coeff":1.0,"exp":[0,1,1]},{"coeff":1.0,"exp":[1,0,1]},{"coeff":1.0,"exp":[1,1,0]}]}}]}\n'
+)
+
+
+class TestFloatOutputGoldens:
+    @pytest.mark.parametrize(
+        "extra, expected", [((), POWER_SYMBOL), (("--table",), POWER_TABLE)]
+    )
+    def test_power_bytes(self, capsys, extra, expected):
+        code, out, err = _call(
+            capsys, "symbol", "--sets", NARROW, "--kappa", "1,1", "--q", "1/2", *extra
+        )
+        assert (code, out, err) == (0, expected, "")
 
 
 class TestDeterminismAndPretty:
@@ -256,3 +308,82 @@ class TestOperationCoverage:
             "tab-family",
             "verify",
         }
+
+
+# JSON built from small integers only, so no generated input can ask for a
+# large rank table, box or enumeration
+_INT = st.integers(-3, 6)
+_INTS = st.lists(_INT, max_size=3)
+_KEYS = (
+    "m", "sets", "nvars", "terms", "exp", "coeff", "num", "den", "basis",
+    "free", "uniform", "sum", "rank", "blockdims", "gens", "1-1", "2-1", "abcd",
+)
+_ANY_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | _INT
+    | st.sampled_from(["1/2", "-1", "plain", "normalized", "1-1", "x", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3),
+    max_leaves=5,
+)
+_CELL = _INT | st.sampled_from(["1/2", "2/0", "x"])
+_SETS = st.fixed_dictionaries({"m": _INT, "sets": st.lists(_INTS, max_size=3)})
+_CAPS = st.dictionaries(st.sampled_from(["1-1", "2-2", "1-3", "3-1", "x"]), _CELL, max_size=3)
+_PM_LEAF = st.one_of(
+    st.fixed_dictionaries({"free": _INTS}),
+    st.fixed_dictionaries({"uniform": _INTS}),
+    st.fixed_dictionaries({"m": _INT, "rank": st.lists(_INT, max_size=8)}),
+)
+# documents of the right shape, so the fuzz also reaches past the first check
+_SHAPED = {
+    "--sets": _SETS,
+    "--poly": st.fixed_dictionaries(
+        {"nvars": _INT, "terms": st.lists(st.fixed_dictionaries({"exp": _INTS, "coeff": _CELL}), max_size=3)},
+        optional={"basis": st.sampled_from(["plain", "normalized", "x"])},
+    ),
+    "--pm": _PM_LEAF | st.fixed_dictionaries({"sum": st.lists(_PM_LEAF, max_size=2)}),
+    "--real": st.fixed_dictionaries(
+        {"blockdims": _INTS, "gens": st.lists(st.lists(_CELL, max_size=4), max_size=3)}
+    ),
+    "--caps": _CAPS,
+    "--matrix": st.lists(st.lists(_CELL, max_size=3), max_size=3),
+    "--replay": st.fixed_dictionaries(
+        {"seq": _SETS, "caps": _CAPS, "alpha": st.lists(st.integers(0, 2), max_size=3)}
+    ),
+}
+
+# one invocation per JSON flag; the generated document replaces None
+FUZZED_FLAGS = {
+    "--sets": ("ct", "--sets", None, "--r", "1"),
+    "--poly": ("certify", "--poly", None),
+    "--pm": ("pminduce", "--pm", None),
+    "--real": ("pminduce", "--real", None),
+    "--caps": ("match", "--sets", NARROW, "--alpha", "1,1", "--beta", "1,1,0", "--caps", None),
+    "--matrix": ("subst", "--sets", NARROW, "--poly", X1X2, "--matrix", None),
+    "--replay": ("verify", "--check", "capped-matchings", "--replay", None),
+}
+
+
+class TestJsonFlagFuzz:
+    @given(
+        case=st.sampled_from(sorted(FUZZED_FLAGS)).flatmap(
+            lambda flag: st.tuples(st.just(flag), _ANY_JSON | _SHAPED[flag])
+        )
+    )
+    @example(case=("--caps", [1]))
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_exit_codes_and_error_objects(self, capsys, case):
+        flag, doc = case
+        argv = [json.dumps(doc) if a is None else a for a in FUZZED_FLAGS[flag]]
+        code, out, _ = _call(capsys, *argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            (line,) = out.splitlines()
+            payload = json.loads(line)
+            # a replayed instance that fails is a report, not an input error
+            assert "error" in payload or (flag == "--replay" and not payload["passed"])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from lormatch import (
     FloatOperatorBox,
+    FloatPoly,
     OperatorBox,
     Poly,
     SubsetSeq,
@@ -200,6 +201,21 @@ class TestPowerBox:
             power_box(box, 2)
         with pytest.raises(ValueError):
             power_box(box, Fraction(-1, 2))
+
+    def test_table_kind_is_checked(self):
+        with pytest.raises(TypeError, match="Poly"):
+            OperatorBox((0,), 1, {(0,): FloatPoly(1, {(0,): 1.0})})
+        with pytest.raises(TypeError, match="FloatPoly"):
+            FloatOperatorBox((0,), 1, {(0,): Poly.constant(1, 1)})
+
+    def test_float_symbol_round_trip(self):
+        # with kappa = (2, 2) every rescaling factor is a power of two, so
+        # the float round trip is exact
+        powered = power_box(inducing_box(NARROW, (2, 2)), Fraction(1, 3))
+        back = box_from_symbol(symbol_of(powered), powered.kappa, powered.n_out)
+        assert isinstance(back, FloatOperatorBox)
+        assert back == powered
+        assert back.to_json() == powered.to_json()
 
 
 class TestTabFamily:

@@ -30,7 +30,7 @@ from lormatch import polymatroids
 from lormatch.polymatroids import _walk_base_points, points_polymatroid
 from lormatch.polynomials import Poly
 
-from oracles import base_points_literal, polymatroid_axioms_literal
+from oracles import base_points_literal, induce_matroid_literal, polymatroid_axioms_literal
 
 WIDE = SubsetSeq(4, (frozenset({1, 2, 3, 4}), frozenset({2, 3}), frozenset({3, 4})))
 
@@ -150,6 +150,19 @@ class TestConstructions:
         seq = SubsetSeq(2, (frozenset({1, 2}),))
         mat = induce_matroid(free_polymatroid(2, 3), seq)
         assert mat.full_rank == 1
+
+    def test_induce_matroid_is_not_cardinality_truncation(self):
+        # min(|I|, f(I)) would give [0, 0, 1, 2], which is not submodular
+        pm = direct_sum([free_polymatroid(1, 0), free_polymatroid(1, 2)])
+        seq = SubsetSeq(2, (frozenset({1}), frozenset({2})))
+        assert induce_matroid(pm, seq).underlying.rank == (0, 0, 1, 1)
+
+    @given(walk_sources(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_induce_matroid_matches_literal(self, pm, data):
+        seq = data.draw(covering_seqs(pm.m, max_n=4))
+        mat = induce_matroid(pm, seq)
+        assert mat.underlying.rank == induce_matroid_literal(pm, seq)
 
 
 class TestBasePoints:

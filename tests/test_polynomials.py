@@ -183,3 +183,29 @@ class TestFloatPoly:
     def test_normalized_coeff(self):
         fp = FloatPoly(1, {(3,): 0.5})
         assert math.isclose(fp.normalized_coeff((3,)), 3.0)
+
+    def test_shares_the_exact_core(self):
+        for name in ("__init__", "items", "derivative_multi", "to_json", "__eq__"):
+            assert vars(FloatPoly)[name] is vars(Poly)[name]
+        assert not issubclass(FloatPoly, Poly)
+
+    def test_json_rows_carry_floats(self):
+        fp = FloatPoly(2, {(0, 2): 0.25, (1, 0): 1.5})
+        assert fp.to_json() == {
+            "nvars": 2,
+            "basis": "plain",
+            "terms": [{"exp": [1, 0], "coeff": 1.5}, {"exp": [0, 2], "coeff": 0.25}],
+        }
+        assert fp.to_json("normalized")["terms"][1] == {"exp": [0, 2], "coeff": 0.5}
+
+    def test_kinds_do_not_mix(self):
+        exact = Poly(1, {(1,): 1})
+        floating = FloatPoly(1, {(1,): 1.0})
+        with pytest.raises(TypeError):
+            exact + floating
+        with pytest.raises(TypeError):
+            floating + exact
+        assert (exact == floating) is False
+        assert (floating == exact) is False
+        assert FloatPoly.from_poly(exact) == floating
+        assert isinstance(floating.derivative_multi((1,)), FloatPoly)
