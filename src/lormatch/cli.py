@@ -23,8 +23,6 @@ from typing import Mapping, Sequence
 from .lorentzian import certify_lorentzian, is_m_convex, quad_inertia
 from .matchings import (
     SubsetSeq,
-    admits_matching,
-    admits_restricted,
     caps_from_json,
     compose_seq,
     find_witness,
@@ -227,13 +225,12 @@ def _cmd_match(args) -> int:
         _emit({"matched": [list(beta) for beta in degrees]}, args.pretty)
         return 0
     beta = _parse_list(args.beta, "--beta", int)
-    if caps is None:
-        feasible = admits_matching(seq, alpha, beta)
-    else:
-        feasible = admits_restricted(seq, caps, alpha, beta)
-    witness = find_witness(seq, alpha, beta, caps) if feasible else None
+    witness = find_witness(seq, alpha, beta, caps)
     _emit(
-        {"feasible": feasible, "witness": witness.to_json() if witness else None},
+        {
+            "feasible": witness is not None,
+            "witness": None if witness is None else witness.to_json(),
+        },
         args.pretty,
     )
     return 0
@@ -440,8 +437,9 @@ def _cmd_verify(args) -> int:
     if args.replay is not None:
         if args.check is None:
             raise UsageError("--replay requires --check")
-        instance = _parse_json(args.replay, "--replay")
-        reasons = replay(args.check, instance, cfg)
+        reasons = _parse_with(
+            lambda instance: replay(args.check, instance, cfg), args.replay, "--replay"
+        )
         _emit(
             {"check": args.check, "passed": not reasons, "reasons": reasons},
             args.pretty,

@@ -3,8 +3,11 @@
 A `SubsetSeq` lists n parts, each a subset of the ground set {1..m}, and
 induces a bipartite graph with an edge (i, j) whenever element i lies in part
 j.  A degree pair (alpha, beta) "matches" when some nonnegative integer edge
-weighting has row sums alpha and column sums beta.  Feasibility is decided by
-integer max-flow with augmenting paths, and witnesses are read off the flow.
+weighting has row sums alpha and column sums beta.  `admits_matching`,
+`admits_restricted` and `find_witness` are each one call to `_flow`, which
+validates the degrees and caps and runs shortest augmenting paths over the
+edge list; the witness is the flow it returns.  `matched_degrees` lists the
+feasible beta for one alpha by spreading each element over its parts.
 """
 
 from __future__ import annotations
@@ -122,67 +125,79 @@ def _check_caps(seq: SubsetSeq, caps: Mapping[Edge, int]) -> dict[Edge, int]:
     return out
 
 
-def _max_flow(
+def _flow(
     seq: SubsetSeq,
-    alpha: tuple[int, ...],
-    beta: tuple[int, ...],
+    alpha: Sequence[int],
+    beta: Sequence[int],
     caps: Mapping[Edge, int] | None,
-) -> tuple[int, list[list[int]]]:
-    """Edmonds-Karp on source -> elements -> parts -> sink; returns residual."""
-    m, n = seq.m, seq.n
-    total = sum(alpha)
-    size = m + n + 2
-    src, snk = 0, size - 1
-    cap = [[0] * size for _ in range(size)]
-    for i in range(1, m + 1):
-        cap[src][i] = alpha[i - 1]
-    for j in range(1, n + 1):
-        cap[m + j][snk] = beta[j - 1]
-    for i, j in seq.edges():
-        middle = total if caps is None else min(caps.get((i, j), total), total)
-        cap[i][m + j] = middle
-    value = 0
-    while True:
-        parent = [-1] * size
-        parent[src] = src
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            if u == snk:
+) -> dict[Edge, int] | None:
+    """Positive edge weights with row sums alpha and column sums beta, or None.
+
+    Shortest augmenting paths over the edge list.  A path starts at an element
+    with supply left, goes element -> part along an edge with room and part ->
+    element along an edge that carries weight, and ends at the first part
+    reached that has demand left.  An uncapped edge is limited by the total,
+    which never binds.
+    """
+    a = _check_degrees(alpha, seq.m, "alpha")
+    b = _check_degrees(beta, seq.n, "beta")
+    limit = dict.fromkeys(seq.edges(), sum(a))
+    if caps is not None:
+        limit.update(_check_caps(seq, caps))
+    if sum(a) != sum(b):
+        return None
+    supply, demand = list(a), list(b)
+    flow = dict.fromkeys(seq.edges(), 0)
+    members = [sorted(s) for s in seq.sets]
+    while any(supply):
+        reached_from_part = [None] * (seq.m + 1)  # 0 marks a start element
+        reached_from_elem = [0] * (seq.n + 1)
+        queue = deque(i for i in range(1, seq.m + 1) if supply[i - 1])
+        for i in queue:
+            reached_from_part[i] = 0
+        end = 0
+        while queue and not end:
+            i = queue.popleft()
+            for j in seq.parts_containing(i):
+                if reached_from_elem[j] or flow[i, j] == limit[i, j]:
+                    continue
+                reached_from_elem[j] = i
+                if demand[j - 1]:
+                    end = j
+                    break
+                for k in members[j - 1]:
+                    if reached_from_part[k] is None and flow[k, j]:
+                        reached_from_part[k] = j
+                        queue.append(k)
+        if not end:
+            return None
+        forward, backward = [], []
+        j = end
+        while True:
+            i = reached_from_elem[j]
+            forward.append((i, j))
+            j = reached_from_part[i]
+            if not j:
                 break
-            row = cap[u]
-            for v in range(size):
-                if parent[v] < 0 and row[v] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[snk] < 0:
-            break
-        bottleneck = None
-        v = snk
-        while v != src:
-            u = parent[v]
-            c = cap[u][v]
-            bottleneck = c if bottleneck is None else min(bottleneck, c)
-            v = u
-        v = snk
-        while v != src:
-            u = parent[v]
-            cap[u][v] -= bottleneck
-            cap[v][u] += bottleneck
-            v = u
-        value += bottleneck
-    return value, cap
+            backward.append((i, j))
+        push = min(
+            supply[i - 1],
+            demand[end - 1],
+            *(limit[e] - flow[e] for e in forward),
+            *(flow[e] for e in backward),
+        )
+        supply[i - 1] -= push
+        demand[end - 1] -= push
+        for e in forward:
+            flow[e] += push
+        for e in backward:
+            flow[e] -= push
+    return {e: w for e, w in flow.items() if w}
 
 
 def admits_matching(seq: SubsetSeq, alpha: Sequence[int], beta: Sequence[int]) -> bool:
     """True when some edge weighting has row sums alpha and column sums beta."""
-    a = _check_degrees(alpha, seq.m, "alpha")
-    b = _check_degrees(beta, seq.n, "beta")
-    total = sum(a)
-    if total != sum(b):
-        return False
-    value, _ = _max_flow(seq, a, b, None)
-    return value == total
+    return _flow(seq, alpha, beta, None) is not None
 
 
 def find_witness(
@@ -192,22 +207,12 @@ def find_witness(
     caps: Mapping[Edge, int] | None = None,
 ) -> MatchWitness | None:
     """A witnessing weighting, or None when the pair does not match."""
-    a = _check_degrees(alpha, seq.m, "alpha")
-    b = _check_degrees(beta, seq.n, "beta")
-    checked = None if caps is None else _check_caps(seq, caps)
-    total = sum(a)
-    if total != sum(b):
+    weights = _flow(seq, alpha, beta, caps)
+    if weights is None:
         return None
-    value, residual = _max_flow(seq, a, b, checked)
-    if value != total:
-        return None
-    weights = {}
-    for i, j in seq.edges():
-        w = residual[seq.m + j][i]  # reverse residual equals the flow pushed
-        if w:
-            weights[(i, j)] = w
     witness = MatchWitness(weights)
-    assert witness.row_sums(seq.m) == a and witness.col_sums(seq.n) == b
+    assert witness.row_sums(seq.m) == tuple(map(int, alpha))
+    assert witness.col_sums(seq.n) == tuple(map(int, beta))
     return witness
 
 
@@ -218,14 +223,7 @@ def admits_restricted(
     beta: Sequence[int],
 ) -> bool:
     """Matching feasibility with per-edge weight caps; uncapped edges are free."""
-    a = _check_degrees(alpha, seq.m, "alpha")
-    b = _check_degrees(beta, seq.n, "beta")
-    checked = _check_caps(seq, caps)
-    total = sum(a)
-    if total != sum(b):
-        return False
-    value, _ = _max_flow(seq, a, b, checked)
-    return value == total
+    return _flow(seq, alpha, beta, caps) is not None
 
 
 def matched_degrees(seq: SubsetSeq, alpha: Sequence[int]) -> frozenset[tuple[int, ...]]:

@@ -4,6 +4,11 @@ For a set T of part indices, the statistic counts the ground-set subsets B
 with |B| = |T| admitting a perfect matching t -> i in S_t between T and B.
 A subset B is counted once even when several matchings exist, so this is a
 set count, not a permanent.
+
+The matchable B are the systems of distinct representatives of (S_t), t in
+T, taken as sets; they are grown one part at a time, so the work follows the
+partial sets that occur (at most the sum over k <= |T| of C(|U|, k), where U
+is the union of T's parts) rather than all C(m, |T|) candidates.
 """
 
 from __future__ import annotations
@@ -20,24 +25,6 @@ from .polymatroids import Matroid, matroid_bases
 from .polynomials import Poly
 
 
-def _has_perfect_matching(neighbors: list[list[int]], right_size: int) -> bool:
-    """Augmenting-path matching saturating every left vertex."""
-    match_right = [-1] * right_size
-
-    def try_assign(u: int, seen: list[bool]) -> bool:
-        for v in neighbors[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_right[v] < 0 or try_assign(match_right[v], seen):
-                    match_right[v] = u
-                    return True
-        return False
-
-    return all(
-        try_assign(u, [False] * right_size) for u in range(len(neighbors))
-    )
-
-
 def _check_topic(seq: SubsetSeq, topic: Iterable[int]) -> tuple[int, ...]:
     raw = [int(v) for v in topic]
     t = tuple(sorted(set(raw)))
@@ -49,67 +36,64 @@ def _check_topic(seq: SubsetSeq, topic: Iterable[int]) -> tuple[int, ...]:
     return t
 
 
-def _matchable(seq: SubsetSeq, topic: tuple[int, ...], chosen: tuple[int, ...]) -> bool:
-    pos = {i: k for k, i in enumerate(chosen)}
-    neighbors = []
-    for j in topic:
-        row = [pos[i] for i in chosen if i in seq.sets[j - 1]]
-        if not row:
-            return False
-        neighbors.append(row)
-    return _has_perfect_matching(neighbors, len(chosen))
+def _matchable_sets(seq: SubsetSeq, topic: tuple[int, ...]) -> set[frozenset[int]]:
+    """The sets of distinct representatives of (S_t), t in topic, as sets.
+
+    Grown one part at a time: each set found so far gains one element of S_t
+    that it does not hold yet.
+    """
+    found = {frozenset()}
+    for t in topic:
+        found = {b | {i} for b in found for i in seq.sets[t - 1] if i not in b}
+    return found
+
+
+def _topic_counts(n: int, r: int, count) -> dict[tuple[int, ...], int]:
+    """count(T) for every r-subset T of 1..n, keeping the nonzero ones."""
+    rows = {}
+    for t in combinations(range(1, n + 1), r):
+        c = count(t)
+        if c:
+            rows[t] = c
+    return rows
+
+
+def _multiaffine(n: int, rows: Mapping[tuple[int, ...], int]) -> Poly:
+    return Poly(
+        n,
+        {tuple(int(j in t) for j in range(1, n + 1)): Fraction(c) for t, c in rows.items()},
+    )
 
 
 def match_count(seq: SubsetSeq, topic: Iterable[int]) -> int:
     """Number of |T|-subsets of the ground set perfectly matchable to T."""
-    t = _check_topic(seq, topic)
-    if len(t) > seq.m:
-        return 0
-    return sum(
-        1
-        for chosen in combinations(range(1, seq.m + 1), len(t))
-        if _matchable(seq, t, chosen)
-    )
+    return len(_matchable_sets(seq, _check_topic(seq, topic)))
+
+
+def _bases(mat: Matroid, seq: SubsetSeq) -> set[frozenset[int]]:
+    if mat.m != seq.m:
+        raise ValueError(f"matroid over 1..{mat.m}, sequence over 1..{seq.m}")
+    return {frozenset(basis) for basis in matroid_bases(mat)}
 
 
 def basis_match_count(mat: Matroid, seq: SubsetSeq, topic: Iterable[int]) -> int:
     """Same count with the candidate subsets restricted to matroid bases."""
-    if mat.m != seq.m:
-        raise ValueError(f"matroid over 1..{mat.m}, sequence over 1..{seq.m}")
-    t = _check_topic(seq, topic)
-    return sum(
-        1
-        for basis in matroid_bases(mat)
-        if len(basis) == len(t) and _matchable(seq, t, basis)
-    )
+    bases = _bases(mat, seq)
+    return len(_matchable_sets(seq, _check_topic(seq, topic)) & bases)
 
 
 def match_poly(seq: SubsetSeq, r: int) -> Poly:
     """Multi-affine polynomial whose y^T coefficient is match_count(seq, T)."""
     if not 0 <= r <= seq.m:
         raise ValueError(f"r = {r} outside 0..{seq.m}")
-    terms = {}
-    for t in combinations(range(1, seq.n + 1), r):
-        count = match_count(seq, t)
-        if count:
-            exp = tuple(int(j + 1 in t) for j in range(seq.n))
-            terms[exp] = Fraction(count)
-    return Poly(seq.n, terms)
+    return _multiaffine(seq.n, _topic_counts(seq.n, r, lambda t: match_count(seq, t)))
 
 
 def basis_match_poly(mat: Matroid, seq: SubsetSeq) -> Poly:
     """Multi-affine polynomial of basis-restricted counts, degree = matroid rank."""
-    if mat.m != seq.m:
-        raise ValueError(f"matroid over 1..{mat.m}, sequence over 1..{seq.m}")
-    r = mat.full_rank
-    terms = {}
-    if r <= seq.n:
-        for t in combinations(range(1, seq.n + 1), r):
-            count = basis_match_count(mat, seq, t)
-            if count:
-                exp = tuple(int(j + 1 in t) for j in range(seq.n))
-                terms[exp] = Fraction(count)
-    return Poly(seq.n, terms)
+    bases = _bases(mat, seq)  # listed once, not once per topic
+    rows = _topic_counts(seq.n, mat.full_rank, lambda t: len(_matchable_sets(seq, t) & bases))
+    return _multiaffine(seq.n, rows)
 
 
 @dataclass(frozen=True)
@@ -151,9 +135,5 @@ def stat_table(seq: SubsetSeq, r: int) -> StatTable:
     """Tabulate match_count over all r-subsets of part indices."""
     if not 0 <= r <= seq.n:
         raise ValueError(f"r = {r} outside 0..{seq.n}")
-    rows = {}
-    for t in combinations(range(1, seq.n + 1), r):
-        count = match_count(seq, t)
-        if count:
-            rows[t] = count
+    rows = _topic_counts(seq.n, r, lambda t: match_count(seq, t))
     return StatTable(r, rows)

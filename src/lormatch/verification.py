@@ -897,4 +897,6 @@ def replay(name: str, instance: Mapping, cfg: TrialConfig | None = None) -> list
     """Re-evaluate a recorded instance; empty result means it passes now."""
     if name not in CHECKS:
         raise KeyError(f"unknown check {name!r}")
+    if not isinstance(instance, Mapping):
+        raise ValueError("a replayed instance must be a JSON object")
     return _evaluate_safe(CHECKS[name], cfg or TrialConfig(), instance)

@@ -3,9 +3,11 @@ fast paths: feasibility by enumerating edge weightings, inertia by
 characteristic-polynomial sign counting, exchange property by double loop,
 Lorentzian certification by a sweep over the whole degree box, base points
 by a scan of every box-bounded composition, the matroid induced by a
-polymatroid from its largest independent subsets."""
+polymatroid from its largest independent subsets, panel counts by testing
+every candidate subset for a perfect matching."""
 
 from fractions import Fraction
+from itertools import combinations
 
 from lormatch import CertFailure, FloatPoly, LorentzReport, SubsetSeq, quad_inertia
 from lormatch._util import bounded_compositions, compositions
@@ -36,6 +38,20 @@ def enumerate_matching(seq: SubsetSeq, alpha, beta, caps=None) -> bool:
         return False
 
     return rec(0, list(alpha), list(beta))
+
+
+def match_count_literal(seq: SubsetSeq, topic, among=None) -> int:
+    """Number of candidate subsets B (default: every |T|-subset of 1..m) whose
+    indicator vector matches the indicator vector of T, by enumeration."""
+    topic = set(topic)
+    beta = tuple(int(j in topic) for j in range(1, seq.n + 1))
+    if among is None:
+        among = combinations(range(1, seq.m + 1), len(topic))
+    return sum(
+        1
+        for chosen in among
+        if enumerate_matching(seq, tuple(int(i in chosen) for i in range(1, seq.m + 1)), beta)
+    )
 
 
 def matched_degrees_box(seq: SubsetSeq, alpha) -> frozenset:

@@ -25,6 +25,7 @@ from lormatch import (
     certify_lorentzian,
     compose_seq,
     elementary_symmetric,
+    find_witness,
     free_polymatroid,
     hall_rado_member,
     inducing_box,
@@ -299,3 +300,20 @@ def test_13_base_points_follow_the_output():
         )
         delta = (2, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
         assert hall_rado_member(free_polymatroid(13, 3), windows, delta)
+
+
+def _cyclic_windows(m):
+    return SubsetSeq(m, tuple(frozenset({j, j % m + 1, (j + 1) % m + 1}) for j in range(1, m + 1)))
+
+
+def test_14_panel_counts_on_twelve_windows():
+    with criterion(14, "match_poly of 12 cyclic 3-windows at r = 6", 2.0):
+        f = match_poly(_cyclic_windows(12), 6)
+        assert len(f) == 924
+        assert sum(c for _, c in f.items()) == 135162
+
+
+def test_15_witness_on_three_hundred_windows():
+    with criterion(15, "find_witness on 300 cyclic 3-windows, degrees 2", 0.5):
+        witness = find_witness(_cyclic_windows(300), (2,) * 300, (2,) * 300)
+        assert witness is not None

@@ -221,6 +221,16 @@ class TestVerifySubcommand:
         assert code == 1
         assert json.loads(out)["passed"] is False
 
+    @pytest.mark.parametrize("doc", ["[]", "5", '"x"'])
+    def test_replay_rejects_non_objects(self, capsys, doc):
+        code, out, _ = _call(capsys, "verify", "--check", "capped-matchings", "--replay", doc)
+        assert code == 1
+        assert json.loads(out) == {
+            "detail": "a replayed instance must be a JSON object",
+            "error": "invalid-value",
+            "flag": "--replay",
+        }
+
     def test_unknown_check(self, capsys):
         code, out, _ = _call(capsys, "verify", "--check", "nope")
         assert code == 1

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lormatch import (
@@ -114,12 +114,20 @@ class TestRestricted:
         assert not admits_restricted(seq, {(1, 1): 1}, (2,), (2, 0))
 
     @given(matching_instances(), st.integers(0, 2))
+    # feasible only by moving weight off the capped edge (1, 1)
+    @example((SubsetSeq(2, (frozenset({1, 2}), frozenset({1, 2}))), (2, 1), (2, 1)), 1)
     @settings(max_examples=150, deadline=None)
     def test_against_enumeration(self, instance, cap):
         seq, alpha, beta = instance
         caps = {edge: cap for edge in seq.edges()[::2]}
-        got = admits_restricted(seq, caps, alpha, beta)
-        assert got == enumerate_matching(seq, alpha, beta, caps)
+        expected = enumerate_matching(seq, alpha, beta, caps)
+        assert admits_restricted(seq, caps, alpha, beta) == expected
+        witness = find_witness(seq, alpha, beta, caps)
+        assert (witness is not None) == expected
+        if witness is not None:
+            assert witness.row_sums(seq.m) == tuple(alpha)
+            assert witness.col_sums(seq.n) == tuple(beta)
+            assert all(w <= caps.get(edge, w) for edge, w in witness.weights.items())
 
     def test_caps_from_json(self):
         caps = caps_from_json(WIDE, {"2-1": 3})

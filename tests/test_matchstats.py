@@ -5,17 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lormatch import (
+    LinReal,
     Matroid,
     StatTable,
     SubsetSeq,
     basis_match_count,
     basis_match_poly,
+    linreal_rank,
     match_count,
+    matroid_bases,
     match_poly,
     stat_table,
     uniform_matroid,
 )
 from lormatch.polynomials import Poly
+
+from oracles import match_count_literal
 
 WIDE = SubsetSeq(4, (frozenset({1, 2, 3, 4}), frozenset({2, 3}), frozenset({3, 4})))
 
@@ -26,6 +31,15 @@ def seqs(draw, max_m=4, max_n=4):
     n = draw(st.integers(1, max_n))
     sets = tuple(frozenset(draw(st.sets(st.integers(1, m)))) for _ in range(n))
     return SubsetSeq(m, sets)
+
+
+@st.composite
+def matroids(draw, m):
+    """Uniform matroids and matroids of small integer vectors over 1..m."""
+    if draw(st.booleans()):
+        return uniform_matroid(m, draw(st.integers(0, m)))
+    rows = draw(st.lists(st.lists(st.integers(-1, 1), min_size=m, max_size=m), max_size=3))
+    return Matroid(linreal_rank(LinReal((1,) * m, tuple(map(tuple, rows)))))
 
 
 class TestMatchCount:
@@ -53,6 +67,18 @@ class TestMatchCount:
         # both elements see both parts: two matchings per set, counted once
         square = SubsetSeq(2, (frozenset({1, 2}), frozenset({1, 2})))
         assert match_count(square, (1, 2)) == 1
+
+    @given(seqs(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_against_literal_count(self, seq, data):
+        mat = data.draw(matroids(seq.m))
+        bases = matroid_bases(mat)
+        for r in range(seq.n + 1):
+            for topic in combinations(range(1, seq.n + 1), r):
+                assert match_count(seq, topic) == match_count_literal(seq, topic)
+                assert basis_match_count(mat, seq, topic) == match_count_literal(
+                    seq, topic, among=bases
+                )
 
 
 class TestMatchPoly:
