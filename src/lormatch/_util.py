@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 def vec_factorial(exp: Sequence[int]) -> int:
@@ -73,10 +73,3 @@ def mask_to_elements(mask: int) -> tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(out)
-
-
-def elements_to_mask(elements: Iterable[int]) -> int:
-    mask = 0
-    for e in elements:
-        mask |= 1 << (e - 1)
-    return mask

@@ -4,16 +4,22 @@ A homogeneous polynomial with nonnegative coefficients passes when its
 support is M-convex (it satisfies the symmetric exchange axiom) and every
 iterated partial derivative down to degree 2 has a Hessian with at most one
 positive eigenvalue (Braenden-Huh).  Inertia is computed by congruence
-diagonalization: exact over the rationals, or with a pivot tolerance for
-floating inputs.
+diagonalization.
 
 The work follows the support, not the degree box.  Entry (i, j) of the
 Hessian of the derivative at gamma is the normalized coefficient of f at
-gamma + e_i + e_j, so each Hessian is read from one coefficient table, and
-gamma runs only over support points minus two unit vectors: exactly the
-derivatives that do not vanish, visited in lexicographic order.  A support
-S in n variables larger than 2^n is tested through the polymatroid of its
-largest partial sums (Murota: M-convex sets are the integer points of
+gamma + e_i + e_j, so one pass over the coefficient table files each entry
+under its gamma = support point minus two unit vectors: exactly the
+derivatives that do not vanish, visited in lexicographic order.  Exact input
+is first scaled by the common denominator of that table, which changes no
+inertia, so every Hessian is an integer matrix, factored by fraction-free
+(Bareiss) elimination on Python ints.  Floating input keeps the pivot
+tolerance of `symmetric_inertia`, whose exact `Fraction` route also serves
+`quad_inertia` (`certify --quadratic`) and stays the independent slow route
+for the tests.
+
+A support S in n variables larger than 2^n is tested through the polymatroid
+of its largest partial sums (Murota: M-convex sets are the integer points of
 integral base polytopes), which costs |S| * 2^n instead of the |S|^2 * n^2
 pair scan; a smaller support, or one that route rejects, goes through the
 pair scan, which also supplies the violating pair.
@@ -21,6 +27,7 @@ pair scan, which also supplies the violating pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -232,6 +239,55 @@ def symmetric_inertia(matrix: Sequence[Sequence], tol: float | None = None) -> I
     return Inertia(pos, neg, zero)
 
 
+def _int_inertia(work: list[list[int]]) -> tuple[int, int, int]:
+    """Inertia of a symmetric integer matrix, overwriting it; fraction-free.
+
+    Symmetric Bareiss elimination: after k steps the trailing block holds
+    D_k times the Schur complement, D_k being the k-th leading principal
+    minor, so each division by the previous pivot is exact and the sign of
+    the k-th eigenvalue of the LDL^T form is sign(D_k) * sign(D_{k-1}).
+    When the remaining diagonal vanishes but a_ij does not, x_i -> x_i + x_j
+    (a unimodular congruence) puts 2 a_ij on the diagonal.
+    """
+    n = len(work)
+    pos = neg = 0
+    prev = 1
+    for k in range(n):
+        for p in range(k, n):
+            if work[p][p]:
+                break
+        else:
+            for p in range(k, n):
+                row_p = work[p]
+                for j in range(p + 1, n):
+                    if row_p[j]:
+                        break
+                else:
+                    continue
+                break
+            else:
+                return pos, neg, n - k
+            row_j = work[j]
+            for c in range(k, n):
+                row_p[c] += row_j[c]
+            for row in work[k:]:
+                row[p] += row[j]
+        _swap_symmetric(work, k, p)
+        pivot = work[k][k]
+        if (pivot > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        row_k = work[k]
+        for r in range(k + 1, n):
+            row_r = work[r]
+            factor = row_r[k]
+            for c in range(k + 1, n):
+                row_r[c] = (pivot * row_r[c] - factor * row_k[c]) // prev
+        prev = pivot
+    return pos, neg, 0
+
+
 def quad_inertia(q: Poly | FloatPoly, tol: float | None = None) -> Inertia:
     """Inertia of the Hessian of a homogeneous quadratic."""
     if isinstance(q, FloatPoly) and tol is None:
@@ -294,30 +350,44 @@ def certify_lorentzian(f: Poly | FloatPoly, tol: float | None = None) -> Lorentz
     if hd < 2:
         return LorentzReport(True, None, 0)
     n = f.nvars
-    coeff = {exp: c * vec_factorial(exp) for exp, c in f.items()}
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    shifts = [tuple((k == i) + (k == j) for k in range(n)) for i, j in pairs]
-    gammas = set()
-    for exp in coeff:
-        for d in shifts:
-            gamma = tuple(e - s for e, s in zip(exp, d))
-            if min(gamma) >= 0:
-                gammas.add(gamma)
-    checked = 0
-    for gamma in sorted(gammas):
-        checked += 1
-        hess = [[0] * n for _ in range(n)]
-        for (i, j), d in zip(pairs, shifts):
-            c = coeff.get(tuple(g + s for g, s in zip(gamma, d)))
-            if c is not None:
-                hess[i][j] = hess[j][i] = c
-        inertia = symmetric_inertia(hess, tol)
-        if inertia.n_pos > 1:
+    if is_float:
+        table = {exp: c * vec_factorial(exp) for exp, c in f.items()}
+    else:
+        # scaled by the common denominator: a positive scalar keeps the inertia
+        scale = math.lcm(*(c.denominator for _, c in f.items()))
+        table = {
+            exp: c.numerator * (scale // c.denominator) * vec_factorial(exp)
+            for exp, c in f.items()
+        }
+    # one pass files each table entry into the Hessian of every gamma that
+    # reads it, kept row-major in one flat list per gamma
+    size = n * n
+    flats: dict[tuple[int, ...], list] = {}
+    for exp, c in table.items():
+        used = [i for i, e in enumerate(exp) if e]
+        for at, i in enumerate(used):
+            lowered = list(exp)
+            lowered[i] -= 1
+            for j in used[at:]:
+                if lowered[j]:
+                    lowered[j] -= 1
+                    gamma = tuple(lowered)
+                    lowered[j] += 1
+                    flat = flats.get(gamma)
+                    if flat is None:
+                        flat = flats[gamma] = [0] * size
+                    flat[i * n + j] = flat[j * n + i] = c
+    for checked, gamma in enumerate(sorted(flats), 1):
+        flat = flats[gamma]
+        hess = [flat[k : k + n] for k in range(0, size, n)]
+        if is_float:
+            inertia = symmetric_inertia(hess, tol).as_tuple()
+        else:
+            inertia = _int_inertia(hess)
+        if inertia[0] > 1:
             return LorentzReport(
                 False,
-                CertFailure(
-                    "bad-inertia", derivative=gamma, inertia=inertia.as_tuple()
-                ),
+                CertFailure("bad-inertia", derivative=gamma, inertia=inertia),
                 checked,
             )
-    return LorentzReport(True, None, checked)
+    return LorentzReport(True, None, len(flats))

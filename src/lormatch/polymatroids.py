@@ -10,6 +10,7 @@ extends prefixes of real base points (see `_walk_base_points`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Iterator, Sequence
@@ -342,11 +343,17 @@ def points_polymatroid(
     if not points:
         return None
     columns = list(zip(*points))
-    members = _bit_indices(nvars)
-    table = [0] + [
-        max(map(sum, zip(*(columns[i] for i in members[mask]))))
-        for mask in range(1, 1 << nvars)
-    ]
+    table = [0] * (1 << nvars)
+
+    def fill(mask: int, sums: list[int], low: int) -> None:
+        # masks depth first by adding higher bits; one partial-sum vector per depth
+        for i in range(low, nvars):
+            child = mask | 1 << i
+            grown = list(map(operator.add, sums, columns[i]))
+            table[child] = max(grown)
+            fill(child, grown, i + 1)
+
+    fill(0, [0] * len(points), 0)
     try:
         candidate = Polymatroid(nvars, tuple(table))
     except AxiomViolation:

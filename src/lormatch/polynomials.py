@@ -52,12 +52,17 @@ def _to_fraction(value: object) -> Fraction:
 
 
 def _checked_exponent(exp: Sequence[int], nvars: int) -> ExpVec:
-    out = tuple(int(e) for e in exp)
+    out = tuple(map(operator.index, exp))
     if len(out) != nvars:
         raise ValueError(f"exponent {out} has length {len(out)}, expected {nvars}")
     if any(e < 0 for e in out):
         raise ValueError(f"negative entry in exponent {out}")
     return out
+
+
+def _is_json_int(value) -> bool:
+    # JSON true/false decode to bool, an int subclass that is not a count
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _exact_term_json(terms: Iterable[tuple[ExpVec, Fraction]]) -> list[dict]:
@@ -392,34 +397,43 @@ class Poly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Poly":
+        """Read the `to_json` layout; every malformed input raises ValueError."""
         if not isinstance(obj, dict):
             raise ValueError("polynomial JSON must be an object")
-        try:
-            nvars = int(obj["nvars"])
-        except (KeyError, TypeError, ValueError):
-            raise ValueError("polynomial JSON needs an integer 'nvars'") from None
+        nvars = obj.get("nvars")
+        if not _is_json_int(nvars):
+            raise ValueError("polynomial JSON needs an integer 'nvars'")
         basis = obj.get("basis", "plain")
         if basis not in ("plain", "normalized"):
             raise ValueError(f"unknown basis {basis!r}")
         terms: dict[ExpVec, Fraction] = {}
-        for row in obj.get("terms", []):
-            exp = _checked_exponent(row["exp"], nvars)
-            if "num" in row:
-                num = row["num"]
-                den = row.get("den", "1")
-                if isinstance(num, float) or isinstance(den, float):
-                    raise ValueError("coefficients must be integers or strings")
-                c = Fraction(int(num), int(den))
-            elif "coeff" in row:
-                raw = row["coeff"]
-                if isinstance(raw, float):
-                    raise ValueError("coefficients must be integers or strings")
-                c = Fraction(raw) if isinstance(raw, str) else Fraction(int(raw))
-            else:
-                raise ValueError("term needs 'num'/'den' or 'coeff'")
-            if basis == "normalized":
-                c = c / vec_factorial(exp)
-            terms[exp] = terms.get(exp, Fraction(0)) + c
+        try:
+            for row in obj.get("terms", []):
+                raw_exp = row["exp"]
+                if isinstance(raw_exp, list) and not all(map(_is_json_int, raw_exp)):
+                    raise ValueError(f"exponent entries must be integers, got {raw_exp}")
+                exp = _checked_exponent(raw_exp, nvars)
+                if "num" in row:
+                    num = row["num"]
+                    den = row.get("den", "1")
+                    if isinstance(num, float) or isinstance(den, float):
+                        raise ValueError("coefficients must be integers or strings")
+                    num, den = int(num), int(den)
+                    if not den:
+                        raise ValueError("coefficient denominator must be nonzero")
+                    c = Fraction(num, den)
+                elif "coeff" in row:
+                    raw = row["coeff"]
+                    if isinstance(raw, float):
+                        raise ValueError("coefficients must be integers or strings")
+                    c = Fraction(raw) if isinstance(raw, str) else Fraction(int(raw))
+                else:
+                    raise ValueError("term needs 'num'/'den' or 'coeff'")
+                if basis == "normalized":
+                    c = c / vec_factorial(exp)
+                terms[exp] = terms.get(exp, Fraction(0)) + c
+        except (TypeError, KeyError, ZeroDivisionError) as exc:
+            raise ValueError(str(exc)) from exc
         return cls(nvars, terms)
 
 

@@ -317,3 +317,12 @@ def test_15_witness_on_three_hundred_windows():
     with criterion(15, "find_witness on 300 cyclic 3-windows, degrees 2", 0.5):
         witness = find_witness(_cyclic_windows(300), (2,) * 300, (2,) * 300)
         assert witness is not None
+
+
+def test_16_four_part_symbol_certifies_at_kappa_five():
+    with criterion(16, "4-part inducing symbol at kappa (5,5,5) certifies", 5.0):
+        parts = ({1, 2}, {2, 3}, {1, 3}, {1, 2, 3})
+        seq = SubsetSeq(3, tuple(frozenset(p) for p in parts))
+        symbol = symbol_of(inducing_box(seq, (5, 5, 5)))
+        report = certify_lorentzian(symbol).to_json()
+        assert report == {"lorentzian": True, "failure": None, "checked_derivatives": 20385}

@@ -113,6 +113,30 @@ class TestParsing:
             "detail": "edge caps JSON must be an object",
         }
 
+    @pytest.mark.parametrize(
+        "doc, detail",
+        [
+            (
+                '{"nvars":1,"terms":[{"exp":[1.5],"coeff":1}]}',
+                "exponent entries must be integers, got [1.5]",
+            ),
+            (
+                '{"nvars":1.0,"terms":[{"exp":[1],"coeff":1}]}',
+                "polynomial JSON needs an integer 'nvars'",
+            ),
+            (
+                '{"nvars":1,"terms":[{"exp":[1],"num":"1","den":0}]}',
+                "coefficient denominator must be nonzero",
+            ),
+        ],
+    )
+    def test_poly_counts_and_denominators_checked(self, capsys, doc, detail):
+        code, out, err = _call(capsys, "certify", "--poly", doc)
+        assert (code, err) == (1, "")
+        assert out == (
+            '{"detail":' + json.dumps(detail) + ',"error":"invalid-value","flag":"--poly"}\n'
+        )
+
     def test_induced_matroid_of_a_loop_and_a_free_pair(self, capsys):
         data = _json_out(
             capsys, "pminduce", "--pm", '{"sum":[{"free":[1,0]},{"free":[1,2]}]}',

@@ -13,6 +13,7 @@ from lormatch import (
     symmetric_inertia,
 )
 from lormatch._util import compositions
+from lormatch.lorentzian import _int_inertia
 
 from oracles import certify_literal, charpoly_inertia, m_convex_literal, m_convex_witness
 
@@ -25,6 +26,21 @@ def symmetric_matrices(draw, max_dim=4):
     for i in range(n):
         for j in range(i, n):
             v = draw(entries)
+            m[i][j] = v
+            m[j][i] = v
+    return m
+
+
+@st.composite
+def integer_symmetric_matrices(draw):
+    # about half the draws have an all-zero diagonal, the case that needs the
+    # x_i -> x_i + x_j congruence before the first pivot
+    n = draw(st.integers(1, 7))
+    zero_diagonal = draw(st.booleans())
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + (1 if zero_diagonal else 0), n):
+            v = draw(st.integers(-5, 9))
             m[i][j] = v
             m[j][i] = v
     return m
@@ -113,6 +129,22 @@ class TestSymmetricInertia:
     def test_float_matches_exact(self, matrix):
         floated = [[float(v) for v in row] for row in matrix]
         assert symmetric_inertia(floated, tol=1e-9).as_tuple() == charpoly_inertia(matrix)
+
+
+class TestIntInertia:
+    def test_goldens(self):
+        assert _int_inertia([[0, 1], [1, 0]]) == (1, 1, 0)
+        assert _int_inertia([[0, 0], [0, 0]]) == (0, 0, 2)
+        assert _int_inertia([[4, 2], [2, 1]]) == (1, 0, 1)
+
+    @given(integer_symmetric_matrices())
+    @example([[0, 1, 2, 0], [1, 0, 0, 3], [2, 0, 0, -1], [0, 3, -1, 0]])
+    # after the first pivot the trailing diagonal vanishes
+    @example([[1, 1, 1], [1, 1, 0], [1, 0, 1]])
+    @settings(max_examples=400, deadline=None)
+    def test_matches_fraction_route(self, matrix):
+        got = _int_inertia([row[:] for row in matrix])
+        assert got == symmetric_inertia(matrix).as_tuple()
 
 
 class TestQuadInertia:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lormatch import ANY_DEGREE, FloatPoly, Poly, elementary_symmetric
@@ -127,6 +127,40 @@ class TestCalculusAndStructure:
         assert abs(f.eval_complex([1j]) + 1) < 1e-12
 
 
+# small exponents only, so a normalized basis never asks for a large factorial
+_JSON_LEAF = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.sampled_from([0.0, 1.0, 1.5, -0.5])
+    | st.sampled_from(["1", "1/2", "-3", "2/0", "x", "", "plain", "normalized"])
+)
+_JSON_KEYS = st.sampled_from(["nvars", "basis", "terms", "exp", "num", "den", "coeff"])
+_ANY_JSON = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _poly_documents(draw):
+    """Generic JSON, or documents of the polynomial layout with bad cells."""
+    if draw(st.booleans()):
+        return draw(_ANY_JSON)
+    nvars = draw(st.integers(1, 3) | _JSON_LEAF)
+    width = nvars if type(nvars) is int and 1 <= nvars <= 3 else 2
+    exp = st.lists(st.integers(0, 3), min_size=width, max_size=width)
+    term = st.fixed_dictionaries(
+        {"exp": exp | st.lists(_JSON_LEAF, max_size=3)},
+        optional={"num": _JSON_LEAF, "den": _JSON_LEAF, "coeff": _JSON_LEAF},
+    )
+    doc = {"nvars": nvars, "terms": draw(st.lists(term | _ANY_JSON, max_size=3))}
+    if draw(st.booleans()):
+        doc["basis"] = draw(st.sampled_from(["plain", "normalized"]) | _JSON_LEAF)
+    return doc
+
+
 class TestJson:
     @given(polys())
     def test_round_trip_plain(self, f):
@@ -145,6 +179,34 @@ class TestJson:
             Poly.from_json({"nvars": 1, "terms": [{"exp": [1], "coeff": 0.5}]})
         with pytest.raises(ValueError):
             Poly.from_json({"nvars": 1, "terms": [{"exp": [1], "num": 1.5}]})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"nvars": 1, "terms": [{"exp": [1.5], "coeff": 1}]},
+            {"nvars": 1, "terms": [{"exp": [1.0], "coeff": 1}]},
+            {"nvars": 2, "terms": [{"exp": [True, 1], "coeff": 1}]},
+            {"nvars": 1.0, "terms": [{"exp": [1], "coeff": 1}]},
+            {"nvars": True, "terms": [{"exp": [1], "coeff": 1}]},
+            {"nvars": 1, "terms": [{"exp": [1], "num": "1", "den": 0}]},
+            {"nvars": 1, "terms": [{"exp": [1], "num": 1, "den": "0"}]},
+        ],
+    )
+    def test_non_integer_counts_and_zero_denominators_rejected(self, doc):
+        with pytest.raises(ValueError):
+            Poly.from_json(doc)
+
+    @given(_poly_documents())
+    @example({"nvars": 1, "terms": [{"exp": [1], "num": 1, "den": 0}]})
+    @example({"nvars": 1, "terms": [5]})
+    @settings(max_examples=400, deadline=None)
+    def test_from_json_fuzz(self, doc):
+        try:
+            f = Poly.from_json(doc)
+        except ValueError:
+            return
+        assert Poly.from_json(f.to_json()) == f
+        assert Poly.from_json(f.to_json("normalized")) == f
 
     def test_terms_sorted_graded_lex(self):
         f = Poly(2, {(0, 2): 1, (1, 0): 1, (2, 0): 1})
