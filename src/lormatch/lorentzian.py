@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._util import vec_factorial
+from ._util import grlex_key, vec_factorial
 from .polymatroids import points_polymatroid
 from .polynomials import FloatPoly, Poly
 
@@ -337,11 +337,14 @@ def certify_lorentzian(f: Poly | FloatPoly, tol: float | None = None) -> Lorentz
             False, CertFailure("non-homogeneous", exponents=(low, high)), 0
         )
     negative_cut = -tol if is_float else 0
-    for exp, c in f.sorted_terms():
-        if c < negative_cut:
-            return LorentzReport(
-                False, CertFailure("negative-coefficient", exponents=(exp,)), 0
-            )
+    # exponents are unique, so the grlex-least one is the first in sorted order
+    negative = min(
+        (exp for exp, c in f.items() if c < negative_cut), key=grlex_key, default=None
+    )
+    if negative is not None:
+        return LorentzReport(
+            False, CertFailure("negative-coefficient", exponents=(negative,)), 0
+        )
     ok, pair = is_m_convex(f.support())
     if not ok:
         return LorentzReport(

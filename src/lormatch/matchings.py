@@ -8,6 +8,13 @@ weighting has row sums alpha and column sums beta.  `admits_matching`,
 validates the degrees and caps and runs shortest augmenting paths over the
 edge list; the witness is the flow it returns.  `matched_degrees` lists the
 feasible beta for one alpha by spreading each element over its parts.
+
+The spreads are summed on packed ints: beta is encoded as the key
+sum_j beta_j * R**(j-1) for a radix R above sum(alpha).  No digit of a
+partial sum exceeds sum(alpha), so adding keys never carries, and the
+sumset is a set of int additions.  `_packed_sums` returns the keys and
+`_unpack` turns one key back into beta; `apply_inducing` and `inducing_box`
+accumulate on the keys directly.
 """
 
 from __future__ import annotations
@@ -15,8 +22,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
-
-from ._util import compositions
 
 Edge = tuple[int, int]
 
@@ -226,34 +231,48 @@ def admits_restricted(
     return _flow(seq, alpha, beta, caps) is not None
 
 
-def matched_degrees(seq: SubsetSeq, alpha: Sequence[int]) -> frozenset[tuple[int, ...]]:
-    """All column-sum vectors beta for which (alpha, beta) matches.
+def _packed_sums(seq: SubsetSeq, alpha: tuple[int, ...], radix: int) -> set[int]:
+    """Matched column sums of a checked alpha, each packed with the given radix.
 
     Accumulates, element by element, every spread of alpha_i over the parts
     containing i; the reachable column sums are exactly the sums of one spread
     per element.  Empty iff some element with positive degree lies in no part.
+    The radix must exceed sum(alpha), so that adding keys never carries.
     """
-    a = _check_degrees(alpha, seq.m, "alpha")
-    n = seq.n
-    acc: set[tuple[int, ...]] = {(0,) * n}
-    for i, weight in enumerate(a, start=1):
+    place = [radix**j for j in range(seq.n)]
+    acc = {0}
+    for i, weight in enumerate(alpha, start=1):
         if weight == 0:
             continue
         cols = seq.parts_containing(i)
         if not cols:
-            return frozenset()
-        spreads = []
-        for comp in compositions(weight, len(cols)):
-            vec = [0] * n
-            for c, j in zip(comp, cols):
-                vec[j - 1] = c
-            spreads.append(tuple(vec))
-        acc = {
-            tuple(x + y for x, y in zip(base, spread))
-            for base in acc
-            for spread in spreads
-        }
-    return frozenset(acc)
+            return set()
+        # the spreads of alpha_i: every way to add alpha_i unit keys of its parts
+        units = [place[j - 1] for j in cols]
+        spreads = {0}
+        for _ in range(weight):
+            spreads = {s + u for s in spreads for u in units}
+        acc = {b + s for b in acc for s in spreads}
+    return acc
+
+
+def _unpack(key: int, radix: int, n: int) -> tuple[int, ...]:
+    """The n digits of a packed key, lowest first."""
+    out = []
+    for _ in range(n):
+        key, digit = divmod(key, radix)
+        out.append(digit)
+    return tuple(out)
+
+
+def matched_degrees(seq: SubsetSeq, alpha: Sequence[int]) -> frozenset[tuple[int, ...]]:
+    """All column-sum vectors beta for which (alpha, beta) matches.
+
+    Empty iff some element with positive degree lies in no part.
+    """
+    a = _check_degrees(alpha, seq.m, "alpha")
+    radix = sum(a) + 1
+    return frozenset(_unpack(key, radix, seq.n) for key in _packed_sums(seq, a, radix))
 
 
 def compose_seq(first: SubsetSeq, second: SubsetSeq) -> SubsetSeq:

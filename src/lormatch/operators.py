@@ -16,12 +16,13 @@ polynomial type.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ._util import iter_box, vec_factorial
-from .matchings import SubsetSeq, matched_degrees
+from .matchings import SubsetSeq, _packed_sums, _unpack
 from .polynomials import FloatPoly, Poly
 
 
@@ -126,15 +127,27 @@ def apply_inducing(seq: SubsetSeq, f: Poly) -> Poly:
 
     The normalized coefficient of x^alpha lands, unchanged, on y^beta for
     every beta with (alpha, beta) matchable; extended linearly and exactly.
+    The normalized coefficients c * alpha! are scaled by the least common
+    multiple L of their denominators, so each is an int, and summed per beta
+    on packed keys with one radix for all of f.  Each output term then costs
+    one division, total / (L * beta!); a sum that cancels to 0 is dropped.
     """
+    if not isinstance(f, Poly):
+        raise TypeError("exact Poly required")
     if f.nvars != seq.m:
         raise ValueError(f"polynomial in {f.nvars} variables, sequence over 1..{seq.m}")
-    data: dict[tuple[int, ...], Fraction] = {}
-    for exp, c in f.items():
-        norm = c * vec_factorial(exp)
-        for beta in matched_degrees(seq, exp):
-            key = beta
-            data[key] = data.get(key, Fraction(0)) + norm / vec_factorial(beta)
+    norms = [(exp, c * vec_factorial(exp)) for exp, c in f.items()]
+    scale = math.lcm(*(c.denominator for _, c in norms))
+    radix = max((sum(exp) for exp, _ in norms), default=0) + 1
+    sums: dict[int, int] = {}
+    for exp, c in norms:
+        weight = c.numerator * (scale // c.denominator)
+        for key in _packed_sums(seq, exp, radix):
+            sums[key] = sums.get(key, 0) + weight
+    data = {}
+    for key, total in sums.items():
+        beta = _unpack(key, radix, seq.n)
+        data[beta] = Fraction(total, scale * vec_factorial(beta))
     return Poly(seq.n, data)
 
 
@@ -193,14 +206,12 @@ def inducing_box(seq: SubsetSeq, kappa: Sequence[int]) -> OperatorBox:
     k = _checked_kappa(kappa)
     if len(k) != seq.m:
         raise ValueError(f"box over {len(k)} variables, sequence over 1..{seq.m}")
+    radix = sum(k) + 1
     table = {}
     for alpha in iter_box(k):
+        betas = (_unpack(key, radix, seq.n) for key in _packed_sums(seq, alpha, radix))
         table[alpha] = Poly(
-            seq.n,
-            {
-                beta: Fraction(1, vec_factorial(beta))
-                for beta in matched_degrees(seq, alpha)
-            },
+            seq.n, {beta: Fraction(1, vec_factorial(beta)) for beta in betas}
         )
     return OperatorBox(k, seq.n, table)
 

@@ -4,13 +4,14 @@ characteristic-polynomial sign counting, exchange property by double loop,
 Lorentzian certification by a sweep over the whole degree box, base points
 by a scan of every box-bounded composition, the matroid induced by a
 polymatroid from its largest independent subsets, panel counts by testing
-every candidate subset for a perfect matching."""
+every candidate subset for a perfect matching, the inducing operator by
+summing one Fraction per (alpha, beta) pair."""
 
 from fractions import Fraction
 from itertools import combinations
 
-from lormatch import CertFailure, FloatPoly, LorentzReport, SubsetSeq, quad_inertia
-from lormatch._util import bounded_compositions, compositions
+from lormatch import CertFailure, FloatPoly, LorentzReport, Poly, SubsetSeq, quad_inertia
+from lormatch._util import bounded_compositions, compositions, vec_factorial
 
 
 def enumerate_matching(seq: SubsetSeq, alpha, beta, caps=None) -> bool:
@@ -61,6 +62,18 @@ def matched_degrees_box(seq: SubsetSeq, alpha) -> frozenset:
         for beta in compositions(sum(alpha), seq.n)
         if enumerate_matching(seq, alpha, beta)
     )
+
+
+def apply_inducing_literal(seq: SubsetSeq, f: Poly) -> Poly:
+    """The inducing operator pair by pair: each normalized coefficient
+    c * alpha! divided by beta! and added as a Fraction to y^beta, for every
+    beta the composition-box filter matches to alpha."""
+    data = {}
+    for exp, c in f.items():
+        norm = c * vec_factorial(exp)
+        for beta in matched_degrees_box(seq, exp):
+            data[beta] = data.get(beta, Fraction(0)) + norm / vec_factorial(beta)
+    return Poly(seq.n, data)
 
 
 def _sign_changes(values) -> int:

@@ -326,3 +326,11 @@ def test_16_four_part_symbol_certifies_at_kappa_five():
         symbol = symbol_of(inducing_box(seq, (5, 5, 5)))
         report = certify_lorentzian(symbol).to_json()
         assert report == {"lorentzian": True, "failure": None, "checked_derivatives": 20385}
+
+
+def test_17_inducing_image_on_twelve_windows():
+    with criterion(17, "apply_inducing of e_6 on 12 cyclic 3-windows", 2.0):
+        image = apply_inducing(_cyclic_windows(12), elementary_symmetric(12, 6))
+        assert len(image) == 11140
+        assert sum(c for _, c in image.items()) == Fraction(841067, 3)
+        assert len(image.multiaffine_part()) == 924

@@ -222,6 +222,13 @@ class TestCertify:
         assert not report.verdict
         assert report.failure.kind == "negative-coefficient"
 
+    def test_negative_witness_is_first_in_grlex_order(self):
+        f = Poly(2, {(2, 0): -1, (1, 1): 1, (0, 2): -2})
+        assert certify_lorentzian(f).failure.exponents == ((0, 2),)
+        g = FloatPoly(2, {(2, 0): -1.0, (1, 1): -1e-12, (0, 2): 1.0})
+        # the float path cuts at the tolerance, so (1, 1) does not count
+        assert certify_lorentzian(g, tol=1e-9).failure.exponents == ((2, 0),)
+
     def test_gapped_support(self):
         report = certify_lorentzian(Poly(2, {(2, 0): 1, (0, 2): 1}))
         assert not report.verdict

@@ -147,6 +147,16 @@ class TestMatchedDegrees:
         assert matched_degrees(seq, (0, 1)) == frozenset()
         assert matched_degrees(seq, (1, 0)) == {(1,)}
 
+    def test_zero_degree(self):
+        # radix 1: every key is 0
+        assert matched_degrees(WIDE, (0, 0, 0, 0)) == {(0, 0, 0)}
+
+    def test_whole_weight_on_one_part(self):
+        # beta = (3, 0) has a digit equal to sum(alpha); a radix of sum(alpha)
+        # would carry it into (0, 1)
+        seq = SubsetSeq(2, (frozenset({1, 2}), frozenset({2})))
+        assert matched_degrees(seq, (1, 2)) == {(3, 0), (2, 1), (1, 2)}
+
     @given(matching_instances())
     @settings(max_examples=150, deadline=None)
     def test_against_box_filter(self, instance):

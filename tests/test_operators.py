@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lormatch import (
@@ -22,6 +22,7 @@ from lormatch import (
     tab_family_box,
 )
 from lormatch._util import iter_box, vec_factorial
+from oracles import apply_inducing_literal
 
 NARROW = SubsetSeq(2, (frozenset({1}), frozenset({2}), frozenset({1, 2})))
 WIDE = SubsetSeq(4, (frozenset({1, 2, 3, 4}), frozenset({2, 3}), frozenset({3, 4})))
@@ -43,6 +44,17 @@ def seq_kappa(draw, max_m=3, max_n=3, max_k=2):
     return seq, kappa
 
 
+@st.composite
+def seq_poly(draw, max_m=4, max_n=4, max_e=2):
+    """A sequence and a polynomial over its ground set with signed rational
+    coefficients; terms may share a total degree, so their images overlap."""
+    seq = draw(seqs(max_m, max_n))
+    exps = st.tuples(*(st.integers(0, max_e) for _ in range(seq.m)))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    terms = draw(st.dictionaries(exps, coeffs, max_size=4))
+    return seq, Poly(seq.m, terms)
+
+
 class TestApplyInducing:
     def test_narrow_golden(self):
         assert apply_inducing(NARROW, X1X2) == Poly(
@@ -56,6 +68,21 @@ class TestApplyInducing:
             NARROW, Poly(2, {(2, 0): Fraction(1, 3)})
         )
         assert apply_inducing(NARROW, f) == split
+
+    def test_zero_polynomial(self):
+        assert apply_inducing(NARROW, Poly.zero(2)) == Poly.zero(3)
+
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            apply_inducing(NARROW, FloatPoly(2, {(1, 1): 0.5}))
+
+    @given(seq_poly())
+    # x1 and -x2 cancel on y; the image is y^2 alone
+    @example((SubsetSeq(2, (frozenset({1, 2}),)), Poly(2, {(1, 0): 1, (0, 1): -1, (2, 0): 1})))
+    @settings(max_examples=80, deadline=None)
+    def test_against_literal(self, pair):
+        seq, f = pair
+        assert apply_inducing(seq, f) == apply_inducing_literal(seq, f)
 
     @given(seq_kappa())
     @settings(max_examples=80, deadline=None)
