@@ -59,7 +59,7 @@ from .polymatroids import (
     uniform_matroid,
     validate_polymatroid,
 )
-from .polynomials import Poly, elementary_symmetric
+from .polynomials import Poly, _is_json_int, elementary_symmetric
 from .verification import CHECKS, TrialConfig, replay, run_check
 
 SEED_ENV = "LORMATCH_SEED"
@@ -165,22 +165,29 @@ def _parse_matrix(raw: str, flag: str = "--matrix") -> list[list]:
     return out
 
 
+def _json_ints(values) -> list[int]:
+    """A JSON list of integers; floats, bools and strings raise ValueError."""
+    if not isinstance(values, list) or not all(map(_is_json_int, values)):
+        raise ValueError(f"expected a list of integers, got {json.dumps(values)}")
+    return values
+
+
 def _parse_polymatroid(data, flag: str) -> Polymatroid:
     """Rank-table JSON, or the shorthands {"free": [N, r]}, {"uniform": [m, r]},
     {"sum": [...]} for quick construction on the command line."""
     try:
         if isinstance(data, Mapping) and "free" in data:
-            n_elements, r = data["free"]
-            return free_polymatroid(int(n_elements), int(r))
+            n_elements, r = _json_ints(data["free"])
+            return free_polymatroid(n_elements, r)
         if isinstance(data, Mapping) and "uniform" in data:
-            m, r = data["uniform"]
-            return uniform_matroid(int(m), int(r)).underlying
+            m, r = _json_ints(data["uniform"])
+            return uniform_matroid(m, r).underlying
         if isinstance(data, Mapping) and "sum" in data:
             return direct_sum([_parse_polymatroid(part, flag) for part in data["sum"]])
         if isinstance(data, Mapping) and "rank" in data:
-            return validate_polymatroid(
-                [int(v) for v in data["rank"]], int(data["m"]) if "m" in data else None
-            )
+            if "m" in data:
+                return Polymatroid.from_json(data)
+            return validate_polymatroid(_json_ints(data["rank"]))
         raise ValueError("expected a rank table or a construction shorthand")
     except AxiomViolation:
         raise
@@ -191,8 +198,8 @@ def _parse_polymatroid(data, flag: str) -> Polymatroid:
 def _parse_matroid(raw: str, flag: str) -> Matroid:
     def build(data) -> Matroid:
         if isinstance(data, Mapping) and "uniform" in data:
-            m, r = data["uniform"]
-            return uniform_matroid(int(m), int(r))
+            m, r = _json_ints(data["uniform"])
+            return uniform_matroid(m, r)
         return Matroid(_parse_polymatroid(data, flag))
 
     return _parse_with(build, raw, flag)

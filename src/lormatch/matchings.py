@@ -23,6 +23,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from .polynomials import _is_json_int
+
 Edge = tuple[int, int]
 
 
@@ -80,7 +82,14 @@ class SubsetSeq:
     def from_json(cls, obj: dict) -> "SubsetSeq":
         if not isinstance(obj, dict) or "m" not in obj or "sets" not in obj:
             raise ValueError("subset-sequence JSON needs 'm' and 'sets'")
-        return cls(int(obj["m"]), tuple(frozenset(s) for s in obj["sets"]))
+        m, sets = obj["m"], obj["sets"]
+        if not _is_json_int(m):
+            raise ValueError(f"subset-sequence JSON needs an integer 'm', got {m!r}")
+        if not isinstance(sets, (list, tuple)) or not all(
+            isinstance(s, (list, tuple)) and all(map(_is_json_int, s)) for s in sets
+        ):
+            raise ValueError(f"parts must be lists of integers, got {sets!r}")
+        return cls(m, tuple(frozenset(s) for s in sets))
 
 
 @dataclass(frozen=True)

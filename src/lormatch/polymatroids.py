@@ -6,6 +6,18 @@ desk scale: validation and rank queries run brute force over the table,
 which keeps every claim checkable by inspection.  Base points are listed by
 a contraction walk that fixes one coordinate at a time and only ever
 extends prefixes of real base points (see `_walk_base_points`).
+
+A table is checked against the axioms once, where it enters the library:
+`Polymatroid(...)`, `validate_polymatroid`, `Polymatroid.from_json`,
+`linreal_rank` and the candidate inside `points_polymatroid`.  Tables that
+library code derives from `Polymatroid`s are polymatroids by theorem and are
+built by `Polymatroid._derived` without the O(m^2 2^m) re-check:
+`free_polymatroid` and `uniform_matroid` (valid by construction once their
+arguments are in range), `direct_sum`, `induce_polymatroid` (f(union of the
+parts in T) is a polymatroid when f is; Edmonds 1970, McDiarmid 1975) and
+the Edmonds rank table of `induce_matroid`, whose `Matroid` wrapper still
+checks the cardinality bound.  The randomized harness re-validates induced
+tables at run time (`verification.py`).
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from ._util import mask_to_elements, vec_factorial
 from .matchings import SubsetSeq, admits_matching
-from .polynomials import Poly
+from .polynomials import Poly, _is_json_int
 
 
 class AxiomViolation(ValueError):
@@ -40,21 +52,27 @@ class InternalCheckError(RuntimeError):
     """Two supposedly equivalent computations disagreed: an implementation bug."""
 
 
-def _bit_indices(m: int) -> list[tuple[int, ...]]:
-    """0-based member indices for every bitmask on m elements."""
-    out: list[tuple[int, ...]] = [()]
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        out.append(out[mask ^ low] + (low.bit_length() - 1,))
-    return out
-
-
 @dataclass(frozen=True)
 class Polymatroid:
-    """Integer rank table on subsets of {1..m}; axioms checked on construction."""
+    """Integer rank table on subsets of {1..m}; axioms checked on construction.
+
+    `_derived` is the one way around the check, for tables that are
+    polymatroids by theorem (see the module docstring).
+    """
 
     m: int
     rank: tuple[int, ...]
+
+    @classmethod
+    def _derived(cls, m: int, rank: Iterable[int]) -> "Polymatroid":
+        """A table that is a polymatroid by theorem; the axioms are not re-checked.
+
+        For library code only, on tables built from `Polymatroid` inputs.
+        """
+        pm = object.__new__(cls)
+        object.__setattr__(pm, "m", m)
+        object.__setattr__(pm, "rank", tuple(rank))
+        return pm
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -138,7 +156,12 @@ class Polymatroid:
     def from_json(cls, obj: dict) -> "Polymatroid":
         if not isinstance(obj, dict) or "m" not in obj or "rank" not in obj:
             raise ValueError("polymatroid JSON needs 'm' and 'rank'")
-        return cls(int(obj["m"]), tuple(obj["rank"]))
+        m, rank = obj["m"], obj["rank"]
+        if not _is_json_int(m):
+            raise ValueError(f"polymatroid JSON needs an integer 'm', got {m!r}")
+        if not isinstance(rank, (list, tuple)) or not all(map(_is_json_int, rank)):
+            raise ValueError(f"rank entries must be integers, got {rank!r}")
+        return cls(m, tuple(rank))
 
 
 @dataclass(frozen=True)
@@ -190,32 +213,36 @@ def free_polymatroid(n_elements: int, r: int) -> Polymatroid:
     """Rank r on every nonempty subset; base points are the x >= 0 with sum r."""
     if n_elements < 1:
         raise ValueError("ground-set size must be >= 1")
+    n_elements, r = operator.index(n_elements), operator.index(r)
     if r < 0:
         raise ValueError("rank must be >= 0")
-    return Polymatroid(n_elements, (0,) + (r,) * ((1 << n_elements) - 1))
+    return Polymatroid._derived(n_elements, (0,) + (r,) * ((1 << n_elements) - 1))
 
 
 def uniform_matroid(m: int, r: int) -> Matroid:
     """Rank min(|I|, r)."""
+    m, r = operator.index(m), operator.index(r)
     if not 0 <= r <= m:
         raise ValueError(f"rank {r} outside 0..{m}")
-    return Matroid(Polymatroid(m, tuple(min(mask.bit_count(), r) for mask in range(1 << m))))
+    if m < 1:
+        raise ValueError("ground-set size must be >= 1")
+    return Matroid(
+        Polymatroid._derived(m, (min(mask.bit_count(), r) for mask in range(1 << m)))
+    )
 
 
 def direct_sum(parts: Sequence[Polymatroid]) -> Polymatroid:
-    """Concatenated ground sets; rank of a subset sums blockwise restrictions."""
+    """Concatenated ground sets; rank of a subset sums blockwise restrictions.
+
+    The table is an outer sum of the parts' tables, the first part in the
+    low bits.
+    """
     if not parts:
         raise ValueError("direct sum of an empty list")
-    total_m = sum(p.m for p in parts)
-    table = []
-    for mask in range(1 << total_m):
-        shift = 0
-        value = 0
-        for p in parts:
-            value += p.rank[mask >> shift & (1 << p.m) - 1]
-            shift += p.m
-        table.append(value)
-    return Polymatroid(total_m, tuple(table))
+    acc = [0]
+    for part in parts:
+        acc = [b + a for b in part.rank for a in acc]
+    return Polymatroid._derived(sum(p.m for p in parts), acc)
 
 
 def _part_masks(seq: SubsetSeq) -> list[int]:
@@ -242,7 +269,7 @@ def induce_polymatroid(pm: Polymatroid, seq: SubsetSeq) -> Polymatroid:
     """Rank of a set of parts = source rank of the union of those parts."""
     if seq.m != pm.m:
         raise ValueError(f"sequence over 1..{seq.m}, polymatroid over 1..{pm.m}")
-    return Polymatroid(seq.n, tuple(pm.rank[u] for u in _union_masks(seq)))
+    return Polymatroid._derived(seq.n, [pm.rank[u] for u in _union_masks(seq)])
 
 
 def induce_matroid(pm: Polymatroid, seq: SubsetSeq) -> Matroid:
@@ -264,7 +291,7 @@ def induce_matroid(pm: Polymatroid, seq: SubsetSeq) -> Matroid:
             best = min(best, table[mask ^ low] + 1)
             rest ^= low
         table[mask] = best
-    return Matroid(Polymatroid(seq.n, tuple(table)))
+    return Matroid(Polymatroid._derived(seq.n, table))
 
 
 def _walk_base_points(pm: Polymatroid) -> Iterator[tuple[int, ...]]:
@@ -313,11 +340,13 @@ def in_base_polytope(pm: Polymatroid, vec: Sequence[int]) -> bool:
         raise ValueError(f"vector has length {len(x)}, expected {pm.m}")
     if any(v < 0 for v in x) or sum(x) != pm.full_rank:
         return False
-    members = _bit_indices(pm.m)
-    return all(
-        sum(x[i] for i in members[mask]) <= pm.rank[mask]
-        for mask in range(1, pm.full_mask)
-    )
+    # x(U) for every U, each from U minus its lowest element
+    full = pm.full_mask
+    sums = [0] * (full + 1)
+    for mask in range(1, full):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + x[low.bit_length() - 1]
+    return all(map(operator.le, sums[1:full], pm.rank[1:full]))
 
 
 def base_egf(pm: Polymatroid) -> Poly:

@@ -213,6 +213,19 @@ def _edge_groups(seq: SubsetSeq) -> list[list[int]]:
     return groups
 
 
+def _invalid_table_reasons(pm: Polymatroid) -> list[str]:
+    """Re-validate a derived table through the public constructor.
+
+    Induced tables skip the axiom checks as polymatroids by theorem; this is
+    the run-time cross-check that they are.
+    """
+    try:
+        validate_polymatroid(pm.rank, pm.m)
+    except AxiomViolation as exc:
+        return [f"induced table fails the axioms: {exc}"]
+    return []
+
+
 def _symbol_instance_reasons(seq: SubsetSeq, kappa: tuple[int, ...]) -> list[str]:
     groups = _edge_groups(seq)
     for e, group in enumerate(groups):
@@ -239,6 +252,7 @@ def _symbol_instance_reasons(seq: SubsetSeq, kappa: tuple[int, ...]) -> list[str
     ]
     eseq = SubsetSeq(len(edges), tuple(left + right))
     induced = induce_polymatroid(pm, eseq)
+    reasons.extend(_invalid_table_reasons(induced))
     points = base_points(induced)
     n = seq.n
     from_symbol = {exp[n:] + exp[:n] for exp in sym.support()}
@@ -316,16 +330,17 @@ def _eval_base_membership(cfg: TrialConfig, instance: Mapping) -> list[str]:
     pm = Polymatroid.from_json(instance["pm"])
     seq = SubsetSeq.from_json(instance["seq"])
     delta = [int(v) for v in instance["delta"]]
+    reasons = _invalid_table_reasons(induce_polymatroid(pm, seq))
     if any(v < 0 for v in delta):
-        return []
+        return reasons
     try:
         member = hall_rado_member(pm, seq, delta)
     except InternalCheckError as exc:
-        return [f"membership paths disagree: {exc}"]
+        return reasons + [f"membership paths disagree: {exc}"]
     expected = instance.get("expected")
     if expected is not None and member is not bool(expected):
-        return [f"membership is {member}, expected {expected}"]
-    return []
+        reasons.append(f"membership is {member}, expected {expected}")
+    return reasons
 
 
 # -- check: fractional coefficient powers stay Lorentzian ----------------------

@@ -145,6 +145,53 @@ class TestParsing:
         assert data["matroid"] == {"m": 2, "rank": [0, 0, 1, 1]}
 
 
+class TestIntegerJson:
+    """Non-integer counts, ranks and elements are refused, never truncated."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("pminduce", "--pm", '{"rank":[0,1.5]}', "--points"), "--pm"),
+            (("pminduce", "--pm", '{"rank":[0,true]}', "--points"), "--pm"),
+            (("pminduce", "--pm", '{"rank":["0","1"]}', "--points"), "--pm"),
+            (("pminduce", "--pm", '{"m":1.9,"rank":[0,1]}', "--points"), "--pm"),
+            (("pminduce", "--pm", '{"m":1,"rank":[0,1.0]}', "--points"), "--pm"),
+            (("pminduce", "--pm", '{"free":[2.7,1]}', "--points"), "--pm"),
+            (("pminduce", "--pm", '{"free":[2,true]}', "--points"), "--pm"),
+            (("pminduce", "--pm", '{"uniform":[3.5,1]}', "--points"), "--pm"),
+            (("pminduce", "--pm", '{"sum":[{"free":[1,1]},{"free":[1,0.5]}]}'), "--pm"),
+            (("hallrado", "--pm", '{"free":[2,1.5]}', "--sets", NARROW, "--delta", "1,0,0"), "--pm"),
+            (("match", "--sets", '{"m":2,"sets":[[1.7],[2]]}', "--alpha", "1,1"), "--sets"),
+            (("match", "--sets", '{"m":2.0,"sets":[[1],[2]]}', "--alpha", "1,1"), "--sets"),
+            (("match", "--sets", '{"m":2,"sets":["12"]}', "--alpha", "1,1"), "--sets"),
+            (("ct", "--sets", NARROW, "--topic", "1", "--matroid", '{"uniform":[2.5,1]}'), "--matroid"),
+        ],
+    )
+    def test_refused_as_invalid_value(self, capsys, argv, flag):
+        code, out, err = _call(capsys, *argv)
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert (payload["error"], payload["flag"]) == ("invalid-value", flag)
+        assert "integer" in payload["detail"]
+
+    @pytest.mark.parametrize(
+        "pm",
+        [
+            '{"m":2,"rank":[0,1,1,3]}',
+            '{"rank":[0,1,1,3]}',
+            '{"sum":[{"free":[1,1]},{"m":2,"rank":[0,1,1,3]}]}',
+        ],
+    )
+    def test_bad_raw_table_keeps_its_axiom_payload(self, capsys, pm):
+        code, out, err = _call(capsys, "pminduce", "--pm", pm, "--points")
+        assert (code, err) == (1, "")
+        assert out == (
+            '{"axiom":"submodularity","detail":"submodularity: rank(1,) + rank(2,) = 2 < '
+            'rank(union) + rank(intersection) = 3","error":"axiom-violation",'
+            '"witness":[[1],[2]]}\n'
+        )
+
+
 # canonical stdout of the float operator power, byte for byte: float rows
 # carry "coeff" where exact rows carry "num" and "den"
 POWER_SYMBOL = (

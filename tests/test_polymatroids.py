@@ -76,6 +76,96 @@ def walk_sources(draw):
     return uniform_matroid(m, draw(st.integers(0, m))).underlying
 
 
+@st.composite
+def derived_tables(draw, depth=2):
+    """Tables built by the library without re-validation, m <= 6."""
+    family = draw(
+        st.sampled_from(
+            ["free", "uniform", "linear", "sum", "induced", "matroid"]
+            if depth
+            else ["free", "uniform", "linear"]
+        )
+    )
+    if family == "free":
+        return free_polymatroid(draw(st.integers(1, 4)), draw(st.integers(0, 3)))
+    if family == "uniform":
+        m = draw(st.integers(1, 5))
+        return uniform_matroid(m, draw(st.integers(0, m))).underlying
+    if family == "linear":
+        return linreal_rank(draw(linreals()))
+    if family == "sum":
+        parts = draw(st.lists(derived_tables(depth - 1), min_size=1, max_size=3))
+        if sum(p.m for p in parts) > 6:
+            parts = parts[:1]
+        return direct_sum(parts)
+    source = draw(derived_tables(depth - 1))
+    seq = draw(covering_seqs(source.m, max_n=4))
+    if family == "induced":
+        return induce_polymatroid(source, seq)
+    return induce_matroid(source, seq).underlying
+
+
+def _count_validations(monkeypatch) -> list:
+    seen = []
+    real = Polymatroid.__post_init__
+
+    def counting(self):
+        seen.append(self.m)
+        real(self)
+
+    monkeypatch.setattr(Polymatroid, "__post_init__", counting)
+    return seen
+
+
+class TestDerivedTables:
+    @given(derived_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_every_derived_table_passes_full_validation(self, pm):
+        assert pm.m <= 6
+        assert validate_polymatroid(pm.rank, pm.m) == pm
+        assert all(type(v) is int for v in pm.rank)
+
+    def test_derivation_validates_nothing(self, monkeypatch):
+        seen = _count_validations(monkeypatch)
+        source = direct_sum([free_polymatroid(2, 1), free_polymatroid(2, 2)])
+        induced = induce_polymatroid(source, WIDE)
+        induce_matroid(source, WIDE)
+        uniform_matroid(3, 2)
+        assert seen == []
+        assert induced.rank == (0, 3, 3, 3, 2, 3, 3, 3)
+
+    def test_boundaries_still_validate(self, monkeypatch):
+        seen = _count_validations(monkeypatch)
+        Polymatroid(1, (0, 1))
+        validate_polymatroid((0, 1))
+        Polymatroid.from_json({"m": 1, "rank": [0, 1]})
+        linreal_rank(LinReal((1,), ((1,),)))
+        points_polymatroid({(1, 0), (0, 1)}, 2)
+        assert seen == [1, 1, 1, 1, 2]
+
+    def test_direct_sum_matches_blockwise_ranks(self):
+        parts = [free_polymatroid(2, 1), uniform_matroid(3, 2).underlying, free_polymatroid(1, 4)]
+        total = direct_sum(parts)
+        for mask in range(1 << total.m):
+            assert total.rank[mask] == (
+                parts[0].rank[mask & 3] + parts[1].rank[mask >> 2 & 7] + parts[2].rank[mask >> 5]
+            )
+
+    def test_shorthands_refuse_bad_arguments(self):
+        with pytest.raises(ValueError, match="ground-set size"):
+            uniform_matroid(0, 0)
+        with pytest.raises(ValueError, match="outside"):
+            uniform_matroid(2, 3)
+        with pytest.raises(ValueError, match="ground-set size"):
+            free_polymatroid(0, 1)
+        with pytest.raises(ValueError, match="rank must be"):
+            free_polymatroid(2, -1)
+        with pytest.raises(TypeError):
+            free_polymatroid(2, 1.5)
+        with pytest.raises(TypeError):
+            uniform_matroid(3, 1.5)
+
+
 class TestValidation:
     def test_free_and_uniform_tables(self):
         assert free_polymatroid(2, 2).rank == (0, 2, 2, 2)
@@ -122,6 +212,42 @@ class TestValidation:
         assert Polymatroid.from_json(pm.to_json()) == pm
         mat = uniform_matroid(3, 2)
         assert Matroid.from_json(mat.to_json()) == mat
+
+    def test_every_boundary_raises_the_same_violation(self):
+        table = (0, 1, 1, 3)
+        raised = []
+        for build in (
+            lambda: Polymatroid(2, table),
+            lambda: validate_polymatroid(table),
+            lambda: Polymatroid.from_json({"m": 2, "rank": list(table)}),
+        ):
+            with pytest.raises(AxiomViolation) as err:
+                build()
+            raised.append((err.value.axiom, err.value.witness, str(err.value)))
+        assert raised == [
+            (
+                "submodularity",
+                ((1,), (2,)),
+                "submodularity: rank(1,) + rank(2,) = 2 < "
+                "rank(union) + rank(intersection) = 3",
+            )
+        ] * 3
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"m": 1.9, "rank": [0, 1]},
+            {"m": True, "rank": [0, 1]},
+            {"m": "1", "rank": [0, 1]},
+            {"m": 1, "rank": [0, 1.5]},
+            {"m": 1, "rank": [0, True]},
+            {"m": 1, "rank": ["0", "1"]},
+            {"m": 1, "rank": "01"},
+        ],
+    )
+    def test_from_json_refuses_non_integers(self, doc):
+        with pytest.raises(ValueError, match="integer"):
+            Polymatroid.from_json(doc)
 
 
 class TestConstructions:
@@ -198,6 +324,16 @@ class TestBasePoints:
     def test_walk_matches_box_scan(self, pm):
         assert list(_walk_base_points(pm)) == sorted(base_points_literal(pm))
 
+    @given(walk_sources(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_in_base_polytope_matches_box_scan(self, pm, data):
+        literal = base_points_literal(pm)
+        if data.draw(st.booleans()):
+            vec = data.draw(st.sampled_from(sorted(literal)))
+        else:
+            vec = tuple(data.draw(st.lists(st.integers(0, 3), min_size=pm.m, max_size=pm.m)))
+        assert in_base_polytope(pm, vec) == (vec in literal)
+
     @given(linreals())
     @settings(max_examples=80, deadline=None)
     def test_points_sum_to_full_rank(self, real):
@@ -236,6 +372,10 @@ class TestSupportRecognition:
         assert points_polymatroid({(1, 1), (2, 0), (0, 2), (0, 1)}, 2) is None
         # a negative coordinate breaks monotonicity of the partial-sum table
         assert points_polymatroid({(2, -1), (1, 0), (0, 1)}, 2) is None
+        # r{1,2} + r{1,3} = 2 < r{1,2,3} + r{1} = 3: the candidate is not submodular
+        with pytest.raises(AxiomViolation, match="submodularity"):
+            Polymatroid(3, (0, 1, 1, 1, 1, 1, 2, 2))
+        assert points_polymatroid({(0, 1, 1), (1, 0, 0)}, 3) is None
         # the candidate table is the valid free(2, 2); the walk meets (1, 1)
         assert points_polymatroid({(2, 0), (0, 2)}, 2) is None
         all_of_three = {(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)}

@@ -1,6 +1,7 @@
 import pytest
 
-from lormatch import CHECKS, CheckResult, TrialConfig, replay, run_all, run_check
+from lormatch import CHECKS, CheckResult, Polymatroid, TrialConfig, replay, run_all, run_check
+from lormatch import verification
 from lormatch.verification import _trial_rng
 
 
@@ -103,3 +104,49 @@ class TestCheckResult:
         assert ok.passed
         bad = CheckResult("x", 3, ({"trial": 0, "instance": {}, "reasons": ["r"]},))
         assert not bad.passed
+
+
+class TestDerivedTablesAtRunTime:
+    """Induced tables skip validation; the harness re-validates them."""
+
+    @pytest.mark.parametrize("name", ["base-membership-duality", "symbol-support-egf"])
+    def test_one_validation_per_instance(self, monkeypatch, name):
+        seen = []
+        real = verification.validate_polymatroid
+
+        def counting(rank, m=None):
+            seen.append(m)
+            return real(rank, m)
+
+        monkeypatch.setattr(verification, "validate_polymatroid", counting)
+        result = run_check(name, TrialConfig(trials=6))
+        assert result.passed
+        assert len(seen) == result.trials
+
+    @pytest.mark.parametrize(
+        "name, instance",
+        [
+            (
+                "base-membership-duality",
+                {
+                    "pm": {"m": 2, "rank": [0, 1, 1, 2]},
+                    "seq": {"m": 2, "sets": [[1], [2]]},
+                    "delta": [1, 1],
+                    "expected": True,
+                },
+            ),
+            ("symbol-support-egf", {"seq": {"m": 2, "sets": [[1, 2], [2]]}, "kappa": [1, 1]}),
+        ],
+    )
+    def test_broken_induction_is_a_reason(self, monkeypatch, name, instance):
+        assert replay(name, instance) == []
+
+        def broken(pm, seq):
+            # rank 2 on the first part alone but 1 on every larger set
+            table = [0] + [1] * ((1 << seq.n) - 1)
+            table[1] = 2
+            return Polymatroid._derived(seq.n, table)
+
+        monkeypatch.setattr(verification, "induce_polymatroid", broken)
+        reasons = replay(name, instance)
+        assert reasons[0].startswith("induced table fails the axioms: monotonicity")
