@@ -159,8 +159,16 @@ def _parse_matrix(raw: str, flag: str = "--matrix") -> list[list]:
                     cells.append(Fraction(cell))
                 except (ValueError, ZeroDivisionError) as exc:
                     raise _domain(flag, exc) from exc
-            else:
+            elif _is_json_int(cell):
                 cells.append(cell)
+            else:
+                raise _domain(
+                    flag,
+                    ValueError(
+                        f"matrix entries must be integers or rational strings, "
+                        f"got {json.dumps(cell)}"
+                    ),
+                )
         out.append(cells)
     return out
 
@@ -224,7 +232,12 @@ def _cmd_match(args) -> int:
     alpha = _parse_list(args.alpha, "--alpha", int)
     caps = None
     if args.caps is not None:
-        caps = caps_from_json(seq, _parse_json(args.caps, "--caps"))
+        try:
+            caps = caps_from_json(seq, _parse_json(args.caps, "--caps"))
+        except TypeError as exc:
+            # a cap that is no integer is a bad value of the flag; a payload
+            # of the wrong shape keeps its plain domain error
+            raise _domain("--caps", exc) from exc
     if args.beta is None:
         if caps is not None:
             raise UsageError("--caps requires --beta")

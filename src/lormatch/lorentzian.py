@@ -3,8 +3,15 @@
 A homogeneous polynomial with nonnegative coefficients passes when its
 support is M-convex (it satisfies the symmetric exchange axiom) and every
 iterated partial derivative down to degree 2 has a Hessian with at most one
-positive eigenvalue (Braenden-Huh).  Inertia is computed by congruence
-diagonalization.
+positive eigenvalue (Braenden-Huh).
+
+Every inertia here comes from one congruence elimination, `_inertia`:
+symmetric fraction-free (Bareiss) elimination, run on Python ints for exact
+input and on floats under a pivot tolerance.  `symmetric_inertia` scales an
+exact matrix to integers by the common denominator of its entries before
+handing it over; the tests check the kernel against the characteristic
+polynomial (Faddeev-LeVerrier with Descartes' rule, `charpoly_inertia` in
+tests/oracles.py).
 
 The work follows the support, not the degree box.  Entry (i, j) of the
 Hessian of the derivative at gamma is the normalized coefficient of f at
@@ -12,11 +19,7 @@ gamma + e_i + e_j, so one pass over the coefficient table files each entry
 under its gamma = support point minus two unit vectors: exactly the
 derivatives that do not vanish, visited in lexicographic order.  Exact input
 is first scaled by the common denominator of that table, which changes no
-inertia, so every Hessian is an integer matrix, factored by fraction-free
-(Bareiss) elimination on Python ints.  Floating input keeps the pivot
-tolerance of `symmetric_inertia`, whose exact `Fraction` route also serves
-`quad_inertia` (`certify --quadratic`) and stays the independent slow route
-for the tests.
+inertia, so every Hessian is an integer matrix.
 
 A support S in n variables larger than 2^n is tested through the polymatroid
 of its largest partial sums (Murota: M-convex sets are the integer points of
@@ -145,122 +148,63 @@ def _swap_symmetric(work: list[list], i: int, j: int) -> None:
 
 
 def symmetric_inertia(matrix: Sequence[Sequence], tol: float | None = None) -> Inertia:
-    """Inertia by congruence diagonalization.
+    """Inertia by congruence elimination.
 
-    Exact over the rationals when tol is None (floating entries rejected);
-    otherwise works in floating point with |pivot| <= tol treated as zero.
-    When every remaining diagonal entry vanishes but an off-diagonal entry
-    does not, the corresponding 2x2 block is eliminated as a unit; it is
-    indefinite, contributing one positive and one negative eigenvalue.
+    Exact over the rationals when tol is None (floating entries rejected):
+    the matrix is scaled to integers by the common denominator of its
+    entries, which keeps the inertia.  Otherwise works in floating point with
+    a Schur-complement value of magnitude at most tol treated as zero.
+    Both go through the same fraction-free elimination, `_inertia`.
     """
     rows = [list(r) for r in matrix]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("square matrix required")
     if tol is None:
-        work = []
-        for r in rows:
-            out = []
-            for v in r:
-                if isinstance(v, float):
-                    raise TypeError("floating entries require a tolerance")
-                out.append(Fraction(v))
-            work.append(out)
-
-        def negligible(v: Fraction) -> bool:
-            return v == 0
-
+        if any(isinstance(v, float) for r in rows for v in r):
+            raise TypeError("floating entries require a tolerance")
+        exact = [[Fraction(v) for v in r] for r in rows]
+        scale = math.lcm(*(v.denominator for r in exact for v in r))
+        work = [[v.numerator * (scale // v.denominator) for v in r] for r in exact]
+        gap_cut = 0
     else:
         if not tol > 0:
             raise ValueError("tolerance must be positive")
         work = [[float(v) for v in r] for r in rows]
-
-        def negligible(v: float) -> bool:
-            return abs(v) <= tol
-
+        gap_cut = tol
     for i in range(n):
         for j in range(i):
-            gap = work[i][j] - work[j][i]
-            if not negligible(gap) or (tol is None and gap != 0):
+            if abs(work[i][j] - work[j][i]) > gap_cut:
                 raise ValueError("symmetric matrix required")
-
-    pos = neg = zero = 0
-    k = 0
-    while k < n:
-        p = max(range(k, n), key=lambda r: abs(work[r][r]))
-        if not negligible(work[p][p]):
-            _swap_symmetric(work, k, p)
-            pivot = work[k][k]
-            if pivot > 0:
-                pos += 1
-            else:
-                neg += 1
-            row_k = work[k]
-            for r in range(k + 1, n):
-                factor = work[r][k] / pivot
-                if factor:
-                    row_r = work[r]
-                    for c in range(k + 1, n):
-                        row_r[c] -= factor * row_k[c]
-            k += 1
-            continue
-        best = None
-        best_abs = None
-        for i in range(k, n):
-            for j in range(i + 1, n):
-                v = abs(work[i][j])
-                if best_abs is None or v > best_abs:
-                    best_abs = v
-                    best = (i, j)
-        if best is None or negligible(work[best[0]][best[1]]):
-            zero += n - k
-            break
-        i, j = best
-        _swap_symmetric(work, k, i)
-        if j == k:
-            j = i
-        _swap_symmetric(work, k + 1, j)
-        a = work[k][k]
-        b = work[k + 1][k + 1]
-        c = work[k][k + 1]
-        det = a * b - c * c  # strictly negative: c dominates the tiny diagonal
-        pos += 1
-        neg += 1
-        for r in range(k + 2, n):
-            u = work[r][k]
-            v = work[r][k + 1]
-            if u or v:
-                row_r = work[r]
-                for s in range(k + 2, n):
-                    us = work[k][s]
-                    vs = work[k + 1][s]
-                    row_r[s] -= (b * u * us - c * (u * vs + v * us) + a * v * vs) / det
-        k += 2
-    return Inertia(pos, neg, zero)
+    return Inertia(*_inertia(work, tol))
 
 
-def _int_inertia(work: list[list[int]]) -> tuple[int, int, int]:
-    """Inertia of a symmetric integer matrix, overwriting it; fraction-free.
+def _inertia(work: list[list], tol: float | None = None) -> tuple[int, int, int]:
+    """Inertia of a symmetric matrix, overwriting it: the one elimination.
 
     Symmetric Bareiss elimination: after k steps the trailing block holds
     D_k times the Schur complement, D_k being the k-th leading principal
-    minor, so each division by the previous pivot is exact and the sign of
-    the k-th eigenvalue of the LDL^T form is sign(D_k) * sign(D_{k-1}).
-    When the remaining diagonal vanishes but a_ij does not, x_i -> x_i + x_j
-    (a unimodular congruence) puts 2 a_ij on the diagonal.
+    minor (D_0 = 1), so the sign of the k-th eigenvalue of the LDL^T form is
+    sign(D_k) * sign(D_{k-1}).  On Python ints (tol None) each division by
+    the previous pivot is exact and an entry is zero when it is 0.  On floats
+    an entry is negligible when its Schur-complement value is at most tol,
+    that is |entry| <= tol * |D_{k-1}|.  When the remaining diagonal is
+    negligible but a_ij is not, x_i -> x_i + x_j (a unimodular congruence)
+    puts a_ii + 2 a_ij + a_jj on the diagonal.
     """
     n = len(work)
     pos = neg = 0
     prev = 1
     for k in range(n):
+        cut = 0 if tol is None else tol * abs(prev)
         for p in range(k, n):
-            if work[p][p]:
+            if abs(work[p][p]) > cut:
                 break
         else:
             for p in range(k, n):
                 row_p = work[p]
                 for j in range(p + 1, n):
-                    if row_p[j]:
+                    if abs(row_p[j]) > cut:
                         break
                 else:
                     continue
@@ -282,8 +226,12 @@ def _int_inertia(work: list[list[int]]) -> tuple[int, int, int]:
         for r in range(k + 1, n):
             row_r = work[r]
             factor = row_r[k]
-            for c in range(k + 1, n):
-                row_r[c] = (pivot * row_r[c] - factor * row_k[c]) // prev
+            if tol is None:
+                for c in range(k + 1, n):
+                    row_r[c] = (pivot * row_r[c] - factor * row_k[c]) // prev
+            else:
+                for c in range(k + 1, n):
+                    row_r[c] = (pivot * row_r[c] - factor * row_k[c]) / prev
         prev = pivot
     return pos, neg, 0
 
@@ -356,7 +304,9 @@ def certify_lorentzian(f: Poly | FloatPoly, tol: float | None = None) -> Lorentz
     if is_float:
         table = {exp: c * vec_factorial(exp) for exp, c in f.items()}
     else:
-        # scaled by the common denominator: a positive scalar keeps the inertia
+        # scaled by the common denominator: a positive scalar keeps the
+        # inertia, and integer Hessians are eliminated exactly
+        tol = None
         scale = math.lcm(*(c.denominator for _, c in f.items()))
         table = {
             exp: c.numerator * (scale // c.denominator) * vec_factorial(exp)
@@ -383,10 +333,7 @@ def certify_lorentzian(f: Poly | FloatPoly, tol: float | None = None) -> Lorentz
     for checked, gamma in enumerate(sorted(flats), 1):
         flat = flats[gamma]
         hess = [flat[k : k + n] for k in range(0, size, n)]
-        if is_float:
-            inertia = symmetric_inertia(hess, tol).as_tuple()
-        else:
-            inertia = _int_inertia(hess)
+        inertia = _inertia(hess, tol)
         if inertia[0] > 1:
             return LorentzReport(
                 False,

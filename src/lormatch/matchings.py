@@ -19,6 +19,7 @@ accumulate on the keys directly.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -118,7 +119,7 @@ class MatchWitness:
 
 
 def _check_degrees(vec: Sequence[int], length: int, name: str) -> tuple[int, ...]:
-    out = tuple(int(v) for v in vec)
+    out = tuple(map(operator.index, vec))
     if len(out) != length:
         raise ValueError(f"{name} has length {len(out)}, expected {length}")
     if any(v < 0 for v in out):
@@ -132,7 +133,7 @@ def _check_caps(seq: SubsetSeq, caps: Mapping[Edge, int]) -> dict[Edge, int]:
         i, j = edge
         if not (1 <= j <= seq.n and seq.has_edge(i, j)):
             raise ValueError(f"cap keyed by {edge}, which is not an edge")
-        cap = int(cap)
+        cap = operator.index(cap)
         if cap < 0:
             raise ValueError(f"cap at {edge} must be nonnegative")
         out[(i, j)] = cap
@@ -309,5 +310,7 @@ def caps_from_json(seq: SubsetSeq, obj: Mapping[str, int]) -> dict[Edge, int]:
             edge = (int(i_s), int(j_s))
         except ValueError:
             raise ValueError(f"cap key {key!r} is not of the form 'i-j'") from None
-        caps[edge] = int(value)
+        if not _is_json_int(value):
+            raise TypeError(f"cap at {key!r} must be an integer, got {value!r}")
+        caps[edge] = value
     return _check_caps(seq, caps)

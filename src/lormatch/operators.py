@@ -17,6 +17,7 @@ polynomial type.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -27,7 +28,7 @@ from .polynomials import FloatPoly, Poly
 
 
 def _checked_kappa(kappa: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(v) for v in kappa)
+    out = tuple(map(operator.index, kappa))
     if not out:
         raise ValueError("at least one input variable required")
     if any(v < 0 for v in out):

@@ -472,10 +472,13 @@ class LinReal:
     def from_json(cls, obj: dict) -> "LinReal":
         if not isinstance(obj, dict) or "blockdims" not in obj or "gens" not in obj:
             raise ValueError("realization JSON needs 'blockdims' and 'gens'")
+        dims = obj["blockdims"]
+        if not isinstance(dims, (list, tuple)) or not all(map(_is_json_int, dims)):
+            raise ValueError(f"blockdims must be integers, got {dims!r}")
         rows = tuple(
             tuple(Fraction(str(v)) for v in row) for row in obj["gens"]
         )
-        return cls(tuple(int(d) for d in obj["blockdims"]), rows)
+        return cls(tuple(dims), rows)
 
 
 def _rat_rank(rows: list[list[Fraction]]) -> int:
@@ -558,7 +561,7 @@ def hall_rado_member(
             f"parts must span: rank of the part union is {pm.rank[union]}, "
             f"full rank is {pm.full_rank}"
         )
-    d = [int(v) for v in delta]
+    d = list(map(operator.index, delta))
     if len(d) != seq.n:
         raise ValueError(f"vector has length {len(d)}, expected {seq.n}")
     if any(v < 0 for v in d):

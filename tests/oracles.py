@@ -121,6 +121,20 @@ def charpoly_inertia(matrix) -> tuple[int, int, int]:
     return (pos, neg, zero)
 
 
+def hessian_literal(q) -> list[list]:
+    """Hessian of a quadratic, each entry the constant left by differentiating
+    once along e_i and once along e_j."""
+    n = q.nvars
+    origin = (0,) * n
+    return [
+        [
+            q.derivative_multi(tuple((t == i) + (t == j) for t in range(n))).coefficient(origin)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
 def m_convex_witness(supp):
     """The symmetric exchange axiom, quantified exactly as stated.
 
@@ -159,7 +173,9 @@ def m_convex_literal(supp) -> bool:
 def certify_literal(f, tol=None):
     """Lorentzian certification as first written: every multi-index of the
     degree box, each derivative taken term by term, zero derivatives
-    skipped, and the support checked by the literal exchange loop."""
+    skipped, and the support checked by the literal exchange loop.  Exact
+    Hessians are counted by `charpoly_inertia`; floating ones go through
+    `quad_inertia` under the tolerance."""
     is_float = isinstance(f, FloatPoly)
     if is_float:
         f = FloatPoly(f.nvars, {e: c for e, c in f.items() if abs(c) > tol})
@@ -185,12 +201,13 @@ def certify_literal(f, tol=None):
         if not g.support():
             continue
         checked += 1
-        inertia = quad_inertia(g, tol)
-        if inertia.n_pos > 1:
+        if is_float:
+            inertia = quad_inertia(g, tol).as_tuple()
+        else:
+            inertia = charpoly_inertia(hessian_literal(g))
+        if inertia[0] > 1:
             return LorentzReport(
-                False,
-                CertFailure("bad-inertia", derivative=gamma, inertia=inertia.as_tuple()),
-                checked,
+                False, CertFailure("bad-inertia", derivative=gamma, inertia=inertia), checked
             )
     return LorentzReport(True, None, checked)
 

@@ -11,6 +11,8 @@ from lormatch.cli import run
 WIDE = '{"m":4,"sets":[[1,2,3,4],[2,3],[3,4]]}'
 NARROW = '{"m":2,"sets":[[1],[2],[1,2]]}'
 X1X2 = '{"nvars":2,"terms":[{"exp":[1,1],"coeff":1}]}'
+ONE = '{"m":1,"sets":[[1]]}'
+X1 = '{"nvars":1,"terms":[{"exp":[1],"coeff":1}]}'
 
 
 def _call(capsys, *argv):
@@ -165,6 +167,16 @@ class TestIntegerJson:
             (("match", "--sets", '{"m":2.0,"sets":[[1],[2]]}', "--alpha", "1,1"), "--sets"),
             (("match", "--sets", '{"m":2,"sets":["12"]}', "--alpha", "1,1"), "--sets"),
             (("ct", "--sets", NARROW, "--topic", "1", "--matroid", '{"uniform":[2.5,1]}'), "--matroid"),
+            (("match", "--sets", ONE, "--alpha", "1", "--beta", "1", "--caps", '{"1-1":1.5}'), "--caps"),
+            (("match", "--sets", ONE, "--alpha", "1", "--beta", "1", "--caps", '{"1-1":true}'), "--caps"),
+            (("match", "--sets", ONE, "--alpha", "1", "--beta", "1", "--caps", '{"1-1":"0"}'), "--caps"),
+            (("pminduce", "--real", '{"blockdims":[1.7,1],"gens":[["1","0"]]}'), "--real"),
+            (("pminduce", "--real", '{"blockdims":[true,1],"gens":[["1","0"]]}'), "--real"),
+            (("pminduce", "--real", '{"blockdims":["1",1],"gens":[["1","0"]]}'), "--real"),
+            (("hallrado", "--real", '{"blockdims":[1.7,1],"gens":[["1","0"]]}', "--sets", NARROW, "--delta", "1,0,0"), "--real"),
+            (("hallrado", "--real", '{"blockdims":[true,1],"gens":[["1","0"]]}', "--sets", NARROW, "--delta", "1,0,0"), "--real"),
+            (("hallrado", "--real", '{"blockdims":["1",1],"gens":[["1","0"]]}', "--sets", NARROW, "--delta", "1,0,0"), "--real"),
+            (("subst", "--sets", ONE, "--poly", X1, "--matrix", "[[true]]"), "--matrix"),
         ],
     )
     def test_refused_as_invalid_value(self, capsys, argv, flag):

@@ -13,7 +13,7 @@ from lormatch import (
     symmetric_inertia,
 )
 from lormatch._util import compositions
-from lormatch.lorentzian import _int_inertia
+from lormatch.lorentzian import _inertia
 
 from oracles import certify_literal, charpoly_inertia, m_convex_literal, m_convex_witness
 
@@ -119,6 +119,16 @@ class TestSymmetricInertia:
             symmetric_inertia([[0.5]])
         assert symmetric_inertia([[0.5]], tol=1e-9).as_tuple() == (1, 0, 0)
 
+    def test_float_tolerance_goldens(self):
+        # the Schur complement 5e-10 sits below tol; its Bareiss-scaled entry
+        # 1000 * 5e-10 does not, so the test must scale tol by the last pivot
+        near_singular = [[1000.0, 1000.0], [1000.0, 1000.0 + 5e-10]]
+        assert symmetric_inertia(near_singular, tol=1e-9).as_tuple() == (1, 0, 1)
+        # a negligible diagonal with a live off-diagonal entry: the
+        # x_i -> x_i + x_j congruence makes a pivot
+        flat_diagonal = [[1e-12, 1, 0], [1, -1e-12, 2], [0, 2, 1e-13]]
+        assert symmetric_inertia(flat_diagonal, tol=1e-9).as_tuple() == (1, 1, 1)
+
     @given(symmetric_matrices())
     @settings(max_examples=300, deadline=None)
     def test_exact_matches_charpoly(self, matrix):
@@ -133,9 +143,9 @@ class TestSymmetricInertia:
 
 class TestIntInertia:
     def test_goldens(self):
-        assert _int_inertia([[0, 1], [1, 0]]) == (1, 1, 0)
-        assert _int_inertia([[0, 0], [0, 0]]) == (0, 0, 2)
-        assert _int_inertia([[4, 2], [2, 1]]) == (1, 0, 1)
+        assert _inertia([[0, 1], [1, 0]]) == (1, 1, 0)
+        assert _inertia([[0, 0], [0, 0]]) == (0, 0, 2)
+        assert _inertia([[4, 2], [2, 1]]) == (1, 0, 1)
 
     @given(integer_symmetric_matrices())
     @example([[0, 1, 2, 0], [1, 0, 0, 3], [2, 0, 0, -1], [0, 3, -1, 0]])
@@ -143,8 +153,7 @@ class TestIntInertia:
     @example([[1, 1, 1], [1, 1, 0], [1, 0, 1]])
     @settings(max_examples=400, deadline=None)
     def test_matches_fraction_route(self, matrix):
-        got = _int_inertia([row[:] for row in matrix])
-        assert got == symmetric_inertia(matrix).as_tuple()
+        assert _inertia([row[:] for row in matrix]) == charpoly_inertia(matrix)
 
 
 class TestQuadInertia:

@@ -72,6 +72,20 @@ class TestSubsetSeq:
 
 
 class TestFeasibility:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda seq: find_witness(seq, (2.7,), (2,)),
+            lambda seq: admits_matching(seq, (1.5,), (1.9,)),
+            lambda seq: admits_restricted(seq, {(1, 1): 1.5}, (1,), (1,)),
+            lambda seq: matched_degrees(seq, ("1",)),
+        ],
+    )
+    def test_non_integer_vectors_refused(self, call):
+        # operator.index, as for exponents: never truncated to a weight
+        with pytest.raises(TypeError):
+            call(SubsetSeq(1, (frozenset({1}),)))
+
     def test_worked_example(self):
         assert admits_matching(WIDE, (0, 2, 2, 1), (2, 2, 1))
         assert not admits_matching(WIDE, (2, 0, 0, 0), (0, 1, 1))

@@ -142,6 +142,10 @@ class TestApplySubstitution:
 
 
 class TestBoxes:
+    def test_non_integer_kappa_refused(self):
+        with pytest.raises(TypeError):
+            inducing_box(SubsetSeq(1, (frozenset({1}),)), (1.5,))
+
     def test_inducing_box_golden(self):
         box = inducing_box(NARROW, (1, 1))
         assert box.image((1, 0)) == Poly(3, {(1, 0, 0): 1, (0, 0, 1): 1})

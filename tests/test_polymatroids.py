@@ -414,6 +414,10 @@ class TestHallRado:
         assert not hall_rado_member(free_polymatroid(2, 2), split, (1, 0))
         assert hall_rado_member(free_polymatroid(1, 0), SubsetSeq(1, (frozenset({1}),)), (0,))
 
+    def test_non_integer_delta_refused(self):
+        with pytest.raises(TypeError):
+            hall_rado_member(free_polymatroid(1, 2), SubsetSeq(1, (frozenset({1}),)), (2.9,))
+
     def test_negative_is_outside(self):
         split = SubsetSeq(2, (frozenset({1}), frozenset({2})))
         assert not hall_rado_member(free_polymatroid(2, 2), split, (3, -1))
