@@ -124,7 +124,7 @@ def _parse_with(build, raw: str, flag: str):
         return build(data)
     except AxiomViolation:
         raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
         raise _domain(flag, exc) from exc
 
 
@@ -144,33 +144,21 @@ def _parse_list(raw: str, flag: str, convert) -> tuple:
         raise _domain(flag, exc) from exc
 
 
-def _parse_matrix(raw: str, flag: str = "--matrix") -> list[list]:
-    data = _parse_json(raw, flag)
-    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-        raise DomainError(
-            {"error": "invalid-value", "flag": flag, "detail": "expected a list of rows"}
+def _matrix_cell(cell):
+    """A JSON integer, or a rational string such as "3/2"."""
+    if isinstance(cell, str):
+        return Fraction(cell)
+    if not _is_json_int(cell):
+        raise ValueError(
+            f"matrix entries must be integers or rational strings, got {json.dumps(cell)}"
         )
-    out = []
-    for row in data:
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                try:
-                    cells.append(Fraction(cell))
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise _domain(flag, exc) from exc
-            elif _is_json_int(cell):
-                cells.append(cell)
-            else:
-                raise _domain(
-                    flag,
-                    ValueError(
-                        f"matrix entries must be integers or rational strings, "
-                        f"got {json.dumps(cell)}"
-                    ),
-                )
-        out.append(cells)
-    return out
+    return cell
+
+
+def _matrix_from_json(data) -> list[list]:
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ValueError("expected a list of rows")
+    return [[_matrix_cell(cell) for cell in row] for row in data]
 
 
 def _json_ints(values) -> list[int]:
@@ -180,37 +168,31 @@ def _json_ints(values) -> list[int]:
     return values
 
 
-def _parse_polymatroid(data, flag: str) -> Polymatroid:
+def _polymatroid_from_json(data) -> Polymatroid:
     """Rank-table JSON, or the shorthands {"free": [N, r]}, {"uniform": [m, r]},
     {"sum": [...]} for quick construction on the command line."""
-    try:
-        if isinstance(data, Mapping) and "free" in data:
-            n_elements, r = _json_ints(data["free"])
-            return free_polymatroid(n_elements, r)
-        if isinstance(data, Mapping) and "uniform" in data:
-            m, r = _json_ints(data["uniform"])
-            return uniform_matroid(m, r).underlying
-        if isinstance(data, Mapping) and "sum" in data:
-            return direct_sum([_parse_polymatroid(part, flag) for part in data["sum"]])
-        if isinstance(data, Mapping) and "rank" in data:
-            if "m" in data:
-                return Polymatroid.from_json(data)
-            return validate_polymatroid(_json_ints(data["rank"]))
-        raise ValueError("expected a rank table or a construction shorthand")
-    except AxiomViolation:
-        raise
-    except (ValueError, TypeError, KeyError) as exc:
-        raise _domain(flag, exc) from exc
+    if isinstance(data, Mapping) and "free" in data:
+        n_elements, r = _json_ints(data["free"])
+        return free_polymatroid(n_elements, r)
+    if isinstance(data, Mapping) and "uniform" in data:
+        m, r = _json_ints(data["uniform"])
+        return uniform_matroid(m, r).underlying
+    if isinstance(data, Mapping) and "sum" in data:
+        return direct_sum([_polymatroid_from_json(part) for part in data["sum"]])
+    if isinstance(data, Mapping) and "rank" in data:
+        if "m" in data:
+            return Polymatroid.from_json(data)
+        return validate_polymatroid(_json_ints(data["rank"]))
+    raise ValueError("expected a rank table or a construction shorthand")
 
 
-def _parse_matroid(raw: str, flag: str) -> Matroid:
-    def build(data) -> Matroid:
-        if isinstance(data, Mapping) and "uniform" in data:
-            m, r = _json_ints(data["uniform"])
-            return uniform_matroid(m, r)
-        return Matroid(_parse_polymatroid(data, flag))
+def _parse_polymatroid(data, flag: str) -> Polymatroid:
+    """`_polymatroid_from_json` under its former name, which perfbench's tests call."""
+    return _polymatroid_from_json(data)
 
-    return _parse_with(build, raw, flag)
+
+def _matroid_from_json(data) -> Matroid:
+    return Matroid(_polymatroid_from_json(data))
 
 
 def _emit(payload, pretty: bool, raw: str | None = None) -> None:
@@ -272,7 +254,9 @@ def _cmd_induce(args) -> int:
 
 def _cmd_subst(args) -> int:
     seq = _parse_seq(args.sets)
-    matrix = _parse_matrix(args.matrix) if args.matrix is not None else None
+    matrix = None
+    if args.matrix is not None:
+        matrix = _parse_with(_matrix_from_json, args.matrix, "--matrix")
     f = _parse_poly(args.poly)
     _emit(apply_substitution(seq, matrix, f).to_json(args.basis), args.pretty)
     return 0
@@ -283,7 +267,7 @@ def _cmd_ct(args) -> int:
     if args.topic is not None:
         topic = _parse_list(args.topic, "--topic", int) if args.topic else ()
         if args.matroid is not None:
-            mat = _parse_matroid(args.matroid, "--matroid")
+            mat = _parse_with(_matroid_from_json, args.matroid, "--matroid")
             count = basis_match_count(mat, seq, topic)
         else:
             count = match_count(seq, topic)
@@ -304,7 +288,7 @@ def _cmd_fpoly(args) -> int:
     if (args.r is None) == (args.matroid is None):
         raise UsageError("exactly one of --r or --matroid is required")
     if args.matroid is not None:
-        g = basis_match_poly(_parse_matroid(args.matroid, "--matroid"), seq)
+        g = basis_match_poly(_parse_with(_matroid_from_json, args.matroid, "--matroid"), seq)
     else:
         g = match_poly(seq, args.r)
     _emit(g.to_json(), args.pretty)
@@ -315,7 +299,9 @@ def _cmd_symbol(args) -> int:
     seq = _parse_seq(args.sets)
     kappa = _parse_list(args.kappa, "--kappa", int)
     if args.op == "substitution":
-        matrix = _parse_matrix(args.matrix) if args.matrix is not None else None
+        matrix = None
+        if args.matrix is not None:
+            matrix = _parse_with(_matrix_from_json, args.matrix, "--matrix")
         box = substitution_box(seq, matrix, kappa)
     else:
         if args.matrix is not None:
@@ -370,7 +356,7 @@ def _cmd_pminduce(args) -> int:
             payload["realization"] = real.to_json()
         pm = linreal_rank(real)
     else:
-        pm = _parse_polymatroid(_parse_json(args.pm, "--pm"), "--pm")
+        pm = _parse_with(_polymatroid_from_json, args.pm, "--pm")
         if args.sets is not None:
             seq = _parse_seq(args.sets)
             if args.matroid:
@@ -399,7 +385,7 @@ def _cmd_hallrado(args) -> int:
     if args.real is not None:
         pm = linreal_rank(_parse_with(LinReal.from_json, args.real, "--real"))
     else:
-        pm = _parse_polymatroid(_parse_json(args.pm, "--pm"), "--pm")
+        pm = _parse_with(_polymatroid_from_json, args.pm, "--pm")
     seq = _parse_seq(args.sets)
     delta = _parse_list(args.delta, "--delta", int)
     _emit({"member": hall_rado_member(pm, seq, delta)}, args.pretty)

@@ -171,6 +171,8 @@ def symmetric_inertia(matrix: Sequence[Sequence], tol: float | None = None) -> I
         if not tol > 0:
             raise ValueError("tolerance must be positive")
         work = [[float(v) for v in r] for r in rows]
+        if not all(math.isfinite(v) for r in work for v in r):
+            raise ValueError("finite matrix entries required")
         gap_cut = tol
     for i in range(n):
         for j in range(i):

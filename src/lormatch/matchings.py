@@ -39,7 +39,7 @@ class SubsetSeq:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("ground-set size must be >= 1")
-        parts = tuple(frozenset(int(e) for e in s) for s in self.sets)
+        parts = tuple(frozenset(map(operator.index, s)) for s in self.sets)
         if not parts:
             raise ValueError("at least one part is required")
         for j, s in enumerate(parts, start=1):

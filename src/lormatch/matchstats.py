@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -26,7 +27,7 @@ from .polynomials import Poly
 
 
 def _check_topic(seq: SubsetSeq, topic: Iterable[int]) -> tuple[int, ...]:
-    raw = [int(v) for v in topic]
+    raw = list(map(operator.index, topic))
     t = tuple(sorted(set(raw)))
     if len(t) != len(raw):
         raise ValueError("topic entries must be distinct")

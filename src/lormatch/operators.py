@@ -6,12 +6,11 @@ whole table into one polynomial in the output variables y plus one tracking
 variable u per input variable; it is invertible, which makes coefficient
 surgery (fractional powers, reweighted singleton families) mechanical.
 
-`FloatOperatorBox` holds the float tables that fractional powers produce.
-It reuses the validation, access and JSON members of `OperatorBox`, which
-read the polynomial type from `_poly_type`, and the table check still
-refuses an image of the other coefficient kind.  `symbol_of` and
-`box_from_symbol` serve both kinds, reading the rescaling from the
-polynomial type.
+One `OperatorBox` holds both coefficient kinds: exact `Poly` images, or the
+`FloatPoly` images that fractional powers produce.  Only the polynomial types
+know the kind.  The table check tests the image types, so a table that mixes
+the two is refused, and `symbol_of` and `box_from_symbol` read the kind (and
+with it the rescaling) from the images and the symbol.
 """
 
 from __future__ import annotations
@@ -27,30 +26,31 @@ from .matchings import SubsetSeq, _packed_sums, _unpack
 from .polynomials import FloatPoly, Poly
 
 
-def _checked_kappa(kappa: Sequence[int]) -> tuple[int, ...]:
+def _checked_kappa(kappa: Sequence[int], m: int | None = None) -> tuple[int, ...]:
     out = tuple(map(operator.index, kappa))
     if not out:
         raise ValueError("at least one input variable required")
     if any(v < 0 for v in out):
         raise ValueError("box bounds must be nonnegative")
+    if m is not None and len(out) != m:
+        raise ValueError(f"box over {len(out)} variables, sequence over 1..{m}")
     return out
 
 
-def _checked_table(kappa, n_out, table, poly_type):
+def _checked_table(kappa, n_out, table):
     if n_out < 1:
         raise ValueError("output variable count must be >= 1")
+    kinds = {type(value) for value in table.values()}
+    if len(kinds) > 1 or not kinds <= {Poly, FloatPoly}:
+        raise TypeError("table images must be all Poly or all FloatPoly")
     expected = set(iter_box(kappa))
     checked = {}
     for key, value in table.items():
-        alpha = tuple(int(v) for v in key)
+        alpha = tuple(map(operator.index, key))
         if alpha not in expected:
             raise ValueError(f"table key {alpha} outside the box {kappa}")
-        if not isinstance(value, poly_type):
-            raise TypeError(f"table values must be {poly_type.__name__}")
         if value.nvars != n_out:
-            raise ValueError(
-                f"image at {alpha} has {value.nvars} variables, expected {n_out}"
-            )
+            raise ValueError(f"image at {alpha} has {value.nvars} variables, expected {n_out}")
         checked[alpha] = value
     if len(checked) != len(expected):
         missing = sorted(expected - set(checked))[:3]
@@ -60,29 +60,23 @@ def _checked_table(kappa, n_out, table, poly_type):
 
 @dataclass(frozen=True)
 class OperatorBox:
-    """Exact operator: alpha -> image of x^alpha/alpha!, for all alpha <= kappa."""
+    """Operator: alpha -> image of x^alpha/alpha!, for all alpha <= kappa."""
 
     kappa: tuple[int, ...]
     n_out: int
-    table: Mapping[tuple[int, ...], Poly]
-
-    _poly_type = Poly
+    table: Mapping[tuple[int, ...], Poly | FloatPoly]
 
     def __post_init__(self) -> None:
         kappa = _checked_kappa(self.kappa)
         object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(
-            self,
-            "table",
-            _checked_table(kappa, self.n_out, self.table, self._poly_type),
-        )
+        object.__setattr__(self, "table", _checked_table(kappa, self.n_out, self.table))
 
     @property
     def m(self) -> int:
         return len(self.kappa)
 
-    def image(self, alpha: Sequence[int]) -> Poly:
-        return self.table[tuple(int(v) for v in alpha)]
+    def image(self, alpha: Sequence[int]) -> Poly | FloatPoly:
+        return self.table[tuple(map(operator.index, alpha))]
 
     def to_json(self) -> dict:
         return {
@@ -102,25 +96,6 @@ class OperatorBox:
             tuple(row["alpha"]): Poly.from_json(row["poly"]) for row in obj["table"]
         }
         return cls(tuple(obj["kappa"]), int(obj["n_out"]), table)
-
-
-@dataclass(frozen=True)
-class FloatOperatorBox:
-    """Floating-point operator table; produced by fractional coefficient powers."""
-
-    kappa: tuple[int, ...]
-    n_out: int
-    table: Mapping[tuple[int, ...], FloatPoly]
-
-    _poly_type = FloatPoly
-
-    __post_init__ = OperatorBox.__post_init__
-    m = OperatorBox.m
-    image = OperatorBox.image
-    to_json = OperatorBox.to_json
-
-
-_BOX_TYPES = {Poly: OperatorBox, FloatPoly: FloatOperatorBox}
 
 
 def apply_inducing(seq: SubsetSeq, f: Poly) -> Poly:
@@ -204,9 +179,7 @@ def apply_substitution(
 
 def inducing_box(seq: SubsetSeq, kappa: Sequence[int]) -> OperatorBox:
     """Box table of the inducing operator: all matched images over alpha <= kappa."""
-    k = _checked_kappa(kappa)
-    if len(k) != seq.m:
-        raise ValueError(f"box over {len(k)} variables, sequence over 1..{seq.m}")
+    k = _checked_kappa(kappa, seq.m)
     radix = sum(k) + 1
     table = {}
     for alpha in iter_box(k):
@@ -221,9 +194,7 @@ def substitution_box(
     seq: SubsetSeq, matrix: Sequence[Sequence] | None, kappa: Sequence[int]
 ) -> OperatorBox:
     """Box table of the substitution operator with the given edge weights."""
-    k = _checked_kappa(kappa)
-    if len(k) != seq.m:
-        raise ValueError(f"box over {len(k)} variables, sequence over 1..{seq.m}")
+    k = _checked_kappa(kappa, seq.m)
     weights = _checked_matrix(seq, matrix)
     table = {}
     for alpha in iter_box(k):
@@ -232,7 +203,7 @@ def substitution_box(
     return OperatorBox(k, seq.n, table)
 
 
-def symbol_of(box: OperatorBox | FloatOperatorBox) -> Poly | FloatPoly:
+def symbol_of(box: OperatorBox) -> Poly | FloatPoly:
     """One polynomial carrying the whole table: y-variables first, then one
     u-variable per input variable; the u-exponent kappa-alpha marks which
     table entry a term came from, weighted so inversion is exact."""
@@ -245,12 +216,14 @@ def symbol_of(box: OperatorBox | FloatOperatorBox) -> Poly | FloatPoly:
         for yexp, c in poly.items():
             key = yexp + uexp
             data[key] = data.get(key, 0) + c * factor
-    return box._poly_type(box.n_out + box.m, data)
+    # the zero-alpha image is in every table and carries the coefficient kind
+    poly_type = type(box.table[(0,) * box.m])
+    return poly_type(box.n_out + box.m, data)
 
 
 def box_from_symbol(
     sym: Poly | FloatPoly, kappa: Sequence[int], n_out: int
-) -> OperatorBox | FloatOperatorBox:
+) -> OperatorBox:
     """Invert symbol_of: split off the u-exponents and rescale each slice."""
     k = _checked_kappa(kappa)
     if n_out < 1:
@@ -271,20 +244,17 @@ def box_from_symbol(
         alpha = tuple(kk - u for kk, u in zip(k, uexp))
         slices[alpha][yexp] = c * ratio(vec_factorial(uexp), kfact)
     table = {a: poly_type(n_out, t) for a, t in slices.items()}
-    return _BOX_TYPES[poly_type](k, n_out, table)
+    return OperatorBox(k, n_out, table)
 
 
-def power_box(box: OperatorBox, q) -> FloatOperatorBox:
+def power_box(box: OperatorBox, q) -> OperatorBox:
     """Raise every normalized symbol coefficient to the power q in [0, 1].
 
     Zero coefficients stay zero; positive ones become c**q in floating
-    point, so q=1 reproduces the operator up to float representation and
-    q=0 flattens every present coefficient to 1.
+    point, in `FloatPoly` images, so q=1 reproduces the operator up to float
+    representation and q=0 flattens every present coefficient to 1.
     """
-    if isinstance(q, float):
-        qf = q
-    else:
-        qf = float(Fraction(q))
+    qf = q if isinstance(q, float) else float(Fraction(q))
     if not 0 <= qf <= 1:
         raise ValueError(f"power {q} outside [0, 1]")
     sym = symbol_of(box)
@@ -294,10 +264,7 @@ def power_box(box: OperatorBox, q) -> FloatOperatorBox:
         if norm < 0:
             raise ValueError(f"negative normalized coefficient at {exp}")
         data[exp] = float(norm) ** qf / vec_factorial(exp)
-    powered = FloatPoly(sym.nvars, data)
-    result = box_from_symbol(powered, box.kappa, box.n_out)
-    assert isinstance(result, FloatOperatorBox)
-    return result
+    return box_from_symbol(FloatPoly(sym.nvars, data), box.kappa, box.n_out)
 
 
 def augment_with_singletons(seq: SubsetSeq) -> SubsetSeq:
@@ -340,9 +307,7 @@ def tab_family_box(
     invert the symbol.  a = 1, b = 0 recovers the inducing operator exactly;
     a = 0, b = 1 recovers the substitution operator.
     """
-    k = _checked_kappa(kappa)
-    if len(k) != seq.m:
-        raise ValueError(f"box over {len(k)} variables, sequence over 1..{seq.m}")
+    k = _checked_kappa(kappa, seq.m)
     owners = _singleton_owners(seq)
     a_w = _checked_weights(a, seq.n, "a")
     b_w = _checked_weights(b, len(owners), "b")
@@ -360,6 +325,4 @@ def tab_family_box(
     for t in range(m):
         images.append(Poly.variable(nvars_out, n + t))
     collapsed = sym.substitute(images, nvars_out)
-    result = box_from_symbol(collapsed, k, n)
-    assert isinstance(result, OperatorBox)
-    return result
+    return box_from_symbol(collapsed, k, n)

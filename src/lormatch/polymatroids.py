@@ -420,7 +420,7 @@ class LinReal:
     gens: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.blockdims)
+        dims = tuple(map(operator.index, self.blockdims))
         if not dims:
             raise ValueError("at least one block is required")
         if any(d < 0 for d in dims):

@@ -11,8 +11,8 @@ floating-point entry point.
 `Poly` (construction, access, equality, degrees, `derivative_multi`,
 `to_json`) as the same function objects, which read the coefficient kind from
 class attributes.  It is still a separate type and not a subclass: the ring
-operations and the operator-table checks test `isinstance(.., Poly)`, so
-exact and float data never mix silently.
+operations test `isinstance(.., Poly)` and the operator-table check tests
+the image types, so exact and float data never mix silently.
 """
 
 from __future__ import annotations
@@ -451,9 +451,15 @@ def elementary_symmetric(nvars: int, degree: int) -> Poly:
 
 
 class FloatPoly:
-    """Float-coefficient companion of `Poly`; read-mostly, no ring operations."""
+    """Finite-float companion of `Poly`; read-mostly, no ring operations."""
 
-    _coerce = float
+    @staticmethod
+    def _coerce(value) -> float:
+        out = float(value)
+        if not math.isfinite(out):
+            raise ValueError(f"finite coefficient required, got {out}")
+        return out
+
     _zero = 0.0
     _ratio = operator.truediv
     _term_json = staticmethod(_float_term_json)

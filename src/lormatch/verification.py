@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,21 +66,20 @@ from .polymatroids import (
 from .polynomials import Poly, elementary_symmetric
 
 
+# instance bounds: ground-set size, part count, rank and per-variable degree cap
+MAX_M, MAX_N, MAX_RANK, MAX_KAPPA = 5, 5, 3, 2
+
+
 @dataclass(frozen=True)
 class TrialConfig:
-    """Bounds and budget for randomized checks."""
+    """Seed, budget and tolerance for randomized checks."""
 
     seed: int = 1
-    max_m: int = 5
-    max_n: int = 5
-    max_rank: int = 3
-    max_kappa: int = 2
     trials: int = 100
     tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        bounds = (self.max_m, self.max_n, self.max_rank, self.max_kappa, self.trials)
-        if min(bounds) < 1:
+        if self.trials < 1:
             raise ValueError("bounds and trial count must be >= 1")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
@@ -87,10 +87,10 @@ class TrialConfig:
     def to_json(self) -> dict:
         return {
             "seed": self.seed,
-            "max_m": self.max_m,
-            "max_n": self.max_n,
-            "max_rank": self.max_rank,
-            "max_kappa": self.max_kappa,
+            "max_m": MAX_M,
+            "max_n": MAX_N,
+            "max_rank": MAX_RANK,
+            "max_kappa": MAX_KAPPA,
             "trials": self.trials,
             "tolerance": self.tolerance,
         }
@@ -185,7 +185,7 @@ def _random_polymatroid(rng: random.Random, m: int, max_rank: int) -> Polymatroi
 
 
 def _gen_matching_stat(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
-    return {"seq": _random_seq(rng, cfg.max_m, cfg.max_n).to_json()}
+    return {"seq": _random_seq(rng, MAX_M, MAX_N).to_json()}
 
 
 def _eval_matching_stat(cfg: TrialConfig, instance: Mapping) -> list[str]:
@@ -282,14 +282,14 @@ def _symbol_instance_reasons(seq: SubsetSeq, kappa: tuple[int, ...]) -> list[str
 
 def _gen_symbol_support(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
     # brute-force sides grow fast, so this check stays at its own small scale
-    seq = _random_seq(rng, min(cfg.max_m, 3), min(cfg.max_n, 3), cover=True)
-    kappa = [rng.randint(0, min(cfg.max_kappa, 2)) for _ in range(seq.m)]
+    seq = _random_seq(rng, 3, 3, cover=True)
+    kappa = [rng.randint(0, MAX_KAPPA) for _ in range(seq.m)]
     return {"seq": seq.to_json(), "kappa": kappa}
 
 
 def _eval_symbol_support(cfg: TrialConfig, instance: Mapping) -> list[str]:
     seq = SubsetSeq.from_json(instance["seq"])
-    kappa = tuple(int(v) for v in instance["kappa"])
+    kappa = tuple(map(operator.index, instance["kappa"]))
     return _symbol_instance_reasons(seq, kappa)
 
 
@@ -297,9 +297,9 @@ def _eval_symbol_support(cfg: TrialConfig, instance: Mapping) -> list[str]:
 
 
 def _gen_base_membership(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
-    m = rng.randint(1, cfg.max_m)
-    pm = _random_polymatroid(rng, m, cfg.max_rank)
-    seq = _random_parts(rng, m, rng.randint(1, cfg.max_n), cover=True)
+    m = rng.randint(1, MAX_M)
+    pm = _random_polymatroid(rng, m, MAX_RANK)
+    seq = _random_parts(rng, m, rng.randint(1, MAX_N), cover=True)
     induced = induce_polymatroid(pm, seq)
     points = sorted(base_points(induced))
     pick = rng.random()
@@ -329,7 +329,7 @@ def _gen_base_membership(cfg: TrialConfig, rng: random.Random, trial: int) -> di
 def _eval_base_membership(cfg: TrialConfig, instance: Mapping) -> list[str]:
     pm = Polymatroid.from_json(instance["pm"])
     seq = SubsetSeq.from_json(instance["seq"])
-    delta = [int(v) for v in instance["delta"]]
+    delta = list(map(operator.index, instance["delta"]))
     reasons = _invalid_table_reasons(induce_polymatroid(pm, seq))
     if any(v < 0 for v in delta):
         return reasons
@@ -347,14 +347,14 @@ def _eval_base_membership(cfg: TrialConfig, instance: Mapping) -> list[str]:
 
 
 def _gen_power_family(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
-    seq = _random_seq(rng, min(cfg.max_m, 3), min(cfg.max_n, 3))
-    kappa = [rng.randint(0, min(cfg.max_kappa, 2)) for _ in range(seq.m)]
+    seq = _random_seq(rng, 3, 3)
+    kappa = [rng.randint(0, MAX_KAPPA) for _ in range(seq.m)]
     return {"seq": seq.to_json(), "kappa": kappa}
 
 
 def _eval_power_family(cfg: TrialConfig, instance: Mapping) -> list[str]:
     seq = SubsetSeq.from_json(instance["seq"])
-    kappa = tuple(int(v) for v in instance["kappa"])
+    kappa = tuple(map(operator.index, instance["kappa"]))
     reasons = []
     sub = substitution_box(seq, None, kappa)
     ind = inducing_box(seq, kappa)
@@ -427,7 +427,7 @@ def _enumerate_restricted(
 def _gen_capped(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
     if trial == 0:
         return {"mode": "exhaustive-core"}
-    seq = _random_seq(rng, min(cfg.max_m, 3), min(cfg.max_n, 3))
+    seq = _random_seq(rng, 3, 3)
     caps = {}
     for i, j in seq.edges():
         if rng.random() < 0.7:
@@ -479,20 +479,20 @@ def _eval_capped(cfg: TrialConfig, instance: Mapping) -> list[str]:
 
 
 def _gen_basis_stats(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
-    m = rng.randint(1, cfg.max_m)
+    m = rng.randint(1, MAX_M)
     if rng.random() < 0.5:
-        r = rng.randint(0, min(m, cfg.max_rank))
+        r = rng.randint(0, min(m, MAX_RANK))
         mat = uniform_matroid(m, r)
         uniform_rank = r
     else:
-        rows = rng.randint(0, cfg.max_rank)
+        rows = rng.randint(0, MAX_RANK)
         gens = tuple(
             tuple(Fraction(rng.randint(-2, 2)) for _ in range(m))
             for _ in range(rows)
         )
         mat = Matroid(linreal_rank(LinReal((1,) * m, gens)))
         uniform_rank = None
-    seq = _random_parts(rng, m, rng.randint(1, cfg.max_n))
+    seq = _random_parts(rng, m, rng.randint(1, MAX_N))
     return {
         "matroid": mat.to_json(),
         "seq": seq.to_json(),
@@ -518,9 +518,9 @@ def _eval_basis_stats(cfg: TrialConfig, instance: Mapping) -> list[str]:
 
 
 def _gen_support_induction(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
-    blocks = rng.randint(1, min(cfg.max_m, 4))
-    real = _random_linreal(rng, blocks, 2, cfg.max_rank)
-    seq = _random_parts(rng, blocks, rng.randint(1, cfg.max_n), cover=True)
+    blocks = rng.randint(1, 4)
+    real = _random_linreal(rng, blocks, 2, MAX_RANK)
+    seq = _random_parts(rng, blocks, rng.randint(1, MAX_N), cover=True)
     return {"real": real.to_json(), "seq": seq.to_json()}
 
 

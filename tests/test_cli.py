@@ -146,6 +146,35 @@ class TestParsing:
         )
         assert data["matroid"] == {"m": 2, "rank": [0, 0, 1, 1]}
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("match", "--sets", '{"m":1,"sets":[[0.5]]}', "--alpha", "1"), "--sets"),
+            (("induce", "--sets", ONE, "--then", '{"m":1,"sets":[[1.0]]}', "--poly", X1), "--then"),
+            (("certify", "--poly", '{"nvars":1,"terms":[{"exp":[1],"coeff":"1/0"}]}'), "--poly"),
+            (("pminduce", "--support-of", '{"nvars":1,"terms":[{"exp":[1],"coeff":"1/0"}]}'), "--support-of"),
+            (("pminduce", "--pm", '{"sum":[{"free":[1,0.5]}]}'), "--pm"),
+            (("fpoly", "--sets", ONE, "--matroid", '{"uniform":[1,0.5]}'), "--matroid"),
+            (("pminduce", "--real", '{"blockdims":[1],"gens":[["1/0"]]}'), "--real"),
+            (("hallrado", "--real", '{"blockdims":[1],"gens":[["1/0"]]}', "--sets", ONE, "--delta", "0"), "--real"),
+            (("subst", "--sets", ONE, "--poly", X1, "--matrix", '[["1/0"]]'), "--matrix"),
+        ],
+    )
+    def test_every_json_flag_names_itself(self, capsys, argv, flag):
+        code, out, err = _call(capsys, *argv)
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert (payload["error"], payload["flag"]) == ("invalid-value", flag)
+
+    def test_matroid_shorthand_reads_free_first(self, capsys):
+        # as --pm does: {"free": [2, 1]} has only singleton bases, so no pair
+        # of parts is matched, where {"uniform": [2, 2]} would count one
+        both = '{"free":[2,1],"uniform":[2,2]}'
+        data = _json_out(capsys, "ct", "--sets", NARROW, "--topic", "1,2", "--matroid", both)
+        assert data == {"count": 0, "topic": [1, 2]}
+        data = _json_out(capsys, "ct", "--sets", NARROW, "--topic", "1,2", "--matroid", '{"free":[2,1]}')
+        assert data == {"count": 0, "topic": [1, 2]}
+
 
 class TestIntegerJson:
     """Non-integer counts, ranks and elements are refused, never truncated."""

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,12 @@ class TestSymmetricInertia:
             symmetric_inertia([[0.5]])
         assert symmetric_inertia([[0.5]], tol=1e-9).as_tuple() == (1, 0, 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_refused(self, bad):
+        # a NaN passes every comparison as False, so unchecked it reads as zero
+        with pytest.raises(ValueError, match="finite"):
+            symmetric_inertia([[bad, 1.0], [1.0, 0.0]], tol=1e-9)
+
     def test_float_tolerance_goldens(self):
         # the Schur complement 5e-10 sits below tol; its Bareiss-scaled entry
         # 1000 * 5e-10 does not, so the test must scale tol by the last pivot
@@ -207,6 +214,11 @@ class TestMConvex:
 
 
 class TestCertify:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_polynomial_not_certified(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            certify_lorentzian(FloatPoly(2, {(2, 0): bad, (1, 1): 1.0}), 1e-9)
+
     def test_zero_passes(self):
         report = certify_lorentzian(Poly.zero(3))
         assert report.verdict and report.checked_derivatives == 0

@@ -5,7 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lormatch import (
-    FloatOperatorBox,
     FloatPoly,
     OperatorBox,
     Poly,
@@ -223,7 +222,8 @@ class TestPowerBox:
     def test_sqrt_coefficient(self):
         box = OperatorBox((1,), 1, {(0,): Poly.constant(1, 1), (1,): Poly(1, {(1,): 4})})
         powered = power_box(box, Fraction(1, 2))
-        assert isinstance(powered, FloatOperatorBox)
+        assert isinstance(powered, OperatorBox)
+        assert all(isinstance(img, FloatPoly) for img in powered.table.values())
         assert powered.image((1,)).coefficient((1,)) == 2.0
 
     def test_q_out_of_range(self):
@@ -234,17 +234,20 @@ class TestPowerBox:
             power_box(box, Fraction(-1, 2))
 
     def test_table_kind_is_checked(self):
-        with pytest.raises(TypeError, match="Poly"):
-            OperatorBox((0,), 1, {(0,): FloatPoly(1, {(0,): 1.0})})
-        with pytest.raises(TypeError, match="FloatPoly"):
-            FloatOperatorBox((0,), 1, {(0,): Poly.constant(1, 1)})
+        mixed = {(0,): Poly.constant(1, 1), (1,): FloatPoly(1, {(1,): 1.0})}
+        with pytest.raises(TypeError, match="all Poly or all FloatPoly"):
+            OperatorBox((1,), 1, mixed)
+        with pytest.raises(TypeError, match="all Poly or all FloatPoly"):
+            OperatorBox((0,), 1, {(0,): "1"})
+        floats = OperatorBox((0,), 1, {(0,): FloatPoly(1, {(0,): 1.0})})
+        assert isinstance(symbol_of(floats), FloatPoly)
 
     def test_float_symbol_round_trip(self):
         # with kappa = (2, 2) every rescaling factor is a power of two, so
         # the float round trip is exact
         powered = power_box(inducing_box(NARROW, (2, 2)), Fraction(1, 3))
         back = box_from_symbol(symbol_of(powered), powered.kappa, powered.n_out)
-        assert isinstance(back, FloatOperatorBox)
+        assert isinstance(back.image((0, 0)), FloatPoly)
         assert back == powered
         assert back.to_json() == powered.to_json()
 

@@ -260,6 +260,11 @@ class TestFloatPoly:
         }
         assert fp.to_json("normalized")["terms"][1] == {"exp": [0, 2], "coeff": 0.5}
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FloatPoly(2, {(2, 0): bad, (1, 1): 1.0})
+
     def test_kinds_do_not_mix(self):
         exact = Poly(1, {(1,): 1})
         floating = FloatPoly(1, {(1,): 1.0})

@@ -1,6 +1,20 @@
 import pytest
 
-from lormatch import CHECKS, CheckResult, Polymatroid, TrialConfig, replay, run_all, run_check
+from lormatch import (
+    CHECKS,
+    CheckResult,
+    LinReal,
+    OperatorBox,
+    Poly,
+    Polymatroid,
+    SubsetSeq,
+    TrialConfig,
+    inducing_box,
+    match_count,
+    replay,
+    run_all,
+    run_check,
+)
 from lormatch import verification
 from lormatch.verification import _trial_rng
 
@@ -9,13 +23,12 @@ class TestTrialConfig:
     def test_defaults(self):
         cfg = TrialConfig()
         assert (cfg.seed, cfg.trials, cfg.tolerance) == (1, 100, 1e-9)
-        assert (cfg.max_m, cfg.max_n, cfg.max_rank, cfg.max_kappa) == (5, 5, 3, 2)
+        bounds = (verification.MAX_M, verification.MAX_N, verification.MAX_RANK, verification.MAX_KAPPA)
+        assert bounds == (5, 5, 3, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             TrialConfig(trials=0)
-        with pytest.raises(ValueError):
-            TrialConfig(max_m=0)
         with pytest.raises(ValueError):
             TrialConfig(tolerance=0.0)
         with pytest.raises(ValueError):
@@ -24,6 +37,47 @@ class TestTrialConfig:
     def test_json_echo(self):
         data = TrialConfig(seed=7).to_json()
         assert data["seed"] == 7 and data["trials"] == 100
+        # the fixed instance bounds stay in the echoed config
+        assert (data["max_m"], data["max_n"], data["max_rank"], data["max_kappa"]) == (5, 5, 3, 2)
+
+
+ONE_PART = SubsetSeq(2, (frozenset({1, 2}),))
+ONE_SET = {"m": 1, "sets": [[1]]}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SubsetSeq(2, (frozenset({1.5}),)),
+        lambda: match_count(ONE_PART, [1.7]),
+        lambda: LinReal((1.5,), ((1,),)),
+        lambda: OperatorBox((0,), 1, {(0.5,): Poly.constant(1, 1)}),
+        lambda: inducing_box(ONE_PART, (1, 1)).image((1.2, 0.9)),
+        lambda: CHECKS["symbol-support-egf"].evaluate(
+            TrialConfig(), {"seq": ONE_SET, "kappa": [1.5]}
+        ),
+        lambda: CHECKS["coefficient-power-family"].evaluate(
+            TrialConfig(), {"seq": ONE_SET, "kappa": [1.5]}
+        ),
+        lambda: CHECKS["base-membership-duality"].evaluate(
+            TrialConfig(),
+            {"pm": {"m": 1, "rank": [0, 1]}, "seq": ONE_SET, "delta": [1.9]},
+        ),
+    ],
+    ids=[
+        "subset-seq-part",
+        "match-count-topic",
+        "linreal-blockdims",
+        "operator-table-key",
+        "operator-image",
+        "symbol-support-kappa",
+        "power-family-kappa",
+        "base-membership-delta",
+    ],
+)
+def test_non_integer_counts_refused_not_truncated(call):
+    with pytest.raises(TypeError, match="integer"):
+        call()
 
 
 class TestDeterminism:
