@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from ._util import iter_box, vec_factorial
 from .matchings import SubsetSeq, _packed_sums, _unpack
-from .polynomials import FloatPoly, Poly
+from .polynomials import FloatPoly, Poly, _is_json_int
 
 
 def _checked_kappa(kappa: Sequence[int], m: int | None = None) -> tuple[int, ...]:
@@ -95,7 +95,10 @@ class OperatorBox:
         table = {
             tuple(row["alpha"]): Poly.from_json(row["poly"]) for row in obj["table"]
         }
-        return cls(tuple(obj["kappa"]), int(obj["n_out"]), table)
+        n_out = obj["n_out"]
+        if not _is_json_int(n_out):
+            raise ValueError(f"operator JSON needs an integer 'n_out', got {n_out!r}")
+        return cls(tuple(obj["kappa"]), n_out, table)
 
 
 def apply_inducing(seq: SubsetSeq, f: Poly) -> Poly:

@@ -367,22 +367,63 @@ def points_polymatroid(
     Every given point of full sum is a base point of the candidate, so the
     walk over the candidate's base points stops at the first one outside
     the set, and a count of the points it met rules out points of smaller
-    sum.  The table costs |points| * 2^nvars.
+    sum.  A base point is never negative, so a negative coordinate answers
+    None at once.
+
+    The table is filled on packed integers: column i of the points is one
+    int with a fixed-width field per point, so the partial sums of a mask
+    are one big-int addition away from its parent's, 2^nvars additions over
+    |points|-field integers in all.  A field holds at most the largest point
+    sum, below its top bit, so adding half - v to every field sets that bit
+    exactly where the field is >= v, without a carry into the next field.
+    The maximum is found by such threshold tests, galloping up from the
+    parent's maximum (a lower bound, as the columns are nonnegative).
     """
     if not points:
         return None
     columns = list(zip(*points))
+    if any(min(column) < 0 for column in columns):
+        return None
+    top = max(map(sum, points))
+    # top.bit_length() + 1 bits per field, rounded up to whole bytes
+    nbytes = (top.bit_length() + 8) // 8
+    half = 1 << (8 * nbytes - 1)
+    ones = int.from_bytes(b"\x01".ljust(nbytes, b"\x00") * len(points), "little")
+    high = half * ones
+
+    def pack(column: tuple[int, ...]) -> int:
+        raw = bytearray(nbytes * len(column))
+        for k in range(nbytes):
+            raw[k::nbytes] = bytes([(c >> 8 * k) & 255 for c in column])
+        return int.from_bytes(raw, "little")
+
+    packed = list(map(pack, columns))
     table = [0] * (1 << nvars)
 
-    def fill(mask: int, sums: list[int], low: int) -> None:
-        # masks depth first by adding higher bits; one partial-sum vector per depth
+    def fill(mask: int, sums: int, low: int) -> None:
+        # masks depth first by adding higher bits; one packed sum per depth
         for i in range(low, nvars):
             child = mask | 1 << i
-            grown = list(map(operator.add, sums, columns[i]))
-            table[child] = max(grown)
+            grown = sums + packed[i]
+            # some field reaches lo and none reaches hi; gallop, then bisect
+            base = lo = table[mask]
+            hi, step = top + 1, 1
+            while base + step < hi:
+                if not (grown + (half - base - step) * ones) & high:
+                    hi = base + step
+                    break
+                lo = base + step
+                step *= 2
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if (grown + (half - mid) * ones) & high:
+                    lo = mid
+                else:
+                    hi = mid
+            table[child] = lo
             fill(child, grown, i + 1)
 
-    fill(0, [0] * len(points), 0)
+    fill(0, 0, 0)
     try:
         candidate = Polymatroid(nvars, tuple(table))
     except AxiomViolation:

@@ -55,7 +55,7 @@ def _checked_exponent(exp: Sequence[int], nvars: int) -> ExpVec:
     out = tuple(map(operator.index, exp))
     if len(out) != nvars:
         raise ValueError(f"exponent {out} has length {len(out)}, expected {nvars}")
-    if any(e < 0 for e in out):
+    if out and min(out) < 0:
         raise ValueError(f"negative entry in exponent {out}")
     return out
 
@@ -104,6 +104,18 @@ class Poly:
         self._terms = data
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "Poly":
+        """Wrap checked data as is: nvars >= 1, exponent tuples of that
+        length with nonnegative entries, nonzero coefficients of the kind.
+
+        For library code only, on data it built or has just checked.
+        """
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out._terms = terms
+        return out
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
@@ -188,16 +200,10 @@ class Poly:
                 data[exp] = s
             else:
                 data.pop(exp, None)
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out._terms = data
-        return out
+        return Poly._trusted(self.nvars, data)
 
     def __neg__(self) -> "Poly":
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return Poly._trusted(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -216,10 +222,7 @@ class Poly:
                         data[key] = s
                     else:
                         data.pop(key, None)
-            out = Poly.__new__(Poly)
-            out.nvars = self.nvars
-            out._terms = data
-            return out
+            return Poly._trusted(self.nvars, data)
         c = _to_fraction(other)
         return self.scale(c)
 
@@ -228,10 +231,8 @@ class Poly:
 
     def scale(self, value) -> "Poly":
         c = _to_fraction(value)
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out._terms = {} if not c else {e: c * v for e, v in self._terms.items()}
-        return out
+        data = {e: c * v for e, v in self._terms.items()} if c else {}
+        return Poly._trusted(self.nvars, data)
 
     def __pow__(self, power: int) -> "Poly":
         if not isinstance(power, int) or power < 0:
@@ -272,12 +273,10 @@ class Poly:
 
     def multiaffine_part(self) -> "Poly":
         """Terms whose exponents are all 0 or 1."""
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out._terms = {
-            e: c for e, c in self._terms.items() if all(x <= 1 for x in e)
-        }
-        return out
+        return Poly._trusted(
+            self.nvars,
+            {e: c for e, c in self._terms.items() if all(x <= 1 for x in e)},
+        )
 
     def derivative_multi(self, gamma: Sequence[int]) -> "Poly":
         """Iterated partial derivative with multiplicities ``gamma``."""
@@ -397,7 +396,12 @@ class Poly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Poly":
-        """Read the `to_json` layout; every malformed input raises ValueError."""
+        """Read the `to_json` layout; every malformed input raises ValueError.
+
+        One pass: each row is checked once and the sums are wrapped by
+        `_trusted`.  `nvars >= 1` is tested after the rows, so a bad row
+        is reported first, as building `Poly(nvars, terms)` would.
+        """
         if not isinstance(obj, dict):
             raise ValueError("polynomial JSON must be an object")
         nvars = obj.get("nvars")
@@ -406,6 +410,7 @@ class Poly:
         basis = obj.get("basis", "plain")
         if basis not in ("plain", "normalized"):
             raise ValueError(f"unknown basis {basis!r}")
+        normalized = basis == "normalized"
         terms: dict[ExpVec, Fraction] = {}
         try:
             for row in obj.get("terms", []):
@@ -421,20 +426,29 @@ class Poly:
                     num, den = int(num), int(den)
                     if not den:
                         raise ValueError("coefficient denominator must be nonzero")
-                    c = Fraction(num, den)
                 elif "coeff" in row:
                     raw = row["coeff"]
                     if isinstance(raw, float):
                         raise ValueError("coefficients must be integers or strings")
-                    c = Fraction(raw) if isinstance(raw, str) else Fraction(int(raw))
+                    if isinstance(raw, str):
+                        c = Fraction(raw)
+                        num, den = c.numerator, c.denominator
+                    else:
+                        num, den = int(raw), 1
                 else:
                     raise ValueError("term needs 'num'/'den' or 'coeff'")
-                if basis == "normalized":
-                    c = c / vec_factorial(exp)
-                terms[exp] = terms.get(exp, Fraction(0)) + c
+                c = Fraction(num, den * vec_factorial(exp) if normalized else den)
+                if exp in terms:
+                    terms[exp] += c
+                else:
+                    terms[exp] = c
         except (TypeError, KeyError, ZeroDivisionError) as exc:
             raise ValueError(str(exc)) from exc
-        return cls(nvars, terms)
+        if nvars < 1:
+            raise ValueError("nvars must be >= 1")
+        if not all(terms.values()):
+            terms = {exp: c for exp, c in terms.items() if c}
+        return cls._trusted(nvars, terms)
 
 
 def elementary_symmetric(nvars: int, degree: int) -> Poly:

@@ -471,7 +471,7 @@ def _eval_capped(cfg: TrialConfig, instance: Mapping) -> list[str]:
     caps = {}
     for key, cap in instance["caps"].items():
         i, j = key.split("-")
-        caps[(int(i), int(j))] = int(cap)
+        caps[(int(i), int(j))] = operator.index(cap)
     return _capped_mismatches(seq, caps, instance["alpha"])
 
 

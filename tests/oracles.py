@@ -5,13 +5,16 @@ Lorentzian certification by a sweep over the whole degree box, base points
 by a scan of every box-bounded composition, the matroid induced by a
 polymatroid from its largest independent subsets, panel counts by testing
 every candidate subset for a perfect matching, the inducing operator by
-summing one Fraction per (alpha, beta) pair."""
+summing one Fraction per (alpha, beta) pair, the rank table of a point set
+by one partial sum per (mask, point), the polynomial JSON codec by parsing
+every row and then re-checking it in the `Poly` constructor."""
 
 from fractions import Fraction
 from itertools import combinations
 
 from lormatch import CertFailure, FloatPoly, LorentzReport, Poly, SubsetSeq, quad_inertia
 from lormatch._util import bounded_compositions, compositions, vec_factorial
+from lormatch.polynomials import _checked_exponent, _is_json_int
 
 
 def enumerate_matching(seq: SubsetSeq, alpha, beta, caps=None) -> bool:
@@ -264,3 +267,55 @@ def induce_matroid_literal(pm, seq) -> tuple:
         )
         for mask in range(1 << seq.n)
     )
+
+
+def points_rank_literal(points, nvars) -> tuple:
+    """For every subset I of the coordinates (bit i-1 is coordinate i), the
+    largest sum over I of one point's coordinates, each summed afresh."""
+    return tuple(
+        max(sum(p[i] for i in range(nvars) if mask >> i & 1) for p in points)
+        for mask in range(1 << nvars)
+    )
+
+
+def poly_from_json_two_pass(obj) -> Poly:
+    """`Poly.from_json` as two passes: each row parsed to a Fraction and
+    summed per exponent, then the whole dict re-checked by `Poly(nvars, ..)`,
+    which drops the sums that cancel."""
+    if not isinstance(obj, dict):
+        raise ValueError("polynomial JSON must be an object")
+    nvars = obj.get("nvars")
+    if not _is_json_int(nvars):
+        raise ValueError("polynomial JSON needs an integer 'nvars'")
+    basis = obj.get("basis", "plain")
+    if basis not in ("plain", "normalized"):
+        raise ValueError(f"unknown basis {basis!r}")
+    terms = {}
+    try:
+        for row in obj.get("terms", []):
+            raw_exp = row["exp"]
+            if isinstance(raw_exp, list) and not all(map(_is_json_int, raw_exp)):
+                raise ValueError(f"exponent entries must be integers, got {raw_exp}")
+            exp = _checked_exponent(raw_exp, nvars)
+            if "num" in row:
+                num = row["num"]
+                den = row.get("den", "1")
+                if isinstance(num, float) or isinstance(den, float):
+                    raise ValueError("coefficients must be integers or strings")
+                num, den = int(num), int(den)
+                if not den:
+                    raise ValueError("coefficient denominator must be nonzero")
+                c = Fraction(num, den)
+            elif "coeff" in row:
+                raw = row["coeff"]
+                if isinstance(raw, float):
+                    raise ValueError("coefficients must be integers or strings")
+                c = Fraction(raw) if isinstance(raw, str) else Fraction(int(raw))
+            else:
+                raise ValueError("term needs 'num'/'den' or 'coeff'")
+            if basis == "normalized":
+                c = c / vec_factorial(exp)
+            terms[exp] = terms.get(exp, Fraction(0)) + c
+    except (TypeError, KeyError, ZeroDivisionError) as exc:
+        raise ValueError(str(exc)) from exc
+    return Poly(nvars, terms)

@@ -161,6 +161,13 @@ class TestBoxes:
         box = inducing_box(NARROW, (1, 1))
         assert OperatorBox.from_json(box.to_json()) == box
 
+    @pytest.mark.parametrize("n_out", [1.9, 1.0, True, "1"])
+    def test_json_non_integer_n_out_refused(self, n_out):
+        data = inducing_box(SubsetSeq(1, (frozenset({1}),)), (1,)).to_json()
+        data["n_out"] = n_out
+        with pytest.raises(ValueError, match="integer 'n_out'"):
+            OperatorBox.from_json(data)
+
     @given(seq_kappa())
     @settings(max_examples=40, deadline=None)
     def test_table_agrees_with_apply(self, pair):

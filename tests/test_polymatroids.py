@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lormatch import (
@@ -30,7 +30,13 @@ from lormatch import polymatroids
 from lormatch.polymatroids import _walk_base_points, points_polymatroid
 from lormatch.polynomials import Poly
 
-from oracles import base_points_literal, induce_matroid_literal, polymatroid_axioms_literal
+from oracles import (
+    base_points_literal,
+    induce_matroid_literal,
+    m_convex_literal,
+    points_rank_literal,
+    polymatroid_axioms_literal,
+)
 
 WIDE = SubsetSeq(4, (frozenset({1, 2, 3, 4}), frozenset({2, 3}), frozenset({3, 4})))
 
@@ -103,6 +109,41 @@ def derived_tables(draw, depth=2):
     if family == "induced":
         return induce_polymatroid(source, seq)
     return induce_matroid(source, seq).underlying
+
+
+@st.composite
+def point_sets(draw):
+    """Base sets of library polymatroids, kept, cut, grown, or with one point
+    moved by e_j - e_i, sometimes past zero."""
+    pts = sorted(base_points(draw(derived_tables(depth=1))))
+    nvars = len(pts[0])
+    change = draw(st.sampled_from(["keep", "drop", "add", "move", "negative"]))
+    if change == "drop" and len(pts) > 1:
+        pts.pop(draw(st.integers(0, len(pts) - 1)))
+    elif change == "add":
+        pts.append(tuple(draw(st.integers(0, 3)) for _ in range(nvars)))
+    elif change in ("move", "negative") and nvars > 1:
+        k = draw(st.integers(0, len(pts) - 1))
+        i, j = draw(st.permutations(range(nvars)))[:2]
+        p = list(pts[k])
+        shift = p[i] + 1 if change == "negative" else 1
+        p[i] -= shift
+        p[j] += shift
+        pts[k] = tuple(p)
+    return frozenset(pts), nvars
+
+
+def _pin_wide_examples(test):
+    """Pin point sums at the byte boundaries of the packed fields."""
+    for s in (127, 128, 255, 256):
+        for case in (
+            (frozenset(base_points(free_polymatroid(2, s))), 2),
+            (frozenset({(s, 0), (0, s)}), 2),
+            (frozenset({(s,)}), 1),
+            (frozenset({(s - 1, 1, 0), (s - 1, 0, 1), (s, 0, 0)}), 3),
+        ):
+            test = example(case=case)(test)
+    return test
 
 
 def _count_validations(monkeypatch) -> list:
@@ -365,12 +406,30 @@ class TestSupportRecognition:
         with pytest.raises(ValueError):
             support_polymatroid(Poly(1, {(2,): -1}))
 
+    @given(point_sets())
+    @_pin_wide_examples
+    @settings(max_examples=150, deadline=None)
+    def test_candidate_matches_oracles(self, case):
+        points, nvars = case
+        pm = points_polymatroid(points, nvars)
+        nonnegative = all(c >= 0 for p in points for c in p)
+        one_degree = len({sum(p) for p in points}) == 1
+        assert (pm is not None) == (nonnegative and one_degree and m_convex_literal(points))
+        if pm is not None:
+            assert pm.rank == points_rank_literal(points, nvars)
+
+    def test_negative_coordinate_refused_before_any_table(self, monkeypatch):
+        seen = _count_validations(monkeypatch)
+        assert points_polymatroid({(2, -1), (1, 0), (0, 1)}, 2) is None
+        assert points_polymatroid({(1, 0), (0, 1)}, 2) is not None
+        assert seen == [2]
+
     def test_point_sets(self):
         assert points_polymatroid({(1, 0), (0, 1)}, 2) == free_polymatroid(2, 1)
         assert points_polymatroid(set(), 2) is None
         # every point is in the box, but (0, 1) has the smaller sum
         assert points_polymatroid({(1, 1), (2, 0), (0, 2), (0, 1)}, 2) is None
-        # a negative coordinate breaks monotonicity of the partial-sum table
+        # a base point is never negative
         assert points_polymatroid({(2, -1), (1, 0), (0, 1)}, 2) is None
         # r{1,2} + r{1,3} = 2 < r{1,2,3} + r{1} = 3: the candidate is not submodular
         with pytest.raises(AxiomViolation, match="submodularity"):

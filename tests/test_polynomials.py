@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lormatch import ANY_DEGREE, FloatPoly, Poly, elementary_symmetric
+from oracles import poly_from_json_two_pass
 
 
 def _coeffs():
@@ -207,6 +208,69 @@ class TestJson:
             return
         assert Poly.from_json(f.to_json()) == f
         assert Poly.from_json(f.to_json("normalized")) == f
+
+    @pytest.mark.parametrize(
+        "doc, expected",
+        [
+            # duplicate exponents are summed, and a sum that cancels is dropped
+            (
+                {"nvars": 2, "terms": [{"exp": [1, 0], "coeff": 1}, {"exp": [0, 1], "coeff": 2}, {"exp": [1, 0], "coeff": -1}]},
+                [((0, 1), Fraction(2))],
+            ),
+            # a sum that cancels midway keeps its first place in the term order
+            (
+                {"nvars": 2, "terms": [{"exp": [1, 0], "coeff": 1}, {"exp": [1, 0], "coeff": -1}, {"exp": [0, 1], "coeff": 1}, {"exp": [1, 0], "num": "2"}]},
+                [((1, 0), Fraction(2)), ((0, 1), Fraction(1))],
+            ),
+            ({"nvars": 1, "terms": [{"exp": [2], "coeff": "1/2"}, {"exp": [2], "num": -1, "den": 2}]}, []),
+            (
+                {"nvars": 2, "basis": "normalized", "terms": [{"exp": [2, 1], "num": "3", "den": "4"}, {"exp": [0, 3], "num": -1, "den": -3}]},
+                [((2, 1), Fraction(3, 8)), ((0, 3), Fraction(1, 18))],
+            ),
+            (
+                {"nvars": 2, "basis": "normalized", "terms": [{"exp": [3, 0], "coeff": "1/3"}, {"exp": [0, 2], "coeff": 5}, {"exp": [3, 0], "coeff": "0.5"}]},
+                [((3, 0), Fraction(5, 36)), ((0, 2), Fraction(5, 2))],
+            ),
+            # rows are read before nvars >= 1 is checked
+            ({"nvars": 0, "terms": [{"exp": [1], "coeff": 1}]}, "exponent (1,) has length 1, expected 0"),
+            ({"nvars": 0, "terms": [{"exp": [], "coeff": 0.5}]}, "coefficients must be integers or strings"),
+            ({"nvars": 0, "terms": [{"exp": [], "coeff": 1}]}, "nvars must be >= 1"),
+            ({"nvars": -1, "terms": [{"exp": [], "coeff": 1}]}, "exponent () has length 0, expected -1"),
+            ({"nvars": 0, "terms": [{"exp": "", "coeff": 1}]}, "nvars must be >= 1"),
+            ({"nvars": 1, "terms": [{"exp": "1", "coeff": 1}]}, "'str' object cannot be interpreted as an integer"),
+            ({"nvars": 1, "terms": [{"exp": [-1], "coeff": 1}]}, "negative entry in exponent (-1,)"),
+            ({"nvars": 1, "terms": [{"exp": [1], "coeff": "1/0"}]}, "Fraction(1, 0)"),
+            ({"nvars": 1, "terms": [{"exp": [1]}]}, "term needs 'num'/'den' or 'coeff'"),
+            ({"nvars": 1, "terms": [{"coeff": 1}]}, "'exp'"),
+        ],
+    )
+    def test_from_json_goldens(self, doc, expected):
+        self._same_as_two_pass(doc)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as info:
+                Poly.from_json(doc)
+            assert str(info.value) == expected
+        else:
+            assert list(Poly.from_json(doc).items()) == expected
+
+    @given(_poly_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_from_json_matches_two_pass(self, doc):
+        self._same_as_two_pass(doc)
+
+    @staticmethod
+    def _same_as_two_pass(doc):
+        """Same terms in the same order, or the same ValueError text."""
+        try:
+            want = poly_from_json_two_pass(doc)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                Poly.from_json(doc)
+            assert str(info.value) == str(exc)
+            return
+        got = Poly.from_json(doc)
+        assert got.nvars == want.nvars
+        assert list(got.items()) == list(want.items())
 
     def test_terms_sorted_graded_lex(self):
         f = Poly(2, {(0, 2): 1, (1, 0): 1, (2, 0): 1})

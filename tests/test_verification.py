@@ -134,6 +134,15 @@ class TestRunAndReplay:
         reasons = replay("symbol-support-egf", {"seq": {"m": 1}})
         assert reasons and reasons[0].startswith("exception:")
 
+    @pytest.mark.parametrize("cap", [0.5, 1.0, "1"])
+    def test_replay_non_integer_cap_is_reported(self, cap):
+        # a cap of 0.5 once truncated to 0, and the trivial instance passed
+        instance = {"mode": "random", "seq": {"m": 1, "sets": [[1]]}, "caps": {"1-1": cap}, "alpha": [1]}
+        reasons = replay("capped-matchings", instance)
+        assert reasons and reasons[0].startswith("exception: TypeError")
+        instance["caps"]["1-1"] = 0
+        assert replay("capped-matchings", instance) == []
+
     def test_failure_payload_is_replayable(self):
         # force a failing trial by corrupting a recorded instance
         cfg = TrialConfig(trials=2)
