@@ -25,42 +25,20 @@ def iter_box(bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
     return itertools.product(*(range(b + 1) for b in bounds))
 
 
-def compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """All nonnegative integer tuples of length ``slots`` summing to ``total``."""
-    if slots == 0:
+def bounded_compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Nonnegative tuples with the given sum and per-coordinate caps, lex order."""
+    if not caps:
         if total == 0:
             yield ()
         return
-    if slots == 1:
-        yield (total,)
+    if len(caps) == 1:
+        if 0 <= total <= caps[0]:
+            yield (total,)
         return
-    for head in range(total + 1):
-        for rest in compositions(total - head, slots - 1):
-            yield (head,) + rest
-
-
-def bounded_compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Nonnegative tuples with the given sum and per-coordinate caps, lex order."""
-    n = len(caps)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + caps[i]
-
-    def rec(i: int, rem: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            if rem == 0:
-                yield tuple(prefix)
-            return
-        lo = max(0, rem - suffix[i + 1])
-        hi = min(caps[i], rem)
-        for v in range(lo, hi + 1):
-            prefix.append(v)
-            yield from rec(i + 1, rem - v, prefix)
-            prefix.pop()
-
-    if total < 0:
-        return
-    yield from rec(0, total, [])
+    rest = caps[1:]
+    for head in range(max(0, total - sum(rest)), min(caps[0], total) + 1):
+        for tail in bounded_compositions(total - head, rest):
+            yield (head,) + tail
 
 
 def mask_to_elements(mask: int) -> tuple[int, ...]:

@@ -33,7 +33,6 @@ from .operators import (
     apply_inducing,
     apply_substitution,
     augment_with_singletons,
-    box_from_symbol,
     inducing_box,
     power_box,
     substitution_box,
@@ -313,10 +312,7 @@ def _cmd_symbol(args) -> int:
         except (ValueError, ZeroDivisionError) as exc:
             raise _domain("--q", exc) from exc
         box = power_box(box, q)
-        out = box if args.table else symbol_of(box)
-    else:
-        sym = symbol_of(box)
-        out = box_from_symbol(sym, kappa, seq.n) if args.table else sym
+    out = box if args.table else symbol_of(box)
     _emit(out.to_json(), args.pretty)
     return 0
 

@@ -21,16 +21,19 @@ derivatives that do not vanish, visited in lexicographic order.  Exact input
 is first scaled by the common denominator of that table, which changes no
 inertia, so every Hessian is an integer matrix.
 
-A support S in n variables larger than 2^n is tested through the polymatroid
-of its largest partial sums (Murota: M-convex sets are the integer points of
-integral base polytopes), which costs |S| * 2^n instead of the |S|^2 * n^2
-pair scan; a smaller support, or one that route rejects, goes through the
-pair scan, which also supplies the violating pair.
+A support S in n variables larger than 2^n is tested through
+`points_polymatroid` (Murota: M-convex sets are the integer points of
+integral base polytopes).  Its greedy rank table costs at most 2^n (n + |S|)
+membership probes, and the axiom check and the walk over the candidate's
+base points follow, instead of the |S|^2 * n^2 pair scan; a smaller support,
+or one that route rejects, goes through the pair scan, which also supplies
+the violating pair.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -108,18 +111,19 @@ def is_m_convex(
     confirm, so the witness is always the first violating pair in sorted
     order.
     """
-    index = {tuple(int(c) for c in v) for v in supp}
-    pts = sorted(index)
-    if not pts:
+    index = {tuple(map(operator.index, v)) for v in supp}
+    if not index:
         return True, None
-    nvars = len(pts[0])
-    if any(len(p) != nvars for p in pts):
+    first = next(iter(index))
+    nvars = len(first)
+    if any(len(p) != nvars for p in index):
         raise ValueError("support vectors must have equal length")
-    total = sum(pts[0])
-    if any(sum(p) != total for p in pts):
+    total = sum(first)
+    if any(sum(p) != total for p in index):
         raise ValueError("mixed degrees in support")
-    if len(pts) > 1 << nvars and points_polymatroid(index, nvars) is not None:
+    if len(index) > 1 << nvars and points_polymatroid(index, nvars) is not None:
         return True, None
+    pts = sorted(index)
     for a in pts:
         for b in pts:
             for i in range(nvars):

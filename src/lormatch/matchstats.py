@@ -107,12 +107,13 @@ class StatTable:
     def __post_init__(self) -> None:
         checked = {}
         for key, count in self.rows.items():
-            t = tuple(int(v) for v in key)
+            t = tuple(map(operator.index, key))
+            count = operator.index(count)
             if len(t) != self.r:
                 raise ValueError(f"row {t} does not have size {self.r}")
             if count <= 0:
                 raise ValueError(f"row {t} has nonpositive count {count}")
-            checked[t] = int(count)
+            checked[t] = count
         object.__setattr__(self, "rows", checked)
 
     def count(self, topic: Iterable[int]) -> int:

@@ -37,6 +37,12 @@ def _checked_kappa(kappa: Sequence[int], m: int | None = None) -> tuple[int, ...
     return out
 
 
+def _json_ints(value, name: str) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)) or not all(map(_is_json_int, value)):
+        raise ValueError(f"operator JSON needs integer '{name}' entries, got {value!r}")
+    return tuple(value)
+
+
 def _checked_table(kappa, n_out, table):
     if n_out < 1:
         raise ValueError("output variable count must be >= 1")
@@ -93,12 +99,13 @@ class OperatorBox:
         if not isinstance(obj, dict) or not {"kappa", "n_out", "table"} <= set(obj):
             raise ValueError("operator JSON needs 'kappa', 'n_out', and 'table'")
         table = {
-            tuple(row["alpha"]): Poly.from_json(row["poly"]) for row in obj["table"]
+            _json_ints(row["alpha"], "alpha"): Poly.from_json(row["poly"])
+            for row in obj["table"]
         }
         n_out = obj["n_out"]
         if not _is_json_int(n_out):
             raise ValueError(f"operator JSON needs an integer 'n_out', got {n_out!r}")
-        return cls(tuple(obj["kappa"]), n_out, table)
+        return cls(_json_ints(obj["kappa"], "kappa"), n_out, table)
 
 
 def apply_inducing(seq: SubsetSeq, f: Poly) -> Poly:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Mapping, Sequence
 
-from ._util import bounded_compositions, compositions, iter_box, vec_factorial
+from ._util import bounded_compositions, iter_box, vec_factorial
 from .lorentzian import certify_lorentzian, is_m_convex, quad_inertia
 from .matchings import (
     SubsetSeq,
@@ -433,7 +433,7 @@ def _gen_capped(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
         if rng.random() < 0.7:
             caps[f"{i}-{j}"] = rng.randint(0, 2)
     total = rng.randint(0, 4)
-    alpha = list(rng.choice(sorted(compositions(total, seq.m))))
+    alpha = list(rng.choice(sorted(bounded_compositions(total, (total,) * seq.m))))
     return {"mode": "random", "seq": seq.to_json(), "caps": caps, "alpha": alpha}
 
 
@@ -441,7 +441,8 @@ def _capped_mismatches(
     seq: SubsetSeq, caps: Mapping[tuple[int, int], int], alpha: Sequence[int]
 ) -> list[str]:
     out = []
-    for beta in compositions(sum(alpha), seq.n):
+    total = sum(alpha)
+    for beta in bounded_compositions(total, (total,) * seq.n):
         flow = admits_restricted(seq, caps, alpha, beta)
         scan = _enumerate_restricted(seq, caps, alpha, beta)
         if flow != scan:
@@ -462,7 +463,7 @@ def _eval_capped(cfg: TrialConfig, instance: Mapping) -> list[str]:
                 for cap in (0, 1, 2):
                     caps = {edge: cap for edge in seq.edges()}
                     for total in range(5):
-                        for alpha in compositions(total, m):
+                        for alpha in bounded_compositions(total, (total,) * m):
                             reasons.extend(_capped_mismatches(seq, caps, alpha))
                             if len(reasons) > 5:
                                 return reasons

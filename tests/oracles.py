@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from lormatch import CertFailure, FloatPoly, LorentzReport, Poly, SubsetSeq, quad_inertia
-from lormatch._util import bounded_compositions, compositions, vec_factorial
+from lormatch._util import bounded_compositions, vec_factorial
 from lormatch.polynomials import _checked_exponent, _is_json_int
 
 
@@ -62,7 +62,7 @@ def matched_degrees_box(seq: SubsetSeq, alpha) -> frozenset:
     """All matched column sums, found by filtering the full composition box."""
     return frozenset(
         beta
-        for beta in compositions(sum(alpha), seq.n)
+        for beta in bounded_compositions(sum(alpha), (sum(alpha),) * seq.n)
         if enumerate_matching(seq, alpha, beta)
     )
 

@@ -365,7 +365,7 @@ OPERATION_COVERAGE = {
     "base_points": ("pminduce", "--pm", '{"free":[2,2]}', "--points"),
     "basis_match_count": ("ct", "--sets", WIDE, "--topic", "1,2", "--matroid", '{"uniform":[4,2]}'),
     "basis_match_poly": ("fpoly", "--sets", WIDE, "--matroid", '{"uniform":[4,2]}'),
-    "box_from_symbol": ("symbol", "--sets", NARROW, "--kappa", "1,1", "--table"),
+    "box_from_symbol": ("symbol", "--sets", NARROW, "--kappa", "1,1", "--q", "1/2", "--table"),
     "caps_from_json": ("match", "--sets", NARROW, "--alpha", "1,1", "--beta", "1,1,0", "--caps", '{"1-1":1}'),
     "certify_lorentzian": ("certify", "--poly", X1X2),
     "compose_seq": ("induce", "--sets", '{"m":2,"sets":[[1],[1],[2],[2]]}', "--then", '{"m":4,"sets":[[1,3],[2,4]]}', "--poly", X1X2),

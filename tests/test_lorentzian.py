@@ -13,7 +13,7 @@ from lormatch import (
     quad_inertia,
     symmetric_inertia,
 )
-from lormatch._util import compositions
+from lormatch._util import bounded_compositions
 from lormatch.lorentzian import _inertia
 
 from oracles import certify_literal, charpoly_inertia, m_convex_literal, m_convex_witness
@@ -53,7 +53,7 @@ def supports(draw, max_size=20):
     # 35 candidates in 4 variables they land on both sides of |S| = 2^n
     dim = draw(st.integers(2, 4))
     total = draw(st.integers(0, 4))
-    pool = sorted(compositions(total, dim))
+    pool = sorted(bounded_compositions(total, (total,) * dim))
     return draw(st.sets(st.sampled_from(pool), max_size=max_size))
 
 
@@ -63,7 +63,7 @@ def certify_inputs(draw):
     nvars = draw(st.integers(1, 4))
     degree = draw(st.integers(0, 4))
     shape = draw(st.sampled_from(("product", "simplex", "subset")))
-    pool = sorted(compositions(degree, nvars))
+    pool = sorted(bounded_compositions(degree, (degree,) * nvars))
     weights = st.fractions(min_value=Fraction(1, 4), max_value=9, max_denominator=4)
     if shape == "product":
         # products of nonnegative linear forms are Lorentzian
@@ -83,7 +83,7 @@ def certify_inputs(draw):
         flip = draw(st.sampled_from(sorted(terms)))
         terms[flip] = -terms[flip]
     if draw(st.integers(0, 9)) == 0:
-        terms[draw(st.sampled_from(sorted(compositions(degree + 1, nvars))))] = Fraction(1)
+        terms[draw(st.sampled_from(sorted(bounded_compositions(degree + 1, (degree + 1,) * nvars))))] = Fraction(1)
     if draw(st.booleans()):
         return Poly(nvars, terms), None
     floats = {e: float(c) for e, c in terms.items()}
@@ -194,13 +194,18 @@ class TestMConvex:
         assert is_m_convex(set())[0]
         assert is_m_convex({(3, 0)})[0]
 
+    def test_float_points_refused(self):
+        # truncation would read these as (1, 0) and (0, 1), an M-convex pair
+        with pytest.raises(TypeError):
+            is_m_convex([(1.7, 0.2), (0.9, 1.0)])
+
     def test_mixed_degrees_rejected(self):
         with pytest.raises(ValueError):
             is_m_convex({(1, 0), (1, 1)})
 
     def test_dense_support_goldens(self):
         # 15 points in 3 variables: above 2^3, so the polymatroid route decides
-        full = set(compositions(4, 3))
+        full = set(bounded_compositions(4, (4,) * 3))
         assert is_m_convex(full) == (True, None)
         full.discard((2, 1, 1))
         assert is_m_convex(full) == (False, ((1, 1, 2), (3, 0, 1)))

@@ -156,6 +156,11 @@ class TestStatTable:
         assert lines[0] == "T,count"
         assert lines[1:] == ["1,4", "2,2", "3,2"]
 
+    @pytest.mark.parametrize("rows", [{(1.5,): 2}, {(1,): 2.0}])
+    def test_float_rows_refused(self, rows):
+        with pytest.raises(TypeError):
+            StatTable(1, rows)
+
     def test_zero_rows_dropped(self):
         table = stat_table(SubsetSeq(1, (frozenset({1}), frozenset())), 1)
         assert table.rows == {(1,): 1}

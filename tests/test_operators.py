@@ -168,6 +168,15 @@ class TestBoxes:
         with pytest.raises(ValueError, match="integer 'n_out'"):
             OperatorBox.from_json(data)
 
+    @pytest.mark.parametrize("bad", [[True], [1.0], ["1"], 1])
+    def test_json_non_integer_kappa_and_alpha_refused(self, bad):
+        data = inducing_box(SubsetSeq(1, (frozenset({1}),)), (1,)).to_json()
+        with pytest.raises(ValueError, match="integer 'kappa'"):
+            OperatorBox.from_json({**data, "kappa": bad})
+        data["table"][1]["alpha"] = bad
+        with pytest.raises(ValueError, match="integer 'alpha'"):
+            OperatorBox.from_json(data)
+
     @given(seq_kappa())
     @settings(max_examples=40, deadline=None)
     def test_table_agrees_with_apply(self, pair):

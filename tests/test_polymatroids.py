@@ -230,6 +230,10 @@ class TestValidation:
             Matroid(free_polymatroid(2, 2))
         assert err.value.axiom == "cardinality-bound"
 
+    def test_float_rank_refused(self):
+        with pytest.raises(TypeError):
+            Polymatroid(1, (0, 1.0))
+
     def test_bad_table_shape(self):
         with pytest.raises(ValueError):
             validate_polymatroid((0, 1, 1))
@@ -345,6 +349,11 @@ class TestBasePoints:
         assert not in_base_polytope(pm, (1, 0))
         assert not in_base_polytope(pm, (-1, 3))
 
+    @pytest.mark.parametrize("vec", [(1.0, 1.0), (1.5, 0.5)])
+    def test_in_base_polytope_refuses_floats(self, vec):
+        with pytest.raises(TypeError):
+            in_base_polytope(free_polymatroid(2, 2), vec)
+
     def test_base_egf_coefficients(self):
         f = base_egf(free_polymatroid(2, 2))
         assert f.coefficient((2, 0)) == Fraction(1, 2)
@@ -424,6 +433,17 @@ class TestSupportRecognition:
         assert points_polymatroid({(1, 0), (0, 1)}, 2) is not None
         assert seen == [2]
 
+    def test_four_cycle_needs_the_axiom_check(self):
+        # the greedy table of this non-M-convex set fails submodularity, yet
+        # its base points are exactly the set: only the axiom check refuses it
+        cycle = {(0, 0, 1, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)}
+        greedy = (0, 1, 1, 1, 1, 2, 2, 2, 1, 2, 1, 2, 2, 2, 2, 2)
+        with pytest.raises(AxiomViolation, match="submodularity"):
+            Polymatroid(4, greedy)
+        assert set(_walk_base_points(Polymatroid._derived(4, greedy))) == cycle
+        assert not m_convex_literal(cycle)
+        assert points_polymatroid(cycle, 4) is None
+
     def test_point_sets(self):
         assert points_polymatroid({(1, 0), (0, 1)}, 2) == free_polymatroid(2, 1)
         assert points_polymatroid(set(), 2) is None
@@ -431,11 +451,15 @@ class TestSupportRecognition:
         assert points_polymatroid({(1, 1), (2, 0), (0, 2), (0, 1)}, 2) is None
         # a base point is never negative
         assert points_polymatroid({(2, -1), (1, 0), (0, 1)}, 2) is None
-        # r{1,2} + r{1,3} = 2 < r{1,2,3} + r{1} = 3: the candidate is not submodular
+        # the largest partial sums of these points are not submodular
+        # (r{1,2} + r{1,3} = 2 < r{1,2,3} + r{1} = 3); the greedy table starts
+        # from (0, 1, 1), the point of largest sum, and has it as its one base
+        # point, so the walk meets one point of two
         with pytest.raises(AxiomViolation, match="submodularity"):
             Polymatroid(3, (0, 1, 1, 1, 1, 1, 2, 2))
         assert points_polymatroid({(0, 1, 1), (1, 0, 0)}, 3) is None
-        # the candidate table is the valid free(2, 2); the walk meets (1, 1)
+        # no exchange stays in the set, so the greedy table is valid with one
+        # base point, the starting one, and the walk meets one point of two
         assert points_polymatroid({(2, 0), (0, 2)}, 2) is None
         all_of_three = {(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)}
         assert len(all_of_three) == 10
