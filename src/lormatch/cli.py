@@ -59,7 +59,7 @@ from .polymatroids import (
     validate_polymatroid,
 )
 from .polynomials import Poly, _is_json_int, elementary_symmetric
-from .verification import CHECKS, TrialConfig, replay, run_check
+from .verification import CHECKS, TrialConfig, replay, run_all, run_check
 
 SEED_ENV = "LORMATCH_SEED"
 TOLERANCE_ENV = "LORMATCH_TOLERANCE"
@@ -213,12 +213,7 @@ def _cmd_match(args) -> int:
     alpha = _parse_list(args.alpha, "--alpha", int)
     caps = None
     if args.caps is not None:
-        try:
-            caps = caps_from_json(seq, _parse_json(args.caps, "--caps"))
-        except TypeError as exc:
-            # a cap that is no integer is a bad value of the flag; a payload
-            # of the wrong shape keeps its plain domain error
-            raise _domain("--caps", exc) from exc
+        caps = _parse_with(lambda data: caps_from_json(seq, data), args.caps, "--caps")
     if args.beta is None:
         if caps is not None:
             raise UsageError("--caps requires --beta")
@@ -447,14 +442,13 @@ def _cmd_verify(args) -> int:
             args.pretty,
         )
         return 0 if not reasons else 1
-    names = [args.check] if args.check is not None else list(CHECKS)
+    results = [run_check(args.check, cfg)] if args.check is not None else run_all(cfg)
     all_passed = True
-    for name in names:
-        result = run_check(name, cfg)
+    for result in results:
         _emit(result.to_json(), False)
         if args.pretty:
             status = "pass" if result.passed else "FAIL"
-            sys.stderr.write(f"{name}: {status} ({result.trials} trials)\n")
+            sys.stderr.write(f"{result.name}: {status} ({result.trials} trials)\n")
         all_passed = all_passed and result.passed
     _emit({"all_passed": all_passed, "config": cfg.to_json()}, args.pretty)
     return 0 if all_passed else 1

@@ -4,7 +4,9 @@ An operator is stored as the table of images of the normalized monomials
 x^alpha/alpha! for all alpha below a fixed box bound.  The symbol packs the
 whole table into one polynomial in the output variables y plus one tracking
 variable u per input variable; it is invertible, which makes coefficient
-surgery (fractional powers, reweighted singleton families) mechanical.
+surgery on it (fractional powers) mechanical.  The substitution operator
+and the reweighted singleton family replace each variable by a linear form,
+so they are built by `Poly.substitute` on each table entry instead.
 
 One `OperatorBox` holds both coefficient kinds: exact `Poly` images, or the
 `FloatPoly` images that fractional powers produce.  Only the polynomial types
@@ -137,20 +139,23 @@ def apply_inducing(seq: SubsetSeq, f: Poly) -> Poly:
     return Poly(seq.n, data)
 
 
-def _checked_matrix(
+def _linear_images(
     seq: SubsetSeq, matrix: Sequence[Sequence] | None
-) -> list[list[Fraction]]:
+) -> list[Poly]:
+    """The images sum_j w_ij y_j of x_1..x_m, with weights 1 on the edges
+    when no matrix is given.  An explicit matrix must be m x n, exact,
+    nonnegative, and nonzero exactly on the incidences of the sequence."""
     if matrix is None:
-        return [
-            [Fraction(1 if seq.has_edge(i, j) else 0) for j in range(1, seq.n + 1)]
+        matrix = [
+            [int(seq.has_edge(i, j)) for j in range(1, seq.n + 1)]
             for i in range(1, seq.m + 1)
         ]
     rows = [list(r) for r in matrix]
     if len(rows) != seq.m or any(len(r) != seq.n for r in rows):
         raise ValueError(f"matrix must be {seq.m} x {seq.n}")
-    out = []
+    images = []
     for i, row in enumerate(rows, start=1):
-        checked = []
+        terms = {}
         for j, v in enumerate(row, start=1):
             if isinstance(v, float):
                 raise TypeError("exact rational entries required, got float")
@@ -161,9 +166,9 @@ def _checked_matrix(
                 raise ValueError(
                     f"weight pattern differs from the sequence at ({i},{j})"
                 )
-            checked.append(value)
-        out.append(checked)
-    return out
+            terms[tuple(int(t == j - 1) for t in range(seq.n))] = value
+        images.append(Poly(seq.n, terms))
+    return images
 
 
 def apply_substitution(
@@ -176,15 +181,7 @@ def apply_substitution(
     """
     if f.nvars != seq.m:
         raise ValueError(f"polynomial in {f.nvars} variables, sequence over 1..{seq.m}")
-    weights = _checked_matrix(seq, matrix)
-    images = []
-    for i in range(1, seq.m + 1):
-        terms = {}
-        for j in seq.parts_containing(i):
-            exp = tuple(int(t == j - 1) for t in range(seq.n))
-            terms[exp] = weights[i - 1][j - 1]
-        images.append(Poly(seq.n, terms))
-    return f.substitute(images, seq.n)
+    return f.substitute(_linear_images(seq, matrix), seq.n)
 
 
 def inducing_box(seq: SubsetSeq, kappa: Sequence[int]) -> OperatorBox:
@@ -205,11 +202,11 @@ def substitution_box(
 ) -> OperatorBox:
     """Box table of the substitution operator with the given edge weights."""
     k = _checked_kappa(kappa, seq.m)
-    weights = _checked_matrix(seq, matrix)
+    images = _linear_images(seq, matrix)
     table = {}
     for alpha in iter_box(k):
         mono = Poly.monomial(seq.m, alpha, Fraction(1, vec_factorial(alpha)))
-        table[alpha] = apply_substitution(seq, weights, mono)
+        table[alpha] = mono.substitute(images, seq.n)
     return OperatorBox(k, seq.n, table)
 
 
@@ -311,28 +308,19 @@ def tab_family_box(
 ) -> OperatorBox:
     """Two-parameter family interpolating the inducing and substitution operators.
 
-    Build the singleton-augmented sequence, take the symbol of its inducing
-    box, rescale the variable of original part i by a_i and collapse the
-    k-th singleton's variable onto its owner part with weight b_k, then
-    invert the symbol.  a = 1, b = 0 recovers the inducing operator exactly;
-    a = 0, b = 1 recovers the substitution operator.
+    Build the inducing box of the singleton-augmented sequence, then collapse
+    each of its images: the variable of original part i becomes a_i * y_i and
+    the k-th singleton's variable becomes b_k * y_owner.  a = 1, b = 0
+    recovers the inducing operator exactly; a = 0, b = 1 recovers the
+    substitution operator.
     """
     k = _checked_kappa(kappa, seq.m)
     owners = _singleton_owners(seq)
     a_w = _checked_weights(a, seq.n, "a")
     b_w = _checked_weights(b, len(owners), "b")
-    augmented = augment_with_singletons(seq)
-    sym = symbol_of(inducing_box(augmented, k))
-    n, m = seq.n, seq.m
-    nvars_out = n + m
-    images = []
-    for i in range(n):
-        exp = tuple(int(t == i) for t in range(nvars_out))
-        images.append(Poly.monomial(nvars_out, exp, a_w[i]))
-    for idx, owner in enumerate(owners):
-        exp = tuple(int(t == owner - 1) for t in range(nvars_out))
-        images.append(Poly.monomial(nvars_out, exp, b_w[idx]))
-    for t in range(m):
-        images.append(Poly.variable(nvars_out, n + t))
-    collapsed = sym.substitute(images, nvars_out)
-    return box_from_symbol(collapsed, k, n)
+    n = seq.n
+    images = [Poly.variable(n, i).scale(w) for i, w in enumerate(a_w)]
+    images += [Poly.variable(n, owner - 1).scale(w) for owner, w in zip(owners, b_w)]
+    box = inducing_box(augment_with_singletons(seq), k)
+    table = {alpha: image.substitute(images, n) for alpha, image in box.table.items()}
+    return OperatorBox(k, n, table)

@@ -296,7 +296,13 @@ class Poly:
         return type(self)(self.nvars, data)
 
     def substitute(self, images: Sequence["Poly"], nvars_out: int) -> "Poly":
-        """Replace variable i by images[i]; all images live in nvars_out variables."""
+        """Replace variable i by images[i]; all images live in nvars_out variables.
+
+        One loop over the terms: each multiplies in images[v] ** e, expanded
+        once per (v, e) and kept as a term list, and the products are summed
+        into one dict.  A zero image has no terms, so every term that uses
+        its variable drops out.
+        """
         if len(images) != self.nvars:
             raise ValueError(
                 f"need {self.nvars} images, got {len(images)}"
@@ -304,51 +310,26 @@ class Poly:
         for img in images:
             if img.nvars != nvars_out:
                 raise ValueError("image arity differs from nvars_out")
-        if all(len(img) <= 1 for img in images):
-            # monomial images: map terms directly
-            data: dict[ExpVec, Fraction] = {}
-            for exp, c in self._terms.items():
-                coeff = c
-                acc = [0] * nvars_out
-                dead = False
-                for v, e in enumerate(exp):
-                    if e == 0:
-                        continue
-                    img = images[v]
-                    if not img:
-                        dead = True
-                        break
-                    (iexp, ic), = img._terms.items()
-                    coeff *= ic ** e
-                    for t, ee in enumerate(iexp):
-                        if ee:
-                            acc[t] += ee * e
-                if dead:
-                    continue
-                key = tuple(acc)
-                s = data.get(key, Fraction(0)) + coeff
-                if s:
-                    data[key] = s
-                else:
-                    data.pop(key, None)
-            return Poly(nvars_out, data)
-        cache: dict[tuple[int, int], Poly] = {}
-
-        def img_pow(v: int, e: int) -> Poly:
-            got = cache.get((v, e))
-            if got is None:
-                got = images[v] ** e
-                cache[(v, e)] = got
-            return got
-
-        total = Poly.zero(nvars_out)
+        powers: dict[tuple[int, int], list] = {}
+        one = (0,) * nvars_out
+        data: dict[ExpVec, Fraction] = {}
         for exp, c in self._terms.items():
-            term = Poly.constant(nvars_out, c)
+            partial = {one: c}
             for v, e in enumerate(exp):
-                if e:
-                    term = term * img_pow(v, e)
-            total = total + term
-        return total
+                if not e:
+                    continue
+                factor = powers.get((v, e))
+                if factor is None:
+                    factor = powers[v, e] = list((images[v] ** e)._terms.items())
+                product: dict[ExpVec, Fraction] = {}
+                for e1, c1 in partial.items():
+                    for e2, c2 in factor:
+                        key = tuple(map(operator.add, e1, e2))
+                        product[key] = product.get(key, 0) + c1 * c2
+                partial = product
+            for key, value in partial.items():
+                data[key] = data.get(key, 0) + value
+        return Poly._trusted(nvars_out, {key: c for key, c in data.items() if c})
 
     # -- evaluation ----------------------------------------------------------
 

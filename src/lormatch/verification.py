@@ -144,17 +144,20 @@ def _random_seq(
     return _random_parts(rng, rng.randint(1, max_m), rng.randint(1, max_n), cover)
 
 
+def _random_gens(rng: random.Random, max_rows: int, ncols: int) -> tuple:
+    """Up to max_rows generator rows of ncols entries in -2..2."""
+    rows = rng.randint(0, max_rows)
+    return tuple(
+        tuple(Fraction(rng.randint(-2, 2)) for _ in range(ncols))
+        for _ in range(rows)
+    )
+
+
 def _random_linreal(
     rng: random.Random, blocks: int, max_dim: int, max_rows: int
 ) -> LinReal:
     dims = tuple(rng.randint(1, max_dim) for _ in range(blocks))
-    rows = rng.randint(0, max_rows)
-    ncols = sum(dims)
-    gens = tuple(
-        tuple(Fraction(rng.randint(-2, 2)) for _ in range(ncols))
-        for _ in range(rows)
-    )
-    return LinReal(dims, gens)
+    return LinReal(dims, _random_gens(rng, max_rows, sum(dims)))
 
 
 def _random_polymatroid(rng: random.Random, m: int, max_rank: int) -> Polymatroid:
@@ -164,12 +167,7 @@ def _random_polymatroid(rng: random.Random, m: int, max_rank: int) -> Polymatroi
     if flavor == "uniform":
         return uniform_matroid(m, rng.randint(0, min(m, max_rank))).underlying
     if flavor == "linear":
-        rows = rng.randint(0, max_rank)
-        gens = tuple(
-            tuple(Fraction(rng.randint(-2, 2)) for _ in range(m))
-            for _ in range(rows)
-        )
-        return linreal_rank(LinReal((1,) * m, gens))
+        return linreal_rank(LinReal((1,) * m, _random_gens(rng, max_rank, m)))
     if flavor == "sum" and m >= 2:
         split = rng.randint(1, m - 1)
         r1 = rng.randint(0, max_rank)
@@ -486,12 +484,7 @@ def _gen_basis_stats(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
         mat = uniform_matroid(m, r)
         uniform_rank = r
     else:
-        rows = rng.randint(0, MAX_RANK)
-        gens = tuple(
-            tuple(Fraction(rng.randint(-2, 2)) for _ in range(m))
-            for _ in range(rows)
-        )
-        mat = Matroid(linreal_rank(LinReal((1,) * m, gens)))
+        mat = Matroid(linreal_rank(LinReal((1,) * m, _random_gens(rng, MAX_RANK, m))))
         uniform_rank = None
     seq = _random_parts(rng, m, rng.randint(1, MAX_N))
     return {

@@ -7,12 +7,25 @@ polymatroid from its largest independent subsets, panel counts by testing
 every candidate subset for a perfect matching, the inducing operator by
 summing one Fraction per (alpha, beta) pair, the rank table of a point set
 by one partial sum per (mask, point), the polynomial JSON codec by parsing
-every row and then re-checking it in the `Poly` constructor."""
+every row and then re-checking it in the `Poly` constructor, substitution by
+the ring operations term by term, and the two-parameter operator family by
+collapsing its symbol."""
 
 from fractions import Fraction
 from itertools import combinations
 
-from lormatch import CertFailure, FloatPoly, LorentzReport, Poly, SubsetSeq, quad_inertia
+from lormatch import (
+    CertFailure,
+    FloatPoly,
+    LorentzReport,
+    Poly,
+    SubsetSeq,
+    augment_with_singletons,
+    box_from_symbol,
+    inducing_box,
+    quad_inertia,
+    symbol_of,
+)
 from lormatch._util import bounded_compositions, vec_factorial
 from lormatch.polynomials import _checked_exponent, _is_json_int
 
@@ -77,6 +90,31 @@ def apply_inducing_literal(seq: SubsetSeq, f: Poly) -> Poly:
         for beta in matched_degrees_box(seq, exp):
             data[beta] = data.get(beta, Fraction(0)) + norm / vec_factorial(beta)
     return Poly(seq.n, data)
+
+
+def substitute_literal(f: Poly, images, nvars_out: int) -> Poly:
+    """f with variable v replaced by images[v]: the sum over the terms of
+    c * prod_v images[v] ** e_v, built with the ring operations alone."""
+    total = Poly.zero(nvars_out)
+    for exp, c in f.items():
+        term = Poly.constant(nvars_out, c)
+        for image, e in zip(images, exp):
+            term = term * image ** e
+        total = total + term
+    return total
+
+
+def tab_family_via_symbol(seq: SubsetSeq, a, b, kappa):
+    """The two-parameter family through the symbol of the augmented inducing
+    box: y-variables collapsed to a_i y_i and b_k y_owner, u-variables kept,
+    and the table read back from the collapsed symbol."""
+    n, m = seq.n, seq.m
+    owners = [i for i, part in enumerate(seq.sets) for _ in part]
+    sym = symbol_of(inducing_box(augment_with_singletons(seq), kappa))
+    images = [Poly.variable(n + m, i) * Fraction(w) for i, w in enumerate(a)]
+    images += [Poly.variable(n + m, i) * Fraction(w) for i, w in zip(owners, b)]
+    images += [Poly.variable(n + m, n + t) for t in range(m)]
+    return box_from_symbol(substitute_literal(sym, images, n + m), kappa, n)
 
 
 def _sign_changes(values) -> int:

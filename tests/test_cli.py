@@ -1,5 +1,6 @@
 import inspect
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -111,7 +112,8 @@ class TestParsing:
         )
         assert code == 1
         assert json.loads(out) == {
-            "error": "domain",
+            "error": "invalid-value",
+            "flag": "--caps",
             "detail": "edge caps JSON must be an object",
         }
 
@@ -158,6 +160,7 @@ class TestParsing:
             (("pminduce", "--real", '{"blockdims":[1],"gens":[["1/0"]]}'), "--real"),
             (("hallrado", "--real", '{"blockdims":[1],"gens":[["1/0"]]}', "--sets", ONE, "--delta", "0"), "--real"),
             (("subst", "--sets", ONE, "--poly", X1, "--matrix", '[["1/0"]]'), "--matrix"),
+            (("match", "--sets", ONE, "--alpha", "1", "--beta", "1", "--caps", '{"1-2":1}'), "--caps"),
         ],
     )
     def test_every_json_flag_names_itself(self, capsys, argv, flag):
@@ -356,8 +359,8 @@ class TestVerifySubcommand:
 # one working invocation per public library function; the walk below asserts
 # nothing public is missing from this table
 OPERATION_COVERAGE = {
-    "admits_matching": ("match", "--sets", WIDE, "--alpha", "0,2,2,1", "--beta", "2,2,1"),
-    "admits_restricted": ("match", "--sets", NARROW, "--alpha", "1,1", "--beta", "1,1,0", "--caps", '{"1-1":1,"2-2":1}'),
+    "admits_matching": ("hallrado", "--pm", '{"free":[2,2]}', "--sets", '{"m":2,"sets":[[1],[2]]}', "--delta", "1,1"),
+    "admits_restricted": ("verify", "--check", "capped-matchings", "--replay", '{"mode":"random","seq":{"m":1,"sets":[[1]]},"caps":{"1-1":1},"alpha":[1]}'),
     "apply_inducing": ("induce", "--sets", NARROW, "--poly", X1X2),
     "apply_substitution": ("subst", "--sets", NARROW, "--poly", X1X2),
     "augment_with_singletons": ("tab-family", "--sets", NARROW, "--a", "1,1,1", "--b", "0,0,0,0", "--kappa", "1,1"),
@@ -397,7 +400,7 @@ OPERATION_COVERAGE = {
     "symmetric_inertia": ("certify", "--poly", X1X2, "--quadratic"),
     "tab_family_box": ("tab-family", "--sets", NARROW, "--a", "1,1,1", "--b", "0,0,0,0", "--kappa", "1,1"),
     "uniform_matroid": ("pminduce", "--pm", '{"uniform":[3,2]}'),
-    "validate_polymatroid": ("pminduce", "--pm", '{"m":2,"rank":[0,1,1,2]}'),
+    "validate_polymatroid": ("pminduce", "--pm", '{"rank":[0,1,1,2]}'),
 }
 
 
@@ -412,8 +415,20 @@ class TestOperationCoverage:
 
     @pytest.mark.parametrize("op", sorted(OPERATION_COVERAGE))
     def test_invocation_succeeds(self, capsys, op):
-        code, out, _ = _call(capsys, *OPERATION_COVERAGE[op])
+        reached = set()
+
+        def spy(frame, event, arg):
+            if event == "call":
+                reached.add(frame.f_code)
+
+        previous = sys.getprofile()
+        sys.setprofile(spy)
+        try:
+            code, out, _ = _call(capsys, *OPERATION_COVERAGE[op])
+        finally:
+            sys.setprofile(previous)
         assert code == 0, out
+        assert getattr(lormatch, op).__code__ in reached
 
     def test_all_subcommands_enumerated(self):
         commands = {argv[0] for argv in OPERATION_COVERAGE.values()}

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from lormatch import (
     tab_family_box,
 )
 from lormatch._util import iter_box, vec_factorial
-from oracles import apply_inducing_literal
+from oracles import apply_inducing_literal, tab_family_via_symbol
 
 NARROW = SubsetSeq(2, (frozenset({1}), frozenset({2}), frozenset({1, 2})))
 WIDE = SubsetSeq(4, (frozenset({1, 2, 3, 4}), frozenset({2, 3}), frozenset({3, 4})))
@@ -41,6 +42,18 @@ def seq_kappa(draw, max_m=3, max_n=3, max_k=2):
     seq = draw(seqs(max_m, max_n))
     kappa = tuple(draw(st.integers(0, max_k)) for _ in range(seq.m))
     return seq, kappa
+
+
+@st.composite
+def seq_weights(draw, max_k=3):
+    """A sequence, positive rational weights on exactly its edges, and a box."""
+    seq, kappa = draw(seq_kappa(max_k=max_k))
+    weight = st.fractions(min_value=Fraction(1, 6), max_value=5, max_denominator=6)
+    matrix = [
+        [draw(weight) if seq.has_edge(i, j) else 0 for j in range(1, seq.n + 1)]
+        for i in range(1, seq.m + 1)
+    ]
+    return seq, matrix, kappa
 
 
 @st.composite
@@ -211,6 +224,40 @@ class TestSymbol:
             yexp, uexp = exp[: NARROW.n], exp[NARROW.n :]
             assert c == Fraction(kfact, vec_factorial(yexp) * vec_factorial(uexp))
 
+    # Branden-Huh (2020): the symbol of T is T[(x+u)^kappa], where
+    # (x+u)^kappa = sum over alpha <= kappa of C(kappa, alpha) x^alpha u^(kappa-alpha)
+    @given(seq_kappa(max_k=3))
+    @settings(max_examples=40, deadline=None)
+    def test_inducing_symbol_is_image_of_seed(self, pair):
+        seq, kappa = pair
+        m = seq.m
+        # u_i is element m+i, matched only to its own singleton part
+        tracked = SubsetSeq(
+            2 * m, seq.sets + tuple(frozenset({m + i}) for i in range(1, m + 1))
+        )
+        seed = Poly(
+            2 * m,
+            {
+                alpha + tuple(k - a for k, a in zip(kappa, alpha)):
+                math.prod(map(math.comb, kappa, alpha))
+                for alpha in iter_box(kappa)
+            },
+        )
+        assert symbol_of(inducing_box(seq, kappa)) == apply_inducing(tracked, seed)
+
+    @given(seq_weights())
+    @settings(max_examples=40, deadline=None)
+    def test_substitution_symbol_is_product(self, case):
+        seq, matrix, kappa = case
+        n, m = seq.n, seq.m
+        expected = Poly.constant(n + m, 1)
+        for i in range(m):
+            form = Poly.variable(n + m, n + i)
+            for j in range(n):
+                form = form + Poly.variable(n + m, j) * matrix[i][j]
+            expected = expected * form ** kappa[i]
+        assert symbol_of(substitution_box(seq, matrix, kappa)) == expected
+
     def test_oversized_u_rejected(self):
         sym = Poly(3, {(0, 0, 2): 1})  # u exponent 2 > kappa = (1,)
         with pytest.raises(ValueError):
@@ -302,6 +349,16 @@ class TestTabFamily:
         assert tab_family_box(seq, [0] * seq.n, [1] * n_single, kappa) == substitution_box(
             seq, None, kappa
         )
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_symbol_route(self, data):
+        seq, kappa = data.draw(seq_kappa(max_m=2, max_n=2, max_k=2))
+        weight = st.fractions(min_value=0, max_value=3, max_denominator=4)
+        a = data.draw(st.lists(weight, min_size=seq.n, max_size=seq.n))
+        n_single = sum(len(s) for s in seq.sets)
+        b = data.draw(st.lists(weight, min_size=n_single, max_size=n_single))
+        assert tab_family_box(seq, a, b, kappa) == tab_family_via_symbol(seq, a, b, kappa)
 
     def test_arity_checked(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lormatch import ANY_DEGREE, FloatPoly, Poly, elementary_symmetric
-from oracles import poly_from_json_two_pass
+from oracles import poly_from_json_two_pass, substitute_literal
 
 
 def _coeffs():
@@ -27,6 +27,28 @@ def poly_pairs(draw, max_vars=3, max_deg=2, max_terms=3):
     exps = st.tuples(*([st.integers(0, max_deg)] * nvars))
     terms = st.dictionaries(exps, _coeffs(), max_size=max_terms)
     return Poly(nvars, draw(terms)), Poly(nvars, draw(terms))
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial and one image per variable: zero, constant, monomial or
+    several terms, all in the same few output variables."""
+    f = draw(polys(max_terms=4))
+    nvars_out = draw(st.integers(1, 3))
+    exps = st.tuples(*([st.integers(0, 2)] * nvars_out))
+    images = []
+    for _ in range(f.nvars):
+        kind = draw(st.sampled_from(["zero", "constant", "monomial", "terms"]))
+        if kind == "zero":
+            images.append(Poly.zero(nvars_out))
+        elif kind == "constant":
+            images.append(Poly.constant(nvars_out, draw(_coeffs())))
+        elif kind == "monomial":
+            images.append(Poly.monomial(nvars_out, draw(exps), draw(_coeffs())))
+        else:
+            terms = draw(st.dictionaries(exps, _coeffs(), min_size=2, max_size=3))
+            images.append(Poly(nvars_out, terms))
+    return f, images, nvars_out
 
 
 class TestConstruction:
@@ -118,6 +140,20 @@ class TestCalculusAndStructure:
         f = Poly(2, {(1, 1): 1, (0, 2): 1})
         images = [Poly.zero(1), Poly.variable(1, 0)]
         assert f.substitute(images, 1) == Poly(1, {(2,): 1})
+
+    @given(substitutions())
+    # x1 -> y1 and x2 -> -y1 cancel, and x3 -> 0 drops x3^2: the image is 0
+    @example(
+        (
+            Poly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 2): 1}),
+            [Poly.variable(1, 0), -Poly.variable(1, 0), Poly.zero(1)],
+            1,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_substitute_against_literal(self, case):
+        f, images, nvars_out = case
+        assert f.substitute(images, nvars_out) == substitute_literal(f, images, nvars_out)
 
     def test_eval_exact(self):
         f = Poly(2, {(1, 1): 2, (2, 0): 1})
