@@ -1,4 +1,7 @@
-"""Shared enumeration and factorial helpers."""
+"""Shared enumeration and factorial helpers, and `_inertia`, the one exact
+elimination: `lorentzian` reads every inertia from it and
+`polymatroids.linreal_rank` every realization rank (the nonzero eigenvalues
+of a Gram matrix), both without an import cycle."""
 
 from __future__ import annotations
 
@@ -51,3 +54,68 @@ def mask_to_elements(mask: int) -> tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(out)
+
+
+def _swap_symmetric(work: list[list], i: int, j: int) -> None:
+    if i == j:
+        return
+    work[i], work[j] = work[j], work[i]
+    for row in work:
+        row[i], row[j] = row[j], row[i]
+
+
+def _inertia(work: list[list], tol: float | None = None) -> tuple[int, int, int]:
+    """Inertia of a symmetric matrix, overwriting it: the one elimination.
+
+    Symmetric Bareiss elimination: after k steps the trailing block holds
+    D_k times the Schur complement, D_k being the k-th leading principal
+    minor (D_0 = 1), so the sign of the k-th eigenvalue of the LDL^T form is
+    sign(D_k) * sign(D_{k-1}).  On Python ints (tol None) each division by
+    the previous pivot is exact and an entry is zero when it is 0.  On floats
+    an entry is negligible when its Schur-complement value is at most tol,
+    that is |entry| <= tol * |D_{k-1}|.  When the remaining diagonal is
+    negligible but a_ij is not, x_i -> x_i + x_j (a unimodular congruence)
+    puts a_ii + 2 a_ij + a_jj on the diagonal.
+    """
+    n = len(work)
+    pos = neg = 0
+    prev = 1
+    for k in range(n):
+        cut = 0 if tol is None else tol * abs(prev)
+        for p in range(k, n):
+            if abs(work[p][p]) > cut:
+                break
+        else:
+            for p in range(k, n):
+                row_p = work[p]
+                for j in range(p + 1, n):
+                    if abs(row_p[j]) > cut:
+                        break
+                else:
+                    continue
+                break
+            else:
+                return pos, neg, n - k
+            row_j = work[j]
+            for c in range(k, n):
+                row_p[c] += row_j[c]
+            for row in work[k:]:
+                row[p] += row[j]
+        _swap_symmetric(work, k, p)
+        pivot = work[k][k]
+        if (pivot > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        row_k = work[k]
+        for r in range(k + 1, n):
+            row_r = work[r]
+            factor = row_r[k]
+            if tol is None:
+                for c in range(k + 1, n):
+                    row_r[c] = (pivot * row_r[c] - factor * row_k[c]) // prev
+            else:
+                for c in range(k + 1, n):
+                    row_r[c] = (pivot * row_r[c] - factor * row_k[c]) / prev
+        prev = pivot
+    return pos, neg, 0

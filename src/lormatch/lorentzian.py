@@ -5,7 +5,8 @@ support is M-convex (it satisfies the symmetric exchange axiom) and every
 iterated partial derivative down to degree 2 has a Hessian with at most one
 positive eigenvalue (Braenden-Huh).
 
-Every inertia here comes from one congruence elimination, `_inertia`:
+Every inertia here comes from one congruence elimination, `_inertia` in
+`_util.py` (shared with the realization ranks of `polymatroids`):
 symmetric fraction-free (Bareiss) elimination, run on Python ints for exact
 input and on floats under a pivot tolerance.  `symmetric_inertia` scales an
 exact matrix to integers by the common denominator of its entries before
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._util import grlex_key, vec_factorial
+from ._util import _inertia, grlex_key, vec_factorial
 from .polymatroids import points_polymatroid
 from .polynomials import FloatPoly, Poly
 
@@ -143,14 +144,6 @@ def is_m_convex(
     return True, None
 
 
-def _swap_symmetric(work: list[list], i: int, j: int) -> None:
-    if i == j:
-        return
-    work[i], work[j] = work[j], work[i]
-    for row in work:
-        row[i], row[j] = row[j], row[i]
-
-
 def symmetric_inertia(matrix: Sequence[Sequence], tol: float | None = None) -> Inertia:
     """Inertia by congruence elimination.
 
@@ -183,63 +176,6 @@ def symmetric_inertia(matrix: Sequence[Sequence], tol: float | None = None) -> I
             if abs(work[i][j] - work[j][i]) > gap_cut:
                 raise ValueError("symmetric matrix required")
     return Inertia(*_inertia(work, tol))
-
-
-def _inertia(work: list[list], tol: float | None = None) -> tuple[int, int, int]:
-    """Inertia of a symmetric matrix, overwriting it: the one elimination.
-
-    Symmetric Bareiss elimination: after k steps the trailing block holds
-    D_k times the Schur complement, D_k being the k-th leading principal
-    minor (D_0 = 1), so the sign of the k-th eigenvalue of the LDL^T form is
-    sign(D_k) * sign(D_{k-1}).  On Python ints (tol None) each division by
-    the previous pivot is exact and an entry is zero when it is 0.  On floats
-    an entry is negligible when its Schur-complement value is at most tol,
-    that is |entry| <= tol * |D_{k-1}|.  When the remaining diagonal is
-    negligible but a_ij is not, x_i -> x_i + x_j (a unimodular congruence)
-    puts a_ii + 2 a_ij + a_jj on the diagonal.
-    """
-    n = len(work)
-    pos = neg = 0
-    prev = 1
-    for k in range(n):
-        cut = 0 if tol is None else tol * abs(prev)
-        for p in range(k, n):
-            if abs(work[p][p]) > cut:
-                break
-        else:
-            for p in range(k, n):
-                row_p = work[p]
-                for j in range(p + 1, n):
-                    if abs(row_p[j]) > cut:
-                        break
-                else:
-                    continue
-                break
-            else:
-                return pos, neg, n - k
-            row_j = work[j]
-            for c in range(k, n):
-                row_p[c] += row_j[c]
-            for row in work[k:]:
-                row[p] += row[j]
-        _swap_symmetric(work, k, p)
-        pivot = work[k][k]
-        if (pivot > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
-        row_k = work[k]
-        for r in range(k + 1, n):
-            row_r = work[r]
-            factor = row_r[k]
-            if tol is None:
-                for c in range(k + 1, n):
-                    row_r[c] = (pivot * row_r[c] - factor * row_k[c]) // prev
-            else:
-                for c in range(k + 1, n):
-                    row_r[c] = (pivot * row_r[c] - factor * row_k[c]) / prev
-        prev = pivot
-    return pos, neg, 0
 
 
 def quad_inertia(q: Poly | FloatPoly, tol: float | None = None) -> Inertia:

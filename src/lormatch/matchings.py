@@ -99,9 +99,6 @@ class MatchWitness:
 
     weights: Mapping[Edge, int]
 
-    def weight(self, i: int, j: int) -> int:
-        return self.weights.get((i, j), 0)
-
     def row_sums(self, m: int) -> tuple[int, ...]:
         out = [0] * m
         for (i, _), w in self.weights.items():

@@ -200,13 +200,19 @@ def inducing_box(seq: SubsetSeq, kappa: Sequence[int]) -> OperatorBox:
 def substitution_box(
     seq: SubsetSeq, matrix: Sequence[Sequence] | None, kappa: Sequence[int]
 ) -> OperatorBox:
-    """Box table of the substitution operator with the given edge weights."""
+    """Box table of the substitution operator with the given edge weights;
+    each image_i^e / e! is expanded once and alpha multiplies its picks."""
     k = _checked_kappa(kappa, seq.m)
     images = _linear_images(seq, matrix)
-    table = {}
-    for alpha in iter_box(k):
-        mono = Poly.monomial(seq.m, alpha, Fraction(1, vec_factorial(alpha)))
-        table[alpha] = mono.substitute(images, seq.n)
+    powers = [
+        [(img**e).scale(Fraction(1, math.factorial(e))) for e in range(top + 1)]
+        for img, top in zip(images, k)
+    ]
+    one = Poly.constant(seq.n, 1)
+    table = {
+        alpha: math.prod((powers[i][a] for i, a in enumerate(alpha)), start=one)
+        for alpha in iter_box(k)
+    }
     return OperatorBox(k, seq.n, table)
 
 

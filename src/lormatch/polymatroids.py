@@ -17,17 +17,19 @@ arguments are in range), `direct_sum`, `induce_polymatroid` (f(union of the
 parts in T) is a polymatroid when f is; Edmonds 1970, McDiarmid 1975) and
 the Edmonds rank table of `induce_matroid`, whose `Matroid` wrapper still
 checks the cardinality bound.  The randomized harness re-validates induced
-tables at run time (`verification.py`).
+tables at run time (`verification.py`).  `linreal_rank` reads each rank off
+the inertia of a Gram matrix, through the one exact elimination in `_util`.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
-from ._util import mask_to_elements, vec_factorial
+from ._util import _inertia, mask_to_elements, vec_factorial
 from .matchings import SubsetSeq, admits_matching
 from .polynomials import Poly, _is_json_int
 
@@ -130,11 +132,6 @@ class Polymatroid:
     @property
     def full_rank(self) -> int:
         return self.rank[self.full_mask]
-
-    def rank_mask(self, mask: int) -> int:
-        if not 0 <= mask <= self.full_mask:
-            raise ValueError(f"mask {mask} out of range")
-        return self.rank[mask]
 
     def rank_of(self, elements: Iterable[int]) -> int:
         mask = 0
@@ -489,32 +486,19 @@ class LinReal:
         return cls(tuple(dims), rows)
 
 
-def _rat_rank(rows: list[list[Fraction]]) -> int:
-    """Row rank by exact Gaussian elimination."""
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col] / prow[col]
-            if factor:
-                target = rows[r]
-                for c in range(col, ncols):
-                    target[c] -= factor * prow[c]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def linreal_rank(real: LinReal) -> Polymatroid:
-    """Rank of a block set = dimension of the projection of the row span."""
+    """Rank of a block set = dimension of the projection of the row span.
+
+    Each generator row is scaled to integers by the lcm of its denominators
+    (a nonzero row scale keeps the span).  For the columns C of a block set,
+    rank(G_C) = rank(G_C G_C^T), and that Gram matrix is positive
+    semidefinite, so its rank is its count of nonzero eigenvalues, read from
+    the one exact elimination `_inertia`.
+    """
+    rows = []
+    for row in real.gens:
+        scale = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (scale // v.denominator) for v in row])
     table = []
     for mask in range(1 << real.m):
         cols = [
@@ -523,7 +507,10 @@ def linreal_rank(real: LinReal) -> Polymatroid:
             if mask >> i & 1
             for c in real.block_columns(i + 1)
         ]
-        table.append(_rat_rank([[row[c] for c in cols] for row in real.gens]))
+        picked = [[row[c] for c in cols] for row in rows]
+        gram = [[sum(map(operator.mul, a, b)) for b in picked] for a in picked]
+        n_pos, n_neg, _ = _inertia(gram)
+        table.append(n_pos + n_neg)
     return Polymatroid(real.m, tuple(table))
 
 

@@ -249,10 +249,6 @@ class Poly:
 
     # -- structure -----------------------------------------------------------
 
-    def total_degree(self) -> int:
-        """Largest term degree; 0 for the zero polynomial."""
-        return max((sum(e) for e in self._terms), default=0)
-
     def degree_profile(self) -> ExpVec:
         """Per-variable maximum exponent over the support."""
         prof = [0] * self.nvars
@@ -402,14 +398,14 @@ class Poly:
                 if "num" in row:
                     num = row["num"]
                     den = row.get("den", "1")
-                    if isinstance(num, float) or isinstance(den, float):
+                    if isinstance(num, (float, bool)) or isinstance(den, (float, bool)):
                         raise ValueError("coefficients must be integers or strings")
                     num, den = int(num), int(den)
                     if not den:
                         raise ValueError("coefficient denominator must be nonzero")
                 elif "coeff" in row:
                     raw = row["coeff"]
-                    if isinstance(raw, float):
+                    if isinstance(raw, (float, bool)):
                         raise ValueError("coefficients must be integers or strings")
                     if isinstance(raw, str):
                         c = Fraction(raw)

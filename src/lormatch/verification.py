@@ -336,7 +336,11 @@ def _eval_base_membership(cfg: TrialConfig, instance: Mapping) -> list[str]:
     except InternalCheckError as exc:
         return reasons + [f"membership paths disagree: {exc}"]
     expected = instance.get("expected")
-    if expected is not None and member is not bool(expected):
+    if expected is None:
+        return reasons
+    if not isinstance(expected, bool):
+        raise TypeError(f"'expected' must be null or a JSON bool, got {expected!r}")
+    if member is not expected:
         reasons.append(f"membership is {member}, expected {expected}")
     return reasons
 
@@ -503,7 +507,8 @@ def _eval_basis_stats(cfg: TrialConfig, instance: Mapping) -> list[str]:
     if not report.verdict:
         reasons.append(f"certification failed ({report.failure.kind})")
     r = instance.get("uniform_rank")
-    if r is not None and int(r) <= seq.m and g != match_poly(seq, int(r)):
+    r = None if r is None else operator.index(r)
+    if r is not None and r <= seq.m and g != match_poly(seq, r):
         reasons.append("uniform-matroid restriction differs from the plain statistic")
     return reasons
 

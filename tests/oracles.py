@@ -8,8 +8,9 @@ every candidate subset for a perfect matching, the inducing operator by
 summing one Fraction per (alpha, beta) pair, the rank table of a point set
 by one partial sum per (mask, point), the polynomial JSON codec by parsing
 every row and then re-checking it in the `Poly` constructor, substitution by
-the ring operations term by term, and the two-parameter operator family by
-collapsing its symbol."""
+the ring operations term by term, the two-parameter operator family by
+collapsing its symbol, and the rank of a linear realization by Gaussian
+elimination on Fractions, column by column."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -338,7 +339,7 @@ def poly_from_json_two_pass(obj) -> Poly:
             if "num" in row:
                 num = row["num"]
                 den = row.get("den", "1")
-                if isinstance(num, float) or isinstance(den, float):
+                if isinstance(num, (float, bool)) or isinstance(den, (float, bool)):
                     raise ValueError("coefficients must be integers or strings")
                 num, den = int(num), int(den)
                 if not den:
@@ -346,7 +347,7 @@ def poly_from_json_two_pass(obj) -> Poly:
                 c = Fraction(num, den)
             elif "coeff" in row:
                 raw = row["coeff"]
-                if isinstance(raw, float):
+                if isinstance(raw, (float, bool)):
                     raise ValueError("coefficients must be integers or strings")
                 c = Fraction(raw) if isinstance(raw, str) else Fraction(int(raw))
             else:
@@ -357,3 +358,23 @@ def poly_from_json_two_pass(obj) -> Poly:
     except (TypeError, KeyError, ZeroDivisionError) as exc:
         raise ValueError(str(exc)) from exc
     return Poly(nvars, terms)
+
+
+def rank_literal(real, mask) -> int:
+    """Row rank of the generator columns of the blocks in `mask` (bit i-1 is
+    block i), by Gaussian elimination on Fractions."""
+    cols = [
+        c for i in range(1, real.m + 1) if mask >> (i - 1) & 1 for c in real.block_columns(i)
+    ]
+    rows = [[Fraction(row[c]) for c in cols] for row in real.gens]
+    rank = 0
+    for col in range(len(cols)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank

@@ -14,6 +14,8 @@ NARROW = '{"m":2,"sets":[[1],[2],[1,2]]}'
 X1X2 = '{"nvars":2,"terms":[{"exp":[1,1],"coeff":1}]}'
 ONE = '{"m":1,"sets":[[1]]}'
 X1 = '{"nvars":1,"terms":[{"exp":[1],"coeff":1}]}'
+BASIS_STATS = '{"matroid":{"m":2,"rank":[0,1,1,2]},"seq":{"m":2,"sets":[[1],[2]]}}'
+MEMBERSHIP = '{"pm":{"m":2,"rank":[0,1,1,2]},"seq":{"m":2,"sets":[[1],[2]]},"delta":[1,1]}'
 
 
 def _call(capsys, *argv):
@@ -131,6 +133,19 @@ class TestParsing:
             (
                 '{"nvars":1,"terms":[{"exp":[1],"num":"1","den":0}]}',
                 "coefficient denominator must be nonzero",
+            ),
+            # a JSON true is a bool, never the coefficient 1
+            (
+                '{"nvars":1,"terms":[{"exp":[2],"coeff":true}]}',
+                "coefficients must be integers or strings",
+            ),
+            (
+                '{"nvars":1,"terms":[{"exp":[2],"num":true}]}',
+                "coefficients must be integers or strings",
+            ),
+            (
+                '{"nvars":1,"terms":[{"exp":[2],"num":1,"den":true}]}',
+                "coefficients must be integers or strings",
             ),
         ],
     )
@@ -345,6 +360,46 @@ class TestVerifySubcommand:
             "error": "invalid-value",
             "flag": "--replay",
         }
+
+    @pytest.mark.parametrize(
+        "check, doc, expected",
+        [
+            (
+                "basis-restricted-stats",
+                BASIS_STATS[:-1] + ',"uniform_rank":2.7}',
+                '{"check":"basis-restricted-stats","passed":false,"reasons":["exception: '
+                'TypeError(\\"\'float\' object cannot be interpreted as an integer\\")"]}\n',
+            ),
+            (
+                "basis-restricted-stats",
+                BASIS_STATS[:-1] + ',"uniform_rank":"2"}',
+                '{"check":"basis-restricted-stats","passed":false,"reasons":["exception: '
+                'TypeError(\\"\'str\' object cannot be interpreted as an integer\\")"]}\n',
+            ),
+            (
+                "base-membership-duality",
+                MEMBERSHIP[:-1] + ',"expected":"false"}',
+                '{"check":"base-membership-duality","passed":false,"reasons":["exception: '
+                'TypeError(\\"\'expected\' must be null or a JSON bool, got \'false\'\\")"]}\n',
+            ),
+            (
+                "base-membership-duality",
+                MEMBERSHIP[:-1] + ',"expected":1}',
+                '{"check":"base-membership-duality","passed":false,"reasons":["exception: '
+                'TypeError(\\"\'expected\' must be null or a JSON bool, got 1\\")"]}\n',
+            ),
+            (
+                "base-membership-duality",
+                MEMBERSHIP[:-1] + ',"expected":false}',
+                '{"check":"base-membership-duality","passed":false,"reasons":'
+                '["membership is True, expected False"]}\n',
+            ),
+        ],
+    )
+    def test_replay_fields_read_as_written(self, capsys, check, doc, expected):
+        # a count is an integer and a verdict a JSON bool: 2.7, "2", "false"
+        # and 1 are refused, never truncated or read by truthiness
+        assert _call(capsys, "verify", "--check", check, "--replay", doc) == (1, expected, "")
 
     def test_unknown_check(self, capsys):
         code, out, _ = _call(capsys, "verify", "--check", "nope")

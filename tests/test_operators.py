@@ -201,6 +201,20 @@ class TestBoxes:
             )
             assert box.image(alpha) == expected
 
+    def test_substitution_box_expands_each_power_once(self, monkeypatch):
+        calls = []
+        power = Poly.__pow__
+
+        def counted(self, e):
+            calls.append(e)
+            return power(self, e)
+
+        monkeypatch.setattr(Poly, "__pow__", counted)
+        cycle = SubsetSeq(4, tuple(frozenset(p) for p in ({1, 2}, {2, 3}, {3, 4}, {4, 1})))
+        substitution_box(cycle, None, (3, 3, 3, 3))
+        # one expansion per (variable, exponent): sum of (kappa_i + 1)
+        assert len(calls) <= 16
+
 
 class TestSymbol:
     def test_symbol_round_trip(self):

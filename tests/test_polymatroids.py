@@ -36,6 +36,7 @@ from oracles import (
     m_convex_literal,
     points_rank_literal,
     polymatroid_axioms_literal,
+    rank_literal,
 )
 
 WIDE = SubsetSeq(4, (frozenset({1, 2, 3, 4}), frozenset({2, 3}), frozenset({3, 4})))
@@ -52,6 +53,23 @@ def linreals(draw, max_blocks=3, max_dim=2, max_rows=3):
         for _ in range(rows)
     )
     return LinReal(dims, gens)
+
+
+@st.composite
+def fractional_linreals(draw):
+    """Blocks of width 0-3 and up to 5 rows of fractional and zero entries;
+    some rows combine two earlier ones, so that ranks drop."""
+    dims = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)))
+    cell = st.just(Fraction(0)) | st.fractions(-4, 4, max_denominator=6)
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c, d = draw(cell), draw(cell)
+            rows.append(tuple(c * x + d * y for x, y in zip(a, b)))
+        else:
+            rows.append(draw(st.tuples(*[cell] * sum(dims))))
+    return LinReal(dims, tuple(rows))
 
 
 @st.composite
@@ -472,6 +490,19 @@ class TestLinReal:
         assert linreal_rank(diag) == free_polymatroid(2, 2)
         assert linreal_rank(LinReal((1, 1), ((1, 1),))) == uniform_matroid(2, 1).underlying
         assert linreal_rank(LinReal((1, 1), ())) == Polymatroid(2, (0, 0, 0, 0))
+        # the second row is twice the first, which only shows once each row
+        # is scaled by the lcm of its denominators; block 2 has width 0
+        half = (Fraction(1, 2), Fraction(1, 3), Fraction(2))
+        real = LinReal((2, 0, 1), (half, (1, Fraction(2, 3), 4), (0, 0, 0)))
+        assert linreal_rank(real).rank == (0, 1, 0, 1, 1, 1, 1, 1)
+        assert linreal_rank(LinReal((0,), ((), ()))).rank == (0, 0)
+        assert linreal_rank(LinReal((0, 1), ((Fraction(-3, 7),),))).rank == (0, 0, 1, 1)
+
+    @given(fractional_linreals())
+    @settings(max_examples=200, deadline=None)
+    def test_rank_matches_gaussian_elimination(self, real):
+        table = linreal_rank(real).rank
+        assert table == tuple(rank_literal(real, mask) for mask in range(1 << real.m))
 
     def test_float_rows_rejected(self):
         with pytest.raises(TypeError):

@@ -278,6 +278,10 @@ class TestJson:
             ({"nvars": 1, "terms": [{"exp": [1], "coeff": "1/0"}]}, "Fraction(1, 0)"),
             ({"nvars": 1, "terms": [{"exp": [1]}]}, "term needs 'num'/'den' or 'coeff'"),
             ({"nvars": 1, "terms": [{"coeff": 1}]}, "'exp'"),
+            # JSON true is a bool, not the coefficient 1
+            ({"nvars": 1, "terms": [{"exp": [2], "coeff": True}]}, "coefficients must be integers or strings"),
+            ({"nvars": 1, "terms": [{"exp": [2], "num": True}]}, "coefficients must be integers or strings"),
+            ({"nvars": 1, "terms": [{"exp": [2], "num": 1, "den": True}]}, "coefficients must be integers or strings"),
         ],
     )
     def test_from_json_goldens(self, doc, expected):
