@@ -58,7 +58,7 @@ from .polymatroids import (
     uniform_matroid,
     validate_polymatroid,
 )
-from .polynomials import Poly, _is_json_int, elementary_symmetric
+from .polynomials import Poly, _is_json_int, _json_rational, elementary_symmetric
 from .verification import CHECKS, TrialConfig, replay, run_all, run_check
 
 SEED_ENV = "LORMATCH_SEED"
@@ -143,21 +143,10 @@ def _parse_list(raw: str, flag: str, convert) -> tuple:
         raise _domain(flag, exc) from exc
 
 
-def _matrix_cell(cell):
-    """A JSON integer, or a rational string such as "3/2"."""
-    if isinstance(cell, str):
-        return Fraction(cell)
-    if not _is_json_int(cell):
-        raise ValueError(
-            f"matrix entries must be integers or rational strings, got {json.dumps(cell)}"
-        )
-    return cell
-
-
 def _matrix_from_json(data) -> list[list]:
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ValueError("expected a list of rows")
-    return [[_matrix_cell(cell) for cell in row] for row in data]
+    return [[_json_rational(cell, "matrix") for cell in row] for row in data]
 
 
 def _json_ints(values) -> list[int]:

@@ -12,17 +12,22 @@ feasible beta for one alpha by spreading each element over its parts.
 The spreads are summed on packed ints: beta is encoded as the key
 sum_j beta_j * R**(j-1) for a radix R above sum(alpha).  No digit of a
 partial sum exceeds sum(alpha), so adding keys never carries, and the
-sumset is a set of int additions.  `_packed_sums` returns the keys and
-`_unpack` turns one key back into beta; `apply_inducing` and `inducing_box`
-accumulate on the keys directly.
+sumset is a set of int additions.  `_packed_sums` walks many alphas in one
+call: it keeps the partial sumset of every prefix of the current alpha, so
+alphas in sorted order (the terms of a polynomial, the entries of a box)
+share the work on their common prefixes, and it builds each element's
+spreads once per call.  `_unpack` turns one key back into beta;
+`matched_degrees` is the walk over a single alpha, and `apply_inducing` and
+`inducing_box` accumulate on the keys directly.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .polynomials import _is_json_int
 
@@ -238,29 +243,42 @@ def admits_restricted(
     return _flow(seq, alpha, beta, caps) is not None
 
 
-def _packed_sums(seq: SubsetSeq, alpha: tuple[int, ...], radix: int) -> set[int]:
-    """Matched column sums of a checked alpha, each packed with the given radix.
+def _packed_sums(
+    seq: SubsetSeq, alphas: Iterable[tuple[int, ...]], radix: int
+) -> Iterator[tuple[tuple[int, ...], set[int]]]:
+    """(alpha, its matched column sums packed with the given radix) per alpha.
 
-    Accumulates, element by element, every spread of alpha_i over the parts
-    containing i; the reachable column sums are exactly the sums of one spread
-    per element.  Empty iff some element with positive degree lies in no part.
-    The radix must exceed sum(alpha), so that adding keys never carries.
+    The reachable column sums are exactly the sums of one spread of alpha_i
+    (alpha_i unit keys of the parts containing i) per element i.  stack[k]
+    holds the sumset over the first k elements and serves the next alpha
+    that agrees with this one there.  A sumset is empty iff some element
+    with positive degree lies in no part.  The alphas must be checked, and
+    the radix must exceed each sum(alpha), so that adding keys never carries.
     """
     place = [radix**j for j in range(seq.n)]
-    acc = {0}
-    for i, weight in enumerate(alpha, start=1):
-        if weight == 0:
-            continue
-        cols = seq.parts_containing(i)
-        if not cols:
-            return set()
-        # the spreads of alpha_i: every way to add alpha_i unit keys of its parts
-        units = [place[j - 1] for j in cols]
-        spreads = {0}
+    units = [[place[j - 1] for j in seq.parts_containing(i)] for i in range(1, seq.m + 1)]
+
+    @functools.cache
+    def spread(i: int, weight: int) -> set[int]:
+        out = {0}
         for _ in range(weight):
-            spreads = {s + u for s in spreads for u in units}
-        acc = {b + s for b in acc for s in spreads}
-    return acc
+            out = {s + u for s in out for u in units[i]}
+        return out
+
+    stack = [{0}]
+    prev: tuple[int, ...] = ()
+    for alpha in alphas:
+        k = 0
+        while k < len(prev) and alpha[k] == prev[k]:
+            k += 1
+        del stack[k + 1 :]
+        acc = stack[k]
+        for i in range(k, seq.m):
+            if alpha[i]:
+                acc = {b + s for b in acc for s in spread(i, alpha[i])}
+            stack.append(acc)
+        prev = alpha
+        yield alpha, acc
 
 
 def _unpack(key: int, radix: int, n: int) -> tuple[int, ...]:
@@ -279,7 +297,8 @@ def matched_degrees(seq: SubsetSeq, alpha: Sequence[int]) -> frozenset[tuple[int
     """
     a = _check_degrees(alpha, seq.m, "alpha")
     radix = sum(a) + 1
-    return frozenset(_unpack(key, radix, seq.n) for key in _packed_sums(seq, a, radix))
+    [(_, keys)] = _packed_sums(seq, [a], radix)
+    return frozenset(_unpack(key, radix, seq.n) for key in keys)
 
 
 def compose_seq(first: SubsetSeq, second: SubsetSeq) -> SubsetSeq:

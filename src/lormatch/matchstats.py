@@ -5,10 +5,13 @@ with |B| = |T| admitting a perfect matching t -> i in S_t between T and B.
 A subset B is counted once even when several matchings exist, so this is a
 set count, not a permanent.
 
-The matchable B are the systems of distinct representatives of (S_t), t in
-T, taken as sets; they are grown one part at a time, so the work follows the
-partial sets that occur (at most the sum over k <= |T| of C(|U|, k), where U
-is the union of T's parts) rather than all C(m, |T|) candidates.
+The matchable B are the systems of distinct representatives (SDRs) of
+(S_t), t in T, taken as sets and held as int masks (bit i-1 for element i).
+They are grown one part at a time, so the work follows the partial sets that
+occur (at most the sum over k <= |T| of C(|U|, k), where U is the union of
+T's parts) rather than all C(m, |T|) candidates.  The panel counts walk the
+r-subsets T depth first in combinations order, so each prefix's SDR sets are
+grown once and shared by every T that extends it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import io
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from .matchings import SubsetSeq
@@ -37,63 +39,89 @@ def _check_topic(seq: SubsetSeq, topic: Iterable[int]) -> tuple[int, ...]:
     return t
 
 
-def _matchable_sets(seq: SubsetSeq, topic: tuple[int, ...]) -> set[frozenset[int]]:
-    """The sets of distinct representatives of (S_t), t in topic, as sets.
+def _units(part: frozenset[int]) -> tuple[int, ...]:
+    return tuple(1 << (i - 1) for i in part)
 
-    Grown one part at a time: each set found so far gains one element of S_t
-    that it does not hold yet.
+
+def _grow(found: set[int], units: tuple[int, ...]) -> set[int]:
+    """The SDR masks one part further: each gains a unit bit it lacks."""
+    return {b | u for b in found for u in units if not b & u}
+
+
+def _panel_rows(seq: SubsetSeq, r: int, count) -> dict[tuple[int, ...], int]:
+    """count(SDR masks of T) for every r-subset T of 1..n, keeping nonzero rows.
+
+    Depth first over T in combinations order: found[d] holds the SDR masks
+    of T's first d parts and serves every T that extends that prefix.  A
+    prefix without SDRs is not extended, since every T above it counts 0.
     """
-    found = {frozenset()}
-    for t in topic:
-        found = {b | {i} for b in found for i in seq.sets[t - 1] if i not in b}
-    return found
-
-
-def _topic_counts(n: int, r: int, count) -> dict[tuple[int, ...], int]:
-    """count(T) for every r-subset T of 1..n, keeping the nonzero ones."""
+    units = [_units(part) for part in seq.sets]
     rows = {}
-    for t in combinations(range(1, n + 1), r):
-        c = count(t)
-        if c:
-            rows[t] = c
-    return rows
+    topic, found = [], [{0}]
+    nxt = 1
+    while True:
+        depth = len(topic)
+        if depth == r:
+            c = count(found[-1])
+            if c:
+                rows[tuple(topic)] = c
+        elif nxt <= seq.n - r + depth + 1:  # leaves room for the rest of T
+            grown = _grow(found[-1], units[nxt - 1])
+            if grown:
+                topic.append(nxt)
+                found.append(grown)
+            nxt += 1
+            continue
+        if not topic:
+            return rows
+        nxt = topic.pop() + 1
+        found.pop()
 
 
 def _multiaffine(n: int, rows: Mapping[tuple[int, ...], int]) -> Poly:
-    return Poly(
+    return Poly._trusted(
         n,
         {tuple(int(j in t) for j in range(1, n + 1)): Fraction(c) for t, c in rows.items()},
     )
 
 
+def _matchable_sets(seq: SubsetSeq, topic: Iterable[int]) -> set[int]:
+    """The SDRs of (S_t), t in topic, as element masks: the walk's grow step
+    along a single topic."""
+    found = {0}
+    for t in _check_topic(seq, topic):
+        found = _grow(found, _units(seq.sets[t - 1]))
+    return found
+
+
 def match_count(seq: SubsetSeq, topic: Iterable[int]) -> int:
     """Number of |T|-subsets of the ground set perfectly matchable to T."""
-    return len(_matchable_sets(seq, _check_topic(seq, topic)))
+    return len(_matchable_sets(seq, topic))
 
 
-def _bases(mat: Matroid, seq: SubsetSeq) -> set[frozenset[int]]:
+def _bases(mat: Matroid, seq: SubsetSeq) -> set[int]:
     if mat.m != seq.m:
         raise ValueError(f"matroid over 1..{mat.m}, sequence over 1..{seq.m}")
-    return {frozenset(basis) for basis in matroid_bases(mat)}
+    return {sum(_units(basis)) for basis in matroid_bases(mat)}
 
 
 def basis_match_count(mat: Matroid, seq: SubsetSeq, topic: Iterable[int]) -> int:
     """Same count with the candidate subsets restricted to matroid bases."""
     bases = _bases(mat, seq)
-    return len(_matchable_sets(seq, _check_topic(seq, topic)) & bases)
+    return len(_matchable_sets(seq, topic) & bases)
 
 
 def match_poly(seq: SubsetSeq, r: int) -> Poly:
     """Multi-affine polynomial whose y^T coefficient is match_count(seq, T)."""
     if not 0 <= r <= seq.m:
         raise ValueError(f"r = {r} outside 0..{seq.m}")
-    return _multiaffine(seq.n, _topic_counts(seq.n, r, lambda t: match_count(seq, t)))
+    return _multiaffine(seq.n, _panel_rows(seq, r, len))
 
 
 def basis_match_poly(mat: Matroid, seq: SubsetSeq) -> Poly:
     """Multi-affine polynomial of basis-restricted counts, degree = matroid rank."""
     bases = _bases(mat, seq)  # listed once, not once per topic
-    rows = _topic_counts(seq.n, mat.full_rank, lambda t: len(_matchable_sets(seq, t) & bases))
+    rows = _panel_rows(seq, mat.full_rank, lambda found: len(found & bases))
     return _multiaffine(seq.n, rows)
 
 
@@ -137,5 +165,4 @@ def stat_table(seq: SubsetSeq, r: int) -> StatTable:
     """Tabulate match_count over all r-subsets of part indices."""
     if not 0 <= r <= seq.n:
         raise ValueError(f"r = {r} outside 0..{seq.n}")
-    rows = _topic_counts(seq.n, r, lambda t: match_count(seq, t))
-    return StatTable(r, rows)
+    return StatTable(r, _panel_rows(seq, r, len))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -116,27 +117,35 @@ def apply_inducing(seq: SubsetSeq, f: Poly) -> Poly:
     The normalized coefficient of x^alpha lands, unchanged, on y^beta for
     every beta with (alpha, beta) matchable; extended linearly and exactly.
     The normalized coefficients c * alpha! are scaled by the least common
-    multiple L of their denominators, so each is an int, and summed per beta
-    on packed keys with one radix for all of f.  Each output term then costs
-    one division, total / (L * beta!); a sum that cancels to 0 is dropped.
+    multiple L of their denominators, so each is an int weight.  One sumset
+    walk over the exponents in sorted order, with one radix for all of f,
+    gives each exponent's packed betas; they are counted per weight and the
+    counts combined per beta.  Each output term then costs one division,
+    total / (L * beta!); a total that cancels to 0 is dropped.
     """
     if not isinstance(f, Poly):
         raise TypeError("exact Poly required")
     if f.nvars != seq.m:
         raise ValueError(f"polynomial in {f.nvars} variables, sequence over 1..{seq.m}")
-    norms = [(exp, c * vec_factorial(exp)) for exp, c in f.items()]
-    scale = math.lcm(*(c.denominator for _, c in norms))
-    radix = max((sum(exp) for exp, _ in norms), default=0) + 1
-    sums: dict[int, int] = {}
-    for exp, c in norms:
+    terms = sorted(f.items())
+    norms = [c * vec_factorial(exp) for exp, c in terms]
+    scale = math.lcm(*(c.denominator for c in norms))
+    radix = max((sum(exp) for exp, _ in terms), default=0) + 1
+    counts: dict[int, Counter] = {}
+    walk = _packed_sums(seq, (exp for exp, _ in terms), radix)
+    for c, (_, keys) in zip(norms, walk):
         weight = c.numerator * (scale // c.denominator)
-        for key in _packed_sums(seq, exp, radix):
-            sums[key] = sums.get(key, 0) + weight
+        counts.setdefault(weight, Counter()).update(keys)
+    totals: dict[int, int] = {}
+    for weight, group in counts.items():
+        for key, k in group.items():
+            totals[key] = totals.get(key, 0) + weight * k
     data = {}
-    for key, total in sums.items():
-        beta = _unpack(key, radix, seq.n)
-        data[beta] = Fraction(total, scale * vec_factorial(beta))
-    return Poly(seq.n, data)
+    for key, total in totals.items():
+        if total:
+            beta = _unpack(key, radix, seq.n)
+            data[beta] = Fraction(total, scale * vec_factorial(beta))
+    return Poly._trusted(seq.n, data)
 
 
 def _linear_images(
@@ -189,9 +198,9 @@ def inducing_box(seq: SubsetSeq, kappa: Sequence[int]) -> OperatorBox:
     k = _checked_kappa(kappa, seq.m)
     radix = sum(k) + 1
     table = {}
-    for alpha in iter_box(k):
-        betas = (_unpack(key, radix, seq.n) for key in _packed_sums(seq, alpha, radix))
-        table[alpha] = Poly(
+    for alpha, keys in _packed_sums(seq, iter_box(k), radix):
+        betas = (_unpack(key, radix, seq.n) for key in keys)
+        table[alpha] = Poly._trusted(
             seq.n, {beta: Fraction(1, vec_factorial(beta)) for beta in betas}
         )
     return OperatorBox(k, seq.n, table)

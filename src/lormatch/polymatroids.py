@@ -31,7 +31,7 @@ from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from ._util import _inertia, mask_to_elements, vec_factorial
 from .matchings import SubsetSeq, admits_matching
-from .polynomials import Poly, _is_json_int
+from .polynomials import Poly, _is_json_int, _json_rational
 
 
 class AxiomViolation(ValueError):
@@ -481,7 +481,7 @@ class LinReal:
         if not isinstance(dims, (list, tuple)) or not all(map(_is_json_int, dims)):
             raise ValueError(f"blockdims must be integers, got {dims!r}")
         rows = tuple(
-            tuple(Fraction(str(v)) for v in row) for row in obj["gens"]
+            tuple(_json_rational(v, "realization") for v in row) for row in obj["gens"]
         )
         return cls(tuple(dims), rows)
 

@@ -17,6 +17,7 @@ the image types, so exact and float data never mix silently.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from fractions import Fraction
@@ -63,6 +64,18 @@ def _checked_exponent(exp: Sequence[int], nvars: int) -> ExpVec:
 def _is_json_int(value) -> bool:
     # JSON true/false decode to bool, an int subclass that is not a count
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_rational(cell, what: str) -> Fraction:
+    """A JSON integer, or a rational string such as "3/2"; a float or a bool
+    raises ValueError, so it is never read as a nearby rational."""
+    if isinstance(cell, str):
+        return Fraction(cell)
+    if not _is_json_int(cell):
+        raise ValueError(
+            f"{what} entries must be integers or rational strings, got {json.dumps(cell)}"
+        )
+    return Fraction(cell)
 
 
 def _exact_term_json(terms: Iterable[tuple[ExpVec, Fraction]]) -> list[dict]:

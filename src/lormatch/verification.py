@@ -120,6 +120,13 @@ def _trial_rng(seed: int, name: str, trial: int) -> random.Random:
     return random.Random(f"{seed}:{name}:{trial}")
 
 
+def _replay_int(value) -> int:
+    """A replayed integer field: `operator.index`, refusing JSON true/false."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {str(value).lower()}")
+    return operator.index(value)
+
+
 # -- instance generators -------------------------------------------------------
 
 
@@ -287,7 +294,7 @@ def _gen_symbol_support(cfg: TrialConfig, rng: random.Random, trial: int) -> dic
 
 def _eval_symbol_support(cfg: TrialConfig, instance: Mapping) -> list[str]:
     seq = SubsetSeq.from_json(instance["seq"])
-    kappa = tuple(map(operator.index, instance["kappa"]))
+    kappa = tuple(map(_replay_int, instance["kappa"]))
     return _symbol_instance_reasons(seq, kappa)
 
 
@@ -327,7 +334,7 @@ def _gen_base_membership(cfg: TrialConfig, rng: random.Random, trial: int) -> di
 def _eval_base_membership(cfg: TrialConfig, instance: Mapping) -> list[str]:
     pm = Polymatroid.from_json(instance["pm"])
     seq = SubsetSeq.from_json(instance["seq"])
-    delta = list(map(operator.index, instance["delta"]))
+    delta = list(map(_replay_int, instance["delta"]))
     reasons = _invalid_table_reasons(induce_polymatroid(pm, seq))
     if any(v < 0 for v in delta):
         return reasons
@@ -356,7 +363,7 @@ def _gen_power_family(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
 
 def _eval_power_family(cfg: TrialConfig, instance: Mapping) -> list[str]:
     seq = SubsetSeq.from_json(instance["seq"])
-    kappa = tuple(map(operator.index, instance["kappa"]))
+    kappa = tuple(map(_replay_int, instance["kappa"]))
     reasons = []
     sub = substitution_box(seq, None, kappa)
     ind = inducing_box(seq, kappa)
@@ -474,8 +481,8 @@ def _eval_capped(cfg: TrialConfig, instance: Mapping) -> list[str]:
     caps = {}
     for key, cap in instance["caps"].items():
         i, j = key.split("-")
-        caps[(int(i), int(j))] = operator.index(cap)
-    return _capped_mismatches(seq, caps, instance["alpha"])
+        caps[(int(i), int(j))] = _replay_int(cap)
+    return _capped_mismatches(seq, caps, list(map(_replay_int, instance["alpha"])))
 
 
 # -- check: basis-restricted statistics ----------------------------------------
@@ -507,7 +514,7 @@ def _eval_basis_stats(cfg: TrialConfig, instance: Mapping) -> list[str]:
     if not report.verdict:
         reasons.append(f"certification failed ({report.failure.kind})")
     r = instance.get("uniform_rank")
-    r = None if r is None else operator.index(r)
+    r = None if r is None else _replay_int(r)
     if r is not None and r <= seq.m and g != match_poly(seq, r):
         reasons.append("uniform-matroid restriction differs from the plain statistic")
     return reasons

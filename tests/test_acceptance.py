@@ -334,3 +334,10 @@ def test_17_inducing_image_on_twelve_windows():
         assert len(image) == 11140
         assert sum(c for _, c in image.items()) == Fraction(841067, 3)
         assert len(image.multiaffine_part()) == 924
+
+
+def test_18_panel_counts_on_fourteen_windows():
+    with criterion(18, "match_poly of 14 cyclic 3-windows at r = 7", 1.5):
+        f = match_poly(_cyclic_windows(14), 7)
+        assert len(f) == 3432
+        assert sum(c for _, c in f.items()) == 1105150

@@ -194,6 +194,32 @@ class TestParsing:
         assert data == {"count": 0, "topic": [1, 2]}
 
 
+class TestRationalJson:
+    """A realization entry is a JSON integer or a rational string, as a
+    matrix entry is; a float or a bool is refused, never read as a rational."""
+
+    @pytest.mark.parametrize(
+        "cell, shown", [("0.5", "0.5"), ("true", "true"), ("1.0", "1.0")]
+    )
+    def test_real_refuses_floats_and_bools(self, capsys, cell, shown):
+        real = '{"blockdims":[1],"gens":[[%s]]}' % cell
+        assert _call(capsys, "pminduce", "--real", real) == (
+            1,
+            '{"detail":"realization entries must be integers or rational strings, '
+            f'got {shown}","error":"invalid-value","flag":"--real"}}\n',
+            "",
+        )
+
+    @pytest.mark.parametrize("cell", ['"1/2"', "2"])
+    def test_real_reads_integers_and_rational_strings(self, capsys, cell):
+        real = '{"blockdims":[1],"gens":[[%s]]}' % cell
+        assert _call(capsys, "pminduce", "--real", real) == (
+            0,
+            '{"polymatroid":{"m":1,"rank":[0,1]}}\n',
+            "",
+        )
+
+
 class TestIntegerJson:
     """Non-integer counts, ranks and elements are refused, never truncated."""
 
@@ -377,6 +403,12 @@ class TestVerifySubcommand:
                 'TypeError(\\"\'str\' object cannot be interpreted as an integer\\")"]}\n',
             ),
             (
+                "basis-restricted-stats",
+                BASIS_STATS[:-1] + ',"uniform_rank":true}',
+                '{"check":"basis-restricted-stats","passed":false,"reasons":["exception: '
+                "TypeError('expected an integer, got true')\"]}\n",
+            ),
+            (
                 "base-membership-duality",
                 MEMBERSHIP[:-1] + ',"expected":"false"}',
                 '{"check":"base-membership-duality","passed":false,"reasons":["exception: '
@@ -397,8 +429,8 @@ class TestVerifySubcommand:
         ],
     )
     def test_replay_fields_read_as_written(self, capsys, check, doc, expected):
-        # a count is an integer and a verdict a JSON bool: 2.7, "2", "false"
-        # and 1 are refused, never truncated or read by truthiness
+        # a count is an integer and a verdict a JSON bool: 2.7, "2", true,
+        # "false" and 1 are refused, never truncated or read by truthiness
         assert _call(capsys, "verify", "--check", check, "--replay", doc) == (1, expected, "")
 
     def test_unknown_check(self, capsys):

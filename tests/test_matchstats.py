@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lormatch import (
@@ -79,6 +79,43 @@ class TestMatchCount:
                 assert basis_match_count(mat, seq, topic) == match_count_literal(
                     seq, topic, among=bases
                 )
+
+
+def _literal_rows(seq, r, among=None):
+    """The nonzero panel counts of every r-subset T, from the literal count."""
+    rows = {}
+    for topic in combinations(range(1, seq.n + 1), r):
+        count = match_count_literal(seq, topic, among=among)
+        if count:
+            rows[topic] = count
+    return rows
+
+
+def _as_poly(n, rows):
+    return Poly(n, {tuple(int(j in t) for j in range(1, n + 1)): c for t, c in rows.items()})
+
+
+class TestPanelWalk:
+    """The walk over topic prefixes against the literal count on every T."""
+
+    @given(seqs(max_m=4, max_n=5), st.integers(0, 5))
+    # five parts over four elements: long shared prefixes, some of them
+    # without an SDR (part 4 is empty), so their subtrees are pruned
+    @example(SubsetSeq(4, tuple(map(frozenset, ({1, 2}, {2, 3}, {1, 3}, (), {3, 4})))), 3)
+    @settings(max_examples=80, deadline=None)
+    def test_match_poly_and_stat_table(self, seq, r):
+        r = min(r, seq.n)
+        rows = _literal_rows(seq, r)
+        assert stat_table(seq, r).rows == rows
+        if r <= seq.m:
+            assert match_poly(seq, r) == _as_poly(seq.n, rows)
+
+    @given(seqs(max_m=4, max_n=5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_basis_match_poly(self, seq, data):
+        mat = data.draw(matroids(seq.m))
+        rows = _literal_rows(seq, mat.full_rank, among=matroid_bases(mat))
+        assert basis_match_poly(mat, seq) == _as_poly(seq.n, rows)
 
 
 class TestMatchPoly:

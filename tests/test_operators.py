@@ -22,7 +22,7 @@ from lormatch import (
     tab_family_box,
 )
 from lormatch._util import iter_box, vec_factorial
-from oracles import apply_inducing_literal, tab_family_via_symbol
+from oracles import apply_inducing_literal, matched_degrees_box, tab_family_via_symbol
 
 NARROW = SubsetSeq(2, (frozenset({1}), frozenset({2}), frozenset({1, 2})))
 WIDE = SubsetSeq(4, (frozenset({1, 2, 3, 4}), frozenset({2, 3}), frozenset({3, 4})))
@@ -91,6 +91,30 @@ class TestApplyInducing:
     @given(seq_poly())
     # x1 and -x2 cancel on y; the image is y^2 alone
     @example((SubsetSeq(2, (frozenset({1, 2}),)), Poly(2, {(1, 0): 1, (0, 1): -1, (2, 0): 1})))
+    # exponents sharing their first two or three coordinates, all of
+    # normalized weight 3, on overlapping images
+    @example(
+        (
+            SubsetSeq(5, tuple(map(frozenset, ({1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 1})))),
+            Poly(
+                5,
+                {
+                    (1, 1, 1, 1, 0): 3,
+                    (1, 1, 1, 0, 1): 3,
+                    (1, 1, 0, 1, 1): 3,
+                    (2, 1, 1, 0, 0): Fraction(3, 2),
+                },
+            ),
+        )
+    )
+    # a shared prefix x1 x2 x3 with weights 1, -1 and 2: y1^3 y2 gets 1 - 1
+    # and is dropped, y1^3 y3 keeps -1/6
+    @example(
+        (
+            SubsetSeq(5, tuple(map(frozenset, ({1, 2, 3}, {4, 5}, {5})))),
+            Poly(5, {(1, 1, 1, 1, 0): 1, (1, 1, 1, 0, 1): -1, (1, 1, 0, 1, 1): 2}),
+        )
+    )
     @settings(max_examples=80, deadline=None)
     def test_against_literal(self, pair):
         seq, f = pair
@@ -200,6 +224,17 @@ class TestBoxes:
                 seq, Poly.monomial(seq.m, alpha, Fraction(1, vec_factorial(alpha)))
             )
             assert box.image(alpha) == expected
+
+    @given(seq_kappa())
+    @settings(max_examples=60, deadline=None)
+    def test_table_against_literal(self, pair):
+        seq, kappa = pair
+        box = inducing_box(seq, kappa)
+        for alpha in iter_box(kappa):
+            betas = matched_degrees_box(seq, alpha)
+            assert box.image(alpha) == Poly(
+                seq.n, {beta: Fraction(1, vec_factorial(beta)) for beta in betas}
+            )
 
     def test_substitution_box_expands_each_power_once(self, monkeypatch):
         calls = []
