@@ -1,4 +1,5 @@
-"""Shared enumeration and factorial helpers, and `_inertia`, the one exact
+"""Shared enumeration and factorial helpers; the JSON number rule, which
+every reader of JSON input applies; and `_inertia`, the one exact
 elimination: `lorentzian` reads every inertia from it and
 `polymatroids.linreal_rank` every realization rank (the nonzero eigenvalues
 of a Gram matrix), both without an import cycle."""
@@ -6,7 +7,9 @@ of a Gram matrix), both without an import cycle."""
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 
@@ -54,6 +57,41 @@ def mask_to_elements(mask: int) -> tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(out)
+
+
+# -- the JSON number rule: a JSON integer is an int that is not a bool (JSON
+# true/false decode to bool); a JSON rational is a JSON integer or a rational
+# string such as "3/2", never a float or a bool.  A refused value raises
+# ValueError(message.format(value, json=...)): in the caller's message `{}`
+# or `{!r}` shows the value and `{json}` its JSON text.
+
+
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def json_ints(values, message: str) -> tuple[int, ...]:
+    """A JSON list of integers, as a tuple."""
+    if not isinstance(values, (list, tuple)) or not all(map(_is_json_int, values)):
+        raise ValueError(message.format(values, json=json.dumps(values, default=repr)))
+    return tuple(values)
+
+
+def json_rational(cell, message: str) -> Fraction:
+    """A JSON rational; a string that is not one raises what `Fraction` raises."""
+    if isinstance(cell, str):
+        return Fraction(cell)
+    if not _is_json_int(cell):
+        raise ValueError(message.format(cell, json=json.dumps(cell, default=repr)))
+    return Fraction(cell)
+
+
+def json_rational_rows(data, what: str) -> list[list[Fraction]]:
+    """A JSON list of rows of rationals, such as a matrix."""
+    if not isinstance(data, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in data):
+        raise ValueError("expected a list of rows")
+    message = what + " entries must be integers or rational strings, got {json}"
+    return [[json_rational(cell, message) for cell in row] for row in data]
 
 
 def _swap_symmetric(work: list[list], i: int, j: int) -> None:

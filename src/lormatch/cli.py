@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from ._util import json_ints, json_rational_rows
 from .lorentzian import certify_lorentzian, is_m_convex, quad_inertia
 from .matchings import (
     SubsetSeq,
@@ -58,7 +59,7 @@ from .polymatroids import (
     uniform_matroid,
     validate_polymatroid,
 )
-from .polynomials import Poly, _is_json_int, _json_rational, elementary_symmetric
+from .polynomials import Poly, elementary_symmetric
 from .verification import CHECKS, TrialConfig, replay, run_all, run_check
 
 SEED_ENV = "LORMATCH_SEED"
@@ -143,34 +144,25 @@ def _parse_list(raw: str, flag: str, convert) -> tuple:
         raise _domain(flag, exc) from exc
 
 
-def _matrix_from_json(data) -> list[list]:
-    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-        raise ValueError("expected a list of rows")
-    return [[_json_rational(cell, "matrix") for cell in row] for row in data]
-
-
-def _json_ints(values) -> list[int]:
-    """A JSON list of integers; floats, bools and strings raise ValueError."""
-    if not isinstance(values, list) or not all(map(_is_json_int, values)):
-        raise ValueError(f"expected a list of integers, got {json.dumps(values)}")
-    return values
+_matrix_from_json = functools.partial(json_rational_rows, what="matrix")
+_INTS = "expected a list of integers, got {json}"
 
 
 def _polymatroid_from_json(data) -> Polymatroid:
     """Rank-table JSON, or the shorthands {"free": [N, r]}, {"uniform": [m, r]},
     {"sum": [...]} for quick construction on the command line."""
     if isinstance(data, Mapping) and "free" in data:
-        n_elements, r = _json_ints(data["free"])
+        n_elements, r = json_ints(data["free"], _INTS)
         return free_polymatroid(n_elements, r)
     if isinstance(data, Mapping) and "uniform" in data:
-        m, r = _json_ints(data["uniform"])
+        m, r = json_ints(data["uniform"], _INTS)
         return uniform_matroid(m, r).underlying
     if isinstance(data, Mapping) and "sum" in data:
         return direct_sum([_polymatroid_from_json(part) for part in data["sum"]])
     if isinstance(data, Mapping) and "rank" in data:
         if "m" in data:
             return Polymatroid.from_json(data)
-        return validate_polymatroid(_json_ints(data["rank"]))
+        return validate_polymatroid(json_ints(data["rank"], _INTS))
     raise ValueError("expected a rank table or a construction shorthand")
 
 

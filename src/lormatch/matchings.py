@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .polynomials import _is_json_int
+from ._util import _is_json_int
 
 Edge = tuple[int, int]
 

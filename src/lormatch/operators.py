@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ._util import iter_box, vec_factorial
+from ._util import _is_json_int, iter_box, json_ints, vec_factorial
 from .matchings import SubsetSeq, _packed_sums, _unpack
-from .polynomials import FloatPoly, Poly, _is_json_int
+from .polynomials import FloatPoly, Poly
 
 
 def _checked_kappa(kappa: Sequence[int], m: int | None = None) -> tuple[int, ...]:
@@ -38,12 +38,6 @@ def _checked_kappa(kappa: Sequence[int], m: int | None = None) -> tuple[int, ...
     if m is not None and len(out) != m:
         raise ValueError(f"box over {len(out)} variables, sequence over 1..{m}")
     return out
-
-
-def _json_ints(value, name: str) -> tuple[int, ...]:
-    if not isinstance(value, (list, tuple)) or not all(map(_is_json_int, value)):
-        raise ValueError(f"operator JSON needs integer '{name}' entries, got {value!r}")
-    return tuple(value)
 
 
 def _checked_table(kappa, n_out, table):
@@ -101,14 +95,13 @@ class OperatorBox:
     def from_json(cls, obj: dict) -> "OperatorBox":
         if not isinstance(obj, dict) or not {"kappa", "n_out", "table"} <= set(obj):
             raise ValueError("operator JSON needs 'kappa', 'n_out', and 'table'")
-        table = {
-            _json_ints(row["alpha"], "alpha"): Poly.from_json(row["poly"])
-            for row in obj["table"]
-        }
+        alpha = "operator JSON needs integer 'alpha' entries, got {!r}"
+        table = {json_ints(row["alpha"], alpha): Poly.from_json(row["poly"]) for row in obj["table"]}
         n_out = obj["n_out"]
         if not _is_json_int(n_out):
             raise ValueError(f"operator JSON needs an integer 'n_out', got {n_out!r}")
-        return cls(_json_ints(obj["kappa"], "kappa"), n_out, table)
+        kappa = json_ints(obj["kappa"], "operator JSON needs integer 'kappa' entries, got {!r}")
+        return cls(kappa, n_out, table)
 
 
 def apply_inducing(seq: SubsetSeq, f: Poly) -> Poly:

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
-from ._util import _inertia, mask_to_elements, vec_factorial
+from ._util import _inertia, _is_json_int, json_ints, json_rational_rows
+from ._util import mask_to_elements, vec_factorial
 from .matchings import SubsetSeq, admits_matching
-from .polynomials import Poly, _is_json_int, _json_rational
+from .polynomials import Poly
 
 
 class AxiomViolation(ValueError):
@@ -151,9 +152,7 @@ class Polymatroid:
         m, rank = obj["m"], obj["rank"]
         if not _is_json_int(m):
             raise ValueError(f"polymatroid JSON needs an integer 'm', got {m!r}")
-        if not isinstance(rank, (list, tuple)) or not all(map(_is_json_int, rank)):
-            raise ValueError(f"rank entries must be integers, got {rank!r}")
-        return cls(m, tuple(rank))
+        return cls(m, json_ints(rank, "rank entries must be integers, got {!r}"))
 
 
 @dataclass(frozen=True)
@@ -477,13 +476,8 @@ class LinReal:
     def from_json(cls, obj: dict) -> "LinReal":
         if not isinstance(obj, dict) or "blockdims" not in obj or "gens" not in obj:
             raise ValueError("realization JSON needs 'blockdims' and 'gens'")
-        dims = obj["blockdims"]
-        if not isinstance(dims, (list, tuple)) or not all(map(_is_json_int, dims)):
-            raise ValueError(f"blockdims must be integers, got {dims!r}")
-        rows = tuple(
-            tuple(_json_rational(v, "realization") for v in row) for row in obj["gens"]
-        )
-        return cls(tuple(dims), rows)
+        dims = json_ints(obj["blockdims"], "blockdims must be integers, got {!r}")
+        return cls(dims, json_rational_rows(obj["gens"], "realization"))
 
 
 def linreal_rank(real: LinReal) -> Polymatroid:

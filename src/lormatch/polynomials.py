@@ -17,13 +17,12 @@ the image types, so exact and float data never mix silently.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._util import grlex_key, vec_factorial
+from ._util import _is_json_int, grlex_key, json_ints, json_rational, vec_factorial
 
 ExpVec = tuple[int, ...]
 CPoint = tuple[complex, ...]
@@ -61,21 +60,7 @@ def _checked_exponent(exp: Sequence[int], nvars: int) -> ExpVec:
     return out
 
 
-def _is_json_int(value) -> bool:
-    # JSON true/false decode to bool, an int subclass that is not a count
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _json_rational(cell, what: str) -> Fraction:
-    """A JSON integer, or a rational string such as "3/2"; a float or a bool
-    raises ValueError, so it is never read as a nearby rational."""
-    if isinstance(cell, str):
-        return Fraction(cell)
-    if not _is_json_int(cell):
-        raise ValueError(
-            f"{what} entries must be integers or rational strings, got {json.dumps(cell)}"
-        )
-    return Fraction(cell)
+_COEFFICIENTS = "coefficients must be integers or strings"
 
 
 def _exact_term_json(terms: Iterable[tuple[ExpVec, Fraction]]) -> list[dict]:
@@ -342,20 +327,6 @@ class Poly:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval_exact(self, point: Sequence) -> Fraction:
-        """Exact evaluation at a rational point."""
-        if len(point) != self.nvars:
-            raise ValueError("point arity differs from nvars")
-        vals = [_to_fraction(p) for p in point]
-        total = Fraction(0)
-        for exp, c in self._terms.items():
-            term = c
-            for v, e in zip(vals, exp):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
-
     def eval_complex(self, point: Sequence[complex]) -> complex:
         """Double-precision evaluation at a complex point."""
         if len(point) != self.nvars:
@@ -405,26 +376,23 @@ class Poly:
         try:
             for row in obj.get("terms", []):
                 raw_exp = row["exp"]
-                if isinstance(raw_exp, list) and not all(map(_is_json_int, raw_exp)):
-                    raise ValueError(f"exponent entries must be integers, got {raw_exp}")
+                if isinstance(raw_exp, list):
+                    raw_exp = json_ints(raw_exp, "exponent entries must be integers, got {}")
                 exp = _checked_exponent(raw_exp, nvars)
                 if "num" in row:
+                    # JSON integers or integer strings, as `to_json` writes them
                     num = row["num"]
                     den = row.get("den", "1")
-                    if isinstance(num, (float, bool)) or isinstance(den, (float, bool)):
-                        raise ValueError("coefficients must be integers or strings")
+                    if not (isinstance(num, str) or _is_json_int(num)) or not (
+                        isinstance(den, str) or _is_json_int(den)
+                    ):
+                        raise ValueError(_COEFFICIENTS)
                     num, den = int(num), int(den)
                     if not den:
                         raise ValueError("coefficient denominator must be nonzero")
                 elif "coeff" in row:
-                    raw = row["coeff"]
-                    if isinstance(raw, (float, bool)):
-                        raise ValueError("coefficients must be integers or strings")
-                    if isinstance(raw, str):
-                        c = Fraction(raw)
-                        num, den = c.numerator, c.denominator
-                    else:
-                        num, den = int(raw), 1
+                    c = json_rational(row["coeff"], _COEFFICIENTS)
+                    num, den = c.numerator, c.denominator
                 else:
                     raise ValueError("term needs 'num'/'den' or 'coeff'")
                 c = Fraction(num, den * vec_factorial(exp) if normalized else den)
@@ -481,10 +449,6 @@ class FloatPoly:
     homogeneous_degree = Poly.homogeneous_degree
     derivative_multi = Poly.derivative_multi
     to_json = Poly.to_json
-
-    @classmethod
-    def from_poly(cls, poly: Poly) -> "FloatPoly":
-        return cls(poly.nvars, {e: float(c) for e, c in poly.items()})
 
     def __repr__(self) -> str:
         return f"FloatPoly({len(self._terms)} terms, nvars={self.nvars})"

@@ -27,6 +27,7 @@ from .matchings import (
     SubsetSeq,
     admits_matching,
     admits_restricted,
+    caps_from_json,
     compose_seq,
     find_witness,
     matched_degrees,
@@ -478,10 +479,7 @@ def _eval_capped(cfg: TrialConfig, instance: Mapping) -> list[str]:
                                 return reasons
         return reasons
     seq = SubsetSeq.from_json(instance["seq"])
-    caps = {}
-    for key, cap in instance["caps"].items():
-        i, j = key.split("-")
-        caps[(int(i), int(j))] = _replay_int(cap)
+    caps = caps_from_json(seq, instance["caps"])
     return _capped_mismatches(seq, caps, list(map(_replay_int, instance["alpha"])))
 
 

@@ -10,7 +10,9 @@ by one partial sum per (mask, point), the polynomial JSON codec by parsing
 every row and then re-checking it in the `Poly` constructor, substitution by
 the ring operations term by term, the two-parameter operator family by
 collapsing its symbol, and the rank of a linear realization by Gaussian
-elimination on Fractions, column by column."""
+elimination on Fractions, column by column.  `eval_exact` and
+`float_poly_from` are test helpers that the library does not need: exact
+evaluation at a rational point, and a `Poly` copied to float coefficients."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -27,8 +29,8 @@ from lormatch import (
     quad_inertia,
     symbol_of,
 )
-from lormatch._util import bounded_compositions, vec_factorial
-from lormatch.polynomials import _checked_exponent, _is_json_int
+from lormatch._util import _is_json_int, bounded_compositions, vec_factorial
+from lormatch.polynomials import _checked_exponent
 
 
 def enumerate_matching(seq: SubsetSeq, alpha, beta, caps=None) -> bool:
@@ -339,7 +341,7 @@ def poly_from_json_two_pass(obj) -> Poly:
             if "num" in row:
                 num = row["num"]
                 den = row.get("den", "1")
-                if isinstance(num, (float, bool)) or isinstance(den, (float, bool)):
+                if not all(isinstance(v, str) or _is_json_int(v) for v in (num, den)):
                     raise ValueError("coefficients must be integers or strings")
                 num, den = int(num), int(den)
                 if not den:
@@ -347,9 +349,9 @@ def poly_from_json_two_pass(obj) -> Poly:
                 c = Fraction(num, den)
             elif "coeff" in row:
                 raw = row["coeff"]
-                if isinstance(raw, (float, bool)):
+                if not (isinstance(raw, str) or _is_json_int(raw)):
                     raise ValueError("coefficients must be integers or strings")
-                c = Fraction(raw) if isinstance(raw, str) else Fraction(int(raw))
+                c = Fraction(raw)
             else:
                 raise ValueError("term needs 'num'/'den' or 'coeff'")
             if basis == "normalized":
@@ -378,3 +380,23 @@ def rank_literal(real, mask) -> int:
             rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def eval_exact(f, point) -> Fraction:
+    """Exact value of a `Poly` at a rational point, summed term by term."""
+    if len(point) != f.nvars:
+        raise ValueError("point arity differs from nvars")
+    vals = [Fraction(p) for p in point]
+    total = Fraction(0)
+    for exp, c in f.items():
+        term = c
+        for v, e in zip(vals, exp):
+            if e:
+                term *= v**e
+        total += term
+    return total
+
+
+def float_poly_from(f) -> FloatPoly:
+    """The `FloatPoly` with the float values of a `Poly`'s coefficients."""
+    return FloatPoly(f.nvars, {e: float(c) for e, c in f.items()})

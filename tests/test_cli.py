@@ -1,6 +1,10 @@
+import copy
 import inspect
 import json
+import shlex
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -216,6 +220,23 @@ class TestRationalJson:
         assert _call(capsys, "pminduce", "--real", real) == (
             0,
             '{"polymatroid":{"m":1,"rank":[0,1]}}\n',
+            "",
+        )
+
+    # "gens" was iterated whatever it held, so a string or an object was read
+    # character by character: "12" as the rows 1 and 2, ["12"] as the row [1, 2]
+    @pytest.mark.parametrize(
+        "real",
+        [
+            '{"blockdims":[1],"gens":"12"}',
+            '{"blockdims":[1],"gens":{"3":0}}',
+            '{"blockdims":[1,1],"gens":["12"]}',
+        ],
+    )
+    def test_real_gens_must_be_a_list_of_rows(self, capsys, real):
+        assert _call(capsys, "pminduce", "--real", real) == (
+            1,
+            '{"detail":"expected a list of rows","error":"invalid-value","flag":"--real"}\n',
             "",
         )
 
@@ -611,3 +632,173 @@ class TestJsonFlagFuzz:
             payload = json.loads(line)
             # a replayed instance that fails is a report, not an input error
             assert "error" in payload or (flag == "--replay" and not payload["passed"])
+
+
+# valid documents that the FUZZED_FLAGS invocations accept with exit 0
+VALID_FLAG_DOCS = {
+    "--sets": {"m": 2, "sets": [[1], [2], [1, 2]]},
+    "--poly": {
+        "nvars": 2,
+        "basis": "normalized",
+        "terms": [
+            {"exp": [1, 1], "num": "1", "den": "2"},
+            {"exp": [2, 0], "num": 3, "den": 4},
+            {"exp": [0, 2], "coeff": "1/2"},
+            {"exp": [0, 1], "coeff": 1},
+        ],
+    },
+    "--pm": {"sum": [{"free": [1, 1]}, {"uniform": [2, 1]}, {"m": 1, "rank": [0, 1]}]},
+    "--real": {"blockdims": [1, 1], "gens": [["1", "1/2"], [0, 2]]},
+    "--caps": {"1-1": 1, "2-2": 2},
+    "--matrix": [[1, 0, "1/2"], [0, 2, 1]],
+    "--replay": {"seq": {"m": 2, "sets": [[1], [2], [1, 2]]}, "caps": {"1-1": 1, "1-3": 2}, "alpha": [1, 1]},
+}
+
+_SEQ = lormatch.SubsetSeq.from_json(VALID_FLAG_DOCS["--sets"])
+# each library reader with a valid document for it
+VALID_LIBRARY_DOCS = {
+    "SubsetSeq": (lormatch.SubsetSeq.from_json, VALID_FLAG_DOCS["--sets"]),
+    "Poly": (lormatch.Poly.from_json, VALID_FLAG_DOCS["--poly"]),
+    "Polymatroid": (lormatch.Polymatroid.from_json, {"m": 2, "rank": [0, 1, 1, 2]}),
+    "Matroid": (lormatch.Matroid.from_json, {"m": 2, "rank": [0, 1, 1, 1]}),
+    "LinReal": (lormatch.LinReal.from_json, VALID_FLAG_DOCS["--real"]),
+    "OperatorBox": (
+        lormatch.OperatorBox.from_json,
+        lormatch.inducing_box(_SEQ, (1, 1)).to_json(),
+    ),
+    "caps": (lambda doc: lormatch.caps_from_json(_SEQ, doc), VALID_FLAG_DOCS["--caps"]),
+}
+
+# keys whose numbers may be written as strings: "p/q" for rationals, digits
+# for a numerator or denominator
+_RATIONAL_KEYS = {"num", "den", "coeff", "gens"}
+
+
+def _numeric_leaves(doc, rational=False, path=()):
+    """(path, integer_only) for every number in a valid document."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in items:
+            yield from _numeric_leaves(value, rational or key in _RATIONAL_KEYS, path + (key,))
+    elif (isinstance(doc, int) and not isinstance(doc, bool)) or (rational and isinstance(doc, str)):
+        yield path, not rational
+
+
+@st.composite
+def _wrong_leaf(draw, doc, rational=False):
+    """`doc` with one numeric leaf replaced by a bool, a float or null, or by
+    a string where only an integer is valid; each near the value it replaces."""
+    path, integer_only = draw(st.sampled_from(list(_numeric_leaves(doc, rational))))
+    out = copy.deepcopy(doc)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    kinds = ["bool", "float", "null"] + (["string"] if integer_only else [])
+    kind = draw(st.sampled_from(kinds))
+    parent[path[-1]] = {
+        "bool": bool(Fraction(value)),
+        "float": float(Fraction(value)),
+        "null": None,
+        "string": str(value),
+    }[kind]
+    return out
+
+
+class TestWrongTypeLeaf:
+    """A bool, a float, null or a misplaced string at one number of a valid
+    document is refused, never read as a nearby value."""
+
+    @pytest.mark.parametrize("flag", sorted(FUZZED_FLAGS))
+    def test_valid_documents_are_accepted(self, capsys, flag):
+        argv = [json.dumps(VALID_FLAG_DOCS[flag]) if a is None else a for a in FUZZED_FLAGS[flag]]
+        code, out, _ = _call(capsys, *argv)
+        assert code == 0, out
+
+    @pytest.mark.parametrize("name", sorted(VALID_LIBRARY_DOCS))
+    def test_valid_library_documents_are_accepted(self, name):
+        read, doc = VALID_LIBRARY_DOCS[name]
+        read(doc)
+
+    @given(
+        case=st.sampled_from(sorted(FUZZED_FLAGS)).flatmap(
+            lambda flag: st.tuples(
+                st.just(flag), _wrong_leaf(VALID_FLAG_DOCS[flag], flag == "--matrix")
+            )
+        )
+    )
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_cli_refuses(self, capsys, case):
+        flag, doc = case
+        argv = [json.dumps(doc) if a is None else a for a in FUZZED_FLAGS[flag]]
+        code, out, err = _call(capsys, *argv)
+        assert (code, err) == (1, ""), out
+        payload = json.loads(out)
+        if flag == "--replay":
+            # a replayed instance is refused inside the check, as a failed report
+            assert not payload["passed"] and payload["reasons"]
+            assert all(r.startswith("exception: ") for r in payload["reasons"])
+        else:
+            assert (payload["error"], payload["flag"]) == ("invalid-value", flag)
+
+    @given(
+        case=st.sampled_from(sorted(VALID_LIBRARY_DOCS)).flatmap(
+            lambda name: st.tuples(st.just(name), _wrong_leaf(VALID_LIBRARY_DOCS[name][1]))
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_library_refuses(self, case):
+        name, doc = case
+        read = VALID_LIBRARY_DOCS[name][0]
+        with pytest.raises((ValueError, TypeError)):
+            read(doc)
+
+
+def _readme_examples():
+    """(argv, printed line or None) for each `$ lormatch ...` example in
+    README.md; a trailing backslash continues a command onto the next line."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    out = []
+    i = 0
+    while i < len(lines):
+        text = lines[i].strip()
+        i += 1
+        if not text.startswith("$ lormatch "):
+            continue
+        while text.endswith("\\"):
+            text = text[:-1] + lines[i].strip()
+            i += 1
+        following = lines[i].strip() if i < len(lines) else ""
+        printed = following if following and not following.startswith("$") else None
+        out.append((shlex.split(text[2:], comments=True)[1:], printed))
+    return out
+
+
+README_EXAMPLES = _readme_examples()
+
+
+class TestReadmeExamples:
+    """Every `$ lormatch` example in README.md runs, and prints what the
+    README shows; the one that reads an @file is left out."""
+
+    def test_examples_found(self):
+        assert len(README_EXAMPLES) >= 8
+        assert sum(printed is not None for _, printed in README_EXAMPLES) >= 3
+
+    @pytest.mark.parametrize(
+        "argv, printed",
+        [
+            pytest.param(argv, printed, id=f"{k}-{argv[0]}")
+            for k, (argv, printed) in enumerate(README_EXAMPLES)
+            if not any(a.startswith("@") for a in argv)
+        ],
+    )
+    def test_example(self, capsys, argv, printed):
+        code, out, _ = _call(capsys, *argv)
+        assert code == 0, out
+        if printed is not None:
+            assert out == printed + "\n"
