@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -63,7 +64,12 @@ def mask_to_elements(mask: int) -> tuple[int, ...]:
 # true/false decode to bool); a JSON rational is a JSON integer or a rational
 # string such as "3/2", never a float or a bool.  A refused value raises
 # ValueError(message.format(value, json=...)): in the caller's message `{}`
-# or `{!r}` shows the value and `{json}` its JSON text.
+# or `{!r}` shows the value and `{json}` its JSON text.  Number strings are
+# ASCII digits with an optional leading minus, "p", "p/q" or a decimal "p.d"
+# for a rational: `int` and `Fraction` alone would also read Unicode digits,
+# "_" separators, padding spaces, a leading "+" and exponents.
+
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
 
 def _is_json_int(value) -> bool:
@@ -77,9 +83,22 @@ def json_ints(values, message: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def int_text(value: int | str) -> int:
+    """An int as is, or the int an integer string such as "-12" spells."""
+    if not isinstance(value, str):
+        return value
+    # str methods, not a regex: every term of a symbol read from JSON comes here
+    digits = value[1:] if value[:1] == "-" else value
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected an integer string such as \"-12\", got {value!r}")
+    return int(value)
+
+
 def json_rational(cell, message: str) -> Fraction:
-    """A JSON rational; a string that is not one raises what `Fraction` raises."""
+    """A JSON rational; a "p/q" string with q = 0 raises ZeroDivisionError."""
     if isinstance(cell, str):
+        if not _RATIONAL_TEXT.fullmatch(cell):
+            raise ValueError(f"expected a rational string such as \"-3/2\" or \"0.5\", got {cell!r}")
         return Fraction(cell)
     if not _is_json_int(cell):
         raise ValueError(message.format(cell, json=json.dumps(cell, default=repr)))

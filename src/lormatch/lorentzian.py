@@ -17,10 +17,24 @@ tests/oracles.py).
 The work follows the support, not the degree box.  Entry (i, j) of the
 Hessian of the derivative at gamma is the normalized coefficient of f at
 gamma + e_i + e_j, so one pass over the coefficient table files each entry
-under its gamma = support point minus two unit vectors: exactly the
-derivatives that do not vanish, visited in lexicographic order.  Exact input
-is first scaled by the common denominator of that table, which changes no
-inertia, so every Hessian is an integer matrix.
+under its gamma = support point - e_i - e_j: exactly the derivatives that
+do not vanish.  Exact input is first scaled by the common denominator
+of that table, which changes no inertia, so every Hessian is an integer
+matrix.  Each gamma is keyed by a packed int, its entries as big-endian
+digits in radix (largest exponent entry + 1); no digit carries, so the key
+of gamma = exp - e_i - e_j is key(exp) - place[i] - place[j], and int order
+is lexicographic order.  Only the upper triangle (i <= j) of each Hessian is
+filed, as a flat list of n(n + 1)/2 entries.
+
+Symbols repeat their Hessians heavily, and exactly: the kappa = 4^4 symbol
+of the four-cycle of pairs has 44,000 derivatives but 87 distinct entry
+tuples.  The walk visits the keys in sorted order and looks each entry tuple
+up in a memo that lives for one call, so each distinct Hessian is eliminated
+once, for both coefficient kinds (equal tuples have equal inertia).  The
+walk still counts every derivative that does not vanish and stops at the
+first failing one, so `checked_derivatives` and the lexicographically first
+failing gamma, unpacked from its key only for the witness, are those of a
+walk that eliminates every Hessian (tests/oracles.certify_literal).
 
 A support S in n variables larger than 2^n is tested through
 `points_polymatroid` (Murota: M-convex sets are the integer points of
@@ -35,11 +49,13 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._util import _inertia, grlex_key, vec_factorial
+from .matchings import _unpack
 from .polymatroids import points_polymatroid
 from .polynomials import FloatPoly, Poly
 
@@ -254,32 +270,40 @@ def certify_lorentzian(f: Poly | FloatPoly, tol: float | None = None) -> Lorentz
             exp: c.numerator * (scale // c.denominator) * vec_factorial(exp)
             for exp, c in f.items()
         }
-    # one pass files each table entry into the Hessian of every gamma that
-    # reads it, kept row-major in one flat list per gamma
-    size = n * n
-    flats: dict[tuple[int, ...], list] = {}
+    # one pass files each table entry into the upper triangle of the Hessian
+    # of every gamma that reads it, a flat row-major list per packed gamma
+    radix = max(map(max, table)) + 1
+    place = [radix ** (n - 1 - i) for i in range(n)]
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    slots = [[0] * n for _ in range(n)]
+    for s, (i, j) in enumerate(upper):
+        slots[i][j] = s
+    zeros = [0] * len(upper)
+    flats: defaultdict[int, list] = defaultdict(zeros.copy)
     for exp, c in table.items():
+        key = sum(map(operator.mul, exp, place))
         used = [i for i, e in enumerate(exp) if e]
         for at, i in enumerate(used):
-            lowered = list(exp)
-            lowered[i] -= 1
-            for j in used[at:]:
-                if lowered[j]:
-                    lowered[j] -= 1
-                    gamma = tuple(lowered)
-                    lowered[j] += 1
-                    flat = flats.get(gamma)
-                    if flat is None:
-                        flat = flats[gamma] = [0] * size
-                    flat[i * n + j] = flat[j * n + i] = c
+            key_i = key - place[i]
+            slots_i = slots[i]
+            for j in used[at:] if exp[i] > 1 else used[at + 1 :]:
+                flats[key_i - place[j]][slots_i[j]] = c
+    # the walk counts and checks every gamma in lexicographic order, but
+    # eliminates each distinct entry tuple once
+    memo: dict[tuple, tuple[int, int, int]] = {}
     for checked, gamma in enumerate(sorted(flats), 1):
-        flat = flats[gamma]
-        hess = [flat[k : k + n] for k in range(0, size, n)]
-        inertia = _inertia(hess, tol)
+        entries = tuple(flats[gamma])
+        inertia = memo.get(entries)
+        if inertia is None:
+            hess = [[0] * n for _ in range(n)]
+            for (i, j), v in zip(upper, entries):
+                hess[i][j] = hess[j][i] = v
+            inertia = memo[entries] = _inertia(hess, tol)
         if inertia[0] > 1:
+            witness = _unpack(gamma, radix, n)[::-1]
             return LorentzReport(
                 False,
-                CertFailure("bad-inertia", derivative=gamma, inertia=inertia),
+                CertFailure("bad-inertia", derivative=witness, inertia=inertia),
                 checked,
             )
     return LorentzReport(True, None, len(flats))

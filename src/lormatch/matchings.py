@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._util import _is_json_int
+from ._util import _is_json_int, int_text
 
 Edge = tuple[int, int]
 
@@ -95,7 +95,12 @@ class SubsetSeq:
             isinstance(s, (list, tuple)) and all(map(_is_json_int, s)) for s in sets
         ):
             raise ValueError(f"parts must be lists of integers, got {sets!r}")
-        return cls(m, tuple(frozenset(s) for s in sets))
+        parts = tuple(map(frozenset, sets))
+        for j, (listed, part) in enumerate(zip(sets, parts), start=1):
+            if len(part) < len(listed):
+                twice = next(e for k, e in enumerate(listed) if e in listed[:k])
+                raise ValueError(f"part {j} lists element {twice} more than once")
+        return cls(m, parts)
 
 
 @dataclass(frozen=True)
@@ -323,7 +328,7 @@ def caps_from_json(seq: SubsetSeq, obj: Mapping[str, int]) -> dict[Edge, int]:
     for key, value in obj.items():
         try:
             i_s, j_s = key.split("-")
-            edge = (int(i_s), int(j_s))
+            edge = (int_text(i_s), int_text(j_s))
         except ValueError:
             raise ValueError(f"cap key {key!r} is not of the form 'i-j'") from None
         if not _is_json_int(value):

@@ -225,15 +225,20 @@ def symbol_of(box: OperatorBox) -> Poly | FloatPoly:
     kappa = box.kappa
     kfact = vec_factorial(kappa)
     data: dict = {}
+    # each alpha has its own u-exponent, so every key is new, and c * factor
+    # is a nonzero coefficient of the kind
     for alpha, poly in box.table.items():
         uexp = tuple(k - a for k, a in zip(kappa, alpha))
         factor = kfact // vec_factorial(uexp)
         for yexp, c in poly.items():
-            key = yexp + uexp
-            data[key] = data.get(key, 0) + c * factor
+            data[yexp + uexp] = c * factor
     # the zero-alpha image is in every table and carries the coefficient kind
     poly_type = type(box.table[(0,) * box.m])
-    return poly_type(box.n_out + box.m, data)
+    if poly_type is FloatPoly:
+        # a float product can leave the finite range; refused as by the constructor
+        for c in data.values():
+            FloatPoly._coerce(c)
+    return poly_type._trusted(box.n_out + box.m, data)
 
 
 def box_from_symbol(

@@ -8,11 +8,12 @@ by the JSON codec.  All arithmetic is exact; `eval_complex` is the only
 floating-point entry point.
 
 `FloatPoly` holds float-coefficient data.  It reuses the read-only core of
-`Poly` (construction, access, equality, degrees, `derivative_multi`,
-`to_json`) as the same function objects, which read the coefficient kind from
-class attributes.  It is still a separate type and not a subclass: the ring
-operations test `isinstance(.., Poly)` and the operator-table check tests
-the image types, so exact and float data never mix silently.
+`Poly` (construction, `_trusted`, access, equality, degrees,
+`derivative_multi`, `to_json`) as the same function objects, which read the
+coefficient kind from class attributes.  It is still a separate type and
+not a subclass: the ring operations test `isinstance(.., Poly)` and the
+operator-table check tests the image types, so exact and float data never
+mix silently.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._util import _is_json_int, grlex_key, json_ints, json_rational, vec_factorial
+from ._util import _is_json_int, grlex_key, int_text, json_ints, json_rational, vec_factorial
 
 ExpVec = tuple[int, ...]
 CPoint = tuple[complex, ...]
@@ -387,7 +388,7 @@ class Poly:
                         isinstance(den, str) or _is_json_int(den)
                     ):
                         raise ValueError(_COEFFICIENTS)
-                    num, den = int(num), int(den)
+                    num, den = int_text(num), int_text(den)
                     if not den:
                         raise ValueError("coefficient denominator must be nonzero")
                 elif "coeff" in row:
@@ -437,6 +438,7 @@ class FloatPoly:
     _term_json = staticmethod(_float_term_json)
 
     __init__ = Poly.__init__
+    _trusted = vars(Poly)["_trusted"]
     items = Poly.items
     sorted_terms = Poly.sorted_terms
     support = Poly.support

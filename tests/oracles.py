@@ -14,6 +14,8 @@ elimination on Fractions, column by column.  `eval_exact` and
 `float_poly_from` are test helpers that the library does not need: exact
 evaluation at a rational point, and a `Poly` copied to float coefficients."""
 
+import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -130,7 +132,10 @@ def charpoly_inertia(matrix) -> tuple[int, int, int]:
 
     Faddeev-LeVerrier gives exact coefficients; symmetric matrices have all
     real eigenvalues, so Descartes' rule counts positive and negative roots
-    exactly and trailing zero coefficients count the kernel.
+    exactly and trailing zero coefficients count the kernel.  The matrix is
+    first scaled to integers by the common denominator of its entries, which
+    keeps every eigenvalue sign; the characteristic polynomial of an integer
+    matrix has integer coefficients, so each division by k is exact.
     """
     n = len(matrix)
     a = [[Fraction(v) for v in row] for row in matrix]
@@ -140,15 +145,18 @@ def charpoly_inertia(matrix) -> tuple[int, int, int]:
         for j in range(n):
             if a[i][j] != a[j][i]:
                 raise ValueError("matrix must be symmetric")
-    coeffs = [Fraction(1)]
-    m = [[Fraction(0)] * n for _ in range(n)]
-    c = Fraction(1)
+    scale = math.lcm(*(v.denominator for row in a for v in row))
+    a = [[v.numerator * (scale // v.denominator) for v in row] for row in a]
+    coeffs = [1]
+    m = [[0] * n for _ in range(n)]
+    c = 1
     for k in range(1, n + 1):
         prod = [
             [sum(a[i][t] * m[t][j] for t in range(n)) + c * a[i][j] for j in range(n)]
             for i in range(n)
         ]
-        c = -sum(prod[i][i] for i in range(n)) / k
+        c, rest = divmod(-sum(prod[i][i] for i in range(n)), k)
+        assert rest == 0
         coeffs.append(c)
         m = prod
     # coeffs[k] multiplies lambda^(n-k)
@@ -343,6 +351,9 @@ def poly_from_json_two_pass(obj) -> Poly:
                 den = row.get("den", "1")
                 if not all(isinstance(v, str) or _is_json_int(v) for v in (num, den)):
                     raise ValueError("coefficients must be integers or strings")
+                for v in (num, den):
+                    if isinstance(v, str) and not re.fullmatch("-?[0-9]+", v):
+                        raise ValueError(f'expected an integer string such as "-12", got {v!r}')
                 num, den = int(num), int(den)
                 if not den:
                     raise ValueError("coefficient denominator must be nonzero")
@@ -351,6 +362,8 @@ def poly_from_json_two_pass(obj) -> Poly:
                 raw = row["coeff"]
                 if not (isinstance(raw, str) or _is_json_int(raw)):
                     raise ValueError("coefficients must be integers or strings")
+                if isinstance(raw, str) and not re.fullmatch(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?", raw):
+                    raise ValueError(f'expected a rational string such as "-3/2" or "0.5", got {raw!r}')
                 c = Fraction(raw)
             else:
                 raise ValueError("term needs 'num'/'den' or 'coeff'")

@@ -241,6 +241,97 @@ class TestRationalJson:
         )
 
 
+    # int() and Fraction() alone read Unicode digits, "_" separators, padding
+    # spaces, a leading "+" and exponents
+    NOT_ASCII_RATIONALS = ["\u0663", " 1_0 ", "1_0", " 3", "+3", "1e3", ".5", "3/1_0", "3/ 10", "\uff13/4"]
+
+    def test_poly_num_den_must_be_ascii_digits(self, capsys):
+        doc = '{"nvars":1,"terms":[{"exp":[2],"num":"\u0663","den":" 1_0 "}]}'
+        assert _call(capsys, "certify", "--poly", doc) == (
+            1,
+            '{"detail":"expected an integer string such as \\"-12\\", got \'\\u0663\'",'
+            '"error":"invalid-value","flag":"--poly"}\n',
+            "",
+        )
+        doc = '{"nvars":1,"terms":[{"exp":[2],"coeff":" 3/1_0"}]}'
+        assert _call(capsys, "certify", "--poly", doc) == (
+            1,
+            '{"detail":"expected a rational string such as \\"-3/2\\" or \\"0.5\\", got \' 3/1_0\'",'
+            '"error":"invalid-value","flag":"--poly"}\n',
+            "",
+        )
+
+    @pytest.mark.parametrize("text", NOT_ASCII_RATIONALS)
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("certify", "--poly", '{"nvars":1,"terms":[{"exp":[2],"coeff":%s}]}'), "--poly"),
+            (("certify", "--poly", '{"nvars":1,"terms":[{"exp":[2],"num":%s}]}'), "--poly"),
+            (("certify", "--poly", '{"nvars":1,"terms":[{"exp":[2],"num":1,"den":%s}]}'), "--poly"),
+            (("pminduce", "--real", '{"blockdims":[1],"gens":[[%s]]}'), "--real"),
+            (("subst", "--sets", ONE, "--poly", X1, "--matrix", "[[%s]]"), "--matrix"),
+        ],
+    )
+    def test_number_strings_must_be_ascii(self, capsys, text, argv, flag):
+        argv = argv[:-1] + (argv[-1] % json.dumps(text),)
+        code, out, err = _call(capsys, *argv)
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert (payload["error"], payload["flag"]) == ("invalid-value", flag)
+        assert payload["detail"].startswith("expected a") and repr(text) in payload["detail"]
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (("certify", "--poly", '{"nvars":1,"terms":[{"exp":[2],"num":"-03","den":"10"}]}'),
+             '{"checked_derivatives":0,"failure":{"exponents":[[2]],"kind":"negative-coefficient"},"lorentzian":false}\n'),
+            (("certify", "--poly", '{"nvars":1,"terms":[{"exp":[2],"coeff":"3/10"}]}'),
+             '{"checked_derivatives":1,"failure":null,"lorentzian":true}\n'),
+            (("pminduce", "--real", '{"blockdims":[1],"gens":[["-7/3"]]}'),
+             '{"polymatroid":{"m":1,"rank":[0,1]}}\n'),
+            (("subst", "--sets", ONE, "--poly", X1, "--matrix", '[["2/4"]]'),
+             '{"basis":"plain","nvars":1,"terms":[{"den":"2","exp":[1],"num":"1"}]}\n'),
+            (("subst", "--sets", ONE, "--poly", X1, "--matrix", '[["0.5"]]'),
+             '{"basis":"plain","nvars":1,"terms":[{"den":"2","exp":[1],"num":"1"}]}\n'),
+        ],
+    )
+    def test_ascii_number_strings_read(self, capsys, argv, out):
+        assert _call(capsys, *argv) == (0, out, "")
+
+    def test_caps_keys_must_be_ascii(self, capsys):
+        argv = ("match", "--sets", ONE, "--alpha", "1", "--beta", "1", "--caps")
+        assert _call(capsys, *argv, '{"\u0661-1":1}') == (
+            1,
+            '{"detail":"cap key \'\\u0661-1\' is not of the form \'i-j\'",'
+            '"error":"invalid-value","flag":"--caps"}\n',
+            "",
+        )
+        assert _call(capsys, *argv, '{"1-1":1}')[0] == 0
+
+
+class TestRepeatedElements:
+    """A part that lists an element twice is refused, not folded."""
+
+    @pytest.mark.parametrize(
+        "sets, detail",
+        [
+            ('{"m":2,"sets":[[1,1],[2]]}', "part 1 lists element 1 more than once"),
+            ('{"m":3,"sets":[[1],[2,3,1,3]]}', "part 2 lists element 3 more than once"),
+        ],
+    )
+    def test_refused_with_the_part(self, capsys, sets, detail):
+        assert _call(capsys, "match", "--sets", sets, "--alpha", "1,1", "--beta", "1,1") == (
+            1,
+            json.dumps({"detail": detail, "error": "invalid-value", "flag": "--sets"}, separators=(",", ":")) + "\n",
+            "",
+        )
+
+    def test_then_is_checked_too(self, capsys):
+        code, out, _ = _call(capsys, "induce", "--sets", ONE, "--then", '{"m":1,"sets":[[1,1]]}', "--poly", X1)
+        assert code == 1
+        assert json.loads(out)["detail"] == "part 1 lists element 1 more than once"
+
+
 class TestIntegerJson:
     """Non-integer counts, ranks and elements are refused, never truncated."""
 

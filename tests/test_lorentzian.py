@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,15 +9,28 @@ from hypothesis import strategies as st
 from lormatch import (
     FloatPoly,
     Poly,
+    SubsetSeq,
     certify_lorentzian,
+    inducing_box,
     is_m_convex,
+    power_box,
     quad_inertia,
+    symbol_of,
     symmetric_inertia,
 )
-from lormatch._util import bounded_compositions
+from lormatch._util import bounded_compositions, vec_factorial
 from lormatch.lorentzian import _inertia
 
-from oracles import certify_literal, charpoly_inertia, m_convex_literal, m_convex_witness
+from oracles import (
+    certify_literal,
+    charpoly_inertia,
+    float_poly_from,
+    hessian_literal,
+    m_convex_literal,
+    m_convex_witness,
+)
+
+SIX_CYCLE = SubsetSeq(3, (frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})))
 
 
 @st.composite
@@ -90,6 +104,14 @@ def certify_inputs(draw):
     if draw(st.booleans()):
         floats[(0,) * nvars] = floats.get((0,) * nvars, 0.0) + 1e-12
     return FloatPoly(nvars, floats), 1e-9
+
+
+def _exponential(nvars, degree, bumps=()):
+    """Every exponent of the degree with normalized coefficient 1, or the one
+    given in bumps: each unbumped derivative has the all-ones Hessian."""
+    normalized = dict.fromkeys(bounded_compositions(degree, (degree,) * nvars), 1)
+    normalized.update(bumps)
+    return Poly(nvars, {exp: Fraction(c, vec_factorial(exp)) for exp, c in normalized.items()})
 
 
 def _linear_form(coeffs):
@@ -328,3 +350,43 @@ class TestCertify:
     def test_report_json(self):
         data = certify_lorentzian(Poly(2, {(1, 1): 1})).to_json()
         assert data == {"lorentzian": True, "failure": None, "checked_derivatives": 1}
+
+    @pytest.mark.parametrize("kappa", list(itertools.product((2, 3), repeat=3)), ids=str)
+    def test_six_cycle_symbols_match_literal(self, kappa):
+        symbol = symbol_of(inducing_box(SIX_CYCLE, kappa))
+        assert certify_lorentzian(symbol).to_json() == certify_literal(symbol).to_json()
+
+    @pytest.mark.parametrize("tol", [None, 1e-9])
+    def test_first_failure_after_repeated_passing_hessians(self, tol):
+        # the bump at (1, 5, 0) puts 2 on entries (0, 1) and (1, 0) of the
+        # Hessian at gamma = (0, 4, 0), fifth in lexicographic order; the four
+        # before share the all-ones Hessian, which differs from it off the
+        # diagonal only
+        f = _exponential(3, 6, {(1, 5, 0): 2})
+        if tol is not None:
+            f = float_poly_from(f)
+        report = certify_lorentzian(f, tol)
+        assert report.to_json() == certify_literal(f, tol).to_json()
+        assert report.failure.derivative == (0, 4, 0)
+        assert report.checked_derivatives == 5
+        earlier = sorted(bounded_compositions(4, (4, 4, 4)))[:4]
+        assert all(hessian_literal(f.derivative_multi(g)) == [[1] * 3] * 3 for g in earlier)
+
+    def test_witness_with_exponents_above_ten(self):
+        # exponent entries up to 12, so gammas are packed in radix 13; the only
+        # failing gamma is the last one, (10, 0, 0)
+        f = _exponential(3, 12, {(12, 0, 0): 2})
+        report = certify_lorentzian(f)
+        assert report.to_json() == certify_literal(f).to_json()
+        assert report.failure.derivative == (10, 0, 0)
+        assert report.checked_derivatives == 66
+
+    @pytest.mark.parametrize("q", ["1/2", "0"])
+    def test_power_box_symbol_matches_literal(self, q):
+        symbol = symbol_of(power_box(inducing_box(SIX_CYCLE, (2, 2, 3)), q))
+        assert isinstance(symbol, FloatPoly)
+        assert certify_lorentzian(symbol, 1e-9).to_json() == certify_literal(symbol, 1e-9).to_json()
+
+    def test_six_cycle_kappa_five_count(self):
+        report = certify_lorentzian(symbol_of(inducing_box(SIX_CYCLE, (5, 5, 5))))
+        assert report.verdict and report.checked_derivatives == 5130

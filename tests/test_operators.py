@@ -307,6 +307,17 @@ class TestSymbol:
             expected = expected * form ** kappa[i]
         assert symbol_of(substitution_box(seq, matrix, kappa)) == expected
 
+    def test_float_symbol(self):
+        box = OperatorBox((2,), 1, {a: FloatPoly(1, {a: 1.5}) for a in iter_box((2,))})
+        sym = symbol_of(box)
+        assert type(sym) is FloatPoly
+        assert sym == FloatPoly(2, {(0, 2): 1.5, (1, 1): 3.0, (2, 0): 3.0})
+        # kappa! / (kappa - alpha)! = 2 at alpha = (1,) takes 1e308 past the float range
+        images = {(0,): 1.0, (1,): 1e308, (2,): 0.5}
+        box = OperatorBox((2,), 1, {a: FloatPoly(1, {a: c}) for a, c in images.items()})
+        with pytest.raises(ValueError, match="finite coefficient required, got inf"):
+            symbol_of(box)
+
     def test_oversized_u_rejected(self):
         sym = Poly(3, {(0, 0, 2): 1})  # u exponent 2 > kappa = (1,)
         with pytest.raises(ValueError):

@@ -282,6 +282,12 @@ class TestJson:
             ({"nvars": 1, "terms": [{"exp": [2], "coeff": True}]}, "coefficients must be integers or strings"),
             ({"nvars": 1, "terms": [{"exp": [2], "num": True}]}, "coefficients must be integers or strings"),
             ({"nvars": 1, "terms": [{"exp": [2], "num": 1, "den": True}]}, "coefficients must be integers or strings"),
+            # number strings are ASCII digits: no Unicode digits, "_" or padding
+            ({"nvars": 1, "terms": [{"exp": [2], "num": "\u0663"}]}, "expected an integer string such as \"-12\", got '\u0663'"),
+            ({"nvars": 1, "terms": [{"exp": [2], "num": 3, "den": " 1_0 "}]}, "expected an integer string such as \"-12\", got ' 1_0 '"),
+            ({"nvars": 1, "terms": [{"exp": [2], "coeff": " 3/1_0"}]}, "expected a rational string such as \"-3/2\" or \"0.5\", got ' 3/1_0'"),
+            ({"nvars": 1, "terms": [{"exp": [2], "coeff": "1e3"}]}, "expected a rational string such as \"-3/2\" or \"0.5\", got '1e3'"),
+            ({"nvars": 1, "terms": [{"exp": [2], "num": "-3", "den": "010"}]}, [((2,), Fraction(-3, 10))]),
         ],
     )
     def test_from_json_goldens(self, doc, expected):
@@ -351,8 +357,9 @@ class TestFloatPoly:
         assert math.isclose(fp.normalized_coeff((3,)), 3.0)
 
     def test_shares_the_exact_core(self):
-        for name in ("__init__", "items", "derivative_multi", "to_json", "__eq__"):
+        for name in ("__init__", "_trusted", "items", "derivative_multi", "to_json", "__eq__"):
             assert vars(FloatPoly)[name] is vars(Poly)[name]
+        assert type(FloatPoly._trusted(1, {(1,): 0.5})) is FloatPoly
         assert not issubclass(FloatPoly, Poly)
 
     def test_json_rows_carry_floats(self):
