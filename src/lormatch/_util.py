@@ -1,8 +1,8 @@
-"""Shared enumeration and factorial helpers; the JSON number rule, which
-every reader of JSON input applies; and `_inertia`, the one exact
-elimination: `lorentzian` reads every inertia from it and
-`polymatroids.linreal_rank` every realization rank (the nonzero eigenvalues
-of a Gram matrix), both without an import cycle."""
+"""Shared enumeration and factorial helpers; the JSON number rule and the
+exact-input rules (a float is refused, never rounded; rationals are summed
+or eliminated as ints, scaled by the lcm of their denominators); and
+`_inertia`, the one exact elimination, which `lorentzian` (every inertia)
+and `polymatroids.linreal_rank` (every rank) share without an import cycle."""
 
 from __future__ import annotations
 
@@ -94,7 +94,7 @@ def int_text(value: int | str) -> int:
     return int(value)
 
 
-def json_rational(cell, message: str) -> Fraction:
+def json_rational(cell, message: str = "expected a rational, got {json}") -> Fraction:
     """A JSON rational; a "p/q" string with q = 0 raises ZeroDivisionError."""
     if isinstance(cell, str):
         if not _RATIONAL_TEXT.fullmatch(cell):
@@ -111,6 +111,37 @@ def json_rational_rows(data, what: str) -> list[list[Fraction]]:
         raise ValueError("expected a list of rows")
     message = what + " entries must be integers or rational strings, got {json}"
     return [[json_rational(cell, message) for cell in row] for row in data]
+
+
+def exact_rational(value, what: str = "rational entries", hint: str = "") -> Fraction:
+    """The value as a Fraction; a float is refused, never rounded."""
+    if isinstance(value, float):
+        raise TypeError(f"exact {what} required, got float{hint}")
+    return Fraction(value)
+
+
+def nonnegative_weights(values: Sequence, length: int, name: str) -> list[Fraction]:
+    """`length` exact rationals, none negative, such as operator weights."""
+    out = [exact_rational(v, "rational weights") for v in values]
+    if any(v < 0 for v in out):
+        raise ValueError(f"{name} weights must be nonnegative")
+    if len(out) != length:
+        raise ValueError(f"{name} has length {len(out)}, expected {length}")
+    return out
+
+
+def clear_denominators(values: Sequence) -> tuple[int, list[int]]:
+    """(L, [v * L for v in values]) as ints, L the lcm of the denominators."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def checked_tolerance(tol: float) -> None:
+    """Refuse a tolerance that is not positive, or infinite: it would zero every magnitude."""
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    if not math.isfinite(tol):
+        raise ValueError("tolerance must be finite")
 
 
 def _swap_symmetric(work: list[list], i: int, j: int) -> None:

@@ -17,10 +17,9 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ._util import json_ints, json_rational_rows
+from ._util import int_text, json_ints, json_rational, json_rational_rows
 from .lorentzian import certify_lorentzian, is_m_convex, quad_inertia
 from .matchings import (
     SubsetSeq,
@@ -136,12 +135,16 @@ def _parse_poly(raw: str, flag: str = "--poly") -> Poly:
     return _parse_with(Poly.from_json, raw, flag)
 
 
-def _parse_list(raw: str, flag: str, convert) -> tuple:
-    """Comma-separated values, each read by ``convert`` (int or Fraction)."""
+def _parse_number(raw: str, flag: str, convert):
+    """A number read by ``convert`` (`int_text` or `json_rational`): ASCII digits only."""
     try:
-        return tuple(convert(tok.strip()) for tok in raw.split(","))
+        return convert(raw.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise _domain(flag, exc) from exc
+
+
+def _parse_list(raw: str, flag: str, convert=int_text) -> tuple:
+    return tuple(_parse_number(tok, flag, convert) for tok in raw.split(","))
 
 
 _matrix_from_json = functools.partial(json_rational_rows, what="matrix")
@@ -191,7 +194,7 @@ def _emit(payload, pretty: bool, raw: str | None = None) -> None:
 
 def _cmd_match(args) -> int:
     seq = _parse_seq(args.sets)
-    alpha = _parse_list(args.alpha, "--alpha", int)
+    alpha = _parse_list(args.alpha, "--alpha")
     caps = None
     if args.caps is not None:
         caps = _parse_with(lambda data: caps_from_json(seq, data), args.caps, "--caps")
@@ -201,7 +204,7 @@ def _cmd_match(args) -> int:
         degrees = sorted(matched_degrees(seq, alpha))
         _emit({"matched": [list(beta) for beta in degrees]}, args.pretty)
         return 0
-    beta = _parse_list(args.beta, "--beta", int)
+    beta = _parse_list(args.beta, "--beta")
     witness = find_witness(seq, alpha, beta, caps)
     _emit(
         {
@@ -240,7 +243,7 @@ def _cmd_subst(args) -> int:
 def _cmd_ct(args) -> int:
     seq = _parse_seq(args.sets)
     if args.topic is not None:
-        topic = _parse_list(args.topic, "--topic", int) if args.topic else ()
+        topic = _parse_list(args.topic, "--topic") if args.topic else ()
         if args.matroid is not None:
             mat = _parse_with(_matroid_from_json, args.matroid, "--matroid")
             count = basis_match_count(mat, seq, topic)
@@ -272,7 +275,7 @@ def _cmd_fpoly(args) -> int:
 
 def _cmd_symbol(args) -> int:
     seq = _parse_seq(args.sets)
-    kappa = _parse_list(args.kappa, "--kappa", int)
+    kappa = _parse_list(args.kappa, "--kappa")
     if args.op == "substitution":
         matrix = None
         if args.matrix is not None:
@@ -283,11 +286,7 @@ def _cmd_symbol(args) -> int:
             raise UsageError("--matrix only applies to --op substitution")
         box = inducing_box(seq, kappa)
     if args.q is not None:
-        try:
-            q = Fraction(args.q)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _domain("--q", exc) from exc
-        box = power_box(box, q)
+        box = power_box(box, _parse_number(args.q, "--q", json_rational))
     out = box if args.table else symbol_of(box)
     _emit(out.to_json(), args.pretty)
     return 0
@@ -359,16 +358,16 @@ def _cmd_hallrado(args) -> int:
     else:
         pm = _parse_with(_polymatroid_from_json, args.pm, "--pm")
     seq = _parse_seq(args.sets)
-    delta = _parse_list(args.delta, "--delta", int)
+    delta = _parse_list(args.delta, "--delta")
     _emit({"member": hall_rado_member(pm, seq, delta)}, args.pretty)
     return 0
 
 
 def _cmd_tab_family(args) -> int:
     seq = _parse_seq(args.sets)
-    kappa = _parse_list(args.kappa, "--kappa", int)
-    a = _parse_list(args.a, "--a", Fraction)
-    b = _parse_list(args.b, "--b", Fraction)
+    kappa = _parse_list(args.kappa, "--kappa")
+    a = _parse_list(args.a, "--a", json_rational)
+    b = _parse_list(args.b, "--b", json_rational)
     box = tab_family_box(seq, a, b, kappa)
     augmented = augment_with_singletons(seq)
     payload = {"augmented_sets": augmented.to_json()}
@@ -381,12 +380,12 @@ def _cmd_tab_family(args) -> int:
 
 
 def _env(name: str, fallback, convert):
-    """The environment variable read by ``convert``, or ``fallback`` if unset."""
+    """The stripped environment variable read by ``convert``, or ``fallback`` if unset."""
     value = os.environ.get(name)
     if value is None:
         return fallback
     try:
-        return convert(value)
+        return convert(value.strip())
     except ValueError as exc:
         raise DomainError(
             {"error": "invalid-environment", "variable": name, "detail": str(exc)}
@@ -397,7 +396,7 @@ def _cmd_verify(args) -> int:
     if args.list_checks:
         _emit({"checks": list(CHECKS)}, args.pretty)
         return 0
-    seed = args.seed if args.seed is not None else _env(SEED_ENV, 1, int)
+    seed = args.seed if args.seed is not None else _env(SEED_ENV, 1, int_text)
     tolerance = (
         args.tolerance
         if args.tolerance is not None

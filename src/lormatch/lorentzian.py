@@ -9,22 +9,22 @@ Every inertia here comes from one congruence elimination, `_inertia` in
 `_util.py` (shared with the realization ranks of `polymatroids`):
 symmetric fraction-free (Bareiss) elimination, run on Python ints for exact
 input and on floats under a pivot tolerance.  `symmetric_inertia` scales an
-exact matrix to integers by the common denominator of its entries before
-handing it over; the tests check the kernel against the characteristic
-polynomial (Faddeev-LeVerrier with Descartes' rule, `charpoly_inertia` in
+exact matrix to integers with `_util.clear_denominators` before handing it
+over; the tests check the kernel against the characteristic polynomial
+(Faddeev-LeVerrier with Descartes' rule, `charpoly_inertia` in
 tests/oracles.py).
 
 The work follows the support, not the degree box.  Entry (i, j) of the
 Hessian of the derivative at gamma is the normalized coefficient of f at
 gamma + e_i + e_j, so one pass over the coefficient table files each entry
 under its gamma = support point - e_i - e_j: exactly the derivatives that
-do not vanish.  Exact input is first scaled by the common denominator
-of that table, which changes no inertia, so every Hessian is an integer
-matrix.  Each gamma is keyed by a packed int, its entries as big-endian
-digits in radix (largest exponent entry + 1); no digit carries, so the key
-of gamma = exp - e_i - e_j is key(exp) - place[i] - place[j], and int order
-is lexicographic order.  Only the upper triangle (i <= j) of each Hessian is
-filed, as a flat list of n(n + 1)/2 entries.
+do not vanish.  Exact input is first scaled to integers by the same
+`clear_denominators`, which changes no inertia, so every Hessian is an
+integer matrix.  Each gamma is keyed by a packed int, its entries as
+big-endian digits in radix (largest exponent entry + 1); no digit carries,
+so the key of gamma = exp - e_i - e_j is key(exp) - place[i] - place[j],
+and int order is lexicographic order.  Only the upper triangle (i <= j) of
+each Hessian is filed, as a flat list of n(n + 1)/2 entries.
 
 Symbols repeat their Hessians heavily, and exactly: the kappa = 4^4 symbol
 of the four-cycle of pairs has 44,000 derivatives but 87 distinct entry
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._util import _inertia, grlex_key, vec_factorial
+from ._util import _inertia, checked_tolerance, clear_denominators, grlex_key, vec_factorial
 from .matchings import _unpack
 from .polymatroids import points_polymatroid
 from .polynomials import FloatPoly, Poly
@@ -164,9 +164,9 @@ def symmetric_inertia(matrix: Sequence[Sequence], tol: float | None = None) -> I
     """Inertia by congruence elimination.
 
     Exact over the rationals when tol is None (floating entries rejected):
-    the matrix is scaled to integers by the common denominator of its
-    entries, which keeps the inertia.  Otherwise works in floating point with
-    a Schur-complement value of magnitude at most tol treated as zero.
+    the matrix is scaled to integers by `clear_denominators`, which keeps
+    the inertia.  Otherwise works in floating point with a Schur-complement
+    value of magnitude at most tol treated as zero.
     Both go through the same fraction-free elimination, `_inertia`.
     """
     rows = [list(r) for r in matrix]
@@ -176,13 +176,11 @@ def symmetric_inertia(matrix: Sequence[Sequence], tol: float | None = None) -> I
     if tol is None:
         if any(isinstance(v, float) for r in rows for v in r):
             raise TypeError("floating entries require a tolerance")
-        exact = [[Fraction(v) for v in r] for r in rows]
-        scale = math.lcm(*(v.denominator for r in exact for v in r))
-        work = [[v.numerator * (scale // v.denominator) for v in r] for r in exact]
+        _, flat = clear_denominators([Fraction(v) for r in rows for v in r])
+        work = [flat[k * n : k * n + n] for k in range(n)]
         gap_cut = 0
     else:
-        if not tol > 0:
-            raise ValueError("tolerance must be positive")
+        checked_tolerance(tol)
         work = [[float(v) for v in r] for r in rows]
         if not all(math.isfinite(v) for r in work for v in r):
             raise ValueError("finite matrix entries required")
@@ -227,8 +225,8 @@ def certify_lorentzian(f: Poly | FloatPoly, tol: float | None = None) -> Lorentz
     is_float = isinstance(f, FloatPoly)
     if is_float and tol is None:
         raise TypeError("floating polynomial requires a tolerance")
-    if tol is not None and not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if tol is not None:
+        checked_tolerance(tol)
     if is_float:
         # magnitudes at or below the tolerance count as absent terms
         f = FloatPoly(f.nvars, {e: c for e, c in f.items() if abs(c) > tol})
@@ -262,14 +260,12 @@ def certify_lorentzian(f: Poly | FloatPoly, tol: float | None = None) -> Lorentz
     if is_float:
         table = {exp: c * vec_factorial(exp) for exp, c in f.items()}
     else:
-        # scaled by the common denominator: a positive scalar keeps the
-        # inertia, and integer Hessians are eliminated exactly
+        # scaled to integers: a positive scalar keeps the inertia, and
+        # integer Hessians are eliminated exactly
         tol = None
-        scale = math.lcm(*(c.denominator for _, c in f.items()))
-        table = {
-            exp: c.numerator * (scale // c.denominator) * vec_factorial(exp)
-            for exp, c in f.items()
-        }
+        exps, coeffs = zip(*f.items())
+        _, ints = clear_denominators(coeffs)
+        table = {exp: c * vec_factorial(exp) for exp, c in zip(exps, ints)}
     # one pass files each table entry into the upper triangle of the Hessian
     # of every gamma that reads it, a flat row-major list per packed gamma
     radix = max(map(max, table)) + 1

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ._util import _is_json_int, iter_box, json_ints, vec_factorial
+from ._util import _is_json_int, clear_denominators, iter_box, json_ints, nonnegative_weights
+from ._util import vec_factorial
 from .matchings import SubsetSeq, _packed_sums, _unpack
 from .polynomials import FloatPoly, Poly
 
@@ -109,8 +110,8 @@ def apply_inducing(seq: SubsetSeq, f: Poly) -> Poly:
 
     The normalized coefficient of x^alpha lands, unchanged, on y^beta for
     every beta with (alpha, beta) matchable; extended linearly and exactly.
-    The normalized coefficients c * alpha! are scaled by the least common
-    multiple L of their denominators, so each is an int weight.  One sumset
+    The normalized coefficients c * alpha! are scaled to int weights by
+    `clear_denominators`, L being the lcm of their denominators.  One sumset
     walk over the exponents in sorted order, with one radix for all of f,
     gives each exponent's packed betas; they are counted per weight and the
     counts combined per beta.  Each output term then costs one division,
@@ -121,13 +122,11 @@ def apply_inducing(seq: SubsetSeq, f: Poly) -> Poly:
     if f.nvars != seq.m:
         raise ValueError(f"polynomial in {f.nvars} variables, sequence over 1..{seq.m}")
     terms = sorted(f.items())
-    norms = [c * vec_factorial(exp) for exp, c in terms]
-    scale = math.lcm(*(c.denominator for c in norms))
+    scale, weights = clear_denominators([c * vec_factorial(exp) for exp, c in terms])
     radix = max((sum(exp) for exp, _ in terms), default=0) + 1
     counts: dict[int, Counter] = {}
     walk = _packed_sums(seq, (exp for exp, _ in terms), radix)
-    for c, (_, keys) in zip(norms, walk):
-        weight = c.numerator * (scale // c.denominator)
+    for weight, (_, keys) in zip(weights, walk):
         counts.setdefault(weight, Counter()).update(keys)
     totals: dict[int, int] = {}
     for weight, group in counts.items():
@@ -155,21 +154,14 @@ def _linear_images(
     rows = [list(r) for r in matrix]
     if len(rows) != seq.m or any(len(r) != seq.n for r in rows):
         raise ValueError(f"matrix must be {seq.m} x {seq.n}")
+    units = [tuple(int(t == j) for t in range(seq.n)) for j in range(seq.n)]
     images = []
     for i, row in enumerate(rows, start=1):
-        terms = {}
-        for j, v in enumerate(row, start=1):
-            if isinstance(v, float):
-                raise TypeError("exact rational entries required, got float")
-            value = Fraction(v)
-            if value < 0:
-                raise ValueError(f"negative weight at ({i},{j})")
+        weights = nonnegative_weights(row, seq.n, f"matrix row {i}")
+        for j, value in enumerate(weights, start=1):
             if (value != 0) != seq.has_edge(i, j):
-                raise ValueError(
-                    f"weight pattern differs from the sequence at ({i},{j})"
-                )
-            terms[tuple(int(t == j - 1) for t in range(seq.n))] = value
-        images.append(Poly(seq.n, terms))
+                raise ValueError(f"weight pattern differs from the sequence at ({i},{j})")
+        images.append(Poly(seq.n, zip(units, weights)))
     return images
 
 
@@ -302,20 +294,6 @@ def _singleton_owners(seq: SubsetSeq) -> tuple[int, ...]:
     )
 
 
-def _checked_weights(values: Sequence, length: int, name: str) -> list[Fraction]:
-    out = []
-    for v in values:
-        if isinstance(v, float):
-            raise TypeError("exact rational weights required, got float")
-        value = Fraction(v)
-        if value < 0:
-            raise ValueError(f"{name} weights must be nonnegative")
-        out.append(value)
-    if len(out) != length:
-        raise ValueError(f"{name} has length {len(out)}, expected {length}")
-    return out
-
-
 def tab_family_box(
     seq: SubsetSeq, a: Sequence, b: Sequence, kappa: Sequence[int]
 ) -> OperatorBox:
@@ -329,8 +307,8 @@ def tab_family_box(
     """
     k = _checked_kappa(kappa, seq.m)
     owners = _singleton_owners(seq)
-    a_w = _checked_weights(a, seq.n, "a")
-    b_w = _checked_weights(b, len(owners), "b")
+    a_w = nonnegative_weights(a, seq.n, "a")
+    b_w = nonnegative_weights(b, len(owners), "b")
     n = seq.n
     images = [Poly.variable(n, i).scale(w) for i, w in enumerate(a_w)]
     images += [Poly.variable(n, owner - 1).scale(w) for owner, w in zip(owners, b_w)]

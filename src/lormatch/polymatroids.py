@@ -23,14 +23,13 @@ the inertia of a Gram matrix, through the one exact elimination in `_util`.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from ._util import _inertia, _is_json_int, json_ints, json_rational_rows
-from ._util import mask_to_elements, vec_factorial
+from ._util import clear_denominators, exact_rational, mask_to_elements, vec_factorial
 from .matchings import SubsetSeq, admits_matching
 from .polynomials import Poly
 
@@ -431,19 +430,11 @@ class LinReal:
             raise ValueError("block dimensions must be >= 0")
         object.__setattr__(self, "blockdims", dims)
         ncols = sum(dims)
-        rows = []
-        for row in self.gens:
-            checked = []
-            for v in row:
-                if isinstance(v, float):
-                    raise TypeError("exact rational entries required, got float")
-                checked.append(Fraction(v))
-            if len(checked) != ncols:
-                raise ValueError(
-                    f"row has {len(checked)} entries, expected {ncols}"
-                )
-            rows.append(tuple(checked))
-        object.__setattr__(self, "gens", tuple(rows))
+        rows = tuple(tuple(exact_rational(v) for v in row) for row in self.gens)
+        for row in rows:
+            if len(row) != ncols:
+                raise ValueError(f"row has {len(row)} entries, expected {ncols}")
+        object.__setattr__(self, "gens", rows)
         offsets = []
         at = 0
         for d in dims:
@@ -483,16 +474,13 @@ class LinReal:
 def linreal_rank(real: LinReal) -> Polymatroid:
     """Rank of a block set = dimension of the projection of the row span.
 
-    Each generator row is scaled to integers by the lcm of its denominators
-    (a nonzero row scale keeps the span).  For the columns C of a block set,
+    Each generator row is scaled to integers by `clear_denominators` (a
+    nonzero row scale keeps the span).  For the columns C of a block set,
     rank(G_C) = rank(G_C G_C^T), and that Gram matrix is positive
     semidefinite, so its rank is its count of nonzero eigenvalues, read from
     the one exact elimination `_inertia`.
     """
-    rows = []
-    for row in real.gens:
-        scale = math.lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (scale // v.denominator) for v in row])
+    rows = [clear_denominators(row)[1] for row in real.gens]
     table = []
     for mask in range(1 << real.m):
         cols = [

@@ -23,7 +23,8 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._util import _is_json_int, grlex_key, int_text, json_ints, json_rational, vec_factorial
+from ._util import _is_json_int, exact_rational, grlex_key, int_text, json_ints, json_rational
+from ._util import vec_factorial
 
 ExpVec = tuple[int, ...]
 CPoint = tuple[complex, ...]
@@ -47,9 +48,7 @@ ANY_DEGREE = _AnyDegree()
 
 
 def _to_fraction(value: object) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("exact coefficient required, got float (use FloatPoly)")
-    return Fraction(value)  # type: ignore[arg-type]
+    return exact_rational(value, "coefficient", " (use FloatPoly)")
 
 
 def _checked_exponent(exp: Sequence[int], nvars: int) -> ExpVec:
@@ -222,11 +221,10 @@ class Poly:
                     else:
                         data.pop(key, None)
             return Poly._trusted(self.nvars, data)
-        c = _to_fraction(other)
-        return self.scale(c)
+        return self.scale(other)
 
     def __rmul__(self, other) -> "Poly":
-        return self.scale(_to_fraction(other))
+        return self.scale(other)
 
     def scale(self, value) -> "Poly":
         c = _to_fraction(value)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Mapping, Sequence
 
-from ._util import bounded_compositions, iter_box, vec_factorial
+from ._util import bounded_compositions, checked_tolerance, iter_box, vec_factorial
 from .lorentzian import certify_lorentzian, is_m_convex, quad_inertia
 from .matchings import (
     SubsetSeq,
@@ -82,8 +82,7 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("bounds and trial count must be >= 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        checked_tolerance(self.tolerance)
 
     def to_json(self) -> dict:
         return {

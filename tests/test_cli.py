@@ -309,6 +309,64 @@ class TestRationalJson:
         assert _call(capsys, *argv, '{"1-1":1}')[0] == 0
 
 
+class TestNumberFlags:
+    """The comma-list flags, `--q` and LORMATCH_SEED read numbers by the JSON
+    number-string rule; only the spaces around each number are stripped."""
+
+    TWO_SINGLES = '{"m":2,"sets":[[1],[2]]}'
+
+    # " 3" is read as 3 once stripped, as the "1" of "1, 1" is
+    REFUSED_RATIONALS = [t for t in TestRationalJson.NOT_ASCII_RATIONALS if t != " 3"]
+    REFUSED_INTEGERS = ["\u0661", "\uff11", "1_0", "\u0661_0", "+1", "1e1", "1.0", " 1 0 "]
+
+    def _refused(self, capsys, argv, flag, text):
+        code, out, err = _call(capsys, *argv)
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert (payload["error"], payload["flag"]) == ("invalid-value", flag)
+        assert payload["detail"].startswith("expected a")
+        assert repr(text.strip()) in payload["detail"]
+
+    @pytest.mark.parametrize("text", REFUSED_RATIONALS)
+    def test_a_refuses(self, capsys, text):
+        argv = ("tab-family", "--sets", NARROW, "--a", f"1,1,{text}", "--b", "0,0,0,0")
+        self._refused(capsys, argv + ("--kappa", "1,1"), "--a", text)
+
+    @pytest.mark.parametrize("text", REFUSED_RATIONALS)
+    def test_q_refuses(self, capsys, text):
+        argv = ("symbol", "--sets", ONE, "--kappa", "1", "--q", text)
+        self._refused(capsys, argv, "--q", text)
+
+    @pytest.mark.parametrize("text", REFUSED_INTEGERS)
+    def test_alpha_refuses(self, capsys, text):
+        argv = ("match", "--sets", self.TWO_SINGLES, "--alpha", f"{text},1", "--beta", "1,1")
+        self._refused(capsys, argv, "--alpha", text)
+
+    @pytest.mark.parametrize("text", REFUSED_INTEGERS)
+    def test_kappa_refuses(self, capsys, text):
+        self._refused(capsys, ("symbol", "--sets", ONE, "--kappa", text), "--kappa", text)
+
+    def test_spaces_around_numbers_are_stripped(self, capsys):
+        argv = ("match", "--sets", self.TWO_SINGLES, "--alpha", "1, 1", "--beta", " 1,1 ")
+        assert _call(capsys, *argv) == (0, '{"feasible":true,"witness":{"1-1":1,"2-2":1}}\n', "")
+        half = _call(capsys, "symbol", "--sets", NARROW, "--kappa", "1,1", "--q", " 0.5 ")
+        assert half == (0, POWER_SYMBOL, "")
+
+    def test_q_zero_denominator_refused(self, capsys):
+        code, out, _ = _call(capsys, "symbol", "--sets", ONE, "--kappa", "1", "--q", "1/0")
+        assert code == 1 and json.loads(out)["flag"] == "--q"
+
+    def test_seed_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("LORMATCH_SEED", "\u0661")
+        code, out, _ = _call(capsys, "verify", "--check", "golden-examples")
+        payload = json.loads(out)
+        assert code == 1
+        assert (payload["error"], payload["variable"]) == ("invalid-environment", "LORMATCH_SEED")
+        monkeypatch.setenv("LORMATCH_SEED", " 9 ")
+        code, out, _ = _call(capsys, "verify", "--trials", "2", "--check", "golden-examples")
+        assert code == 0 and json.loads(out.splitlines()[-1])["config"]["seed"] == 9
+
+
 class TestRepeatedElements:
     """A part that lists an element twice is refused, not folded."""
 
@@ -457,6 +515,20 @@ class TestVerifySubcommand:
         code, out, _ = _call(capsys, "verify", "--trials", "2", "--check", "golden-examples")
         summary = json.loads(out.splitlines()[-1])
         assert summary["config"]["tolerance"] == 1e-8
+
+    def test_infinite_tolerance_refused(self, capsys, monkeypatch):
+        invalid = '{"detail":"tolerance must be finite","error":"invalid-config"}\n'
+        assert _call(capsys, "verify", "--tolerance", "inf") == (1, invalid, "")
+        monkeypatch.setenv("LORMATCH_TOLERANCE", "inf")
+        assert _call(capsys, "verify") == (1, invalid, "")
+        squares = '{"nvars":2,"terms":[{"exp":[2,0],"coeff":1},{"exp":[0,2],"coeff":1}]}'
+        certify = ("certify", "--poly", squares, "--quadratic")
+        assert _call(capsys, *certify) == (0, '{"inertia":[2,0,0]}\n', "")
+        assert _call(capsys, *certify, "--tolerance", "inf") == (
+            1,
+            '{"detail":"tolerance must be finite","error":"domain"}\n',
+            "",
+        )
 
     def test_one_line_per_check_plus_summary(self, capsys):
         code, out, _ = _call(capsys, "verify", "--trials", "2")
@@ -893,3 +965,20 @@ class TestReadmeExamples:
         assert code == 0, out
         if printed is not None:
             assert out == printed + "\n"
+
+
+def _readme_library_block():
+    """The ```python block under README.md's "Library use" heading."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library use\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_block_prints_its_comments(capsys):
+    # each print(...) line ends in a "# value" comment: the line it prints
+    block = _readme_library_block()
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    expected = [line.split("#", 1)[1].strip() for line in prints]
+    assert len(expected) >= 2
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

@@ -1,5 +1,5 @@
-"""The library imports nothing outside the standard library, and reads JSON
-numbers in one place."""
+"""The library imports nothing outside the standard library, reads JSON
+numbers in one place, and keeps its exact-input rules in one place."""
 
 import ast
 import sys
@@ -41,3 +41,22 @@ def test_json_number_readers_live_in_util(path):
         and ("json_int" in node.name or "json_rational" in node.name)
     )
     assert not copies, f"{path.name} defines {copies}; read JSON numbers with _util"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_exact_input_rules_live_in_util(path):
+    # refusing a float (`exact_rational`) and scaling rationals to ints by the
+    # lcm of their denominators (`clear_denominators`) are `_util`'s rules; a
+    # copy elsewhere could round a float or scale by the wrong common multiple
+    if path.name == "_util.py":
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "lcm":
+            found.add("math.lcm")
+        elif isinstance(node, ast.alias) and node.name == "lcm":
+            found.add("from math import lcm")
+        elif isinstance(node, ast.Constant) and "got float" in str(node.value):
+            found.add("a 'got float' refusal")
+    assert not found, f"{path.name} has {sorted(found)}; use _util's exact-input rules"

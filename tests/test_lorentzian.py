@@ -148,6 +148,14 @@ class TestSymmetricInertia:
         with pytest.raises(ValueError, match="finite"):
             symmetric_inertia([[bad, 1.0], [1.0, 0.0]], tol=1e-9)
 
+    @pytest.mark.parametrize("tol", [math.inf, 0.0, -1e-9, math.nan])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # an infinite tolerance would count every pivot as zero: (0, 0, 2)
+        with pytest.raises(ValueError, match="tolerance must be"):
+            symmetric_inertia([[2.0, 0.0], [0.0, 2.0]], tol=tol)
+        with pytest.raises(ValueError, match="tolerance must be"):
+            quad_inertia(Poly(2, {(2, 0): 1, (0, 2): 1}), tol)
+
     def test_float_tolerance_goldens(self):
         # the Schur complement 5e-10 sits below tol; its Bareiss-scaled entry
         # 1000 * 5e-10 does not, so the test must scale tol by the last pivot
@@ -241,6 +249,17 @@ class TestMConvex:
 
 
 class TestCertify:
+    @pytest.mark.parametrize("tol", [math.inf, 0.0, -1e-9, math.nan])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # under an infinite tolerance every term would be pruned, and the
+        # support {2e_1, 2e_2, 2e_3}, which is not M-convex, would pass
+        squares = FloatPoly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
+        assert certify_lorentzian(squares, 1e-9).failure.kind == "support-not-M-convex"
+        with pytest.raises(ValueError, match="tolerance must be"):
+            certify_lorentzian(squares, tol)
+        with pytest.raises(ValueError, match="tolerance must be"):
+            certify_lorentzian(Poly(2, {(2, 0): 1, (0, 2): 1}), tol)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_polynomial_not_certified(self, bad):
         with pytest.raises(ValueError, match="finite"):

@@ -34,6 +34,11 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig(tolerance=-1e-9)
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+    def test_tolerance_must_be_finite(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be"):
+            TrialConfig(tolerance=tol)
+
     def test_json_echo(self):
         data = TrialConfig(seed=7).to_json()
         assert data["seed"] == 7 and data["trials"] == 100
