@@ -94,6 +94,13 @@ def int_text(value: int | str) -> int:
     return int(value)
 
 
+def float_text(value: str) -> float:
+    """The float an ASCII decimal string such as "1e-9" spells; "_" is refused."""
+    if not value.isascii() or "_" in value:
+        raise ValueError(f"expected a decimal number such as \"1e-9\", got {value!r}")
+    return float(value)
+
+
 def json_rational(cell, message: str = "expected a rational, got {json}") -> Fraction:
     """A JSON rational; a "p/q" string with q = 0 raises ZeroDivisionError."""
     if isinstance(cell, str):

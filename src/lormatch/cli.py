@@ -19,7 +19,7 @@ import os
 import sys
 from typing import Mapping, Sequence
 
-from ._util import int_text, json_ints, json_rational, json_rational_rows
+from ._util import float_text, int_text, json_ints, json_rational, json_rational_rows
 from .lorentzian import certify_lorentzian, is_m_convex, quad_inertia
 from .matchings import (
     SubsetSeq,
@@ -141,6 +141,22 @@ def _parse_number(raw: str, flag: str, convert):
         return convert(raw.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise _domain(flag, exc) from exc
+
+
+def _flag_type(convert):
+    """An argparse ``type`` reading the stripped flag text with ``convert``
+    (`int_text` or `float_text`: ASCII only); a refusal exits 2."""
+
+    def read(raw: str):
+        try:
+            return convert(raw.strip())
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return read
+
+
+_INT_FLAG, _FLOAT_FLAG = _flag_type(int_text), _flag_type(float_text)
 
 
 def _parse_list(raw: str, flag: str, convert=int_text) -> tuple:
@@ -400,7 +416,7 @@ def _cmd_verify(args) -> int:
     tolerance = (
         args.tolerance
         if args.tolerance is not None
-        else _env(TOLERANCE_ENV, 1e-9, float)
+        else _env(TOLERANCE_ENV, 1e-9, float_text)
     )
     trials = args.trials if args.trials is not None else 100
     try:
@@ -463,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("induce", parents=[common], help="apply the inducing operator")
     p.add_argument("--sets", required=True)
     p.add_argument("--poly", help="input polynomial JSON or @file")
-    p.add_argument("--elementary", type=int, help="use the elementary symmetric polynomial of this degree")
+    p.add_argument("--elementary", type=_INT_FLAG, help="use the elementary symmetric polynomial of this degree")
     p.add_argument("--then", help="second subset sequence: compose before applying")
     p.add_argument("--basis", choices=("plain", "normalized"), default="plain")
     p.set_defaults(func=_cmd_induce)
@@ -477,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ct", parents=[common], help="matching counts by topic set")
     p.add_argument("--sets", required=True)
-    p.add_argument("--r", type=int, help="tabulate all topics of this size")
+    p.add_argument("--r", type=_INT_FLAG, help="tabulate all topics of this size")
     p.add_argument("--topic", help="comma-separated part indices; empty string for the empty topic")
     p.add_argument("--matroid", help="restrict counted sets to bases of this matroid")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -485,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fpoly", parents=[common], help="matching-count generating polynomials")
     p.add_argument("--sets", required=True)
-    p.add_argument("--r", type=int)
+    p.add_argument("--r", type=_INT_FLAG)
     p.add_argument("--matroid", help="basis-restricted variant for this matroid")
     p.set_defaults(func=_cmd_fpoly)
 
@@ -500,7 +516,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", parents=[common], help="Lorentzian certification")
     p.add_argument("--poly", required=True)
-    p.add_argument("--tolerance", type=float, help="treat magnitudes at or below this as zero")
+    p.add_argument("--tolerance", type=_FLOAT_FLAG,
+                   help="treat magnitudes at or below this as zero")
     p.add_argument("--quadratic", action="store_true", help="report the Hessian inertia only")
     p.add_argument("--support-only", action="store_true", dest="support_only",
                    help="report the exchange-property check only")
@@ -533,9 +550,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tab_family)
 
     p = sub.add_parser("verify", parents=[common], help="run the randomized verification checks")
-    p.add_argument("--seed", type=int, help=f"default 1, or ${SEED_ENV}")
-    p.add_argument("--trials", type=int, help="base trial count, default 100")
-    p.add_argument("--tolerance", type=float, help=f"default 1e-9, or ${TOLERANCE_ENV}")
+    p.add_argument("--seed", type=_INT_FLAG, help=f"default 1, or ${SEED_ENV}")
+    p.add_argument("--trials", type=_INT_FLAG, help="base trial count, default 100")
+    p.add_argument("--tolerance", type=_FLOAT_FLAG, help=f"default 1e-9, or ${TOLERANCE_ENV}")
     p.add_argument("--check", help="run a single named check")
     p.add_argument("--list", action="store_true", dest="list_checks", help="list check names")
     p.add_argument("--replay", help="re-evaluate a recorded failing instance (requires --check)")

@@ -2,16 +2,18 @@
 
 Rank functions are explicit tables with one entry per subset of the ground
 set {1..m}, indexed by bitmask (bit i-1 is element i).  Everything here is
-desk scale: validation and rank queries run brute force over the table,
-which keeps every claim checkable by inspection.  Base points are listed by
-a contraction walk that fixes one coordinate at a time and only ever
-extends prefixes of real base points (see `_walk_base_points`).
+desk scale: rank queries read the table, and validation compares whole
+slices of it, one `map` per element and per pair of elements, with a
+mask-order scan only to name the first witness (`_check_local_axioms`).
+Base points are listed by a contraction walk that fixes one coordinate at
+a time, only ever extends prefixes of real base points, and contracts each
+distinct state once (see `_walk_base_points`).
 
 A table is checked against the axioms once, where it enters the library:
 `Polymatroid(...)`, `validate_polymatroid`, `Polymatroid.from_json`,
 `linreal_rank` and the candidate inside `points_polymatroid`.  Tables that
 library code derives from `Polymatroid`s are polymatroids by theorem and are
-built by `Polymatroid._derived` without the O(m^2 2^m) re-check:
+built by `Polymatroid._derived` without the axiom check:
 `free_polymatroid` and `uniform_matroid` (valid by construction once their
 arguments are in range), `direct_sum`, `induce_polymatroid` (f(union of the
 parts in T) is a polymatroid when f is; Edmonds 1970, McDiarmid 1975) and
@@ -23,10 +25,11 @@ the inertia of a Gram matrix, through the one exact elimination in `_util`.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from ._util import _inertia, _is_json_int, json_ints, json_rational_rows
 from ._util import clear_denominators, exact_rational, mask_to_elements, vec_factorial
@@ -52,6 +55,90 @@ class AxiomViolation(ValueError):
 
 class InternalCheckError(RuntimeError):
     """Two supposedly equivalent computations disagreed: an implementation bug."""
+
+
+def _halves(table: list[int], bit: int) -> tuple[list[int], list[int]]:
+    """The entries whose mask has `bit` clear, and those whose mask has it set.
+
+    Both come out in mask order with the bit dropped, so entry k of one
+    pairs with entry k of the other, and a list built from them can be split
+    again on a later bit.  Each is copied by whichever is fewer: its 2^bit
+    strided slices or its contiguous blocks of 2^bit entries.
+    """
+    step = 1 << bit
+    period = step << 1
+    size = len(table)
+    if step * period <= size:
+        clear, held = [0] * (size // 2), [0] * (size // 2)
+        for j in range(step):
+            clear[j::step] = table[j::period]
+            held[j::step] = table[j + step :: period]
+        return clear, held
+    starts = range(0, size, period)
+    clear = list(itertools.chain.from_iterable(table[k : k + step] for k in starts))
+    held = list(itertools.chain.from_iterable(table[k + step : k + period] for k in starts))
+    return clear, held
+
+
+def _check_local_axioms(table: list[int], m: int) -> None:
+    """Raise the first monotonicity, else the first submodularity, violation.
+
+    The local forms imply the subset-pair forms: rank(S) <= rank(S + e), and
+    the gain of e does not rise when another element f is added.  For each e
+    the two halves of the table are compared in one `map`, and their
+    difference, the gains of e in mask order, is split on every later f the
+    same way.  Only when a comparison fails does a mask-order scan name the
+    witness, so the axiom, witness and message are those of a scan over
+    every mask.
+    """
+    submodular = True
+    for e in range(m):
+        clear, held = _halves(table, e)
+        if not all(map(operator.le, clear, held)):
+            raise _first_monotonicity_violation(table)
+        if submodular:
+            gains = list(map(operator.sub, held, clear))
+            # an element f > e sits at bit f - 1 of the gains
+            submodular = all(
+                all(map(operator.ge, *_halves(gains, f))) for f in range(e, m - 1)
+            )
+    if not submodular:
+        raise _first_submodularity_violation(table, m)
+
+
+def _first_monotonicity_violation(table: list[int]) -> Exception:
+    for mask in range(1, len(table)):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if table[mask ^ low] > table[mask]:
+                small, large = mask_to_elements(mask ^ low), mask_to_elements(mask)
+                return AxiomViolation(
+                    "monotonicity",
+                    (small, large),
+                    f"rank{small} = {table[mask ^ low]} > rank{large} = {table[mask]}",
+                )
+    return InternalCheckError("slice check found a monotonicity violation, the scan none")
+
+
+def _first_submodularity_violation(table: list[int], m: int) -> Exception:
+    for mask in range(len(table)):
+        outside = [b for b in range(m) if not mask >> b & 1]
+        for pos, e in enumerate(outside):
+            for f in outside[pos + 1 :]:
+                left = mask | 1 << e
+                right = mask | 1 << f
+                if table[left] + table[right] < table[left | right] + table[mask]:
+                    lw, rw = mask_to_elements(left), mask_to_elements(right)
+                    return AxiomViolation(
+                        "submodularity",
+                        (lw, rw),
+                        f"rank{lw} + rank{rw} = {table[left] + table[right]} < "
+                        f"rank(union) + rank(intersection) = "
+                        f"{table[left | right] + table[mask]}",
+                    )
+    return InternalCheckError("slice check found a submodularity violation, the scan none")
 
 
 @dataclass(frozen=True)
@@ -88,42 +175,14 @@ class Polymatroid:
             raise AxiomViolation(
                 "normalization", ((),), f"rank of the empty set is {table[0]}, not 0"
             )
-        for mask, value in enumerate(table):
-            if value < 0:
-                raise AxiomViolation(
-                    "nonnegativity",
-                    (mask_to_elements(mask),),
-                    f"rank{mask_to_elements(mask)} = {value} < 0",
-                )
-        # local checks; they imply the subset-pair forms of the axioms
-        for mask in range(1, size):
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if table[mask ^ low] > table[mask]:
-                    small, large = mask_to_elements(mask ^ low), mask_to_elements(mask)
-                    raise AxiomViolation(
-                        "monotonicity",
-                        (small, large),
-                        f"rank{small} = {table[mask ^ low]} > "
-                        f"rank{large} = {table[mask]}",
-                    )
-        for mask in range(size):
-            outside = [b for b in range(self.m) if not mask >> b & 1]
-            for pos, e in enumerate(outside):
-                for f in outside[pos + 1 :]:
-                    left = mask | 1 << e
-                    right = mask | 1 << f
-                    if table[left] + table[right] < table[left | right] + table[mask]:
-                        lw, rw = mask_to_elements(left), mask_to_elements(right)
-                        raise AxiomViolation(
-                            "submodularity",
-                            (lw, rw),
-                            f"rank{lw} + rank{rw} = {table[left] + table[right]} < "
-                            f"rank(union) + rank(intersection) = "
-                            f"{table[left | right] + table[mask]}",
-                        )
+        if min(table) < 0:
+            mask = next(mask for mask, value in enumerate(table) if value < 0)
+            raise AxiomViolation(
+                "nonnegativity",
+                (mask_to_elements(mask),),
+                f"rank{mask_to_elements(mask)} = {table[mask]} < 0",
+            )
+        _check_local_axioms(table, self.m)
 
     @property
     def full_mask(self) -> int:
@@ -284,7 +343,9 @@ def induce_matroid(pm: Polymatroid, seq: SubsetSeq) -> Matroid:
     return Matroid(Polymatroid._derived(seq.n, table))
 
 
-def _walk_base_points(pm: Polymatroid) -> Iterator[tuple[int, ...]]:
+def _walk_base_points(
+    pm: Polymatroid, limit: int | None = None
+) -> list[tuple[int, ...]] | None:
     """Integer base points in lexicographic order, one coordinate at a time.
 
     Fixing x_1 = a leaves the points of a polymatroid on the later elements,
@@ -295,22 +356,46 @@ def _walk_base_points(pm: Polymatroid) -> Iterator[tuple[int, ...]]:
     largest element is the one being fixed, so each emitted point is a base
     point; submodularity lets every branch reach one, so the work follows
     the output rather than the box of candidates.
+
+    The number left to place is always the last entry of the table: it is
+    the full rank at the start, and min(t[-2], t[-1] - a) = t[-1] - a since
+    a >= t[-1] - t[-2].  So a state is its table alone, and different
+    prefixes often reach the same one.  The walk goes one coordinate at a
+    time over the whole level of prefixes, kept in lexicographic order,
+    and contracts each distinct table of the level once; the prefixes
+    only carry the number of their table.  The last two coordinates are
+    closed form: with the table (t0, t1, t2, t3), x_{m-1} runs from t3 - t2
+    (at least 0) to min(t1, t3).  With a `limit` the walk returns None
+    before it builds a level or a list of more than that many: on a
+    polymatroid every prefix reaches a base point.
     """
+    if pm.m == 1:
+        return [(pm.full_rank,)] if limit is None or limit >= 1 else None
 
-    def walk(tab: list[int], remaining: int, prefix: tuple[int, ...]):
-        if len(tab) == 2:
-            if tab[1] >= remaining:
-                yield prefix + (remaining,)
-            return
-        evens, odds = tab[0::2], tab[1::2]
-        for a in range(max(0, remaining - tab[-2]), min(tab[1], remaining) + 1):
-            yield from walk(
-                [u if u < v - a else v - a for u, v in zip(evens, odds)],
-                remaining - a,
-                prefix + (a,),
-            )
+    def spread(t: tuple[int, ...]) -> range:
+        return range(max(0, t[-1] - t[-2]), min(t[1], t[-1]) + 1)
 
-    return walk(list(pm.rank), pm.full_rank, ())
+    tables = [pm.rank]  # the level's distinct tables
+    level = [((), 0)]  # (prefix, number of its table), in lexicographic order
+    for _ in range(pm.m - 2):
+        spreads = list(map(spread, tables))
+        if limit is not None and sum(len(spreads[k]) for _, k in level) > limit:
+            return None
+        numbers: dict[tuple[int, ...], int] = {}
+        children = []
+        for tab, values in zip(tables, spreads):
+            evens, odds = tab[0::2], tab[1::2]
+            kids = []
+            for a in values:
+                child = tuple([u if u < v - a else v - a for u, v in zip(evens, odds)])
+                kids.append((a, numbers.setdefault(child, len(numbers))))
+            children.append(kids)
+        tables = list(numbers)
+        level = [(prefix + (a,), kid) for prefix, k in level for a, kid in children[k]]
+    tails = [[(a, t[3] - a) for a in spread(t)] for t in tables]
+    if limit is not None and sum(len(tails[k]) for _, k in level) > limit:
+        return None
+    return [prefix + tail for prefix, k in level for tail in tails[k]]
 
 
 def base_points(pm: Polymatroid) -> frozenset[tuple[int, ...]]:
@@ -360,9 +445,10 @@ def points_polymatroid(
 
     On any other set the candidate is arbitrary, so it is kept only when it
     is a valid polymatroid whose base points are the given set: the walk
-    over its base points stops at the first one outside the set, and a
-    count of the points it met rules out any it missed.  A base point is
-    never negative, so a negative coordinate answers None at once.
+    over its base points, limited to |points| of them, stops early on a
+    larger base set, and a list of exactly |points| points that all lie in
+    the set is the set.  A base point is never negative, so a negative
+    coordinate answers None at once.
     """
     if not points:
         return None
@@ -390,12 +476,10 @@ def points_polymatroid(
         candidate = Polymatroid(nvars, tuple(table))
     except AxiomViolation:
         return None
-    met = 0
-    for point in _walk_base_points(candidate):
-        if point not in points:
-            return None
-        met += 1
-    return candidate if met == len(points) else None
+    found = _walk_base_points(candidate, len(points))
+    if found is None or len(found) != len(points):
+        return None
+    return candidate if all(map(points.__contains__, found)) else None
 
 
 def support_polymatroid(f: Poly) -> Polymatroid | None:
@@ -523,8 +607,8 @@ def hall_rado_member(
     Computed two independent ways and cross-checked: (a) the inequality
     description of the induced base polytope, (b) existence of a base point
     gamma of the source with (gamma, delta) matchable along the sequence,
-    tried in lexicographic order as `_walk_base_points` lists them and
-    stopping at the first match.  The equivalence needs the parts to span
+    tried in the lexicographic order of the list `_walk_base_points` returns
+    and stopping at the first match.  The equivalence needs the parts to span
     (union rank = full rank); without that no gamma can have the right
     total, so the call is refused.
     """

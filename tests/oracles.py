@@ -278,6 +278,45 @@ def polymatroid_axioms_literal(rank) -> bool:
     return True
 
 
+def first_axiom_violation_literal(rank):
+    """(axiom, witness, message) of the violation a polymatroid table reports
+    first, or None: normalization, then nonnegativity, monotonicity
+    (rank(S - e) <= rank(S)) and submodularity (rank(S + e) + rank(S + f) >=
+    rank(S + e + f) + rank(S)), each over S in mask order, then e (and f)
+    in element order."""
+    m = len(rank).bit_length() - 1
+    sets = [tuple(i + 1 for i in range(m) if mask >> i & 1) for mask in range(len(rank))]
+    if rank[0] != 0:
+        return ("normalization", ((),), f"normalization: rank of the empty set is {rank[0]}, not 0")
+    for mask, value in enumerate(rank):
+        if value < 0:
+            return ("nonnegativity", (sets[mask],), f"nonnegativity: rank{sets[mask]} = {value} < 0")
+    for mask in range(len(rank)):
+        for e in sets[mask]:
+            smaller = mask - (1 << (e - 1))
+            if rank[smaller] > rank[mask]:
+                return (
+                    "monotonicity",
+                    (sets[smaller], sets[mask]),
+                    f"monotonicity: rank{sets[smaller]} = {rank[smaller]} > "
+                    f"rank{sets[mask]} = {rank[mask]}",
+                )
+    for mask in range(len(rank)):
+        outside = [e for e in range(1, m + 1) if e not in sets[mask]]
+        for e, f in combinations(outside, 2):
+            left, right = mask + (1 << (e - 1)), mask + (1 << (f - 1))
+            both = left + (1 << (f - 1))
+            if rank[left] + rank[right] < rank[both] + rank[mask]:
+                return (
+                    "submodularity",
+                    (sets[left], sets[right]),
+                    f"submodularity: rank{sets[left]} + rank{sets[right]} = "
+                    f"{rank[left] + rank[right]} < rank(union) + rank(intersection) = "
+                    f"{rank[both] + rank[mask]}",
+                )
+    return None
+
+
 def base_points_literal(pm) -> frozenset:
     """Integer points of the base polytope, by box-bounded exhaustive scan."""
     caps = [pm.rank[1 << i] for i in range(pm.m)]

@@ -310,8 +310,10 @@ class TestRationalJson:
 
 
 class TestNumberFlags:
-    """The comma-list flags, `--q` and LORMATCH_SEED read numbers by the JSON
-    number-string rule; only the spaces around each number are stripped."""
+    """The comma-list flags, `--q`, the argparse-typed number flags,
+    LORMATCH_SEED and LORMATCH_TOLERANCE read numbers as ASCII text (the JSON
+    number-string rule for integers and rationals); only the spaces around
+    each number are stripped."""
 
     TWO_SINGLES = '{"m":2,"sets":[[1],[2]]}'
 
@@ -355,6 +357,58 @@ class TestNumberFlags:
     def test_q_zero_denominator_refused(self, capsys):
         code, out, _ = _call(capsys, "symbol", "--sets", ONE, "--kappa", "1", "--q", "1/0")
         assert code == 1 and json.loads(out)["flag"] == "--q"
+
+    # the argparse-typed number flags: a refused text is a usage error
+    INT_FLAGS = [
+        ("ct", "--sets", TWO_SINGLES, "--r"),
+        ("fpoly", "--sets", TWO_SINGLES, "--r"),
+        ("induce", "--sets", TWO_SINGLES, "--elementary"),
+        ("verify", "--check", "golden-examples", "--seed"),
+        ("verify", "--check", "golden-examples", "--trials"),
+    ]
+
+    @pytest.mark.parametrize("argv", INT_FLAGS, ids=lambda argv: f"{argv[0]}{argv[-1]}")
+    @pytest.mark.parametrize("text", REFUSED_INTEGERS)
+    def test_integer_flag_refuses(self, capsys, argv, text):
+        code, out, err = _call(capsys, *argv, text)
+        assert (code, out) == (2, "")
+        assert f"argument {argv[-1]}: expected an integer string" in err
+        assert repr(text.strip()) in err
+
+    @pytest.mark.parametrize("argv", INT_FLAGS, ids=lambda argv: f"{argv[0]}{argv[-1]}")
+    def test_integer_flag_reads_ascii_digits(self, capsys, argv):
+        assert _call(capsys, *argv, " 1 ")[0] == 0
+
+    REFUSED_FLOATS = ["\u0661e-9", "1e-\u0669", "\uff11", "1_0e-9", "1e-0_9"]
+
+    @pytest.mark.parametrize("text", REFUSED_FLOATS)
+    def test_tolerance_flag_refuses(self, capsys, text):
+        squares = '{"nvars":2,"terms":[{"exp":[2,0],"coeff":1},{"exp":[0,2],"coeff":1}]}'
+        for argv in (
+            ("verify", "--check", "golden-examples"),
+            ("certify", "--poly", squares, "--quadratic"),
+        ):
+            code, out, err = _call(capsys, *argv, "--tolerance", text)
+            assert (code, out) == (2, "")
+            assert "argument --tolerance: expected a decimal number" in err
+            assert repr(text) in err
+
+    @pytest.mark.parametrize("text", REFUSED_FLOATS)
+    def test_tolerance_environment_refuses(self, capsys, monkeypatch, text):
+        monkeypatch.setenv("LORMATCH_TOLERANCE", text)
+        code, out, err = _call(capsys, "verify", "--check", "golden-examples")
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert (payload["error"], payload["variable"]) == ("invalid-environment", "LORMATCH_TOLERANCE")
+        assert payload["detail"] == f"expected a decimal number such as \"1e-9\", got {text!r}"
+
+    def test_tolerance_reads_ascii_decimals(self, capsys, monkeypatch):
+        argv = ("verify", "--trials", "2", "--check", "golden-examples")
+        code, out, _ = _call(capsys, *argv, "--tolerance", " 2.5E-8 ")
+        assert code == 0 and json.loads(out.splitlines()[-1])["config"]["tolerance"] == 2.5e-8
+        monkeypatch.setenv("LORMATCH_TOLERANCE", " 1e-7 ")
+        code, out, _ = _call(capsys, *argv)
+        assert code == 0 and json.loads(out.splitlines()[-1])["config"]["tolerance"] == 1e-7
 
     def test_seed_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("LORMATCH_SEED", "\u0661")

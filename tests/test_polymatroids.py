@@ -32,6 +32,7 @@ from lormatch.polynomials import Poly
 
 from oracles import (
     base_points_literal,
+    first_axiom_violation_literal,
     induce_matroid_literal,
     m_convex_literal,
     points_rank_literal,
@@ -127,6 +128,34 @@ def derived_tables(draw, depth=2):
     if family == "induced":
         return induce_polymatroid(source, seq)
     return induce_matroid(source, seq).underlying
+
+
+@st.composite
+def coverage_tables(draw):
+    """Weighted coverage ranks, sometimes truncated: rank(S) = min(cap, the
+    weight of the union of the sets of the elements in S), m <= 6."""
+    m = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    covers = [draw(st.sets(st.integers(0, len(weights) - 1))) for _ in range(m)]
+    table = [
+        sum(weights[k] for k in set().union(*(covers[i] for i in range(m) if mask >> i & 1)))
+        for mask in range(1 << m)
+    ]
+    if draw(st.booleans()):
+        cap = draw(st.integers(0, table[-1]))
+        table = [min(v, cap) for v in table]
+    return Polymatroid._derived(m, table)
+
+
+@st.composite
+def nudged_tables(draw):
+    """A valid table with m <= 6, as it is or with one nonempty set's rank
+    moved by 1 (`test_axiom_names` covers the empty set)."""
+    pm = draw(derived_tables() | coverage_tables())
+    table = list(pm.rank)
+    if draw(st.booleans()):
+        table[draw(st.integers(1, len(table) - 1))] += draw(st.sampled_from((-1, 1)))
+    return pm.m, tuple(table)
 
 
 @st.composite
@@ -270,6 +299,77 @@ class TestValidation:
             accepted = False
         assert accepted == literal
 
+    @given(nudged_tables())
+    @settings(max_examples=500, deadline=None)
+    def test_slice_checks_match_the_literal_axioms(self, case):
+        m, table = case
+        try:
+            Polymatroid(m, table)
+            raised = None
+        except AxiomViolation as exc:
+            raised = (exc.axiom, exc.witness, str(exc))
+        assert (raised is None) == polymatroid_axioms_literal(table)
+        assert raised == first_axiom_violation_literal(table)
+
+    @pytest.mark.parametrize(
+        "m, table, axiom, witness, detail",
+        [
+            # rank{1} = 2 exceeds every set holding 1: masks 3, 5 and 7 break it
+            (3, (0, 2, 1, 1, 1, 1, 1, 1), "monotonicity", ((1,), (1, 2)), "rank(1,) = 2 > rank(1, 2) = 1"),
+            # {2, 3} drops below {3}, found first as {2, 3} - 2, and below
+            # {2}; {1, 2, 3} drops below {1, 2} and {1, 3}
+            (
+                3,
+                (0, 1, 2, 2, 2, 2, 1, 1),
+                "monotonicity",
+                ((3,), (2, 3)),
+                "rank(3,) = 2 > rank(2, 3) = 1",
+            ),
+            # x_1 and x_2 gain together at every mask of the elements 3, 4
+            (
+                4,
+                (0, 1, 1, 3, 1, 2, 2, 4, 1, 2, 2, 4, 2, 3, 3, 5),
+                "submodularity",
+                ((1,), (2,)),
+                "rank(1,) + rank(2,) = 2 < rank(union) + rank(intersection) = 3",
+            ),
+            # U(4, 2) with its full rank raised to 3: every two 3-sets break
+            # it, and the first pair in mask order meets in {1, 2}
+            (
+                4,
+                (0, 1, 1, 2, 1, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 3),
+                "submodularity",
+                ((1, 2, 3), (1, 2, 4)),
+                "rank(1, 2, 3) + rank(1, 2, 4) = 4 < rank(union) + rank(intersection) = 5",
+            ),
+        ],
+    )
+    def test_first_witness_of_several(self, m, table, axiom, witness, detail):
+        with pytest.raises(AxiomViolation) as err:
+            Polymatroid(m, table)
+        assert (err.value.axiom, err.value.witness, str(err.value)) == (
+            axiom,
+            witness,
+            f"{axiom}: {detail}",
+        )
+        assert first_axiom_violation_literal(table) == (axiom, witness, f"{axiom}: {detail}")
+
+    def test_slice_and_scan_disagreement_raises(self, monkeypatch):
+        # a slice check that fails where the mask-order scan finds no
+        # witness is an implementation bug, not an axiom violation
+        halves = polymatroids._halves
+        monkeypatch.setattr(polymatroids, "_halves", lambda table, bit: ([1], [0]))
+        with pytest.raises(InternalCheckError, match="monotonicity"):
+            Polymatroid(2, (0, 1, 1, 2))
+        # the table's halves are real; only the split of the gains lies
+        monkeypatch.setattr(
+            polymatroids,
+            "_halves",
+            lambda table, bit: halves(table, bit) if len(table) == 4 else ([0], [1]),
+        )
+        with pytest.raises(InternalCheckError, match="submodularity"):
+            Polymatroid(2, (0, 1, 1, 2))
+
     def test_json_round_trip(self):
         pm = free_polymatroid(3, 2)
         assert Polymatroid.from_json(pm.to_json()) == pm
@@ -378,19 +478,37 @@ class TestBasePoints:
         assert f.coefficient((1, 1)) == 1
 
     def test_walk_goldens(self):
-        assert list(_walk_base_points(free_polymatroid(2, 0))) == [(0, 0)]
-        assert list(_walk_base_points(free_polymatroid(1, 3))) == [(3,)]
+        assert _walk_base_points(free_polymatroid(2, 0)) == [(0, 0)]
+        assert _walk_base_points(free_polymatroid(1, 3)) == [(3,)]
+        assert _walk_base_points(free_polymatroid(1, 3), limit=1) == [(3,)]
+        assert _walk_base_points(free_polymatroid(1, 3), limit=0) is None
         # singleton caps sum to 3, above the full rank 1
-        assert list(_walk_base_points(uniform_matroid(3, 1).underlying)) == [
+        assert _walk_base_points(uniform_matroid(3, 1).underlying) == [
             (0, 0, 1),
             (0, 1, 0),
             (1, 0, 0),
         ]
 
+    def test_walk_limit_stops_before_building(self):
+        # 10^6 + 1 points at the closed-form leaf, 10^6 + 1 children at the
+        # top of the m = 3 walk: both are refused before a list is built
+        assert _walk_base_points(free_polymatroid(2, 10**6), limit=5) is None
+        assert _walk_base_points(free_polymatroid(3, 10**6), limit=5) is None
+        assert len(_walk_base_points(free_polymatroid(2, 999), limit=1000)) == 1000
+        assert _walk_base_points(free_polymatroid(2, 999), limit=999) is None
+
+    @given(walk_sources())
+    @settings(max_examples=100, deadline=None)
+    def test_walk_limit_is_the_point_count(self, pm):
+        points = _walk_base_points(pm)
+        assert _walk_base_points(pm, len(points)) == points
+        assert _walk_base_points(pm, len(points) + 1) == points
+        assert _walk_base_points(pm, len(points) - 1) is None
+
     @given(walk_sources())
     @settings(max_examples=200, deadline=None)
     def test_walk_matches_box_scan(self, pm):
-        assert list(_walk_base_points(pm)) == sorted(base_points_literal(pm))
+        assert _walk_base_points(pm) == sorted(base_points_literal(pm))
 
     @given(walk_sources(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -458,7 +576,7 @@ class TestSupportRecognition:
         greedy = (0, 1, 1, 1, 1, 2, 2, 2, 1, 2, 1, 2, 2, 2, 2, 2)
         with pytest.raises(AxiomViolation, match="submodularity"):
             Polymatroid(4, greedy)
-        assert set(_walk_base_points(Polymatroid._derived(4, greedy))) == cycle
+        assert _walk_base_points(Polymatroid._derived(4, greedy)) == sorted(cycle)
         assert not m_convex_literal(cycle)
         assert points_polymatroid(cycle, 4) is None
 
