@@ -6,8 +6,10 @@ j.  A degree pair (alpha, beta) "matches" when some nonnegative integer edge
 weighting has row sums alpha and column sums beta.  `admits_matching`,
 `admits_restricted` and `find_witness` are each one call to `_flow`, which
 validates the degrees and caps and runs shortest augmenting paths over the
-edge list; the witness is the flow it returns.  `matched_degrees` lists the
-feasible beta for one alpha by spreading each element over its parts.
+edge list; the witness is the flow it returns.  `single_vertex_cuts` drops,
+without a flow, the alphas that fail a Hall cut at one vertex against a
+fixed beta.  `matched_degrees` lists the feasible beta for one alpha by
+spreading each element over its parts.
 
 The spreads are summed on packed ints: beta is encoded as the key
 sum_j beta_j * R**(j-1) for a radix R above sum(alpha).  No digit of a
@@ -246,6 +248,28 @@ def admits_restricted(
 ) -> bool:
     """Matching feasibility with per-edge weight caps; uncapped edges are free."""
     return _flow(seq, alpha, beta, caps) is not None
+
+
+def single_vertex_cuts(
+    seq: SubsetSeq, beta: Sequence[int], alphas: Iterable[Sequence[int]]
+) -> Iterator[Sequence[int]]:
+    """The alphas that pass every single-vertex Hall cut against beta, in order.
+
+    Element i can only send to its parts, so alpha_i <= the sum of beta_j over
+    the parts j containing i; part j can only draw on its elements, so
+    beta_j <= the sum of alpha_i over the i in part j.  Both are necessary for
+    (alpha, beta) to match, so a dropped alpha does not match, while a kept
+    one still may not.  The bounds and member lists are built once for all
+    the alphas, which must be checked degree vectors of length m.
+    """
+    b = _check_degrees(beta, seq.n, "beta")
+    reach = [sum(b[j - 1] for j in seq.parts_containing(i)) for i in range(1, seq.m + 1)]
+    demands = [(b[j], [i - 1 for i in sorted(s)]) for j, s in enumerate(seq.sets) if b[j]]
+    for alpha in alphas:
+        if all(map(operator.le, alpha, reach)) and all(
+            want <= sum(map(alpha.__getitem__, members)) for want, members in demands
+        ):
+            yield alpha
 
 
 def _packed_sums(

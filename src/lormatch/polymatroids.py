@@ -33,7 +33,7 @@ from typing import AbstractSet, Iterable, Sequence
 
 from ._util import _inertia, _is_json_int, json_ints, json_rational_rows
 from ._util import clear_denominators, exact_rational, mask_to_elements, vec_factorial
-from .matchings import SubsetSeq, admits_matching
+from .matchings import SubsetSeq, admits_matching, single_vertex_cuts
 from .polynomials import Poly
 
 
@@ -606,11 +606,15 @@ def hall_rado_member(
 
     Computed two independent ways and cross-checked: (a) the inequality
     description of the induced base polytope, (b) existence of a base point
-    gamma of the source with (gamma, delta) matchable along the sequence,
-    tried in the lexicographic order of the list `_walk_base_points` returns
-    and stopping at the first match.  The equivalence needs the parts to span
-    (union rank = full rank); without that no gamma can have the right
-    total, so the call is refused.
+    gamma of the source with (gamma, delta) matchable along the sequence.
+    Route (b) takes the gammas in the lexicographic order of the list
+    `_walk_base_points` returns, drops each one that fails a single-vertex
+    Hall cut (`single_vertex_cuts`: gamma_i at most what i's parts demand,
+    delta_j at most what j's elements supply), runs one flow on each one
+    left and stops at the first match.  It never reads the induced table,
+    so a wrong cut shows as a disagreement.  The equivalence needs the
+    parts to span (union rank = full rank); without that no gamma can have
+    the right total, so the call is refused.
     """
     if seq.m != pm.m:
         raise ValueError(f"sequence over 1..{seq.m}, polymatroid over 1..{pm.m}")
@@ -629,7 +633,8 @@ def hall_rado_member(
         return False
     via_rank = in_base_polytope(induce_polymatroid(pm, seq), d)
     via_flow = any(
-        admits_matching(seq, gamma, d) for gamma in _walk_base_points(pm)
+        admits_matching(seq, gamma, d)
+        for gamma in single_vertex_cuts(seq, d, _walk_base_points(pm))
     )
     if via_rank != via_flow:
         raise InternalCheckError(

@@ -359,8 +359,11 @@ class Poly:
         """Read the `to_json` layout; every malformed input raises ValueError.
 
         One pass: each row is checked once and the sums are wrapped by
-        `_trusted`.  `nvars >= 1` is tested after the rows, so a bad row
-        is reported first, as building `Poly(nvars, terms)` would.
+        `_trusted`.  An exponent row that is a list of nvars nonnegative
+        ints passes one C-level test; any other row goes through the
+        per-entry checks, which name the first bad entry.  `nvars >= 1` is
+        tested after the rows, so a bad row is reported first, as building
+        `Poly(nvars, terms)` would.
         """
         if not isinstance(obj, dict):
             raise ValueError("polynomial JSON must be an object")
@@ -372,12 +375,24 @@ class Poly:
             raise ValueError(f"unknown basis {basis!r}")
         normalized = basis == "normalized"
         terms: dict[ExpVec, Fraction] = {}
+        # symbols repeat a few coefficients many times: one Fraction per
+        # distinct (num, den, exp! or 1), its numbers read on the first row
+        ratios: dict[tuple, Fraction] = {}
         try:
             for row in obj.get("terms", []):
                 raw_exp = row["exp"]
-                if isinstance(raw_exp, list):
-                    raw_exp = json_ints(raw_exp, "exponent entries must be integers, got {}")
-                exp = _checked_exponent(raw_exp, nvars)
+                # one C-level test for the common row; `type` refuses bool
+                if (
+                    type(raw_exp) is list
+                    and len(raw_exp) == nvars
+                    and set(map(type, raw_exp)) == {int}
+                    and min(raw_exp) >= 0
+                ):
+                    exp = tuple(raw_exp)
+                else:
+                    if isinstance(raw_exp, list):
+                        raw_exp = json_ints(raw_exp, "exponent entries must be integers, got {}")
+                    exp = _checked_exponent(raw_exp, nvars)
                 if "num" in row:
                     # JSON integers or integer strings, as `to_json` writes them
                     num = row["num"]
@@ -386,15 +401,21 @@ class Poly:
                         isinstance(den, str) or _is_json_int(den)
                     ):
                         raise ValueError(_COEFFICIENTS)
+                elif "coeff" in row:
+                    num, den = row["coeff"], 1
+                    if type(num) is not int:
+                        c = json_rational(num, _COEFFICIENTS)
+                        num, den = c.numerator, c.denominator
+                else:
+                    raise ValueError("term needs 'num'/'den' or 'coeff'")
+                # the types are checked, so a key never mixes up 1 and True
+                key = (num, den, vec_factorial(exp) if normalized else 1)
+                c = ratios.get(key)
+                if c is None:
                     num, den = int_text(num), int_text(den)
                     if not den:
                         raise ValueError("coefficient denominator must be nonzero")
-                elif "coeff" in row:
-                    c = json_rational(row["coeff"], _COEFFICIENTS)
-                    num, den = c.numerator, c.denominator
-                else:
-                    raise ValueError("term needs 'num'/'den' or 'coeff'")
-                c = Fraction(num, den * vec_factorial(exp) if normalized else den)
+                    c = ratios[key] = Fraction(num, den * key[2])
                 if exp in terms:
                     terms[exp] += c
                 else:

@@ -11,6 +11,7 @@ from lormatch import (
     find_witness,
     matched_degrees,
 )
+from lormatch.matchings import single_vertex_cuts
 
 from oracles import enumerate_matching, matched_degrees_box
 
@@ -28,8 +29,8 @@ def seqs(draw, max_m=3, max_n=3):
 
 
 @st.composite
-def matching_instances(draw, max_total=4):
-    seq = draw(seqs())
+def matching_instances(draw, max_total=4, max_m=3, max_n=3):
+    seq = draw(seqs(max_m, max_n))
     total = draw(st.integers(0, max_total))
     alpha = _spread(draw, total, seq.m)
     beta = _spread(draw, total, seq.n)
@@ -118,6 +119,23 @@ class TestFeasibility:
             assert all(seq.has_edge(i, j) for (i, j) in witness.weights)
         else:
             assert witness is None
+
+
+class TestSingleVertexCuts:
+    def test_goldens(self):
+        # element 1 lies only in part 1, which asks for nothing
+        kept = single_vertex_cuts(WIDE, (0, 1, 1), [(2, 0, 0, 0), (0, 1, 1, 0)])
+        assert list(kept) == [(0, 1, 1, 0)]
+        # part 1 draws only on element 1, which supplies nothing
+        seq = SubsetSeq(3, (frozenset({1}), frozenset({1, 2, 3})))
+        assert list(single_vertex_cuts(seq, (1, 1), [(0, 1, 1), (1, 0, 1)])) == [(1, 0, 1)]
+
+    @given(matching_instances(max_m=4, max_n=4))
+    @settings(max_examples=300, deadline=None)
+    def test_drops_only_pairs_that_do_not_match(self, instance):
+        seq, alpha, beta = instance
+        if not list(single_vertex_cuts(seq, beta, [alpha])):
+            assert not enumerate_matching(seq, alpha, beta)
 
 
 class TestRestricted:

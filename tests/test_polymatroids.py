@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -667,6 +668,21 @@ class TestHallRado:
         split = SubsetSeq(2, (frozenset({1}), frozenset({2})))
         with pytest.raises(InternalCheckError):
             hall_rado_member(free_polymatroid(2, 2), split, (1, 1))
+
+    def test_cut_dropping_every_gamma_raises(self, monkeypatch):
+        # so does a Hall cut that drops a gamma that matches
+        monkeypatch.setattr(polymatroids, "single_vertex_cuts", lambda seq, beta, alphas: iter(()))
+        split = SubsetSeq(2, (frozenset({1}), frozenset({2})))
+        with pytest.raises(InternalCheckError):
+            hall_rado_member(free_polymatroid(2, 2), split, (1, 1))
+
+    def test_readme_example_over_the_box(self):
+        pm = uniform_matroid(4, 2).underlying
+        wide = SubsetSeq(4, (frozenset({1, 2, 3, 4}), frozenset({2, 3}), frozenset({3, 4})))
+        members = base_points_literal(induce_polymatroid(pm, wide))
+        box = list(itertools.product(range(pm.full_rank + 1), repeat=wide.n))
+        assert [hall_rado_member(pm, wide, d) for d in box] == [d in members for d in box]
+        assert sum(d in members for d in box) == 6
 
     @given(linreals(max_blocks=3), st.data())
     @settings(max_examples=80, deadline=None)

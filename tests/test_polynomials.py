@@ -288,6 +288,19 @@ class TestJson:
             ({"nvars": 1, "terms": [{"exp": [2], "coeff": " 3/1_0"}]}, "expected a rational string such as \"-3/2\" or \"0.5\", got ' 3/1_0'"),
             ({"nvars": 1, "terms": [{"exp": [2], "coeff": "1e3"}]}, "expected a rational string such as \"-3/2\" or \"0.5\", got '1e3'"),
             ({"nvars": 1, "terms": [{"exp": [2], "num": "-3", "den": "010"}]}, [((2,), Fraction(-3, 10))]),
+            # a coefficient read on an earlier row does not let a bool or a
+            # zero denominator through, and exp! is part of what repeats
+            ({"nvars": 1, "terms": [{"exp": [1], "num": 1}, {"exp": [2], "num": True}]}, "coefficients must be integers or strings"),
+            ({"nvars": 1, "terms": [{"exp": [1], "coeff": 1}, {"exp": [2], "coeff": True}]}, "coefficients must be integers or strings"),
+            ({"nvars": 1, "terms": [{"exp": [1], "num": "1", "den": 1}, {"exp": [2], "num": "1", "den": True}]}, "coefficients must be integers or strings"),
+            ({"nvars": 1, "terms": [{"exp": [1], "num": "1", "den": 2}, {"exp": [2], "num": "1", "den": 0}]}, "coefficient denominator must be nonzero"),
+            (
+                {"nvars": 1, "basis": "normalized", "terms": [{"exp": [2], "num": "1"}, {"exp": [3], "num": "1"}, {"exp": [4], "coeff": 1}, {"exp": [2], "coeff": "1/1"}]},
+                [((2,), Fraction(1)), ((3,), Fraction(1, 6)), ((4,), Fraction(1, 24))],
+            ),
+            # an exponent row of the wrong kind takes the per-entry checks
+            ({"nvars": 2, "terms": [{"exp": [1, 0], "coeff": 1}, {"exp": (1, 0), "coeff": 1}]}, [((1, 0), Fraction(2))]),
+            ({"nvars": 2, "terms": [{"exp": [1, 0], "coeff": 1}, {"exp": [1, True], "coeff": 1}]}, "exponent entries must be integers, got [1, True]"),
         ],
     )
     def test_from_json_goldens(self, doc, expected):
@@ -298,6 +311,21 @@ class TestJson:
             assert str(info.value) == expected
         else:
             assert list(Poly.from_json(doc).items()) == expected
+
+    def test_large_normalized_exponent_among_small_rows(self):
+        # exp! of 30,000 is computed as is; no factorial table grows with it
+        doc = {
+            "nvars": 2,
+            "basis": "normalized",
+            "terms": [
+                {"exp": [1, 2], "coeff": 1},
+                {"exp": [30000, 0], "num": "3", "den": "2"},
+                {"exp": [0, 3], "coeff": "1/2"},
+                {"exp": [1, 2], "num": 1},
+            ],
+        }
+        self._same_as_two_pass(doc)
+        assert Poly.from_json(doc).coefficient((30000, 0)) == Fraction(3, 2 * math.factorial(30000))
 
     @given(_poly_documents())
     @settings(max_examples=300, deadline=None)
