@@ -55,7 +55,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._util import _inertia, checked_tolerance, clear_denominators, grlex_key, vec_factorial
-from .matchings import _unpack
+from .matchings import _key_decoder
 from .polymatroids import points_polymatroid
 from .polynomials import FloatPoly, Poly
 
@@ -296,7 +296,7 @@ def certify_lorentzian(f: Poly | FloatPoly, tol: float | None = None) -> Lorentz
                 hess[i][j] = hess[j][i] = v
             inertia = memo[entries] = _inertia(hess, tol)
         if inertia[0] > 1:
-            witness = _unpack(gamma, radix, n)[::-1]
+            witness = _key_decoder(radix, n, 1)(gamma)[0]
             return LorentzReport(
                 False,
                 CertFailure("bad-inertia", derivative=witness, inertia=inertia),

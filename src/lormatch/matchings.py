@@ -12,15 +12,19 @@ fixed beta.  `matched_degrees` lists the feasible beta for one alpha by
 spreading each element over its parts.
 
 The spreads are summed on packed ints: beta is encoded as the key
-sum_j beta_j * R**(j-1) for a radix R above sum(alpha).  No digit of a
-partial sum exceeds sum(alpha), so adding keys never carries, and the
-sumset is a set of int additions.  `_packed_sums` walks many alphas in one
-call: it keeps the partial sumset of every prefix of the current alpha, so
-alphas in sorted order (the terms of a polynomial, the entries of a box)
-share the work on their common prefixes, and it builds each element's
-spreads once per call.  `_unpack` turns one key back into beta;
-`matched_degrees` is the walk over a single alpha, and `apply_inducing` and
-`inducing_box` accumulate on the keys directly.
+sum_j beta_j * R**(n-j) for a radix R above sum(alpha), part 1 most
+significant, so among keys of one degree int order is lexicographic order.
+No digit of a partial sum exceeds sum(alpha), so adding keys never carries,
+and the sumset is a set of int additions.  `_packed_sums` walks many alphas
+in one call: it keeps the partial sumset of every prefix of the current
+alpha, so alphas in sorted order (the terms of a polynomial, the entries of
+a box) share the work on their common prefixes, and it builds each
+element's spreads once per call.  `_key_decoder` turns keys back into beta
+and beta! for every caller; past a few dozen keys it splits each key in two
+and decodes each distinct half once per call.  `matched_degrees` is the
+walk over a single alpha; `apply_inducing` and `inducing_box` accumulate on
+the keys directly and insert their terms in sorted key order, which is
+graded-lex order.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ import functools
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from math import factorial
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._util import _is_json_int, int_text
 
@@ -284,14 +289,15 @@ def _packed_sums(
     with positive degree lies in no part.  The alphas must be checked, and
     the radix must exceed each sum(alpha), so that adding keys never carries.
     """
-    place = [radix**j for j in range(seq.n)]
-    units = [[place[j - 1] for j in seq.parts_containing(i)] for i in range(1, seq.m + 1)]
+    n = seq.n
+    place = [radix ** (n - j) for j in range(1, n + 1)]
+    units = [[place[j - 1] for j in parts] for parts in seq._parts_of]
 
     @functools.cache
     def spread(i: int, weight: int) -> set[int]:
         out = {0}
         for _ in range(weight):
-            out = {s + u for s in out for u in units[i]}
+            out = {s + u for u in units[i] for s in out}
         return out
 
     stack = [{0}]
@@ -304,19 +310,61 @@ def _packed_sums(
         acc = stack[k]
         for i in range(k, seq.m):
             if alpha[i]:
-                acc = {b + s for b in acc for s in spread(i, alpha[i])}
+                # the few spread keys outside, the large sumset inside
+                acc = {b + s for s in spread(i, alpha[i]) for b in acc}
             stack.append(acc)
         prev = alpha
         yield alpha, acc
 
 
-def _unpack(key: int, radix: int, n: int) -> tuple[int, ...]:
-    """The n digits of a packed key, lowest first."""
+def _split(radix: int, width: int, key: int) -> tuple[tuple[int, ...], int]:
+    """The width digits of a key, most significant first, and the product
+    of their factorials."""
     out = []
-    for _ in range(n):
-        key, digit = divmod(key, radix)
+    fact = 1
+    for _ in range(width):
+        digit = key % radix
+        key //= radix
         out.append(digit)
-    return tuple(out)
+        if digit > 1:
+            fact *= factorial(digit)
+    out.reverse()
+    return tuple(out), fact
+
+
+# up to this many keys a decoder's half memo costs more than it saves
+_MEMO_KEYS = 64
+
+
+def _key_decoder(
+    radix: int, n: int, count: int
+) -> Callable[[int], tuple[tuple[int, ...], int]]:
+    """The decoder of n-digit keys, for about `count` keys: key -> (its
+    digits, most significant first; the product of their factorials).
+
+    Above `_MEMO_KEYS` keys, a key is split once, by R**ceil(n/2), and each
+    half is decoded on its first sighting and looked up after that: the keys
+    of one call share few distinct halves.  Up to it the plain digit loop
+    is cheaper.
+    """
+    if count <= _MEMO_KEYS:
+        return functools.partial(_split, radix, n)
+    low = (n + 1) // 2
+    size = radix**low
+    highs: dict[int, tuple[tuple[int, ...], int]] = {}
+    lows: dict[int, tuple[tuple[int, ...], int]] = {}
+
+    def decode(key: int) -> tuple[tuple[int, ...], int]:
+        hi, lo = divmod(key, size)
+        head = highs.get(hi)
+        if head is None:
+            head = highs[hi] = _split(radix, n - low, hi)
+        tail = lows.get(lo)
+        if tail is None:
+            tail = lows[lo] = _split(radix, low, lo)
+        return head[0] + tail[0], head[1] * tail[1]
+
+    return decode
 
 
 def matched_degrees(seq: SubsetSeq, alpha: Sequence[int]) -> frozenset[tuple[int, ...]]:
@@ -327,7 +375,8 @@ def matched_degrees(seq: SubsetSeq, alpha: Sequence[int]) -> frozenset[tuple[int
     a = _check_degrees(alpha, seq.m, "alpha")
     radix = sum(a) + 1
     [(_, keys)] = _packed_sums(seq, [a], radix)
-    return frozenset(_unpack(key, radix, seq.n) for key in keys)
+    decode = _key_decoder(radix, seq.n, len(keys))
+    return frozenset(decode(key)[0] for key in keys)
 
 
 def compose_seq(first: SubsetSeq, second: SubsetSeq) -> SubsetSeq:

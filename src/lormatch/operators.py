@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from ._util import _is_json_int, clear_denominators, iter_box, json_ints, nonnegative_weights
 from ._util import vec_factorial
-from .matchings import SubsetSeq, _packed_sums, _unpack
+from .matchings import SubsetSeq, _key_decoder, _packed_sums
 from .polynomials import FloatPoly, Poly
 
 
@@ -110,33 +110,49 @@ def apply_inducing(seq: SubsetSeq, f: Poly) -> Poly:
 
     The normalized coefficient of x^alpha lands, unchanged, on y^beta for
     every beta with (alpha, beta) matchable; extended linearly and exactly.
-    The normalized coefficients c * alpha! are scaled to int weights by
-    `clear_denominators`, L being the lcm of their denominators.  One sumset
-    walk over the exponents in sorted order, with one radix for all of f,
-    gives each exponent's packed betas; they are counted per weight and the
-    counts combined per beta.  Each output term then costs one division,
-    total / (L * beta!); a total that cancels to 0 is dropped.
+    The coefficients c are scaled to ints by `clear_denominators`, L being
+    the lcm of their denominators, so the normalized coefficients c * alpha!
+    become the int weights L * c * alpha! without a Fraction product.  One
+    sumset walk over the exponents in sorted order, with one radix for all
+    of f, gives each exponent's packed betas; they are counted per (degree,
+    weight) and the counts combined per beta.  A key is big-endian, so at
+    one degree (|beta| = |alpha|) int order is lex order: the degrees in
+    increasing order, each with its keys sorted, insert the terms in
+    graded-lex order.  Each term is decoded by the shared `_key_decoder`
+    and costs one Fraction, total / (L * beta!), per distinct (total,
+    beta!); a total that cancels to 0 is dropped.
     """
     if not isinstance(f, Poly):
         raise TypeError("exact Poly required")
     if f.nvars != seq.m:
         raise ValueError(f"polynomial in {f.nvars} variables, sequence over 1..{seq.m}")
     terms = sorted(f.items())
-    scale, weights = clear_denominators([c * vec_factorial(exp) for exp, c in terms])
-    radix = max((sum(exp) for exp, _ in terms), default=0) + 1
-    counts: dict[int, Counter] = {}
+    scale, ints = clear_denominators([c for _, c in terms])
+    weights = [w * vec_factorial(exp) for (exp, _), w in zip(terms, ints)]
+    degrees = [sum(exp) for exp, _ in terms]
+    radix = max(degrees, default=0) + 1
+    counts: dict[tuple[int, int], Counter] = {}
     walk = _packed_sums(seq, (exp for exp, _ in terms), radix)
-    for weight, (_, keys) in zip(weights, walk):
-        counts.setdefault(weight, Counter()).update(keys)
-    totals: dict[int, int] = {}
-    for weight, group in counts.items():
+    for degree, weight, (_, keys) in zip(degrees, weights, walk):
+        counts.setdefault((degree, weight), Counter()).update(keys)
+    totals: dict[int, dict[int, int]] = {}
+    for (degree, weight), group in counts.items():
+        into = totals.setdefault(degree, {})
         for key, k in group.items():
-            totals[key] = totals.get(key, 0) + weight * k
+            into[key] = into.get(key, 0) + weight * k
+    decode = _key_decoder(radix, seq.n, sum(map(len, totals.values())))
+    ratios: dict[tuple[int, int], Fraction] = {}
     data = {}
-    for key, total in totals.items():
-        if total:
-            beta = _unpack(key, radix, seq.n)
-            data[beta] = Fraction(total, scale * vec_factorial(beta))
+    for degree in sorted(totals):
+        into = totals[degree]
+        for key in sorted(into):
+            total = into[key]
+            if total:
+                beta, fact = decode(key)
+                c = ratios.get((total, fact))
+                if c is None:
+                    c = ratios[total, fact] = Fraction(total, scale * fact)
+                data[beta] = c
     return Poly._trusted(seq.n, data)
 
 
@@ -179,15 +195,26 @@ def apply_substitution(
 
 
 def inducing_box(seq: SubsetSeq, kappa: Sequence[int]) -> OperatorBox:
-    """Box table of the inducing operator: all matched images over alpha <= kappa."""
+    """Box table of the inducing operator: all matched images over alpha <= kappa.
+
+    Each image is built in graded-lex order (its keys sorted, all of one
+    degree), its keys decoded by one `_key_decoder` for the whole box, with
+    one Fraction 1/beta! per distinct beta!."""
     k = _checked_kappa(kappa, seq.m)
     radix = sum(k) + 1
+    # every box entry has at least one key unless an element lies in no part
+    decode = _key_decoder(radix, seq.n, math.prod(kk + 1 for kk in k))
+    ratios: dict[int, Fraction] = {}
     table = {}
     for alpha, keys in _packed_sums(seq, iter_box(k), radix):
-        betas = (_unpack(key, radix, seq.n) for key in keys)
-        table[alpha] = Poly._trusted(
-            seq.n, {beta: Fraction(1, vec_factorial(beta)) for beta in betas}
-        )
+        data = {}
+        for key in sorted(keys):
+            beta, fact = decode(key)
+            c = ratios.get(fact)
+            if c is None:
+                c = ratios[fact] = Fraction(1, fact)
+            data[beta] = c
+        table[alpha] = Poly._trusted(seq.n, data)
     return OperatorBox(k, seq.n, table)
 
 

@@ -18,6 +18,7 @@ mix silently.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -433,13 +434,16 @@ def elementary_symmetric(nvars: int, degree: int) -> Poly:
     """Sum of all squarefree monomials of the given degree in nvars variables."""
     if not 0 <= degree <= nvars:
         raise ValueError(f"degree {degree} outside 0..{nvars}")
-    import itertools
-
+    if nvars < 1:
+        raise ValueError("nvars must be >= 1")
+    one = Fraction(1)
     terms = {}
     for combo in itertools.combinations(range(nvars), degree):
-        exp = tuple(1 if i in combo else 0 for i in range(nvars))
-        terms[exp] = 1
-    return Poly(nvars, terms)
+        exp = [0] * nvars
+        for i in combo:
+            exp[i] = 1
+        terms[tuple(exp)] = one
+    return Poly._trusted(nvars, terms)
 
 
 class FloatPoly:

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -65,6 +66,30 @@ def seq_poly(draw, max_m=4, max_n=4, max_e=2):
     coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
     terms = draw(st.dictionaries(exps, coeffs, max_size=4))
     return seq, Poly(seq.m, terms)
+
+
+@st.composite
+def seq_inhomogeneous(draw, max_m=4, max_n=4, max_e=2):
+    """A sequence and a polynomial with nonzero signed rational coefficients
+    on terms of at least two total degrees."""
+    seq = draw(seqs(max_m, max_n))
+    exps = st.tuples(*(st.integers(0, max_e) for _ in range(seq.m)))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    terms = draw(
+        st.dictionaries(exps, coeffs, min_size=2, max_size=6).filter(
+            lambda t: len({sum(e) for e in t}) > 1
+        )
+    )
+    return seq, Poly(seq.m, terms)
+
+
+def _canonical(poly: Poly, basis: str) -> str:
+    """The JSON text the command line prints for a polynomial."""
+    return json.dumps(poly.to_json(basis), sort_keys=True, separators=(",", ":"))
+
+
+def _in_grlex_order(poly: Poly) -> bool:
+    return list(poly.items()) == poly.sorted_terms()
 
 
 class TestApplyInducing:
@@ -145,6 +170,46 @@ class TestApplyInducing:
     def test_degree_preserved(self):
         image = apply_inducing(WIDE, Poly(4, {(1, 1, 1, 0): 1}))
         assert image.homogeneous_degree() == 3
+
+    @given(seq_poly(max_e=3))
+    @settings(max_examples=80, deadline=None)
+    def test_terms_built_in_grlex_order(self, pair):
+        seq, f = pair
+        assert _in_grlex_order(apply_inducing(seq, f))
+
+    # degrees 4, 1 and 2; y1^3 y2 gets 1 - 1 and is dropped
+    @example(
+        (
+            SubsetSeq(5, tuple(map(frozenset, ({1, 2, 3}, {4, 5}, {5})))),
+            Poly(
+                5,
+                {
+                    (1, 1, 1, 1, 0): 1,
+                    (1, 1, 1, 0, 1): -1,
+                    (1, 1, 0, 1, 1): 2,
+                    (1, 0, 0, 0, 0): Fraction(-1, 2),
+                    (0, 0, 0, 1, 1): Fraction(5, 3),
+                },
+            ),
+        )
+    )
+    # x1 and x2 both land on y1 and cancel there; x1^2 keeps y1^2
+    @example(
+        (
+            SubsetSeq(2, (frozenset({1, 2}),)),
+            Poly(2, {(1, 0): Fraction(3, 4), (0, 1): Fraction(-3, 4), (2, 0): 1}),
+        )
+    )
+    @given(seq_inhomogeneous())
+    @settings(max_examples=120, deadline=None)
+    def test_inhomogeneous_against_literal(self, pair):
+        seq, f = pair
+        image = apply_inducing(seq, f)
+        literal = apply_inducing_literal(seq, f)
+        assert image == literal
+        for basis in ("plain", "normalized"):
+            assert _canonical(image, basis) == _canonical(literal, basis)
+        assert _in_grlex_order(image)
 
 
 class TestApplySubstitution:
@@ -235,6 +300,12 @@ class TestBoxes:
             assert box.image(alpha) == Poly(
                 seq.n, {beta: Fraction(1, vec_factorial(beta)) for beta in betas}
             )
+
+    @given(seq_kappa(max_m=3, max_n=4, max_k=3))
+    @settings(max_examples=60, deadline=None)
+    def test_images_built_in_grlex_order(self, pair):
+        seq, kappa = pair
+        assert all(map(_in_grlex_order, inducing_box(seq, kappa).table.values()))
 
     def test_substitution_box_expands_each_power_once(self, monkeypatch):
         calls = []

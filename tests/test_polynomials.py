@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -362,8 +363,24 @@ class TestElementarySymmetric:
     def test_extremes(self):
         assert elementary_symmetric(3, 0) == Poly.constant(3, 1)
         assert elementary_symmetric(3, 3) == Poly(3, {(1, 1, 1): 1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"degree 3 outside 0\.\.2"):
             elementary_symmetric(2, 3)
+        with pytest.raises(ValueError, match=r"degree -1 outside 0\.\.2"):
+            elementary_symmetric(2, -1)
+        with pytest.raises(ValueError, match="nvars must be >= 1"):
+            elementary_symmetric(0, 0)
+
+    @pytest.mark.parametrize("nvars", range(1, 8))
+    def test_matches_checked_construction(self, nvars):
+        for degree in range(nvars + 1):
+            combos = itertools.combinations(range(nvars), degree)
+            checked = Poly(
+                nvars, {tuple(int(i in combo) for i in range(nvars)): 1 for combo in combos}
+            )
+            f = elementary_symmetric(nvars, degree)
+            assert f == checked
+            assert f.to_json() == checked.to_json()
+            assert {type(c) for _, c in f.items()} == {Fraction}
 
 
 class TestFloatPoly:
