@@ -199,16 +199,10 @@ def quad_inertia(q: Poly | FloatPoly, tol: float | None = None) -> Inertia:
     hd = q.homogeneous_degree()
     if q.support() and hd != 2:
         raise ValueError("homogeneous quadratic required")
-    n = q.nvars
-    hess = [[0] * n for _ in range(n)]
-    for exp, c in q.items():
-        used = [i for i, e in enumerate(exp) if e]
-        if len(used) == 1:
-            hess[used[0]][used[0]] = 2 * c
-        else:
-            i, j = used
-            hess[i][j] = c
-            hess[j][i] = c
+    units = [tuple(int(i == k) for k in range(q.nvars)) for i in range(q.nvars)]
+    hess = [
+        [q.normalized_coeff(tuple(map(operator.add, a, b))) for b in units] for a in units
+    ]
     return symmetric_inertia(hess, tol)
 
 

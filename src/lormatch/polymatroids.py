@@ -18,9 +18,12 @@ built by `Polymatroid._derived` without the axiom check:
 arguments are in range), `direct_sum`, `induce_polymatroid` (f(union of the
 parts in T) is a polymatroid when f is; Edmonds 1970, McDiarmid 1975) and
 the Edmonds rank table of `induce_matroid`, whose `Matroid` wrapper still
-checks the cardinality bound.  The randomized harness re-validates induced
-tables at run time (`verification.py`).  `linreal_rank` reads each rank off
-the inertia of a Gram matrix, through the one exact elimination in `_util`.
+checks the cardinality bound.  `induce_polymatroid` is the one construction
+of union-rank tables: `induce_matroid` starts from its table, and
+`hall_rado_member` reads the rank of the part union off it.  The randomized
+harness re-validates induced tables at run time (`verification.py`).
+`linreal_rank` reads each rank off the inertia of a Gram matrix, through the
+one exact elimination in `_util`.
 """
 
 from __future__ import annotations
@@ -294,19 +297,9 @@ def direct_sum(parts: Sequence[Polymatroid]) -> Polymatroid:
     return Polymatroid._derived(sum(p.m for p in parts), acc)
 
 
-def _part_masks(seq: SubsetSeq) -> list[int]:
-    masks = []
-    for s in seq.sets:
-        mask = 0
-        for e in s:
-            mask |= 1 << (e - 1)
-        masks.append(mask)
-    return masks
-
-
 def _union_masks(seq: SubsetSeq) -> list[int]:
     """Bitmask of the part union for every subset of part indices."""
-    parts = _part_masks(seq)
+    parts = [sum(1 << (e - 1) for e in s) for s in seq.sets]
     out = [0] * (1 << seq.n)
     for mask in range(1, 1 << seq.n):
         low = mask & -mask
@@ -329,9 +322,7 @@ def induce_matroid(pm: Polymatroid, seq: SubsetSeq) -> Matroid:
     part at a time gives the recursion r(I) = min(f(I), 1 + min_i r(I - i)),
     one pass over the 2^n table in increasing mask order.
     """
-    if seq.m != pm.m:
-        raise ValueError(f"sequence over 1..{seq.m}, polymatroid over 1..{pm.m}")
-    table = [pm.rank[u] for u in _union_masks(seq)]
+    table = list(induce_polymatroid(pm, seq).rank)
     for mask in range(1, len(table)):
         best = table[mask]
         rest = mask
@@ -616,14 +607,10 @@ def hall_rado_member(
     parts to span (union rank = full rank); without that no gamma can have
     the right total, so the call is refused.
     """
-    if seq.m != pm.m:
-        raise ValueError(f"sequence over 1..{seq.m}, polymatroid over 1..{pm.m}")
-    union = 0
-    for mask in _part_masks(seq):
-        union |= mask
-    if pm.rank[union] != pm.full_rank:
+    induced = induce_polymatroid(pm, seq)
+    if induced.full_rank != pm.full_rank:
         raise ValueError(
-            f"parts must span: rank of the part union is {pm.rank[union]}, "
+            f"parts must span: rank of the part union is {induced.full_rank}, "
             f"full rank is {pm.full_rank}"
         )
     d = list(map(operator.index, delta))
@@ -631,7 +618,7 @@ def hall_rado_member(
         raise ValueError(f"vector has length {len(d)}, expected {seq.n}")
     if any(v < 0 for v in d):
         return False
-    via_rank = in_base_polytope(induce_polymatroid(pm, seq), d)
+    via_rank = in_base_polytope(induced, d)
     via_flow = any(
         admits_matching(seq, gamma, d)
         for gamma in single_vertex_cuts(seq, d, _walk_base_points(pm))

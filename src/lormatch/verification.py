@@ -210,14 +210,6 @@ def _eval_matching_stat(cfg: TrialConfig, instance: Mapping) -> list[str]:
 # -- check: symbol support matches the induced base polytope -------------------
 
 
-def _edge_groups(seq: SubsetSeq) -> list[list[int]]:
-    """1-indexed edge positions grouped by left endpoint (sorted edge order)."""
-    groups: list[list[int]] = [[] for _ in range(seq.m)]
-    for pos, (i, _) in enumerate(seq.edges(), start=1):
-        groups[i - 1].append(pos)
-    return groups
-
-
 def _invalid_table_reasons(pm: Polymatroid) -> list[str]:
     """Re-validate a derived table through the public constructor.
 
@@ -232,37 +224,24 @@ def _invalid_table_reasons(pm: Polymatroid) -> list[str]:
 
 
 def _symbol_instance_reasons(seq: SubsetSeq, kappa: tuple[int, ...]) -> list[str]:
-    groups = _edge_groups(seq)
-    for e, group in enumerate(groups):
-        if not group and kappa[e] > 0:
-            return [f"element {e + 1} lies in no part but has budget {kappa[e]}"]
-    edges = seq.edges()
+    """The inducing symbol against the polymatroid that the operator induces.
+
+    The symbol is the inducing image of x^kappa along `seq` with one singleton
+    part {i} appended per element, the part of u_i.  So its support is the
+    base point set of the direct sum of the free(1, kappa_i), induced along
+    that sequence, with the coordinates in the symbol's (y, u) order.
+    """
     sym = symbol_of(inducing_box(seq, kappa))
-    kfact = vec_factorial(kappa)
-    reasons = []
-    if not edges:
-        if sym != Poly.constant(sym.nvars, kfact):
-            reasons.append("edgeless sequence: symbol is not the constant kappa!")
-        return reasons
-    summands = [
-        free_polymatroid(len(group), kappa[e])
-        for e, group in enumerate(groups)
-        if group
-    ]
-    pm = direct_sum(summands)
-    left = [frozenset(group) for group in groups]
-    right = [
-        frozenset(pos for pos, (_, j) in enumerate(edges, start=1) if j == part)
-        for part in range(1, seq.n + 1)
-    ]
-    eseq = SubsetSeq(len(edges), tuple(left + right))
-    induced = induce_polymatroid(pm, eseq)
-    reasons.extend(_invalid_table_reasons(induced))
+    singletons = tuple(frozenset({i}) for i in range(1, seq.m + 1))
+    tracked = SubsetSeq(seq.m, seq.sets + singletons)
+    source = direct_sum([free_polymatroid(1, k) for k in kappa])
+    induced = induce_polymatroid(source, tracked)
+    reasons = _invalid_table_reasons(induced)
     points = base_points(induced)
-    n = seq.n
-    from_symbol = {exp[n:] + exp[:n] for exp in sym.support()}
-    if from_symbol != points:
+    if sym.support() != points:
         reasons.append("symbol support differs from the induced base points")
+    kfact = vec_factorial(kappa)
+    n = seq.n
     for exp, c in sym.items():
         uexp, yexp = exp[n:], exp[:n]
         want = Fraction(kfact, vec_factorial(uexp) * vec_factorial(yexp))
@@ -276,7 +255,7 @@ def _symbol_instance_reasons(seq: SubsetSeq, kappa: tuple[int, ...]) -> list[str
         mu = tuple(k - a for k, a in zip(kappa, alpha))
         for beta in bounded_compositions(sum(alpha), col_caps):
             feasible = admits_matching(seq, alpha, beta)
-            member = (mu + beta) in points
+            member = (beta + mu) in points
             if feasible != member:
                 reasons.append(
                     f"matchability and membership disagree at "

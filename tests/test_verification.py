@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lormatch import (
     CHECKS,
@@ -9,6 +11,10 @@ from lormatch import (
     Polymatroid,
     SubsetSeq,
     TrialConfig,
+    base_points,
+    direct_sum,
+    free_polymatroid,
+    induce_polymatroid,
     inducing_box,
     match_count,
     replay,
@@ -16,7 +22,9 @@ from lormatch import (
     run_check,
 )
 from lormatch import verification
+from lormatch._util import iter_box
 from lormatch.verification import _trial_rng
+from oracles import matched_degrees_box
 
 
 class TestTrialConfig:
@@ -218,3 +226,61 @@ class TestDerivedTablesAtRunTime:
         monkeypatch.setattr(verification, "induce_polymatroid", broken)
         reasons = replay(name, instance)
         assert reasons[0].startswith("induced table fails the axioms: monotonicity")
+
+
+@st.composite
+def seq_kappa(draw):
+    """m, n <= 3 and kappa <= 2; an element may lie in no part."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    sets = tuple(frozenset(draw(st.sets(st.integers(1, m)))) for _ in range(n))
+    kappa = tuple(draw(st.integers(0, 2)) for _ in range(m))
+    return SubsetSeq(m, sets), kappa
+
+
+class TestSymbolSupportCheck:
+    """`symbol-support-egf` reads the symbol's support off one induced table."""
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            # element 2 lies in no part; its budget stays on u_2
+            {"seq": {"m": 2, "sets": [[1]]}, "kappa": [1, 2]},
+            # edgeless, kappa = 0: the symbol is the constant 1
+            {"seq": {"m": 2, "sets": [[], []]}, "kappa": [0, 0]},
+        ],
+    )
+    def test_replays_pass(self, instance):
+        assert replay("symbol-support-egf", instance) == []
+
+    def test_a_missing_symbol_term_is_reported(self, monkeypatch):
+        real = verification.symbol_of
+
+        def dropped(box):
+            sym = real(box)
+            last = max(sym.support())
+            return Poly(sym.nvars, {e: c for e, c in sym.items() if e != last})
+
+        monkeypatch.setattr(verification, "symbol_of", dropped)
+        instance = {"seq": {"m": 2, "sets": [[1, 2], [2]]}, "kappa": [1, 1]}
+        reasons = replay("symbol-support-egf", instance)
+        assert "symbol support differs from the induced base points" in reasons
+
+    @given(seq_kappa())
+    @settings(max_examples=60, deadline=None)
+    def test_tracked_base_points_are_the_matched_degrees(self, case):
+        # the construction the check reads: one singleton part per element
+        # appended to the parts, over the free(1, kappa_i) direct sum
+        seq, kappa = case
+        singletons = tuple(frozenset({i}) for i in range(1, seq.m + 1))
+        tracked = SubsetSeq(seq.m, seq.sets + singletons)
+        source = direct_sum([free_polymatroid(1, k) for k in kappa])
+        points = base_points(induce_polymatroid(source, tracked))
+        expected = {
+            beta + tuple(k - a for k, a in zip(kappa, alpha))
+            for alpha in iter_box(kappa)
+            for beta in matched_degrees_box(seq, alpha)
+        }
+        assert points == expected
+        instance = {"seq": seq.to_json(), "kappa": list(kappa)}
+        assert replay("symbol-support-egf", instance) == []
