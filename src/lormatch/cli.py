@@ -257,6 +257,10 @@ def _cmd_subst(args) -> int:
 
 
 def _cmd_ct(args) -> int:
+    if args.topic is not None and (args.r is not None or args.format == "csv"):
+        raise UsageError("--topic does not combine with --r or --format csv")
+    if args.topic is None and args.matroid is not None:
+        raise UsageError("--matroid requires --topic")
     seq = _parse_seq(args.sets)
     if args.topic is not None:
         topic = _parse_list(args.topic, "--topic") if args.topic else ()
@@ -309,6 +313,8 @@ def _cmd_symbol(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.support_only and args.quadratic:
+        raise UsageError("--quadratic does not combine with --support-only")
     f = _parse_poly(args.poly)
     if args.support_only:
         ok, pair = is_m_convex(f.support())
@@ -328,9 +334,13 @@ def _cmd_pminduce(args) -> int:
     chosen = [flag for flag in (args.pm, args.real, args.support_of) if flag is not None]
     if len(chosen) != 1:
         raise UsageError("exactly one of --pm, --real, --support-of is required")
+    if args.bases and not args.matroid:
+        raise UsageError("--bases requires --matroid")
     if args.support_of is not None:
-        if args.sets is not None:
-            raise UsageError("--support-of does not combine with --sets")
+        if args.sets is not None or args.points or args.egf or args.matroid:
+            raise UsageError(
+                "--support-of does not combine with --sets, --points, --egf, --matroid or --bases"
+            )
         pm = support_polymatroid(_parse_poly(args.support_of, "--support-of"))
         _emit({"polymatroid": pm.to_json() if pm else None}, args.pretty)
         return 0

@@ -72,10 +72,6 @@ class Inertia:
         if min(self.n_pos, self.n_neg, self.n_zero) < 0:
             raise ValueError("inertia counts must be nonnegative")
 
-    @property
-    def dim(self) -> int:
-        return self.n_pos + self.n_neg + self.n_zero
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.n_pos, self.n_neg, self.n_zero)
 
@@ -290,7 +286,7 @@ def certify_lorentzian(f: Poly | FloatPoly, tol: float | None = None) -> Lorentz
                 hess[i][j] = hess[j][i] = v
             inertia = memo[entries] = _inertia(hess, tol)
         if inertia[0] > 1:
-            witness = _key_decoder(radix, n, 1)(gamma)[0]
+            witness = _key_decoder(radix, n)(gamma)[0]
             return LorentzReport(
                 False,
                 CertFailure("bad-inertia", derivative=witness, inertia=inertia),

@@ -20,11 +20,10 @@ in one call: it keeps the partial sumset of every prefix of the current
 alpha, so alphas in sorted order (the terms of a polynomial, the entries of
 a box) share the work on their common prefixes, and it builds each
 element's spreads once per call.  `_key_decoder` turns keys back into beta
-and beta! for every caller; past a few dozen keys it splits each key in two
-and decodes each distinct half once per call.  `matched_degrees` is the
-walk over a single alpha; `apply_inducing` and `inducing_box` accumulate on
-the keys directly and insert their terms in sorted key order, which is
-graded-lex order.
+and beta! for every caller: it splits each key in two and decodes each
+distinct half once per call.  `matched_degrees` is the walk over a single
+alpha; `apply_inducing` and `inducing_box` accumulate on the keys directly
+and insert their terms in sorted key order, which is graded-lex order.
 """
 
 from __future__ import annotations
@@ -332,23 +331,14 @@ def _split(radix: int, width: int, key: int) -> tuple[tuple[int, ...], int]:
     return tuple(out), fact
 
 
-# up to this many keys a decoder's half memo costs more than it saves
-_MEMO_KEYS = 64
+def _key_decoder(radix: int, n: int) -> Callable[[int], tuple[tuple[int, ...], int]]:
+    """The decoder of n-digit keys: key -> (its digits, most significant
+    first; the product of their factorials).
 
-
-def _key_decoder(
-    radix: int, n: int, count: int
-) -> Callable[[int], tuple[tuple[int, ...], int]]:
-    """The decoder of n-digit keys, for about `count` keys: key -> (its
-    digits, most significant first; the product of their factorials).
-
-    Above `_MEMO_KEYS` keys, a key is split once, by R**ceil(n/2), and each
-    half is decoded on its first sighting and looked up after that: the keys
-    of one call share few distinct halves.  Up to it the plain digit loop
-    is cheaper.
+    A key is split once, by R**ceil(n/2), and each half is decoded on its
+    first sighting and looked up after that: the keys of one call share few
+    distinct halves.
     """
-    if count <= _MEMO_KEYS:
-        return functools.partial(_split, radix, n)
     low = (n + 1) // 2
     size = radix**low
     highs: dict[int, tuple[tuple[int, ...], int]] = {}
@@ -375,7 +365,7 @@ def matched_degrees(seq: SubsetSeq, alpha: Sequence[int]) -> frozenset[tuple[int
     a = _check_degrees(alpha, seq.m, "alpha")
     radix = sum(a) + 1
     [(_, keys)] = _packed_sums(seq, [a], radix)
-    decode = _key_decoder(radix, seq.n, len(keys))
+    decode = _key_decoder(radix, seq.n)
     return frozenset(decode(key)[0] for key in keys)
 
 

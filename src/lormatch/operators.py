@@ -140,7 +140,7 @@ def apply_inducing(seq: SubsetSeq, f: Poly) -> Poly:
         into = totals.setdefault(degree, {})
         for key, k in group.items():
             into[key] = into.get(key, 0) + weight * k
-    decode = _key_decoder(radix, seq.n, sum(map(len, totals.values())))
+    decode = _key_decoder(radix, seq.n)
     ratios: dict[tuple[int, int], Fraction] = {}
     data = {}
     for degree in sorted(totals):
@@ -202,8 +202,7 @@ def inducing_box(seq: SubsetSeq, kappa: Sequence[int]) -> OperatorBox:
     one Fraction 1/beta! per distinct beta!."""
     k = _checked_kappa(kappa, seq.m)
     radix = sum(k) + 1
-    # every box entry has at least one key unless an element lies in no part
-    decode = _key_decoder(radix, seq.n, math.prod(kk + 1 for kk in k))
+    decode = _key_decoder(radix, seq.n)
     ratios: dict[int, Fraction] = {}
     table = {}
     for alpha, keys in _packed_sums(seq, iter_box(k), radix):

@@ -240,9 +240,6 @@ class Matroid:
     def full_rank(self) -> int:
         return self.underlying.full_rank
 
-    def rank_of(self, elements: Iterable[int]) -> int:
-        return self.underlying.rank_of(elements)
-
     def to_json(self) -> dict:
         return self.underlying.to_json()
 
@@ -520,10 +517,6 @@ class LinReal:
     @property
     def m(self) -> int:
         return len(self.blockdims)
-
-    @property
-    def ncols(self) -> int:
-        return sum(self.blockdims)
 
     def block_columns(self, i: int) -> range:
         """0-based column range of block i (1-indexed block)."""

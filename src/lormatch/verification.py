@@ -512,13 +512,12 @@ def _eval_support_induction(cfg: TrialConfig, instance: Mapping) -> list[str]:
     reasons = []
     pm = linreal_rank(real)
     induced = induce_polymatroid(pm, seq)
-    induced_points = base_points(induced)
-    image_support = apply_inducing(seq, base_egf(pm)).support()
-    if image_support != induced_points:
+    egf = base_egf(pm)
+    if apply_inducing(seq, egf).support() != base_points(induced):
         reasons.append("support of the induced polynomial misses the base points")
     if linreal_rank(linreal_induce(real, seq)) != induced:
         reasons.append("rank of the induced realization differs")
-    if support_polymatroid(base_egf(pm)) != pm:
+    if support_polymatroid(egf) != pm:
         reasons.append("support round-trip does not recover the polymatroid")
     return reasons
 

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 import lormatch
 from lormatch.cli import run
+from lormatch.verification import CHECKS
 
 WIDE = '{"m":4,"sets":[[1,2,3,4],[2,3],[3,4]]}'
 NARROW = '{"m":2,"sets":[[1],[2],[1,2]]}'
 X1X2 = '{"nvars":2,"terms":[{"exp":[1,1],"coeff":1}]}'
 ONE = '{"m":1,"sets":[[1]]}'
 X1 = '{"nvars":1,"terms":[{"exp":[1],"coeff":1}]}'
+TRIANGLE = '{"m":3,"sets":[[1,2],[2,3],[1,3]]}'
 BASIS_STATS = '{"matroid":{"m":2,"rank":[0,1,1,2]},"seq":{"m":2,"sets":[[1],[2]]}}'
 MEMBERSHIP = '{"pm":{"m":2,"rank":[0,1,1,2]},"seq":{"m":2,"sets":[[1],[2]]},"delta":[1,1]}'
 
@@ -63,6 +65,26 @@ class TestPinnedInvocations:
         data = _json_out(capsys, "certify", "--poly", f"@{path}")
         assert data["lorentzian"] is True
 
+    def test_tab_family_symbol_is_the_symbol_of_its_box(self, capsys):
+        argv = ("tab-family", "--sets", NARROW, "--a", "1,2,1/2", "--b", "1,0,1/3,1", "--kappa", "1,1")
+        boxed = _json_out(capsys, *argv)
+        symbol = _json_out(capsys, *argv, "--symbol")
+        assert symbol["augmented_sets"] == boxed["augmented_sets"]
+        assert symbol["symbol"] == lormatch.symbol_of(lormatch.OperatorBox.from_json(boxed["box"])).to_json()
+
+    def test_substitution_symbol_reads_its_matrix(self, capsys):
+        data = _json_out(
+            capsys, "symbol", "--sets", NARROW, "--kappa", "1,1",
+            "--op", "substitution", "--matrix", '[[2,0,1],[0,1,"1/2"]]',
+        )
+        # (x_1 + u_1)(x_2 + u_2) with x_1 -> 2 y_1 + y_3, x_2 -> y_2 + y_3/2
+        expected = {
+            (1, 1, 0, 0, 0): 2, (1, 0, 1, 0, 0): 1, (0, 1, 1, 0, 0): 1,
+            (0, 0, 2, 0, 0): Fraction(1, 2), (1, 0, 0, 0, 1): 2, (0, 0, 1, 0, 1): 1,
+            (0, 1, 0, 1, 0): 1, (0, 0, 1, 1, 0): Fraction(1, 2), (0, 0, 0, 1, 1): 1,
+        }
+        assert data == lormatch.Poly(5, expected).to_json()
+
 
 class TestParsing:
     def test_normalized_equals_plain(self, capsys):
@@ -101,6 +123,37 @@ class TestParsing:
         assert code == 2
         code, _, _ = _call(capsys, "match", "--sets", WIDE, "--alpha", "1,0,0,0", "--caps", "{}")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("induce", "--sets", NARROW),
+            ("induce", "--sets", NARROW, "--poly", X1X2, "--elementary", "1"),
+            ("fpoly", "--sets", WIDE),
+            ("fpoly", "--sets", WIDE, "--r", "2", "--matroid", '{"uniform":[4,2]}'),
+            ("symbol", "--sets", NARROW, "--kappa", "1,1", "--matrix", "[[1,0,1],[0,1,1]]"),
+            ("pminduce",),
+            ("pminduce", "--pm", '{"free":[2,2]}', "--real", '{"blockdims":[1],"gens":[["1"]]}'),
+            ("hallrado", "--sets", ONE, "--delta", "1"),
+            ("hallrado", "--pm", '{"free":[1,1]}', "--real", '{"blockdims":[1],"gens":[["1"]]}',
+             "--sets", ONE, "--delta", "1"),
+            ("verify", "--replay", "{}"),
+            # combinations whose extra flag nothing would read
+            ("ct", "--sets", TRIANGLE, "--r", "2", "--matroid", '{"uniform":[3,1]}'),
+            ("ct", "--sets", TRIANGLE, "--topic", "1,2", "--r", "2"),
+            ("ct", "--sets", TRIANGLE, "--topic", "1,2", "--format", "csv"),
+            ("certify", "--poly", X1X2, "--quadratic", "--support-only"),
+            ("pminduce", "--pm", '{"uniform":[3,2]}', "--bases"),
+            ("pminduce", "--support-of", X1X2, "--points"),
+            ("pminduce", "--support-of", X1X2, "--egf"),
+            ("pminduce", "--support-of", X1X2, "--matroid"),
+            ("pminduce", "--support-of", X1X2, "--matroid", "--bases"),
+        ],
+    )
+    def test_flag_rules_exit_two(self, capsys, argv):
+        code, out, err = _call(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_axiom_violation_payload(self, capsys):
         code, out, _ = _call(
@@ -549,6 +602,22 @@ class TestDeterminismAndPretty:
         code, out, _ = _call(capsys, "ct", "--sets", WIDE, "--r", "1", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "T,count"
+
+    def test_csv_pretty_copies_the_table(self, capsys):
+        code, out, err = _call(capsys, "ct", "--sets", WIDE, "--r", "1", "--format", "csv", "--pretty")
+        assert code == 0
+        assert err == out == "T,count\n1,4\n2,2\n3,2\n"
+
+    def test_verify_pretty_names_each_check(self, capsys):
+        code, out, err = _call(capsys, "verify", "--trials", "2", "--pretty")
+        assert code == 0
+        results = [json.loads(line) for line in out.splitlines()[:-1]]
+        lines = [f"{r['check']}: pass ({r['trials']} trials)" for r in results]
+        assert len(lines) == len(CHECKS)
+        assert err.splitlines()[: len(lines)] == lines
+        assert json.loads("".join(err.splitlines(keepends=True)[len(lines) :])) == json.loads(
+            out.splitlines()[-1]
+        )
 
 
 class TestVerifySubcommand:

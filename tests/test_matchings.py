@@ -14,7 +14,7 @@ from lormatch import (
     matched_degrees,
 )
 from lormatch._util import vec_factorial
-from lormatch.matchings import _MEMO_KEYS, _key_decoder, single_vertex_cuts
+from lormatch.matchings import _key_decoder, single_vertex_cuts
 
 from oracles import enumerate_matching, matched_degrees_box
 
@@ -223,13 +223,12 @@ class TestCompose:
 class TestKeyDecoder:
     @pytest.mark.parametrize("radix", range(2, 18))
     def test_round_trip(self, radix):
-        # both halves of the memo decoder are exercised at odd and even n
+        # both halves of the decoder are exercised at odd and even n
         rng = random.Random(radix)
         for n in range(1, 13):
             betas = [(0,) * n, (radix - 1,) * n]
             betas += [tuple(rng.randrange(radix) for _ in range(n)) for _ in range(60)]
-            for count in (1, _MEMO_KEYS + 1):
-                decode = _key_decoder(radix, n, count)
-                for beta in betas:
-                    key = sum(b * radix ** (n - j) for j, b in enumerate(beta, start=1))
-                    assert decode(key) == (beta, vec_factorial(beta))
+            decode = _key_decoder(radix, n)
+            for beta in betas:
+                key = sum(b * radix ** (n - j) for j, b in enumerate(beta, start=1))
+                assert decode(key) == (beta, vec_factorial(beta))

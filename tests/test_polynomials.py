@@ -66,6 +66,10 @@ class TestConstruction:
         assert one.homogeneous_degree() == 0
         assert Poly.constant(2, 0) == Poly.zero(2)
 
+    def test_repeated_exponents_merge(self):
+        assert Poly(1, [((1,), 1), ((1,), 2)]) == Poly(1, {(1,): 3})
+        assert Poly(1, [((1,), 1), ((0,), 1), ((1,), -1)]) == Poly(1, {(0,): 1})
+
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError, match="FloatPoly"):
             Poly(1, {(1,): 0.5})
