@@ -7,7 +7,8 @@ bytes; `--pretty` mirrors an indented rendering to standard error without
 touching the machine-readable stream.
 
 Exit codes: 0 success, 1 domain error (a machine-readable error object is
-printed to standard output), 2 usage error.
+printed to standard output), 2 usage error (one `error: ...` line on
+standard error, found before any input is read).
 """
 
 from __future__ import annotations
@@ -163,7 +164,13 @@ def _parse_list(raw: str, flag: str, convert=int_text) -> tuple:
     return tuple(_parse_number(tok, flag, convert) for tok in raw.split(","))
 
 
-_matrix_from_json = functools.partial(json_rational_rows, what="matrix")
+def _parse_matrix(raw: str | None):
+    """The `--matrix` rows, or None (0/1 weights) when the flag is absent."""
+    if raw is None:
+        return None
+    return _parse_with(functools.partial(json_rational_rows, what="matrix"), raw, "--matrix")
+
+
 _INTS = "expected a list of integers, got {json}"
 
 
@@ -194,11 +201,12 @@ def _matroid_from_json(data) -> Matroid:
     return Matroid(_polymatroid_from_json(data))
 
 
-def _emit(payload, pretty: bool, raw: str | None = None) -> None:
-    if raw is not None:
-        sys.stdout.write(raw if raw.endswith("\n") else raw + "\n")
+def _emit(payload, pretty: bool) -> None:
+    """Write one payload to stdout: CSV text as it is, anything else as canonical JSON."""
+    if isinstance(payload, str):
+        sys.stdout.write(payload)
         if pretty:
-            sys.stderr.write(raw if raw.endswith("\n") else raw + "\n")
+            sys.stderr.write(payload)
         return
     sys.stdout.write(_canon(payload) + "\n")
     if pretty:
@@ -206,59 +214,48 @@ def _emit(payload, pretty: bool, raw: str | None = None) -> None:
 
 
 # -- subcommand handlers ---------------------------------------------------------
+#
+# Each handler first refuses the flag combinations argparse cannot state, before
+# it reads any input, then returns its payload for `run` to emit.
 
 
-def _cmd_match(args) -> int:
+def _cmd_match(args) -> dict:
+    if args.caps is not None and args.beta is None:
+        raise UsageError("--caps requires --beta")
     seq = _parse_seq(args.sets)
     alpha = _parse_list(args.alpha, "--alpha")
     caps = None
     if args.caps is not None:
         caps = _parse_with(lambda data: caps_from_json(seq, data), args.caps, "--caps")
     if args.beta is None:
-        if caps is not None:
-            raise UsageError("--caps requires --beta")
-        degrees = sorted(matched_degrees(seq, alpha))
-        _emit({"matched": [list(beta) for beta in degrees]}, args.pretty)
-        return 0
-    beta = _parse_list(args.beta, "--beta")
-    witness = find_witness(seq, alpha, beta, caps)
-    _emit(
-        {
-            "feasible": witness is not None,
-            "witness": None if witness is None else witness.to_json(),
-        },
-        args.pretty,
-    )
-    return 0
+        return {"matched": [list(beta) for beta in sorted(matched_degrees(seq, alpha))]}
+    witness = find_witness(seq, alpha, _parse_list(args.beta, "--beta"), caps)
+    return {
+        "feasible": witness is not None,
+        "witness": None if witness is None else witness.to_json(),
+    }
 
 
-def _cmd_induce(args) -> int:
+def _cmd_induce(args) -> dict:
     seq = _parse_seq(args.sets)
     if args.then is not None:
         seq = compose_seq(seq, _parse_seq(args.then, "--then"))
-    if (args.poly is None) == (args.elementary is None):
-        raise UsageError("exactly one of --poly or --elementary is required")
     if args.poly is not None:
         f = _parse_poly(args.poly)
     else:
         f = elementary_symmetric(seq.m, args.elementary)
-    _emit(apply_inducing(seq, f).to_json(args.basis), args.pretty)
-    return 0
+    return apply_inducing(seq, f).to_json(args.basis)
 
 
-def _cmd_subst(args) -> int:
+def _cmd_subst(args) -> dict:
     seq = _parse_seq(args.sets)
-    matrix = None
-    if args.matrix is not None:
-        matrix = _parse_with(_matrix_from_json, args.matrix, "--matrix")
-    f = _parse_poly(args.poly)
-    _emit(apply_substitution(seq, matrix, f).to_json(args.basis), args.pretty)
-    return 0
+    matrix = _parse_matrix(args.matrix)
+    return apply_substitution(seq, matrix, _parse_poly(args.poly)).to_json(args.basis)
 
 
-def _cmd_ct(args) -> int:
-    if args.topic is not None and (args.r is not None or args.format == "csv"):
-        raise UsageError("--topic does not combine with --r or --format csv")
+def _cmd_ct(args) -> dict | str:
+    if args.topic is not None and args.format == "csv":
+        raise UsageError("--topic does not combine with --format csv")
     if args.topic is None and args.matroid is not None:
         raise UsageError("--matroid requires --topic")
     seq = _parse_seq(args.sets)
@@ -269,71 +266,46 @@ def _cmd_ct(args) -> int:
             count = basis_match_count(mat, seq, topic)
         else:
             count = match_count(seq, topic)
-        _emit({"topic": sorted(topic), "count": count}, args.pretty)
-        return 0
-    if args.r is None:
-        raise UsageError("one of --r or --topic is required")
+        return {"topic": sorted(topic), "count": count}
     table = stat_table(seq, args.r)
     if args.format == "csv":
-        _emit(None, args.pretty, raw=table.to_csv())
-        return 0
-    _emit({"r": table.r, "rows": table.to_json()}, args.pretty)
-    return 0
+        return table.to_csv()
+    return {"r": table.r, "rows": table.to_json()}
 
 
-def _cmd_fpoly(args) -> int:
+def _cmd_fpoly(args) -> dict:
     seq = _parse_seq(args.sets)
-    if (args.r is None) == (args.matroid is None):
-        raise UsageError("exactly one of --r or --matroid is required")
     if args.matroid is not None:
-        g = basis_match_poly(_parse_with(_matroid_from_json, args.matroid, "--matroid"), seq)
-    else:
-        g = match_poly(seq, args.r)
-    _emit(g.to_json(), args.pretty)
-    return 0
+        mat = _parse_with(_matroid_from_json, args.matroid, "--matroid")
+        return basis_match_poly(mat, seq).to_json()
+    return match_poly(seq, args.r).to_json()
 
 
-def _cmd_symbol(args) -> int:
+def _cmd_symbol(args) -> dict:
+    if args.matrix is not None and args.op != "substitution":
+        raise UsageError("--matrix only applies to --op substitution")
     seq = _parse_seq(args.sets)
     kappa = _parse_list(args.kappa, "--kappa")
     if args.op == "substitution":
-        matrix = None
-        if args.matrix is not None:
-            matrix = _parse_with(_matrix_from_json, args.matrix, "--matrix")
-        box = substitution_box(seq, matrix, kappa)
+        box = substitution_box(seq, _parse_matrix(args.matrix), kappa)
     else:
-        if args.matrix is not None:
-            raise UsageError("--matrix only applies to --op substitution")
         box = inducing_box(seq, kappa)
     if args.q is not None:
         box = power_box(box, _parse_number(args.q, "--q", json_rational))
-    out = box if args.table else symbol_of(box)
-    _emit(out.to_json(), args.pretty)
-    return 0
+    return (box if args.table else symbol_of(box)).to_json()
 
 
-def _cmd_certify(args) -> int:
-    if args.support_only and args.quadratic:
-        raise UsageError("--quadratic does not combine with --support-only")
+def _cmd_certify(args) -> dict:
     f = _parse_poly(args.poly)
     if args.support_only:
         ok, pair = is_m_convex(f.support())
-        witness = [list(pair[0]), list(pair[1])] if pair else None
-        _emit({"m_convex": ok, "witness": witness}, args.pretty)
-        return 0
+        return {"m_convex": ok, "witness": [list(pair[0]), list(pair[1])] if pair else None}
     if args.quadratic:
-        inertia = quad_inertia(f, args.tolerance)
-        _emit({"inertia": list(inertia.as_tuple())}, args.pretty)
-        return 0
-    report = certify_lorentzian(f, args.tolerance)
-    _emit(report.to_json(), args.pretty)
-    return 0
+        return {"inertia": list(quad_inertia(f, args.tolerance).as_tuple())}
+    return certify_lorentzian(f, args.tolerance).to_json()
 
 
-def _cmd_pminduce(args) -> int:
-    chosen = [flag for flag in (args.pm, args.real, args.support_of) if flag is not None]
-    if len(chosen) != 1:
-        raise UsageError("exactly one of --pm, --real, --support-of is required")
+def _cmd_pminduce(args) -> dict:
     if args.bases and not args.matroid:
         raise UsageError("--bases requires --matroid")
     if args.support_of is not None:
@@ -342,25 +314,23 @@ def _cmd_pminduce(args) -> int:
                 "--support-of does not combine with --sets, --points, --egf, --matroid or --bases"
             )
         pm = support_polymatroid(_parse_poly(args.support_of, "--support-of"))
-        _emit({"polymatroid": pm.to_json() if pm else None}, args.pretty)
-        return 0
+        return {"polymatroid": pm.to_json() if pm else None}
     payload: dict = {}
-    mat = None
     if args.real is not None:
         real = _parse_with(LinReal.from_json, args.real, "--real")
-        if args.sets is not None:
-            real = linreal_induce(real, _parse_seq(args.sets))
-            payload["realization"] = real.to_json()
         pm = linreal_rank(real)
     else:
         pm = _parse_with(_polymatroid_from_json, args.pm, "--pm")
-        if args.sets is not None:
-            seq = _parse_seq(args.sets)
-            if args.matroid:
-                mat = induce_matroid(pm, seq)
-                pm = mat.underlying
-            else:
-                pm = induce_polymatroid(pm, seq)
+    mat = None
+    if args.sets is not None:
+        seq = _parse_seq(args.sets)
+        if args.real is not None:
+            payload["realization"] = linreal_induce(real, seq).to_json()
+        if args.matroid:
+            mat = induce_matroid(pm, seq)
+            pm = mat.underlying
+        else:
+            pm = induce_polymatroid(pm, seq)
     if args.matroid:
         if mat is None:
             mat = Matroid(pm)
@@ -372,44 +342,37 @@ def _cmd_pminduce(args) -> int:
         payload["base_points"] = [list(p) for p in sorted(base_points(pm))]
     if args.egf:
         payload["egf"] = base_egf(pm).to_json()
-    _emit(payload, args.pretty)
-    return 0
+    return payload
 
 
-def _cmd_hallrado(args) -> int:
-    if (args.pm is None) == (args.real is None):
-        raise UsageError("exactly one of --pm or --real is required")
+def _cmd_hallrado(args) -> dict:
     if args.real is not None:
         pm = linreal_rank(_parse_with(LinReal.from_json, args.real, "--real"))
     else:
         pm = _parse_with(_polymatroid_from_json, args.pm, "--pm")
     seq = _parse_seq(args.sets)
-    delta = _parse_list(args.delta, "--delta")
-    _emit({"member": hall_rado_member(pm, seq, delta)}, args.pretty)
-    return 0
+    return {"member": hall_rado_member(pm, seq, _parse_list(args.delta, "--delta"))}
 
 
-def _cmd_tab_family(args) -> int:
+def _cmd_tab_family(args) -> dict:
     seq = _parse_seq(args.sets)
     kappa = _parse_list(args.kappa, "--kappa")
     a = _parse_list(args.a, "--a", json_rational)
     b = _parse_list(args.b, "--b", json_rational)
     box = tab_family_box(seq, a, b, kappa)
-    augmented = augment_with_singletons(seq)
-    payload = {"augmented_sets": augmented.to_json()}
+    payload = {"augmented_sets": augment_with_singletons(seq).to_json()}
     if args.symbol:
         payload["symbol"] = symbol_of(box).to_json()
     else:
         payload["box"] = box.to_json()
-    _emit(payload, args.pretty)
-    return 0
+    return payload
 
 
-def _env(name: str, fallback, convert):
-    """The stripped environment variable read by ``convert``, or ``fallback`` if unset."""
+def _env(name: str, convert):
+    """The stripped environment variable read by ``convert``, or None if unset."""
     value = os.environ.get(name)
     if value is None:
-        return fallback
+        return None
     try:
         return convert(value.strip())
     except ValueError as exc:
@@ -419,18 +382,18 @@ def _env(name: str, fallback, convert):
 
 
 def _cmd_verify(args) -> int:
+    """Writes its own lines, one per check and a summary; returns the exit code."""
+    if args.replay is not None and args.check is None:
+        raise UsageError("--replay requires --check")
     if args.list_checks:
         _emit({"checks": list(CHECKS)}, args.pretty)
         return 0
-    seed = args.seed if args.seed is not None else _env(SEED_ENV, 1, int_text)
-    tolerance = (
-        args.tolerance
-        if args.tolerance is not None
-        else _env(TOLERANCE_ENV, 1e-9, float_text)
-    )
-    trials = args.trials if args.trials is not None else 100
+    seed = args.seed if args.seed is not None else _env(SEED_ENV, int_text)
+    tolerance = args.tolerance if args.tolerance is not None else _env(TOLERANCE_ENV, float_text)
+    given = {"seed": seed, "trials": args.trials, "tolerance": tolerance}
     try:
-        cfg = TrialConfig(seed=seed, trials=trials, tolerance=tolerance)
+        # a value given nowhere takes TrialConfig's own default
+        cfg = TrialConfig(**{key: value for key, value in given.items() if value is not None})
     except ValueError as exc:
         raise DomainError({"error": "invalid-config", "detail": str(exc)}) from exc
     if args.check is not None and args.check not in CHECKS:
@@ -438,15 +401,10 @@ def _cmd_verify(args) -> int:
             {"error": "unknown-check", "detail": args.check, "known": list(CHECKS)}
         )
     if args.replay is not None:
-        if args.check is None:
-            raise UsageError("--replay requires --check")
         reasons = _parse_with(
             lambda instance: replay(args.check, instance, cfg), args.replay, "--replay"
         )
-        _emit(
-            {"check": args.check, "passed": not reasons, "reasons": reasons},
-            args.pretty,
-        )
+        _emit({"check": args.check, "passed": not reasons, "reasons": reasons}, args.pretty)
         return 0 if not reasons else 1
     results = [run_check(args.check, cfg)] if args.check is not None else run_all(cfg)
     all_passed = True
@@ -463,10 +421,17 @@ def _cmd_verify(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals raise UsageError, so `run` reports them."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused after."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lormatch",
         description="Exact tools for matching statistics, induced polynomials, "
         "polymatroids, and Lorentzian certification.",
@@ -483,13 +448,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sets", required=True, help="subset sequence JSON or @file")
     p.add_argument("--alpha", required=True, help="comma-separated degrees, one per element")
     p.add_argument("--beta", help="comma-separated degrees, one per part")
-    p.add_argument("--caps", help="edge caps JSON {\"i-j\": cap} or @file")
+    p.add_argument("--caps", help="edge caps JSON {\"i-j\": cap} or @file (requires --beta)")
     p.set_defaults(func=_cmd_match)
 
     p = sub.add_parser("induce", parents=[common], help="apply the inducing operator")
     p.add_argument("--sets", required=True)
-    p.add_argument("--poly", help="input polynomial JSON or @file")
-    p.add_argument("--elementary", type=_INT_FLAG, help="use the elementary symmetric polynomial of this degree")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--poly", help="input polynomial JSON or @file")
+    one.add_argument("--elementary", type=_INT_FLAG, help="use the elementary symmetric polynomial of this degree")
     p.add_argument("--then", help="second subset sequence: compose before applying")
     p.add_argument("--basis", choices=("plain", "normalized"), default="plain")
     p.set_defaults(func=_cmd_induce)
@@ -503,16 +469,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ct", parents=[common], help="matching counts by topic set")
     p.add_argument("--sets", required=True)
-    p.add_argument("--r", type=_INT_FLAG, help="tabulate all topics of this size")
-    p.add_argument("--topic", help="comma-separated part indices; empty string for the empty topic")
-    p.add_argument("--matroid", help="restrict counted sets to bases of this matroid")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--r", type=_INT_FLAG, help="tabulate all topics of this size")
+    one.add_argument("--topic", help="comma-separated part indices; empty string for the empty topic")
+    p.add_argument("--matroid", help="restrict counted sets to bases of this matroid (with --topic)")
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="csv only with --r")
     p.set_defaults(func=_cmd_ct)
 
     p = sub.add_parser("fpoly", parents=[common], help="matching-count generating polynomials")
     p.add_argument("--sets", required=True)
-    p.add_argument("--r", type=_INT_FLAG)
-    p.add_argument("--matroid", help="basis-restricted variant for this matroid")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--r", type=_INT_FLAG)
+    one.add_argument("--matroid", help="basis-restricted variant for this matroid")
     p.set_defaults(func=_cmd_fpoly)
 
     p = sub.add_parser("symbol", parents=[common], help="operator boxes and their symbols")
@@ -528,25 +496,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True)
     p.add_argument("--tolerance", type=_FLOAT_FLAG,
                    help="treat magnitudes at or below this as zero")
-    p.add_argument("--quadratic", action="store_true", help="report the Hessian inertia only")
-    p.add_argument("--support-only", action="store_true", dest="support_only",
-                   help="report the exchange-property check only")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--quadratic", action="store_true", help="report the Hessian inertia only")
+    one.add_argument("--support-only", action="store_true", dest="support_only",
+                     help="report the exchange-property check only")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("pminduce", parents=[common], help="polymatroid construction and induction")
-    p.add_argument("--pm", help="rank table JSON, or {\"free\": [N, r]}, {\"uniform\": [m, r]}, {\"sum\": [...]}")
-    p.add_argument("--real", help="rational linear realization JSON")
-    p.add_argument("--support-of", dest="support_of", help="recover the polymatroid from a polynomial's support")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--pm", help="rank table JSON, or {\"free\": [N, r]}, {\"uniform\": [m, r]}, {\"sum\": [...]}")
+    one.add_argument("--real", help="rational linear realization JSON")
+    one.add_argument("--support-of", dest="support_of", help="recover the polymatroid from a polynomial's support")
     p.add_argument("--sets", help="induce along this subset sequence")
-    p.add_argument("--matroid", action="store_true", help="truncate to a matroid")
+    p.add_argument("--matroid", action="store_true",
+                   help="with --sets, the matroid the induced rank function induces; "
+                   "without, check that the table is a matroid")
     p.add_argument("--bases", action="store_true", help="list matroid bases (with --matroid)")
     p.add_argument("--points", action="store_true", help="list base points")
     p.add_argument("--egf", action="store_true", help="emit the base-point generating polynomial")
     p.set_defaults(func=_cmd_pminduce)
 
     p = sub.add_parser("hallrado", parents=[common], help="base-point membership for induced polymatroids")
-    p.add_argument("--pm")
-    p.add_argument("--real")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--pm")
+    one.add_argument("--real")
     p.add_argument("--sets", required=True)
     p.add_argument("--delta", required=True, help="comma-separated target vector, one entry per part")
     p.set_defaults(func=_cmd_hallrado)
@@ -560,9 +533,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tab_family)
 
     p = sub.add_parser("verify", parents=[common], help="run the randomized verification checks")
-    p.add_argument("--seed", type=_INT_FLAG, help=f"default 1, or ${SEED_ENV}")
-    p.add_argument("--trials", type=_INT_FLAG, help="base trial count, default 100")
-    p.add_argument("--tolerance", type=_FLOAT_FLAG, help=f"default 1e-9, or ${TOLERANCE_ENV}")
+    p.add_argument("--seed", type=_INT_FLAG, help=f"default {TrialConfig.seed}, or ${SEED_ENV}")
+    p.add_argument("--trials", type=_INT_FLAG, help=f"base trial count, default {TrialConfig.trials}")
+    p.add_argument("--tolerance", type=_FLOAT_FLAG,
+                   help=f"default {TrialConfig.tolerance}, or ${TOLERANCE_ENV}")
     p.add_argument("--check", help="run a single named check")
     p.add_argument("--list", action="store_true", dest="list_checks", help="list check names")
     p.add_argument("--replay", help="re-evaluate a recorded failing instance (requires --check)")
@@ -572,13 +546,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    """Parse one command line, run its handler and emit what it returns."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+        out = args.func(args)
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -597,6 +570,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, TypeError, KeyError, ZeroDivisionError, OverflowError) as exc:
         sys.stdout.write(_canon({"error": "domain", "detail": str(exc)}) + "\n")
         return 1
+    if isinstance(out, int):  # verify wrote its own lines and chose its exit code
+        return out
+    _emit(out, args.pretty)
+    return 0
 
 
 def main() -> None:

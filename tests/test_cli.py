@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import lormatch
 from lormatch.cli import run
 from lormatch.verification import CHECKS
+from oracles import rank_literal
 
 WIDE = '{"m":4,"sets":[[1,2,3,4],[2,3],[3,4]]}'
 NARROW = '{"m":2,"sets":[[1],[2],[1,2]]}'
@@ -22,6 +23,12 @@ X1 = '{"nvars":1,"terms":[{"exp":[1],"coeff":1}]}'
 TRIANGLE = '{"m":3,"sets":[[1,2],[2,3],[1,3]]}'
 BASIS_STATS = '{"matroid":{"m":2,"rank":[0,1,1,2]},"seq":{"m":2,"sets":[[1],[2]]}}'
 MEMBERSHIP = '{"pm":{"m":2,"rank":[0,1,1,2]},"seq":{"m":2,"sets":[[1],[2]]},"delta":[1,1]}'
+# a truncated document: reading it would be a domain error (exit 1)
+MALFORMED = '{"m":'
+SUBCOMMANDS = (
+    "match", "induce", "subst", "ct", "fpoly", "symbol", "certify",
+    "pminduce", "hallrado", "tab-family", "verify",
+)
 
 
 def _call(capsys, *argv):
@@ -148,12 +155,68 @@ class TestParsing:
             ("pminduce", "--support-of", X1X2, "--egf"),
             ("pminduce", "--support-of", X1X2, "--matroid"),
             ("pminduce", "--support-of", X1X2, "--matroid", "--bases"),
+            # each rule again with input that would fail to read: the usage
+            # error wins, and nothing is read before it
+            ("ct", "--sets", MALFORMED),
+            ("ct", "--sets", MALFORMED, "--topic", "1", "--r", "2"),
+            ("ct", "--sets", MALFORMED, "--topic", "1", "--format", "csv"),
+            ("ct", "--sets", MALFORMED, "--r", "2", "--matroid", MALFORMED),
+            ("match", "--sets", MALFORMED, "--alpha", "1", "--caps", MALFORMED),
+            ("fpoly", "--sets", MALFORMED),
+            ("fpoly", "--sets", MALFORMED, "--r", "2", "--matroid", MALFORMED),
+            ("induce", "--sets", MALFORMED),
+            ("induce", "--sets", MALFORMED, "--poly", MALFORMED, "--elementary", "1"),
+            ("symbol", "--sets", MALFORMED, "--kappa", "1", "--matrix", MALFORMED),
+            ("certify", "--poly", MALFORMED, "--quadratic", "--support-only"),
+            ("pminduce", "--pm", MALFORMED, "--bases"),
+            ("pminduce", "--pm", MALFORMED, "--real", MALFORMED),
+            ("pminduce", "--support-of", MALFORMED, "--sets", MALFORMED),
+            ("hallrado", "--sets", MALFORMED, "--delta", "1"),
+            ("verify", "--replay", MALFORMED),
+            ("verify", "--replay", "@/nonexistent.json"),
         ],
     )
-    def test_flag_rules_exit_two(self, capsys, argv):
+    def test_flag_rules_exit_two(self, capsys, monkeypatch, argv):
+        # nor is the environment read before a usage error
+        monkeypatch.setenv("LORMATCH_SEED", "x")
+        monkeypatch.setenv("LORMATCH_TOLERANCE", "x")
         code, out, err = _call(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("nonsense",),
+            (),
+            ("ct", "--r", "2"),
+            ("ct", "--sets", WIDE, "--r", "2", "--format", "xml"),
+            ("ct", "--sets"),
+            ("ct", "--sets", WIDE, "--r", "x"),
+            ("ct", "--sets", WIDE, "--r", "2", "--unknown"),
+        ],
+    )
+    def test_argparse_refusals_print_one_error_line(self, capsys, argv):
+        code, out, err = _call(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("command", [(), *((name,) for name in SUBCOMMANDS)])
+    def test_help_exits_zero(self, capsys, command):
+        code, out, err = _call(capsys, *command, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: lormatch")
+
+    def test_help_shows_exclusive_flags(self, capsys):
+        for command, shown in [
+            ("ct", "(--r R | --topic TOPIC)"),
+            ("fpoly", "(--r R | --matroid MATROID)"),
+            ("induce", "(--poly POLY | --elementary ELEMENTARY)"),
+            ("hallrado", "(--pm PM | --real REAL)"),
+            ("certify", "[--quadratic | --support-only]"),
+        ]:
+            _, out, _ = _call(capsys, command, "--help")
+            assert shown in " ".join(out.split())
 
     def test_axiom_violation_payload(self, capsys):
         code, out, _ = _call(
@@ -219,6 +282,48 @@ class TestParsing:
             "--sets", '{"m":2,"sets":[[1],[2]]}', "--matroid",
         )
         assert data["matroid"] == {"m": 2, "rank": [0, 0, 1, 1]}
+
+    def test_real_and_pm_induce_the_same_matroid(self, capsys):
+        # one part holding both coordinate blocks: rank 2 on a single part,
+        # which the induced matroid cuts down to 1
+        sets = '{"m":2,"sets":[[1,2]]}'
+        real = _json_out(
+            capsys, "pminduce", "--real", '{"blockdims":[1,1],"gens":[[1,0],[0,1]]}',
+            "--sets", sets, "--matroid",
+        )
+        pm = _json_out(capsys, "pminduce", "--pm", '{"m":2,"rank":[0,1,1,2]}', "--sets", sets, "--matroid")
+        assert real.pop("realization") == {"blockdims": [2], "gens": [["1", "0"], ["0", "1"]]}
+        assert real == pm == {"matroid": {"m": 1, "rank": [0, 1]}, "polymatroid": {"m": 1, "rank": [0, 1]}}
+
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_real_and_pm_agree_on_random_realizations(self, capsys, data):
+        dims = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3), label="blockdims")
+        m = len(dims)
+        gens = data.draw(
+            st.lists(st.lists(st.integers(-1, 1), min_size=sum(dims), max_size=sum(dims)),
+                     min_size=1, max_size=3),
+            label="gens",
+        )
+        parts = data.draw(
+            st.lists(st.sets(st.integers(1, m), max_size=m), min_size=1, max_size=3), label="sets"
+        )
+        real = lormatch.LinReal(tuple(dims), tuple(map(tuple, gens)))
+        table = [rank_literal(real, mask) for mask in range(1 << m)]
+        sets = json.dumps({"m": m, "sets": [sorted(p) for p in parts]})
+        for extra in ((), ("--matroid", "--bases"), ("--points",)):
+            by_real = _json_out(
+                capsys, "pminduce", "--real", json.dumps(real.to_json()), "--sets", sets, *extra
+            )
+            by_pm = _json_out(
+                capsys, "pminduce", "--pm", json.dumps({"m": m, "rank": table}), "--sets", sets, *extra
+            )
+            assert by_real.pop("realization")["blockdims"] == [
+                sum(dims[i - 1] for i in p) for p in parts
+            ]
+            assert by_real == by_pm
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -826,19 +931,7 @@ class TestOperationCoverage:
 
     def test_all_subcommands_enumerated(self):
         commands = {argv[0] for argv in OPERATION_COVERAGE.values()}
-        assert commands == {
-            "match",
-            "induce",
-            "subst",
-            "ct",
-            "fpoly",
-            "symbol",
-            "certify",
-            "pminduce",
-            "hallrado",
-            "tab-family",
-            "verify",
-        }
+        assert commands == set(SUBCOMMANDS)
 
 
 # JSON built from small integers only, so no generated input can ask for a
