@@ -20,7 +20,7 @@ import os
 import sys
 from typing import Mapping, Sequence
 
-from ._util import float_text, int_text, json_ints, json_rational, json_rational_rows
+from ._util import checked_tolerance, float_text, int_text, json_ints, json_rational, json_rational_rows
 from .lorentzian import certify_lorentzian, is_m_convex, quad_inertia
 from .matchings import (
     SubsetSeq,
@@ -297,6 +297,8 @@ def _cmd_symbol(args) -> dict:
 
 def _cmd_certify(args) -> dict:
     f = _parse_poly(args.poly)
+    if args.tolerance is not None:
+        checked_tolerance(args.tolerance)
     if args.support_only:
         ok, pair = is_m_convex(f.support())
         return {"m_convex": ok, "witness": [list(pair[0]), list(pair[1])] if pair else None}

@@ -3,13 +3,14 @@
 A `SubsetSeq` lists n parts, each a subset of the ground set {1..m}, and
 induces a bipartite graph with an edge (i, j) whenever element i lies in part
 j.  A degree pair (alpha, beta) "matches" when some nonnegative integer edge
-weighting has row sums alpha and column sums beta.  `admits_matching`,
-`admits_restricted` and `find_witness` are each one call to `_flow`, which
-validates the degrees and caps and runs shortest augmenting paths over the
-edge list; the witness is the flow it returns.  `single_vertex_cuts` drops,
-without a flow, the alphas that fail a Hall cut at one vertex against a
-fixed beta.  `matched_degrees` lists the feasible beta for one alpha by
-spreading each element over its parts.
+weighting has row sums alpha and column sums beta, within optional per-edge
+weight caps.  Two public entries, both taking (seq, alpha, beta, caps), make
+one call each to `_flow`, which validates the degrees and caps and runs
+shortest augmenting paths over the edge list: `admits_matching` answers yes
+or no, and `find_witness` returns the flow as a witnessing weighting.
+`single_vertex_cuts` drops, without a flow, the alphas that fail a Hall cut
+at one vertex against a fixed beta.  `matched_degrees` lists the feasible
+beta for one alpha by spreading each element over its parts.
 
 The spreads are summed on packed ints: beta is encoded as the key
 sum_j beta_j * R**(n-j) for a radix R above sum(alpha), part 1 most
@@ -223,9 +224,17 @@ def _flow(
     return {e: w for e, w in flow.items() if w}
 
 
-def admits_matching(seq: SubsetSeq, alpha: Sequence[int], beta: Sequence[int]) -> bool:
-    """True when some edge weighting has row sums alpha and column sums beta."""
-    return _flow(seq, alpha, beta, None) is not None
+def admits_matching(
+    seq: SubsetSeq,
+    alpha: Sequence[int],
+    beta: Sequence[int],
+    caps: Mapping[Edge, int] | None = None,
+) -> bool:
+    """True when some edge weighting has row sums alpha and column sums beta.
+
+    Caps bound the weight of the edges they name; uncapped edges are free.
+    """
+    return _flow(seq, alpha, beta, caps) is not None
 
 
 def find_witness(
@@ -242,16 +251,6 @@ def find_witness(
     assert witness.row_sums(seq.m) == tuple(map(int, alpha))
     assert witness.col_sums(seq.n) == tuple(map(int, beta))
     return witness
-
-
-def admits_restricted(
-    seq: SubsetSeq,
-    caps: Mapping[Edge, int],
-    alpha: Sequence[int],
-    beta: Sequence[int],
-) -> bool:
-    """Matching feasibility with per-edge weight caps; uncapped edges are free."""
-    return _flow(seq, alpha, beta, caps) is not None
 
 
 def single_vertex_cuts(

@@ -13,6 +13,7 @@ implementation bug, and the serialized instance is the bug report.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 import random
@@ -26,7 +27,6 @@ from .lorentzian import certify_lorentzian, is_m_convex, quad_inertia
 from .matchings import (
     SubsetSeq,
     admits_matching,
-    admits_restricted,
     caps_from_json,
     compose_seq,
     find_witness,
@@ -264,17 +264,22 @@ def _symbol_instance_reasons(seq: SubsetSeq, kappa: tuple[int, ...]) -> list[str
     return reasons
 
 
-def _gen_symbol_support(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
-    # brute-force sides grow fast, so this check stays at its own small scale
-    seq = _random_seq(rng, 3, 3, cover=True)
+def _gen_seq_kappa(
+    cfg: TrialConfig, rng: random.Random, trial: int, cover: bool = False
+) -> dict:
+    # symbol-support-egf draws with cover=True, coefficient-power-family without;
+    # brute-force sides grow fast, so both stay at their own small scale
+    seq = _random_seq(rng, 3, 3, cover)
     kappa = [rng.randint(0, MAX_KAPPA) for _ in range(seq.m)]
     return {"seq": seq.to_json(), "kappa": kappa}
 
 
+def _read_seq_kappa(instance: Mapping) -> tuple[SubsetSeq, tuple[int, ...]]:
+    return SubsetSeq.from_json(instance["seq"]), tuple(map(_replay_int, instance["kappa"]))
+
+
 def _eval_symbol_support(cfg: TrialConfig, instance: Mapping) -> list[str]:
-    seq = SubsetSeq.from_json(instance["seq"])
-    kappa = tuple(map(_replay_int, instance["kappa"]))
-    return _symbol_instance_reasons(seq, kappa)
+    return _symbol_instance_reasons(*_read_seq_kappa(instance))
 
 
 # -- check: dual descriptions of induced base-point membership -----------------
@@ -334,15 +339,8 @@ def _eval_base_membership(cfg: TrialConfig, instance: Mapping) -> list[str]:
 # -- check: fractional coefficient powers stay Lorentzian ----------------------
 
 
-def _gen_power_family(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
-    seq = _random_seq(rng, 3, 3)
-    kappa = [rng.randint(0, MAX_KAPPA) for _ in range(seq.m)]
-    return {"seq": seq.to_json(), "kappa": kappa}
-
-
 def _eval_power_family(cfg: TrialConfig, instance: Mapping) -> list[str]:
-    seq = SubsetSeq.from_json(instance["seq"])
-    kappa = tuple(map(_replay_int, instance["kappa"]))
+    seq, kappa = _read_seq_kappa(instance)
     reasons = []
     sub = substitution_box(seq, None, kappa)
     ind = inducing_box(seq, kappa)
@@ -376,9 +374,9 @@ def _eval_power_family(cfg: TrialConfig, instance: Mapping) -> list[str]:
 
 def _enumerate_restricted(
     seq: SubsetSeq,
-    caps: Mapping[tuple[int, int], int],
     alpha: Sequence[int],
     beta: Sequence[int],
+    caps: Mapping[tuple[int, int], int],
 ) -> bool:
     """Spread each row budget over its incident parts, within caps, and look
     for an assignment hitting the column sums exactly."""
@@ -431,8 +429,8 @@ def _capped_mismatches(
     out = []
     total = sum(alpha)
     for beta in bounded_compositions(total, (total,) * seq.n):
-        flow = admits_restricted(seq, caps, alpha, beta)
-        scan = _enumerate_restricted(seq, caps, alpha, beta)
+        flow = admits_matching(seq, alpha, beta, caps)
+        scan = _enumerate_restricted(seq, alpha, beta, caps)
         if flow != scan:
             out.append(
                 f"alpha={tuple(alpha)}, beta={beta}: flow says {flow}, "
@@ -847,9 +845,9 @@ CHECKS: dict[str, Check] = {
     for check in (
         Check("golden-examples", _gen_golden, _eval_golden, fixed_trials=1),
         Check("matching-stat-lorentzian", _gen_matching_stat, _eval_matching_stat, 1.0),
-        Check("symbol-support-egf", _gen_symbol_support, _eval_symbol_support, 0.5),
+        Check("symbol-support-egf", functools.partial(_gen_seq_kappa, cover=True), _eval_symbol_support, 0.5),
         Check("base-membership-duality", _gen_base_membership, _eval_base_membership, 2.0),
-        Check("coefficient-power-family", _gen_power_family, _eval_power_family, 0.2),
+        Check("coefficient-power-family", _gen_seq_kappa, _eval_power_family, 0.2),
         Check("capped-matchings", _gen_capped, _eval_capped, 1.0),
         Check("support-induction", _gen_support_induction, _eval_support_induction, 0.5),
         Check("basis-restricted-stats", _gen_basis_stats, _eval_basis_stats, 0.5),

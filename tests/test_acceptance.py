@@ -18,7 +18,6 @@ from lormatch import (
     SubsetSeq,
     TrialConfig,
     admits_matching,
-    admits_restricted,
     apply_inducing,
     apply_substitution,
     base_points,
@@ -230,7 +229,7 @@ def test_11_oracle_suite():
             assert admits_matching(seq, alpha, beta) == bool(plans)
             caps = {edge: rng.randint(0, 2) for edge in seq.edges() if rng.random() < 0.5}
             capped = enumerate_matching(seq, alpha, beta, caps)
-            assert admits_restricted(seq, caps, alpha, beta) == bool(capped)
+            assert admits_matching(seq, alpha, beta, caps) == bool(capped)
 
         for _ in range(300):
             dim = rng.randint(1, 4)

@@ -749,14 +749,27 @@ class TestVerifySubcommand:
         assert _call(capsys, "verify", "--tolerance", "inf") == (1, invalid, "")
         monkeypatch.setenv("LORMATCH_TOLERANCE", "inf")
         assert _call(capsys, "verify") == (1, invalid, "")
-        squares = '{"nvars":2,"terms":[{"exp":[2,0],"coeff":1},{"exp":[0,2],"coeff":1}]}'
-        certify = ("certify", "--poly", squares, "--quadratic")
-        assert _call(capsys, *certify) == (0, '{"inertia":[2,0,0]}\n', "")
-        assert _call(capsys, *certify, "--tolerance", "inf") == (
-            1,
-            '{"detail":"tolerance must be finite","error":"domain"}\n',
-            "",
-        )
+
+    CERTIFY_MODES = {
+        "full": (
+            (),
+            '{"checked_derivatives":0,"failure":{"exponents":[[0,2],[2,0]],'
+            '"kind":"support-not-M-convex"},"lorentzian":false}\n',
+        ),
+        "quadratic": (("--quadratic",), '{"inertia":[2,0,0]}\n'),
+        "support-only": (("--support-only",), '{"m_convex":false,"witness":[[0,2],[2,0]]}\n'),
+    }
+
+    @pytest.mark.parametrize("text", ["0", "inf", "nan", "-1"])
+    @pytest.mark.parametrize("mode", sorted(CERTIFY_MODES))
+    def test_certify_tolerance_refused(self, capsys, mode, text):
+        # every mode checks the flag, even where no magnitude is compared
+        flags, unset = self.CERTIFY_MODES[mode]
+        certify = ("certify", "--poly", '{"nvars":2,"terms":[{"exp":[2,0],"coeff":1},{"exp":[0,2],"coeff":1}]}', *flags)
+        assert _call(capsys, *certify) == (0, unset, "")
+        detail = "finite" if text == "inf" else "positive"
+        refused = f'{{"detail":"tolerance must be {detail}","error":"domain"}}\n'
+        assert _call(capsys, *certify, "--tolerance", text) == (1, refused, "")
 
     def test_one_line_per_check_plus_summary(self, capsys):
         code, out, _ = _call(capsys, "verify", "--trials", "2")
@@ -859,7 +872,6 @@ class TestVerifySubcommand:
 # nothing public is missing from this table
 OPERATION_COVERAGE = {
     "admits_matching": ("hallrado", "--pm", '{"free":[2,2]}', "--sets", '{"m":2,"sets":[[1],[2]]}', "--delta", "1,1"),
-    "admits_restricted": ("verify", "--check", "capped-matchings", "--replay", '{"mode":"random","seq":{"m":1,"sets":[[1]]},"caps":{"1-1":1},"alpha":[1]}'),
     "apply_inducing": ("induce", "--sets", NARROW, "--poly", X1X2),
     "apply_substitution": ("subst", "--sets", NARROW, "--poly", X1X2),
     "augment_with_singletons": ("tab-family", "--sets", NARROW, "--a", "1,1,1", "--b", "0,0,0,0", "--kappa", "1,1"),

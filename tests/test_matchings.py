@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from lormatch import (
     SubsetSeq,
     admits_matching,
-    admits_restricted,
     caps_from_json,
     compose_seq,
     find_witness,
@@ -38,6 +37,14 @@ def matching_instances(draw, max_total=4, max_m=3, max_n=3):
     alpha = _spread(draw, total, seq.m)
     beta = _spread(draw, total, seq.n)
     return seq, alpha, beta
+
+
+@st.composite
+def capped_instances(draw):
+    seq, alpha, beta = draw(matching_instances())
+    edges = seq.edges()
+    caps = draw(st.dictionaries(st.sampled_from(edges), st.integers(0, 2))) if edges else {}
+    return seq, alpha, beta, caps
 
 
 def _spread(draw, total, slots):
@@ -81,7 +88,7 @@ class TestFeasibility:
         [
             lambda seq: find_witness(seq, (2.7,), (2,)),
             lambda seq: admits_matching(seq, (1.5,), (1.9,)),
-            lambda seq: admits_restricted(seq, {(1, 1): 1.5}, (1,), (1,)),
+            lambda seq: admits_matching(seq, (1,), (1,), {(1, 1): 1.5}),
             lambda seq: matched_degrees(seq, ("1",)),
         ],
     )
@@ -144,9 +151,9 @@ class TestSingleVertexCuts:
 class TestRestricted:
     def test_caps_bite(self):
         seq = SubsetSeq(1, (frozenset({1}), frozenset({1})))
-        assert admits_restricted(seq, {(1, 1): 1, (1, 2): 1}, (2,), (1, 1))
-        assert not admits_restricted(seq, {(1, 1): 1, (1, 2): 0}, (2,), (1, 1))
-        assert not admits_restricted(seq, {(1, 1): 1}, (2,), (2, 0))
+        assert admits_matching(seq, (2,), (1, 1), {(1, 1): 1, (1, 2): 1})
+        assert not admits_matching(seq, (2,), (1, 1), {(1, 1): 1, (1, 2): 0})
+        assert not admits_matching(seq, (2,), (2, 0), {(1, 1): 1})
 
     @given(matching_instances(), st.integers(0, 2))
     # feasible only by moving weight off the capped edge (1, 1)
@@ -156,13 +163,27 @@ class TestRestricted:
         seq, alpha, beta = instance
         caps = {edge: cap for edge in seq.edges()[::2]}
         expected = enumerate_matching(seq, alpha, beta, caps)
-        assert admits_restricted(seq, caps, alpha, beta) == expected
+        assert admits_matching(seq, alpha, beta, caps) == expected
         witness = find_witness(seq, alpha, beta, caps)
         assert (witness is not None) == expected
         if witness is not None:
             assert witness.row_sums(seq.m) == tuple(alpha)
             assert witness.col_sums(seq.n) == tuple(beta)
             assert all(w <= caps.get(edge, w) for edge, w in witness.weights.items())
+
+    @given(capped_instances())
+    # a cap of 0 on (1, 2) cuts part 2 off from its only element
+    @example((SubsetSeq(1, (frozenset({1}), frozenset({1}))), (2,), (1, 1), {(1, 2): 0}))
+    @settings(max_examples=150, deadline=None)
+    def test_one_signature(self, instance):
+        # the flow, its witness and the oracle all read (seq, alpha, beta, caps)
+        seq, alpha, beta, caps = instance
+        expected = enumerate_matching(seq, alpha, beta, caps)
+        assert admits_matching(seq, alpha, beta, caps) == expected
+        assert (find_witness(seq, alpha, beta, caps) is not None) == expected
+        # no caps and an empty cap table both leave every edge free
+        free = admits_matching(seq, alpha, beta, None)
+        assert admits_matching(seq, alpha, beta, {}) == free == enumerate_matching(seq, alpha, beta)
 
     def test_caps_from_json(self):
         caps = caps_from_json(WIDE, {"2-1": 3})
