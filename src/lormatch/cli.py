@@ -88,7 +88,7 @@ def _read_source(raw: str, flag: str) -> str:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 return handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8
             raise DomainError(
                 {"error": "unreadable-file", "flag": flag, "detail": str(exc)}
             ) from exc
@@ -100,14 +100,10 @@ def _parse_json(raw: str, flag: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DomainError(
-            {
-                "error": "malformed-json",
-                "flag": flag,
-                "offset": exc.pos,
-                "detail": exc.msg,
-            }
-        ) from exc
+        extra = {"offset": exc.pos, "detail": exc.msg}
+    except RecursionError:  # the scanner recurses once per nesting level
+        extra = {"detail": "JSON nested too deeply"}
+    raise DomainError({"error": "malformed-json", "flag": flag, **extra})
 
 
 def _domain(flag: str, exc: Exception) -> DomainError:

@@ -1,9 +1,9 @@
 """Lorentzian certification: support exchange checks and Hessian inertia.
 
-A homogeneous polynomial with nonnegative coefficients passes when its
-support is M-convex (it satisfies the symmetric exchange axiom) and every
-iterated partial derivative down to degree 2 has a Hessian with at most one
-positive eigenvalue (Braenden-Huh).
+`certify_lorentzian` runs `_STAGES` in order; the first failure decides
+(Braenden-Huh): `_homogeneity`, `_signs` (no negative coefficient),
+`_support` (the symmetric exchange axiom) and `_hessian_walk` (every Hessian
+of a derivative down to degree 2 has at most one positive eigenvalue).
 
 Every inertia here comes from one congruence elimination, `_inertia` in
 `_util.py` (shared with the realization ranks of `polymatroids`):
@@ -55,7 +55,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._util import _inertia, checked_tolerance, clear_denominators, grlex_key, vec_factorial
-from .matchings import _key_decoder
+from .matchings import _key_decoder, _places
 from .polymatroids import points_polymatroid
 from .polynomials import FloatPoly, Poly
 
@@ -202,70 +202,45 @@ def quad_inertia(q: Poly | FloatPoly, tol: float | None = None) -> Inertia:
     return symmetric_inertia(hess, tol)
 
 
-def certify_lorentzian(f: Poly | FloatPoly, tol: float | None = None) -> LorentzReport:
-    """Full certification; all failures come back as verdicts with witnesses.
+def _homogeneity(f, tol):
+    if f.homogeneous_degree() is not None:
+        return None, 0
+    terms = f.sorted_terms()
+    return CertFailure("non-homogeneous", exponents=(terms[0][0], terms[-1][0])), 0
 
-    The zero polynomial passes by convention.  Degree 0 and 1 pass once the
-    coefficient-sign and support checks do.  Higher degrees additionally
-    visit, in lexicographic order, every derivative multi-index of total
-    order degree-2 whose derivative does not vanish, and demand at most one
-    positive eigenvalue from its Hessian, read off the normalized
-    coefficients of f.
-    """
-    is_float = isinstance(f, FloatPoly)
-    if is_float and tol is None:
-        raise TypeError("floating polynomial requires a tolerance")
-    if tol is not None:
-        checked_tolerance(tol)
-    if is_float:
-        # magnitudes at or below the tolerance count as absent terms
-        f = FloatPoly(f.nvars, {e: c for e, c in f.items() if abs(c) > tol})
-    if not f.support():
-        return LorentzReport(True, None, 0)
-    hd = f.homogeneous_degree()
-    if hd is None:
-        terms = f.sorted_terms()
-        low = terms[0][0]
-        high = terms[-1][0]
-        return LorentzReport(
-            False, CertFailure("non-homogeneous", exponents=(low, high)), 0
-        )
-    negative_cut = -tol if is_float else 0
+
+def _signs(f, tol):
     # exponents are unique, so the grlex-least one is the first in sorted order
-    negative = min(
-        (exp for exp, c in f.items() if c < negative_cut), key=grlex_key, default=None
-    )
-    if negative is not None:
-        return LorentzReport(
-            False, CertFailure("negative-coefficient", exponents=(negative,)), 0
-        )
+    cut = 0 if tol is None else -tol
+    negative = min((exp for exp, c in f.items() if c < cut), key=grlex_key, default=None)
+    failure = None if negative is None else CertFailure("negative-coefficient", exponents=(negative,))
+    return failure, 0
+
+
+def _support(f, tol):
     ok, pair = is_m_convex(f.support())
-    if not ok:
-        return LorentzReport(
-            False, CertFailure("support-not-M-convex", exponents=pair), 0
-        )
-    if hd < 2:
-        return LorentzReport(True, None, 0)
+    return (None if ok else CertFailure("support-not-M-convex", exponents=pair)), 0
+
+
+def _hessian_walk(f, tol):
+    # homogeneous by now: any term's degree is the degree.  Degrees 0 and 1
+    # have no Hessian, and skipping the filing set-up halves their cost
+    if sum(next(f.items())[0]) < 2:
+        return None, 0
     n = f.nvars
-    if is_float:
-        table = {exp: c * vec_factorial(exp) for exp, c in f.items()}
-    else:
-        # scaled to integers: a positive scalar keeps the inertia, and
-        # integer Hessians are eliminated exactly
-        tol = None
-        exps, coeffs = zip(*f.items())
-        _, ints = clear_denominators(coeffs)
-        table = {exp: c * vec_factorial(exp) for exp, c in zip(exps, ints)}
+    exps, coeffs = zip(*f.items())
+    if tol is None:
+        _, coeffs = clear_denominators(coeffs)
+    table = {exp: c * vec_factorial(exp) for exp, c in zip(exps, coeffs)}
     # one pass files each table entry into the upper triangle of the Hessian
     # of every gamma that reads it, a flat row-major list per packed gamma
     radix = max(map(max, table)) + 1
-    place = [radix ** (n - 1 - i) for i in range(n)]
+    place = _places(radix, n)
     upper = [(i, j) for i in range(n) for j in range(i, n)]
     slots = [[0] * n for _ in range(n)]
     for s, (i, j) in enumerate(upper):
         slots[i][j] = s
-    zeros = [0] * len(upper)
-    flats: defaultdict[int, list] = defaultdict(zeros.copy)
+    flats: defaultdict[int, list] = defaultdict(([0] * len(upper)).copy)
     for exp, c in table.items():
         key = sum(map(operator.mul, exp, place))
         used = [i for i, e in enumerate(exp) if e]
@@ -287,9 +262,34 @@ def certify_lorentzian(f: Poly | FloatPoly, tol: float | None = None) -> Lorentz
             inertia = memo[entries] = _inertia(hess, tol)
         if inertia[0] > 1:
             witness = _key_decoder(radix, n)(gamma)[0]
-            return LorentzReport(
-                False,
-                CertFailure("bad-inertia", derivative=witness, inertia=inertia),
-                checked,
-            )
-    return LorentzReport(True, None, len(flats))
+            return CertFailure("bad-inertia", derivative=witness, inertia=inertia), checked
+    return None, len(flats)
+
+
+# each stage maps (f, tol), tol None if exact, to (CertFailure or None, derivatives checked)
+_STAGES = (_homogeneity, _signs, _support, _hessian_walk)
+
+
+def certify_lorentzian(f: Poly | FloatPoly, tol: float | None = None) -> LorentzReport:
+    """Full certification; all failures come back as verdicts with witnesses.
+
+    Admission refuses a float polynomial without a tolerance and drops its
+    terms at or below it; exact input runs with tol None.  The zero
+    polynomial passes; otherwise `_STAGES` run and the first failure decides.
+    """
+    if tol is not None:
+        checked_tolerance(tol)
+    if not isinstance(f, FloatPoly):
+        tol = None
+    elif tol is None:
+        raise TypeError("floating polynomial requires a tolerance")
+    else:
+        # magnitudes at or below the tolerance count as absent terms
+        f = FloatPoly(f.nvars, {e: c for e, c in f.items() if abs(c) > tol})
+    if not f:
+        return LorentzReport(True, None, 0)
+    for stage in _STAGES:
+        failure, checked = stage(f, tol)
+        if failure is not None:
+            return LorentzReport(False, failure, checked)
+    return LorentzReport(True, None, checked)

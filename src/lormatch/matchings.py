@@ -13,8 +13,9 @@ at one vertex against a fixed beta.  `matched_degrees` lists the feasible
 beta for one alpha by spreading each element over its parts.
 
 The spreads are summed on packed ints: beta is encoded as the key
-sum_j beta_j * R**(n-j) for a radix R above sum(alpha), part 1 most
-significant, so among keys of one degree int order is lexicographic order.
+sum_j beta_j * R**(n-j) (`_places`, shared with the Hessian keys of
+`lorentzian`) for a radix R above sum(alpha), part 1 most significant, so
+among keys of one degree int order is lexicographic order.
 No digit of a partial sum exceeds sum(alpha), so adding keys never carries,
 and the sumset is a set of int additions.  `_packed_sums` walks many alphas
 in one call: it keeps the partial sumset of every prefix of the current
@@ -287,8 +288,7 @@ def _packed_sums(
     with positive degree lies in no part.  The alphas must be checked, and
     the radix must exceed each sum(alpha), so that adding keys never carries.
     """
-    n = seq.n
-    place = [radix ** (n - j) for j in range(1, n + 1)]
+    place = _places(radix, seq.n)
     units = [[place[j - 1] for j in parts] for parts in seq._parts_of]
 
     @functools.cache
@@ -328,6 +328,11 @@ def _split(radix: int, width: int, key: int) -> tuple[tuple[int, ...], int]:
             fact *= factorial(digit)
     out.reverse()
     return tuple(out), fact
+
+
+def _places(radix: int, n: int) -> list[int]:
+    """The place value of each of n key digits, most significant first."""
+    return [radix ** (n - 1 - i) for i in range(n)]
 
 
 def _key_decoder(radix: int, n: int) -> Callable[[int], tuple[tuple[int, ...], int]]:

@@ -37,6 +37,28 @@ def _call(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# each flag that reads a JSON argument, in a command line around its value
+JSON_SOURCES = {
+    "--sets": (("ct", "--sets"), ("--r", "1")),
+    "--poly": (("certify", "--poly"), ()),
+    "--pm": (("pminduce", "--pm"), ()),
+    "--replay": (("verify", "--check", "golden-examples", "--replay"), ()),
+}
+# far past the JSON scanner's recursion limit (996 levels on CPython 3.11),
+# since newer interpreters may allow deeper C recursion
+DEEP = 100_000
+
+
+def _source_error(capsys, flag, value):
+    """The one JSON error object, naming the flag, that a bad value gives."""
+    head, tail = JSON_SOURCES[flag]
+    code, out, err = _call(capsys, *head, value, *tail)
+    assert (code, err, out.count("\n")) == (1, "", 1)
+    payload = json.loads(out)
+    assert payload["flag"] == flag
+    return payload
+
+
 def _json_out(capsys, *argv):
     code, out, _ = _call(capsys, *argv)
     assert code == 0, out
@@ -111,17 +133,31 @@ class TestParsing:
         assert code == 1
         assert json.loads(out)["error"] == "invalid-value"
 
-    def test_malformed_json_reports_offset(self, capsys):
-        code, out, _ = _call(capsys, "match", "--sets", '{"m": 2,', "--alpha", "1,1")
-        assert code == 1
-        payload = json.loads(out)
+    @pytest.mark.parametrize("document", ["truncated", "deep"])
+    @pytest.mark.parametrize("flag", JSON_SOURCES)
+    def test_malformed_json_reports_offset(self, capsys, tmp_path, flag, document):
+        if document == "truncated":
+            payload = _source_error(capsys, flag, '{"m": 2,')
+            assert isinstance(payload.pop("offset"), int)
+            assert payload["detail"]
+        else:
+            # the JSON scanner recurses once per level; no offset is known
+            path = tmp_path / "deep.json"
+            path.write_text("[" * DEEP + "]" * DEEP)
+            payload = _source_error(capsys, flag, f"@{path}")
+            assert payload["detail"] == "JSON nested too deeply"
         assert payload["error"] == "malformed-json"
-        assert isinstance(payload["offset"], int)
+        assert set(payload) == {"detail", "error", "flag"}
 
-    def test_missing_file(self, capsys):
-        code, out, _ = _call(capsys, "certify", "--poly", "@/nonexistent.json")
-        assert code == 1
-        assert json.loads(out)["error"] == "unreadable-file"
+    @pytest.mark.parametrize("source", ["missing", "not-utf8"])
+    @pytest.mark.parametrize("flag", JSON_SOURCES)
+    def test_missing_file(self, capsys, tmp_path, flag, source):
+        path = tmp_path / "source.json"
+        if source == "not-utf8":
+            path.write_bytes(b"\xff{}")
+        payload = _source_error(capsys, flag, f"@{path}")
+        assert payload["error"] == "unreadable-file"
+        assert set(payload) == {"detail", "error", "flag"}
 
     def test_usage_errors_exit_two(self, capsys):
         code, _, _ = _call(capsys, "nonsense")

@@ -277,6 +277,34 @@ class TestCertify:
     def test_degree_below_two(self):
         assert certify_lorentzian(_linear_form([1, 2])).verdict
         assert certify_lorentzian(Poly.constant(2, 5)).verdict
+        # the Hessian walk's early exit, on the float path too
+        for f in (FloatPoly(2, {(1, 0): 1.0, (0, 1): 2.0}), FloatPoly(2, {(0, 0): 3.0})):
+            report = certify_lorentzian(f, 1e-9)
+            assert (report.verdict, report.failure, report.checked_derivatives) == (True, None, 0)
+
+    @pytest.mark.parametrize(
+        "f, tol, failure, checked",
+        [
+            # non-homogeneous and a negative coefficient
+            (Poly(2, {(2, 0): -1, (0, 1): 1}), None,
+             {"kind": "non-homogeneous", "exponents": [[0, 1], [2, 0]]}, 0),
+            # a negative coefficient and a support that is not M-convex
+            (Poly(2, {(2, 0): -1, (0, 2): 1}), None,
+             {"kind": "negative-coefficient", "exponents": [[2, 0]]}, 0),
+            # a support that is not M-convex, and Hessians of inertia (2, 0, 0)
+            (Poly(2, {(3, 0): 1, (0, 3): 1}), None,
+             {"kind": "support-not-M-convex", "exponents": [[0, 3], [3, 0]]}, 0),
+            # the term below the tolerance is dropped before the homogeneity stage
+            (FloatPoly(2, {(2, 0): 1.0, (1, 1): 1.0, (0, 2): 1.0, (1, 0): 1e-12}), 1e-9,
+             {"kind": "bad-inertia", "derivative": [0, 0], "inertia": [2, 0, 0]}, 1),
+        ],
+    )
+    def test_earlier_stage_decides(self, f, tol, failure, checked):
+        # each row fails two stages; the one earlier in _STAGES is reported
+        report = certify_lorentzian(f, tol)
+        expected = {"lorentzian": False, "failure": failure, "checked_derivatives": checked}
+        assert report.to_json() == expected
+        assert certify_literal(f, tol).to_json() == expected
 
     def test_non_homogeneous(self):
         report = certify_lorentzian(Poly(1, {(1,): 1, (2,): 1}))

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from lormatch import (
     matched_degrees,
 )
 from lormatch._util import vec_factorial
-from lormatch.matchings import _key_decoder, single_vertex_cuts
+from lormatch.matchings import _key_decoder, _places, single_vertex_cuts
 
 from oracles import enumerate_matching, matched_degrees_box
 
@@ -250,6 +251,8 @@ class TestKeyDecoder:
             betas = [(0,) * n, (radix - 1,) * n]
             betas += [tuple(rng.randrange(radix) for _ in range(n)) for _ in range(60)]
             decode = _key_decoder(radix, n)
+            place = _places(radix, n)
             for beta in betas:
                 key = sum(b * radix ** (n - j) for j, b in enumerate(beta, start=1))
                 assert decode(key) == (beta, vec_factorial(beta))
+                assert sum(map(operator.mul, beta, place)) == key
