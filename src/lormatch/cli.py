@@ -41,12 +41,12 @@ from .operators import (
     tab_family_box,
 )
 from .polymatroids import (
+    _walk_base_points,
     AxiomViolation,
     LinReal,
     Matroid,
     Polymatroid,
     base_egf,
-    base_points,
     direct_sum,
     free_polymatroid,
     hall_rado_member,
@@ -337,7 +337,7 @@ def _cmd_pminduce(args) -> dict:
             payload["bases"] = [list(b) for b in matroid_bases(mat)]
     payload["polymatroid"] = pm.to_json()
     if args.points:
-        payload["base_points"] = [list(p) for p in sorted(base_points(pm))]
+        payload["base_points"] = [list(p) for p in _walk_base_points(pm)]
     if args.egf:
         payload["egf"] = base_egf(pm).to_json()
     return payload

@@ -42,6 +42,16 @@ from ._util import _is_json_int, int_text
 Edge = tuple[int, int]
 
 
+def _brief(value) -> str:
+    """A JSON value for an error message, in at most about 40 characters."""
+    if isinstance(value, (list, tuple)):
+        return "a list"
+    if isinstance(value, dict):
+        return "an object"
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 @dataclass(frozen=True)
 class SubsetSeq:
     """Ordered parts over the ground set {1..m}; empty parts are allowed."""
@@ -98,11 +108,15 @@ class SubsetSeq:
             raise ValueError("subset-sequence JSON needs 'm' and 'sets'")
         m, sets = obj["m"], obj["sets"]
         if not _is_json_int(m):
-            raise ValueError(f"subset-sequence JSON needs an integer 'm', got {m!r}")
-        if not isinstance(sets, (list, tuple)) or not all(
-            isinstance(s, (list, tuple)) and all(map(_is_json_int, s)) for s in sets
-        ):
-            raise ValueError(f"parts must be lists of integers, got {sets!r}")
+            raise ValueError(f"subset-sequence JSON needs an integer 'm', got {_brief(m)}")
+        if not isinstance(sets, (list, tuple)):
+            raise ValueError(f"parts must be lists of integers, got {_brief(sets)}")
+        for j, listed in enumerate(sets, start=1):
+            if not isinstance(listed, (list, tuple)):
+                raise ValueError(f"part {j} must be a list of integers, got {_brief(listed)}")
+            if not all(map(_is_json_int, listed)):
+                k, bad = next((k, e) for k, e in enumerate(listed, start=1) if not _is_json_int(e))
+                raise ValueError(f"part {j}, entry {k} must be an integer, got {_brief(bad)}")
         parts = tuple(map(frozenset, sets))
         for j, (listed, part) in enumerate(zip(sets, parts), start=1):
             if len(part) < len(listed):

@@ -2,12 +2,19 @@
 
 Rank functions are explicit tables with one entry per subset of the ground
 set {1..m}, indexed by bitmask (bit i-1 is element i).  Everything here is
-desk scale: rank queries read the table, and validation compares whole
-slices of it, one `map` per element and per pair of elements, with a
-mask-order scan only to name the first witness (`_check_local_axioms`).
-Base points are listed by a contraction walk that fixes one coordinate at
-a time, only ever extends prefixes of real base points, and contracts each
-distinct state once (see `_walk_base_points`).
+desk scale: rank queries read the table.  Validation and the base-point walk
+work on the whole table packed into one int (`_pack`): one byte-aligned
+field per mask with a guard bit above the largest entry, in bit-reversed
+mask order, so that the masks without element 1 are the low half of the int
+and those with it the high half.  Validation compares packed halves, one
+comparison per element and per pair of elements, with a mask-order scan
+only to name the first witness (`_check_local_axioms`).  Base points are
+listed by a contraction walk that fixes one coordinate at a time, only ever
+extends prefixes of real base points, and contracts each distinct packed
+state once, by one subtraction and one fieldwise minimum of its two halves
+(see `_walk_base_points`).  Other tables over all masks are built in mask
+order by doubling: the list for the first k elements, then each entry again
+with element k + 1 added.
 
 A table is checked against the axioms once, where it enters the library:
 `Polymatroid(...)`, `validate_polymatroid`, `Polymatroid.from_json`,
@@ -28,11 +35,11 @@ one exact elimination in `_util`.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Callable, Iterable, Sequence
 
 from ._util import _inertia, _is_json_int, json_ints, json_rational_rows
 from ._util import clear_denominators, exact_rational, mask_to_elements, vec_factorial
@@ -60,53 +67,94 @@ class InternalCheckError(RuntimeError):
     """Two supposedly equivalent computations disagreed: an implementation bug."""
 
 
-def _halves(table: list[int], bit: int) -> tuple[list[int], list[int]]:
-    """The entries whose mask has `bit` clear, and those whose mask has it set.
+@functools.lru_cache(maxsize=64)
+def _mask_order(m: int) -> Callable:
+    """An itemgetter that lists a 2^m table in bit-reversed mask order.
 
-    Both come out in mask order with the bit dropped, so entry k of one
-    pairs with entry k of the other, and a list built from them can be split
-    again on a later bit.  Each is copied by whichever is fewer: its 2^bit
-    strided slices or its contiguous blocks of 2^bit entries.
+    Position p holds the mask whose bit i - 1 is bit m - i of p, so element 1
+    is the top bit of the position: the masks without element 1 fill the low
+    half and those with it the high half, in the same order.
     """
-    step = 1 << bit
-    period = step << 1
-    size = len(table)
-    if step * period <= size:
-        clear, held = [0] * (size // 2), [0] * (size // 2)
-        for j in range(step):
-            clear[j::step] = table[j::period]
-            held[j::step] = table[j + step :: period]
-        return clear, held
-    starts = range(0, size, period)
-    clear = list(itertools.chain.from_iterable(table[k : k + step] for k in starts))
-    held = list(itertools.chain.from_iterable(table[k + step : k + period] for k in starts))
-    return clear, held
+    masks = [0]
+    for bit in reversed(range(m)):
+        masks += [u | 1 << bit for u in masks]
+    return operator.itemgetter(*masks)
+
+
+def _pack(table: Sequence[int], m: int, width: int) -> int:
+    """The table as one int of `width`-byte fields in `_mask_order`, position 0 lowest.
+
+    The entries must be nonnegative and below 2^(8 width - 1), so the top
+    bit of every field is a guard bit that a fieldwise subtraction can borrow
+    from without touching the next field.
+    """
+    entries = _mask_order(m)(table)
+    if width == 1:
+        raw = bytes(entries)
+    else:
+        raw = b"".join([v.to_bytes(width, "little") for v in entries])
+    return int.from_bytes(raw, "little")
+
+
+def _field_width(top: int) -> int:
+    """Bytes per field for entries up to `top`, leaving room for the guard bit."""
+    return top.bit_length() // 8 + 1
+
+
+def _ones(fields: int, bits: int) -> int:
+    """The int with a 1 at the bottom of each of `fields` fields of `bits` bits."""
+    return ((1 << fields * bits) - 1) // ((1 << bits) - 1)
+
+
+def _fields_le(small: int, large: int, guards: int) -> bool:
+    """Is every field of `small` at most the same field of `large`?
+
+    `guards` has the guard bit of every field set; a field of
+    (large | guards) - small keeps its guard bit exactly when it did not
+    need to borrow.
+    """
+    return ((large | guards) - small) & guards == guards
+
+
+@functools.lru_cache(maxsize=64)
+def _split_masks(m: int, bits: int) -> tuple[int, tuple[int, ...]]:
+    """The guard bits of a packed 2^m table, and for each position bit b the
+    fields whose position has b clear (runs of 2^b fields, every other run)."""
+    fields = 1 << m
+    guards = _ones(fields, bits) << (bits - 1)
+    clear = tuple(
+        _ones(fields >> b + 1, bits << b + 1) * ((1 << (bits << b)) - 1) for b in range(m)
+    )
+    return guards, clear
 
 
 def _check_local_axioms(table: list[int], m: int) -> None:
     """Raise the first monotonicity, else the first submodularity, violation.
 
     The local forms imply the subset-pair forms: rank(S) <= rank(S + e), and
-    the gain of e does not rise when another element f is added.  For each e
-    the two halves of the table are compared in one `map`, and their
-    difference, the gains of e in mask order, is split on every later f the
-    same way.  Only when a comparison fails does a mask-order scan name the
-    witness, so the axiom, witness and message are those of a scan over
-    every mask.
+    the gain of e does not rise when another element f is added.  The table
+    is packed (`_pack`), so for each e the masks without e and those with it
+    are two masked copies of one int, one shifted onto the other, and one
+    `_fields_le` compares them.  Their difference, the packed gains of e, is
+    split on every later f the same way.  Only when a comparison fails does
+    a mask-order scan name the witness, so the axiom, witness and message
+    are those of a scan over every mask.
     """
-    submodular = True
-    for e in range(m):
-        clear, held = _halves(table, e)
-        if not all(map(operator.le, clear, held)):
+    width = _field_width(max(table))
+    bits = 8 * width
+    packed = _pack(table, m, width)
+    guards, clear = _split_masks(m, bits)
+    gains = []
+    for b in reversed(range(m)):  # element e at position bit m - e
+        low = packed & clear[b]
+        high = packed >> (bits << b) & clear[b]
+        if not _fields_le(low, high, guards):
             raise _first_monotonicity_violation(table)
-        if submodular:
-            gains = list(map(operator.sub, held, clear))
-            # an element f > e sits at bit f - 1 of the gains
-            submodular = all(
-                all(map(operator.ge, *_halves(gains, f))) for f in range(e, m - 1)
-            )
-    if not submodular:
-        raise _first_submodularity_violation(table, m)
+        gains.append((b, high - low))
+    for b, gain in gains:
+        for c in range(b):
+            if not _fields_le(gain >> (bits << c) & clear[c], gain & clear[c], guards):
+                raise _first_submodularity_violation(table, m)
 
 
 def _first_monotonicity_violation(table: list[int]) -> Exception:
@@ -122,7 +170,7 @@ def _first_monotonicity_violation(table: list[int]) -> Exception:
                     (small, large),
                     f"rank{small} = {table[mask ^ low]} > rank{large} = {table[mask]}",
                 )
-    return InternalCheckError("slice check found a monotonicity violation, the scan none")
+    return InternalCheckError("packed comparison found a monotonicity violation, the scan none")
 
 
 def _first_submodularity_violation(table: list[int], m: int) -> Exception:
@@ -141,7 +189,7 @@ def _first_submodularity_violation(table: list[int], m: int) -> Exception:
                         f"rank(union) + rank(intersection) = "
                         f"{table[left | right] + table[mask]}",
                     )
-    return InternalCheckError("slice check found a submodularity violation, the scan none")
+    return InternalCheckError("packed comparison found a submodularity violation, the scan none")
 
 
 @dataclass(frozen=True)
@@ -223,7 +271,10 @@ class Matroid:
     underlying: Polymatroid
 
     def __post_init__(self) -> None:
-        for mask, value in enumerate(self.underlying.rank):
+        rank = self.underlying.rank
+        if all(map(operator.le, rank, _cardinalities(self.m))):
+            return
+        for mask, value in enumerate(rank):
             if value > mask.bit_count():
                 witness = mask_to_elements(mask)
                 raise AxiomViolation(
@@ -268,6 +319,14 @@ def free_polymatroid(n_elements: int, r: int) -> Polymatroid:
     return Polymatroid._derived(n_elements, (0,) + (r,) * ((1 << n_elements) - 1))
 
 
+def _cardinalities(m: int) -> list[int]:
+    """|I| for every subset I of {1..m}, in mask order."""
+    out = [0]
+    for _ in range(m):
+        out += [c + 1 for c in out]
+    return out
+
+
 def uniform_matroid(m: int, r: int) -> Matroid:
     """Rank min(|I|, r)."""
     m, r = operator.index(m), operator.index(r)
@@ -275,9 +334,8 @@ def uniform_matroid(m: int, r: int) -> Matroid:
         raise ValueError(f"rank {r} outside 0..{m}")
     if m < 1:
         raise ValueError("ground-set size must be >= 1")
-    return Matroid(
-        Polymatroid._derived(m, (min(mask.bit_count(), r) for mask in range(1 << m)))
-    )
+    table = [c if c < r else r for c in _cardinalities(m)]
+    return Matroid(Polymatroid._derived(m, table))
 
 
 def direct_sum(parts: Sequence[Polymatroid]) -> Polymatroid:
@@ -296,11 +354,10 @@ def direct_sum(parts: Sequence[Polymatroid]) -> Polymatroid:
 
 def _union_masks(seq: SubsetSeq) -> list[int]:
     """Bitmask of the part union for every subset of part indices."""
-    parts = [sum(1 << (e - 1) for e in s) for s in seq.sets]
-    out = [0] * (1 << seq.n)
-    for mask in range(1, 1 << seq.n):
-        low = mask & -mask
-        out[mask] = out[mask ^ low] | parts[low.bit_length() - 1]
+    out = [0]
+    for s in seq.sets:
+        part = sum(1 << (e - 1) for e in s)
+        out += [u | part for u in out]
     return out
 
 
@@ -332,55 +389,90 @@ def induce_matroid(pm: Polymatroid, seq: SubsetSeq) -> Matroid:
 
 
 def _walk_base_points(
-    pm: Polymatroid, limit: int | None = None
+    pm: Polymatroid, limit: int | None = None, caps: Sequence[int] | None = None
 ) -> list[tuple[int, ...]] | None:
     """Integer base points in lexicographic order, one coordinate at a time.
 
     Fixing x_1 = a leaves the points of a polymatroid on the later elements,
-    of rank min(r(T), r(T + 1) - a) (contraction by a vector); with element
-    1 as bit 0 that table is `min(even, odd - a)` over the adjacent pairs.
-    `a` runs from what the later elements cannot absorb up to the current
-    rank of {1}.  That upper bound is every inequality x(U) <= r(U) whose
-    largest element is the one being fixed, so each emitted point is a base
-    point; submodularity lets every branch reach one, so the work follows
-    the output rather than the box of candidates.
+    of rank min(r(T), r(T + 1) - a) (contraction by a vector).  The table is
+    packed into one int (`_pack`), with element 1 as the top bit of the
+    position, so the sets without 1 are the low half of the int and the sets
+    with 1 the high half, in the same order.  The contracted table is then
+    min(low, high - a * ONES): the subtraction borrows from no guard bit,
+    since every entry of the high half is at least r({1}) >= a, and the
+    guard bits of (low | GUARDS) - (high - a * ONES) select the smaller of
+    each pair.  `a` runs from what the later elements cannot absorb up to
+    the current rank of {1}.  That upper bound is every inequality
+    x(U) <= r(U) whose largest element is the one being fixed, so each
+    emitted point is a base point; submodularity lets every branch reach
+    one, so the work follows the output rather than the box of candidates.
 
     The number left to place is always the last entry of the table: it is
     the full rank at the start, and min(t[-2], t[-1] - a) = t[-1] - a since
-    a >= t[-1] - t[-2].  So a state is its table alone, and different
+    a >= t[-1] - t[-2].  So a state is its packed table alone, and different
     prefixes often reach the same one.  The walk goes one coordinate at a
     time over the whole level of prefixes, kept in lexicographic order,
-    and contracts each distinct table of the level once; the prefixes
-    only carry the number of their table.  The last two coordinates are
-    closed form: with the table (t0, t1, t2, t3), x_{m-1} runs from t3 - t2
-    (at least 0) to min(t1, t3).  With a `limit` the walk returns None
-    before it builds a level or a list of more than that many: on a
-    polymatroid every prefix reaches a base point.
+    and contracts each distinct table of the level once, keyed by its int;
+    the prefixes only carry the number of their table.  The last two
+    coordinates are closed form: with the table (t0, t1, t2, t3) in mask
+    order, x_{m-1} runs from t3 - t2 (at least 0) to min(t1, t3).  With a
+    `limit` the walk returns None before it builds a level or a list of
+    more than that many: on a polymatroid every prefix reaches a base point.
+
+    `caps` keeps only the points with x_i <= caps[i] for every i, in the
+    same order: each coordinate's range is cut to at most its cap and to at
+    least what the caps of the later coordinates cannot absorb.  A capped
+    prefix may then reach no point, so `limit` is for uncapped walks.
     """
-    if pm.m == 1:
-        return [(pm.full_rank,)] if limit is None or limit >= 1 else None
-
-    def spread(t: tuple[int, ...]) -> range:
-        return range(max(0, t[-1] - t[-2]), min(t[1], t[-1]) + 1)
-
-    tables = [pm.rank]  # the level's distinct tables
+    m, top = pm.m, pm.full_rank
+    if caps is None:
+        caps = (top,) * m
+    if m == 1:
+        points = [(top,)] if top <= caps[0] else []
+        return points if limit is None or len(points) <= limit else None
+    room = [sum(caps[i:]) for i in range(1, m + 1)]  # room[i]: caps after x_{i+1}
+    width = _field_width(top)
+    bits = 8 * width
+    field = (1 << bits) - 1
+    tables = [_pack(pm.rank, m, width)]  # the level's distinct tables
     level = [((), 0)]  # (prefix, number of its table), in lexicographic order
-    for _ in range(pm.m - 2):
-        spreads = list(map(spread, tables))
+    for i in range(m - 2):
+        half = bits << (m - 1 - i)  # bits in half the level's tables
+        low_mask = (1 << half) - 1
+        ones = _ones(1 << (m - 1 - i), bits)
+        guards = ones << (bits - 1)
+        last = half - bits
+        halves = [(t & low_mask, t >> half) for t in tables]
+        spreads = [
+            range(
+                max(0, (high >> last) - (low >> last), (high >> last) - room[i]),
+                min(high & field, high >> last, caps[i]) + 1,
+            )
+            for low, high in halves
+        ]
         if limit is not None and sum(len(spreads[k]) for _, k in level) > limit:
             return None
-        numbers: dict[tuple[int, ...], int] = {}
+        numbers: dict[int, int] = {}
         children = []
-        for tab, values in zip(tables, spreads):
-            evens, odds = tab[0::2], tab[1::2]
+        for (low, high), values in zip(halves, spreads):
             kids = []
+            low_guarded = low | guards
+            high -= values.start * ones
             for a in values:
-                child = tuple([u if u < v - a else v - a for u, v in zip(evens, odds)])
+                diff = low_guarded - high
+                picked = diff & guards
+                child = low - (diff & (picked - (picked >> (bits - 1))))
                 kids.append((a, numbers.setdefault(child, len(numbers))))
+                high -= ones
             children.append(kids)
         tables = list(numbers)
         level = [(prefix + (a,), kid) for prefix, k in level for a, kid in children[k]]
-    tails = [[(a, t[3] - a) for a in spread(t)] for t in tables]
+    tails = []
+    for t in tables:
+        # positions 1 and 2 hold {m} and {m - 1}: mask order's t2 and t1
+        t2, t1, t3 = t >> bits & field, t >> 2 * bits & field, t >> 3 * bits
+        spread = range(max(0, t3 - t2, t3 - caps[-1]), min(t1, t3, caps[-2]) + 1)
+        tails.append([(a, t3 - a) for a in spread])
     if limit is not None and sum(len(tails[k]) for _, k in level) > limit:
         return None
     return [prefix + tail for prefix, k in level for tail in tails[k]]
@@ -398,12 +490,11 @@ def in_base_polytope(pm: Polymatroid, vec: Sequence[int]) -> bool:
         raise ValueError(f"vector has length {len(x)}, expected {pm.m}")
     if any(v < 0 for v in x) or sum(x) != pm.full_rank:
         return False
-    # x(U) for every U, each from U minus its lowest element
+    # x(U) for every U in mask order, doubling the list once per element
+    sums = [0]
+    for v in x:
+        sums += [u + v for u in sums]
     full = pm.full_mask
-    sums = [0] * (full + 1)
-    for mask in range(1, full):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + x[low.bit_length() - 1]
     return all(map(operator.le, sums[1:full], pm.rank[1:full]))
 
 
@@ -591,14 +682,16 @@ def hall_rado_member(
     Computed two independent ways and cross-checked: (a) the inequality
     description of the induced base polytope, (b) existence of a base point
     gamma of the source with (gamma, delta) matchable along the sequence.
-    Route (b) takes the gammas in the lexicographic order of the list
-    `_walk_base_points` returns, drops each one that fails a single-vertex
-    Hall cut (`single_vertex_cuts`: gamma_i at most what i's parts demand,
-    delta_j at most what j's elements supply), runs one flow on each one
-    left and stops at the first match.  It never reads the induced table,
-    so a wrong cut shows as a disagreement.  The equivalence needs the
-    parts to span (union rank = full rank); without that no gamma can have
-    the right total, so the call is refused.
+    Route (b) walks only the source base points with gamma_i at most what
+    i's parts demand, the sum of delta_j over the parts j containing i (the
+    element-side single-vertex Hall cut, passed to `_walk_base_points` as
+    caps), in lexicographic order.  It drops each one that fails a
+    single-vertex Hall cut (`single_vertex_cuts`: the same element bound
+    again, and delta_j at most what j's elements supply), runs one flow on
+    each one left and stops at the first match.  It never reads the induced
+    table, so a wrong cut shows as a disagreement.  The equivalence needs
+    the parts to span (union rank = full rank); without that no gamma can
+    have the right total, so the call is refused.
     """
     induced = induce_polymatroid(pm, seq)
     if induced.full_rank != pm.full_rank:
@@ -612,9 +705,13 @@ def hall_rado_member(
     if any(v < 0 for v in d):
         return False
     via_rank = in_base_polytope(induced, d)
+    reach = [0] * seq.m  # what each element can send: delta summed over its parts
+    for want, part in zip(d, seq.sets):
+        for i in part:
+            reach[i - 1] += want
     via_flow = any(
         admits_matching(seq, gamma, d)
-        for gamma in single_vertex_cuts(seq, d, _walk_base_points(pm))
+        for gamma in single_vertex_cuts(seq, d, _walk_base_points(pm, caps=reach))
     )
     if via_rank != via_flow:
         raise InternalCheckError(

@@ -149,6 +149,24 @@ class TestParsing:
         assert payload["error"] == "malformed-json"
         assert set(payload) == {"detail", "error", "flag"}
 
+    @pytest.mark.parametrize(
+        "sets, detail",
+        [
+            ([[1], ["x"] * 200_000], "part 2, entry 1 must be an integer, got 'x'"),
+            (json.loads("[" * 900 + "]" * 900), "part 1, entry 1 must be an integer, got a list"),
+        ],
+        ids=["wide-part", "deep-sets"],
+    )
+    def test_bad_part_is_named_not_echoed(self, capsys, tmp_path, sets, detail):
+        # the error names the first bad part and entry, in one short line,
+        # however large or deep the 'sets' value is
+        path = tmp_path / "sets.json"
+        path.write_text(json.dumps({"m": 2, "sets": sets}))
+        code, out, err = _call(capsys, "ct", "--sets", f"@{path}", "--r", "1")
+        assert (code, err, out.count("\n")) == (1, "", 1)
+        assert len(out) < 1024
+        assert json.loads(out) == {"detail": detail, "error": "invalid-value", "flag": "--sets"}
+
     @pytest.mark.parametrize("source", ["missing", "not-utf8"])
     @pytest.mark.parametrize("flag", JSON_SOURCES)
     def test_missing_file(self, capsys, tmp_path, flag, source):
@@ -912,7 +930,7 @@ OPERATION_COVERAGE = {
     "apply_substitution": ("subst", "--sets", NARROW, "--poly", X1X2),
     "augment_with_singletons": ("tab-family", "--sets", NARROW, "--a", "1,1,1", "--b", "0,0,0,0", "--kappa", "1,1"),
     "base_egf": ("pminduce", "--pm", '{"free":[2,2]}', "--egf"),
-    "base_points": ("pminduce", "--pm", '{"free":[2,2]}', "--points"),
+    "base_points": ("pminduce", "--pm", '{"free":[2,2]}', "--egf"),
     "basis_match_count": ("ct", "--sets", WIDE, "--topic", "1,2", "--matroid", '{"uniform":[4,2]}'),
     "basis_match_poly": ("fpoly", "--sets", WIDE, "--matroid", '{"uniform":[4,2]}'),
     "box_from_symbol": ("symbol", "--sets", NARROW, "--kappa", "1,1", "--q", "1/2", "--table"),

@@ -1,4 +1,5 @@
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,8 @@ from oracles import (
 )
 
 WIDE = SubsetSeq(4, (frozenset({1, 2, 3, 4}), frozenset({2, 3}), frozenset({3, 4})))
+# entries from these up need 2- and 3-byte fields in a packed table
+WIDE_ENTRIES = (128, 1 << 15)
 
 
 @st.composite
@@ -181,6 +184,20 @@ def point_sets(draw):
     return frozenset(pts), nvars
 
 
+def _shifted(pm: Polymatroid, c: int) -> Polymatroid:
+    """pm plus c on every element, r(S) + c|S|: a polymatroid whose base
+    points are pm's with c added to every coordinate."""
+    return Polymatroid._derived(pm.m, [v + c * mask.bit_count() for mask, v in enumerate(pm.rank)])
+
+
+@st.composite
+def capped_walks(draw):
+    """A walk source, sometimes shifted into wide fields, and caps from 0
+    to one above the full rank, which often leave no point."""
+    pm = _shifted(draw(walk_sources()), draw(st.sampled_from((0,) + WIDE_ENTRIES)))
+    return pm, tuple(draw(st.integers(0, pm.full_rank + 1)) for _ in range(pm.m))
+
+
 def _pin_wide_examples(test):
     """Pin point sums at the byte boundaries of the packed fields."""
     for s in (127, 128, 255, 256):
@@ -300,10 +317,11 @@ class TestValidation:
             accepted = False
         assert accepted == literal
 
-    @given(nudged_tables())
+    @given(nudged_tables(), st.sampled_from((1,) + WIDE_ENTRIES))
     @settings(max_examples=500, deadline=None)
-    def test_slice_checks_match_the_literal_axioms(self, case):
+    def test_slice_checks_match_the_literal_axioms(self, case, scale):
         m, table = case
+        table = tuple(v * scale for v in table)
         try:
             Polymatroid(m, table)
             raised = None
@@ -356,20 +374,24 @@ class TestValidation:
         assert first_axiom_violation_literal(table) == (axiom, witness, f"{axiom}: {detail}")
 
     def test_slice_and_scan_disagreement_raises(self, monkeypatch):
-        # a slice check that fails where the mask-order scan finds no
+        # a packed comparison that fails where the mask-order scan finds no
         # witness is an implementation bug, not an axiom violation
-        halves = polymatroids._halves
-        monkeypatch.setattr(polymatroids, "_halves", lambda table, bit: ([1], [0]))
+        real = polymatroids._fields_le
+        monkeypatch.setattr(polymatroids, "_fields_le", lambda small, large, guards: False)
         with pytest.raises(InternalCheckError, match="monotonicity"):
             Polymatroid(2, (0, 1, 1, 2))
-        # the table's halves are real; only the split of the gains lies
-        monkeypatch.setattr(
-            polymatroids,
-            "_halves",
-            lambda table, bit: halves(table, bit) if len(table) == 4 else ([0], [1]),
-        )
+        # the two monotonicity comparisons, one per element, come first and
+        # are real; only the comparison of the gains lies
+        calls = []
+
+        def lying(small, large, guards):
+            calls.append(small)
+            return len(calls) <= 2 and real(small, large, guards)
+
+        monkeypatch.setattr(polymatroids, "_fields_le", lying)
         with pytest.raises(InternalCheckError, match="submodularity"):
             Polymatroid(2, (0, 1, 1, 2))
+        assert len(calls) == 3
 
     def test_json_round_trip(self):
         pm = free_polymatroid(3, 2)
@@ -498,18 +520,30 @@ class TestBasePoints:
         assert len(_walk_base_points(free_polymatroid(2, 999), limit=1000)) == 1000
         assert _walk_base_points(free_polymatroid(2, 999), limit=999) is None
 
-    @given(walk_sources())
+    @given(walk_sources(), st.sampled_from((0,) + WIDE_ENTRIES))
     @settings(max_examples=100, deadline=None)
-    def test_walk_limit_is_the_point_count(self, pm):
+    def test_walk_limit_is_the_point_count(self, pm, shift):
+        pm = _shifted(pm, shift)
         points = _walk_base_points(pm)
         assert _walk_base_points(pm, len(points)) == points
         assert _walk_base_points(pm, len(points) + 1) == points
         assert _walk_base_points(pm, len(points) - 1) is None
 
-    @given(walk_sources())
+    @given(walk_sources(), st.sampled_from((0,) + WIDE_ENTRIES))
     @settings(max_examples=200, deadline=None)
-    def test_walk_matches_box_scan(self, pm):
-        assert _walk_base_points(pm) == sorted(base_points_literal(pm))
+    def test_walk_matches_box_scan(self, pm, shift):
+        expected = sorted(tuple(x + shift for x in p) for p in base_points_literal(pm))
+        assert _walk_base_points(_shifted(pm, shift)) == expected
+
+    @given(capped_walks())
+    @example(case=(free_polymatroid(1, 3), (2,)))
+    @example(case=(free_polymatroid(3, 2), (0, 1, 0)))
+    @example(case=(uniform_matroid(4, 2).underlying, (1, 1, 0, 0)))
+    @settings(max_examples=200, deadline=None)
+    def test_capped_walk_is_the_filtered_walk(self, case):
+        pm, caps = case
+        kept = [p for p in _walk_base_points(pm) if all(map(operator.le, p, caps))]
+        assert _walk_base_points(pm, caps=caps) == kept
 
     @given(walk_sources(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -664,7 +698,7 @@ class TestHallRado:
 
     def test_route_disagreement_raises(self, monkeypatch):
         # a walk that finds no gamma must be caught by the inequality route
-        monkeypatch.setattr(polymatroids, "_walk_base_points", lambda pm: iter(()))
+        monkeypatch.setattr(polymatroids, "_walk_base_points", lambda pm, caps=None: iter(()))
         split = SubsetSeq(2, (frozenset({1}), frozenset({2})))
         with pytest.raises(InternalCheckError):
             hall_rado_member(free_polymatroid(2, 2), split, (1, 1))
