@@ -63,8 +63,9 @@ def mask_to_elements(mask: int) -> tuple[int, ...]:
 # -- the JSON number rule: a JSON integer is an int that is not a bool (JSON
 # true/false decode to bool); a JSON rational is a JSON integer or a rational
 # string such as "3/2", never a float or a bool.  A refused value raises
-# ValueError(message.format(value, json=...)): in the caller's message `{}`
-# or `{!r}` shows the value and `{json}` its JSON text.  Number strings are
+# ValueError with the caller's message: for `json_ints` its `{}` shows the
+# value through `_brief`; for `json_rational` `{}` or `{!r}` shows the value
+# and `{json}` its JSON text.  Number strings are
 # ASCII digits with an optional leading minus, "p", "p/q" or a decimal "p.d"
 # for a rational: `int` and `Fraction` alone would also read Unicode digits,
 # "_" separators, padding spaces, a leading "+" and exponents.
@@ -76,10 +77,27 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _brief(value) -> str:
+    """A JSON value for an error message, in at most about 40 characters.
+
+    A list shows its first 8 entries, or is named by its kind when one of
+    them is a list or an object; an object is named by its kind."""
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, (list, tuple)):
+        head = list(value[:8])
+        if any(isinstance(v, (list, tuple, dict)) for v in head):
+            return "a list"
+        text = repr(head) if len(value) <= 8 else repr(head)[:-1] + ", ...]"
+    else:
+        text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def json_ints(values, message: str) -> tuple[int, ...]:
     """A JSON list of integers, as a tuple."""
     if not isinstance(values, (list, tuple)) or not all(map(_is_json_int, values)):
-        raise ValueError(message.format(values, json=json.dumps(values, default=repr)))
+        raise ValueError(message.format(_brief(values)))
     return tuple(values)
 
 

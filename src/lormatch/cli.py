@@ -167,7 +167,7 @@ def _parse_matrix(raw: str | None):
     return _parse_with(functools.partial(json_rational_rows, what="matrix"), raw, "--matrix")
 
 
-_INTS = "expected a list of integers, got {json}"
+_INTS = "expected a list of integers, got {}"
 
 
 def _polymatroid_from_json(data) -> Polymatroid:

@@ -37,19 +37,9 @@ from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from ._util import _is_json_int, int_text
+from ._util import _brief, _is_json_int, int_text
 
 Edge = tuple[int, int]
-
-
-def _brief(value) -> str:
-    """A JSON value for an error message, in at most about 40 characters."""
-    if isinstance(value, (list, tuple)):
-        return "a list"
-    if isinstance(value, dict):
-        return "an object"
-    text = repr(value)
-    return text if len(text) <= 40 else text[:37] + "..."
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ._util import _is_json_int, clear_denominators, iter_box, json_ints, nonnegative_weights
+from ._util import _brief, _is_json_int, clear_denominators, iter_box, json_ints, nonnegative_weights
 from ._util import vec_factorial
 from .matchings import SubsetSeq, _key_decoder, _packed_sums
 from .polynomials import FloatPoly, Poly
@@ -96,12 +96,12 @@ class OperatorBox:
     def from_json(cls, obj: dict) -> "OperatorBox":
         if not isinstance(obj, dict) or not {"kappa", "n_out", "table"} <= set(obj):
             raise ValueError("operator JSON needs 'kappa', 'n_out', and 'table'")
-        alpha = "operator JSON needs integer 'alpha' entries, got {!r}"
+        alpha = "operator JSON needs integer 'alpha' entries, got {}"
         table = {json_ints(row["alpha"], alpha): Poly.from_json(row["poly"]) for row in obj["table"]}
         n_out = obj["n_out"]
         if not _is_json_int(n_out):
-            raise ValueError(f"operator JSON needs an integer 'n_out', got {n_out!r}")
-        kappa = json_ints(obj["kappa"], "operator JSON needs integer 'kappa' entries, got {!r}")
+            raise ValueError(f"operator JSON needs an integer 'n_out', got {_brief(n_out)}")
+        kappa = json_ints(obj["kappa"], "operator JSON needs integer 'kappa' entries, got {}")
         return cls(kappa, n_out, table)
 
 

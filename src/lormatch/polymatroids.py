@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Callable, Iterable, Sequence
 
-from ._util import _inertia, _is_json_int, json_ints, json_rational_rows
+from ._util import _brief, _inertia, _is_json_int, json_ints, json_rational_rows
 from ._util import clear_denominators, exact_rational, mask_to_elements, vec_factorial
 from .matchings import SubsetSeq, admits_matching, single_vertex_cuts
 from .polynomials import Poly
@@ -260,8 +260,8 @@ class Polymatroid:
             raise ValueError("polymatroid JSON needs 'm' and 'rank'")
         m, rank = obj["m"], obj["rank"]
         if not _is_json_int(m):
-            raise ValueError(f"polymatroid JSON needs an integer 'm', got {m!r}")
-        return cls(m, json_ints(rank, "rank entries must be integers, got {!r}"))
+            raise ValueError(f"polymatroid JSON needs an integer 'm', got {_brief(m)}")
+        return cls(m, json_ints(rank, "rank entries must be integers, got {}"))
 
 
 @dataclass(frozen=True)
@@ -402,7 +402,8 @@ def _walk_base_points(
     since every entry of the high half is at least r({1}) >= a, and the
     guard bits of (low | GUARDS) - (high - a * ONES) select the smaller of
     each pair.  `a` runs from what the later elements cannot absorb up to
-    the current rank of {1}.  That upper bound is every inequality
+    the current rank of {1}, which by monotonicity never exceeds the number
+    left to place.  That upper bound is every inequality
     x(U) <= r(U) whose largest element is the one being fixed, so each
     emitted point is a base point; submodularity lets every branch reach
     one, so the work follows the output rather than the box of candidates.
@@ -446,7 +447,7 @@ def _walk_base_points(
         spreads = [
             range(
                 max(0, (high >> last) - (low >> last), (high >> last) - room[i]),
-                min(high & field, high >> last, caps[i]) + 1,
+                min(high & field, caps[i]) + 1,
             )
             for low, high in halves
         ]
@@ -626,7 +627,7 @@ class LinReal:
     def from_json(cls, obj: dict) -> "LinReal":
         if not isinstance(obj, dict) or "blockdims" not in obj or "gens" not in obj:
             raise ValueError("realization JSON needs 'blockdims' and 'gens'")
-        dims = json_ints(obj["blockdims"], "blockdims must be integers, got {!r}")
+        dims = json_ints(obj["blockdims"], "blockdims must be integers, got {}")
         return cls(dims, json_rational_rows(obj["gens"], "realization"))
 
 

@@ -167,6 +167,34 @@ class TestParsing:
         assert len(out) < 1024
         assert json.loads(out) == {"detail": detail, "error": "invalid-value", "flag": "--sets"}
 
+    @pytest.mark.parametrize(
+        "argv, flag, document, detail",
+        [
+            (("pminduce", "--points"), "--pm", {"m": 2, "rank": ["x"] * 200_000}, "rank entries must be integers"),
+            (("pminduce", "--points"), "--pm", {"free": ["x"] * 200_000}, "expected a list of integers"),
+            (("pminduce", "--points"), "--pm", {"uniform": ["x"] * 200_000}, "expected a list of integers"),
+            (
+                ("certify",), "--poly",
+                {"nvars": 1, "terms": [{"exp": ["x"] * 200_000, "coeff": 1}]},
+                "exponent entries must be integers",
+            ),
+        ],
+        ids=["pm-rank", "pm-free", "pm-uniform", "poly-exp"],
+    )
+    def test_bad_integer_list_is_not_echoed(self, capsys, tmp_path, argv, flag, document, detail):
+        # a refused list of integers shows at most its first entries, in one
+        # short line that names the flag
+        path = tmp_path / "source.json"
+        path.write_text(json.dumps(document))
+        code, out, err = _call(capsys, argv[0], flag, f"@{path}", *argv[1:])
+        assert (code, err, out.count("\n")) == (1, "", 1)
+        assert len(out) < 1024
+        assert json.loads(out) == {
+            "detail": f"{detail}, got ['x', 'x', 'x', 'x', 'x', 'x', 'x', '...",
+            "error": "invalid-value",
+            "flag": flag,
+        }
+
     @pytest.mark.parametrize("source", ["missing", "not-utf8"])
     @pytest.mark.parametrize("flag", JSON_SOURCES)
     def test_missing_file(self, capsys, tmp_path, flag, source):

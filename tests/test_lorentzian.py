@@ -192,6 +192,19 @@ class TestIntInertia:
     def test_matches_fraction_route(self, matrix):
         assert _inertia([row[:] for row in matrix]) == charpoly_inertia(matrix)
 
+    def test_exact_division_beyond_float_precision(self):
+        # B D B^T with D = diag(1, -1, 1): rank 3 of 5, signature (2, 1).  Its
+        # entries fit a float, but the second Bareiss step already holds 2x2
+        # minors beyond 2^53, so only exact integer division leaves the
+        # trailing block exactly zero
+        b = [[1000003, 999983, 1000033], [2000029, -1000037, 3000017],
+             [-999961, 4000037, 1000039], [3000073, 1000081, -2000003],
+             [1000099, 2000081, 999979]]
+        d = (1, -1, 1)
+        matrix = [[sum(bi[k] * d[k] * bj[k] for k in range(3)) for bj in b] for bi in b]
+        assert abs(matrix[0][0] * matrix[1][1] - matrix[0][1] ** 2) > 2**53
+        assert _inertia([row[:] for row in matrix]) == charpoly_inertia(matrix) == (2, 1, 2)
+
 
 class TestQuadInertia:
     def test_goldens(self):

@@ -18,6 +18,8 @@ from lormatch import (
     stat_table,
     uniform_matroid,
 )
+from lormatch import matchstats
+from lormatch.matchstats import _bitset_ops, _set_ops, _walk
 from lormatch.polynomials import Poly
 
 from oracles import match_count_literal
@@ -116,6 +118,49 @@ class TestPanelWalk:
         mat = data.draw(matroids(seq.m))
         rows = _literal_rows(seq, mat.full_rank, among=matroid_bases(mat))
         assert basis_match_poly(mat, seq) == _as_poly(seq.n, rows)
+
+
+def _masks(elements):
+    return {sum(1 << (i - 1) for i in chosen) for chosen in elements}
+
+
+class TestWalkRoutes:
+    """The bitset and set families through the same walk: equal row dicts in
+    the same order, both equal to the literal count."""
+
+    @given(seqs(max_m=8, max_n=6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bitset_walk_equals_set_walk(self, seq, data):
+        bases = data.draw(st.sets(st.integers(0, (1 << seq.m) - 1)))
+        for r in range(seq.n + 1):
+            for within in (None, bases):
+                by_sets, by_bits = (
+                    list(_walk(seq.n, r, *ops(seq, within)).items()) for ops in (_set_ops, _bitset_ops)
+                )
+                assert by_sets == by_bits
+
+    @given(seqs(max_m=4, max_n=5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_both_walks_against_literal(self, seq, data):
+        among = matroid_bases(data.draw(matroids(seq.m)))
+        bases = _masks(among)
+        for r in range(seq.n + 1):
+            plain, restricted = _literal_rows(seq, r), _literal_rows(seq, r, among=among)
+            for ops in (_set_ops, _bitset_ops):
+                assert _walk(seq.n, r, *ops(seq, None)) == plain
+                assert _walk(seq.n, r, *ops(seq, bases)) == restricted
+
+    @pytest.mark.parametrize("m, route", [(16, "_bitset_ops"), (17, "_set_ops")])
+    def test_route_by_ground_set_size(self, monkeypatch, m, route):
+        ran = []
+        for name in ("_bitset_ops", "_set_ops"):
+            ops = getattr(matchstats, name)
+            monkeypatch.setattr(
+                matchstats, name, lambda seq, bases, name=name, ops=ops: ran.append(name) or ops(seq, bases)
+            )
+        seq = SubsetSeq(m, (frozenset({1, m}), frozenset({2, m}), frozenset({m})))
+        assert stat_table(seq, 2).rows == {(1, 2): 3, (1, 3): 1, (2, 3): 1}
+        assert ran == [route]
 
 
 class TestMatchPoly:
