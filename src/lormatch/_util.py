@@ -64,8 +64,9 @@ def mask_to_elements(mask: int) -> tuple[int, ...]:
 # true/false decode to bool); a JSON rational is a JSON integer or a rational
 # string such as "3/2", never a float or a bool.  A refused value raises
 # ValueError with the caller's message: for `json_ints` its `{}` shows the
-# value through `_brief`; for `json_rational` `{}` or `{!r}` shows the value
-# and `{json}` its JSON text.  Number strings are
+# value through `_brief`; for `json_rational` `{json}` shows its JSON text,
+# cut like `_brief`'s.  Every refused value is shown in at most about 40
+# characters, however large the input.  Number strings are
 # ASCII digits with an optional leading minus, "p", "p/q" or a decimal "p.d"
 # for a rational: `int` and `Fraction` alone would also read Unicode digits,
 # "_" separators, padding spaces, a leading "+" and exponents.
@@ -80,17 +81,22 @@ def _is_json_int(value) -> bool:
 def _brief(value) -> str:
     """A JSON value for an error message, in at most about 40 characters.
 
-    A list shows its first 8 entries, or is named by its kind when one of
-    them is a list or an object; an object is named by its kind."""
+    A list or tuple shows its first 8 entries, or is named by its kind when
+    one of them is a list or an object; an object is named by its kind."""
     if isinstance(value, dict):
         return "an object"
     if isinstance(value, (list, tuple)):
-        head = list(value[:8])
+        head = value[:8]
         if any(isinstance(v, (list, tuple, dict)) for v in head):
             return "a list"
-        text = repr(head) if len(value) <= 8 else repr(head)[:-1] + ", ...]"
-    else:
-        text = repr(value)
+        text = repr(head)
+        if len(value) > 8:
+            text = text[:-1] + ", ..." + text[-1]
+        return _cut(text)
+    return _cut(repr(value))
+
+
+def _cut(text: str) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
@@ -108,25 +114,28 @@ def int_text(value: int | str) -> int:
     # str methods, not a regex: every term of a symbol read from JSON comes here
     digits = value[1:] if value[:1] == "-" else value
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"expected an integer string such as \"-12\", got {value!r}")
+        raise ValueError(f"expected an integer string such as \"-12\", got {_brief(value)}")
     return int(value)
 
 
 def float_text(value: str) -> float:
     """The float an ASCII decimal string such as "1e-9" spells; "_" is refused."""
     if not value.isascii() or "_" in value:
-        raise ValueError(f"expected a decimal number such as \"1e-9\", got {value!r}")
-    return float(value)
+        raise ValueError(f"expected a decimal number such as \"1e-9\", got {_brief(value)}")
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"could not convert string to float: {_brief(value)}") from None
 
 
 def json_rational(cell, message: str = "expected a rational, got {json}") -> Fraction:
     """A JSON rational; a "p/q" string with q = 0 raises ZeroDivisionError."""
     if isinstance(cell, str):
         if not _RATIONAL_TEXT.fullmatch(cell):
-            raise ValueError(f"expected a rational string such as \"-3/2\" or \"0.5\", got {cell!r}")
+            raise ValueError(f"expected a rational string such as \"-3/2\" or \"0.5\", got {_brief(cell)}")
         return Fraction(cell)
     if not _is_json_int(cell):
-        raise ValueError(message.format(cell, json=json.dumps(cell, default=repr)))
+        raise ValueError(message.format(json=_cut(json.dumps(cell, default=repr))))
     return Fraction(cell)
 
 

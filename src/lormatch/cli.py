@@ -20,7 +20,8 @@ import os
 import sys
 from typing import Mapping, Sequence
 
-from ._util import checked_tolerance, float_text, int_text, json_ints, json_rational, json_rational_rows
+from ._util import _cut, checked_tolerance, float_text, int_text, json_ints, json_rational
+from ._util import json_rational_rows
 from .lorentzian import certify_lorentzian, is_m_convex, quad_inertia
 from .matchings import (
     SubsetSeq,
@@ -396,7 +397,7 @@ def _cmd_verify(args) -> int:
         raise DomainError({"error": "invalid-config", "detail": str(exc)}) from exc
     if args.check is not None and args.check not in CHECKS:
         raise DomainError(
-            {"error": "unknown-check", "detail": args.check, "known": list(CHECKS)}
+            {"error": "unknown-check", "detail": _cut(args.check), "known": list(CHECKS)}
         )
     if args.replay is not None:
         reasons = _parse_with(

@@ -210,9 +210,14 @@ def _homogeneity(f, tol):
 
 
 def _signs(f, tol):
-    # exponents are unique, so the grlex-least one is the first in sorted order
+    # exponents are unique, so the grlex-least one is the first in sorted
+    # order; an exact coefficient's sign is its numerator's
     cut = 0 if tol is None else -tol
-    negative = min((exp for exp, c in f.items() if c < cut), key=grlex_key, default=None)
+    negative = min(
+        (exp for exp, c in f.items() if (c.numerator if tol is None else c) < cut),
+        key=grlex_key,
+        default=None,
+    )
     failure = None if negative is None else CertFailure("negative-coefficient", exponents=(negative,))
     return failure, 0
 

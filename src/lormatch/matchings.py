@@ -401,8 +401,8 @@ def caps_from_json(seq: SubsetSeq, obj: Mapping[str, int]) -> dict[Edge, int]:
             i_s, j_s = key.split("-")
             edge = (int_text(i_s), int_text(j_s))
         except ValueError:
-            raise ValueError(f"cap key {key!r} is not of the form 'i-j'") from None
+            raise ValueError(f"cap key {_brief(key)} is not of the form 'i-j'") from None
         if not _is_json_int(value):
-            raise TypeError(f"cap at {key!r} must be an integer, got {value!r}")
+            raise TypeError(f"cap at {_brief(key)} must be an integer, got {_brief(value)}")
         caps[edge] = value
     return _check_caps(seq, caps)

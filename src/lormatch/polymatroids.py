@@ -36,6 +36,7 @@ one exact elimination in `_util`.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -521,7 +522,10 @@ def points_polymatroid(
     M-convex face on which a local maximum of x_i is global (Murota), and a
     set that blocks a move stays tight as units arrive, so one pass over j
     suffices.  That is 2^nvars masks at a cost of at most nvars + |points|
-    probes each.
+    probes each.  Only the coordinates j where the starting point is
+    nonzero are visited (a zero x_j has no unit to move, and x_j only falls
+    while x_i grows), and each probe works on a list copy, so the point is
+    replaced only when a probe moves it.
 
     On any other set the candidate is arbitrary, so it is kept only when it
     is a valid polymatroid whose base points are the given set: the walk
@@ -536,21 +540,24 @@ def points_polymatroid(
         return None
     table = [0] * (1 << nvars)
     best = [max(points, key=sum)] * (1 << nvars)
+    coordinates = range(nvars)
     for mask in range(1, 1 << nvars):
         low = mask & -mask
         i = low.bit_length() - 1
-        x = list(best[mask ^ low])
-        for j in range(nvars):
+        x = best[mask ^ low]
+        # compress keeps the starting point: only i grows while j is emptied
+        for j in itertools.compress(coordinates, x):
             if mask >> j & 1:
                 continue
-            while x[j]:
-                x[i] += 1
-                x[j] -= 1
-                if tuple(x) not in points:
-                    x[i] -= 1
-                    x[j] += 1
+            probe = list(x)
+            while probe[j]:
+                probe[i] += 1
+                probe[j] -= 1
+                moved = tuple(probe)
+                if moved not in points:
                     break
-        best[mask] = tuple(x)
+                x = moved
+        best[mask] = x
         table[mask] = table[mask ^ low] + x[i]
     try:
         candidate = Polymatroid(nvars, tuple(table))
@@ -570,7 +577,9 @@ def support_polymatroid(f: Poly) -> Polymatroid | None:
     """
     if f.homogeneous_degree() is None:
         raise ValueError("homogeneous polynomial required")
-    if any(c < 0 for _, c in f.items()):
+    # one min: an exact coefficient's sign is its numerator's
+    exact = isinstance(f, Poly)
+    if min((c.numerator if exact else c for _, c in f.items()), default=0) < 0:
         raise ValueError("nonnegative coefficients required")
     return points_polymatroid(f.support(), f.nvars)
 

@@ -24,8 +24,8 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._util import _is_json_int, exact_rational, grlex_key, int_text, json_ints, json_rational
-from ._util import vec_factorial
+from ._util import _brief, _is_json_int, exact_rational, grlex_key, int_text, json_ints
+from ._util import json_rational, vec_factorial
 
 ExpVec = tuple[int, ...]
 CPoint = tuple[complex, ...]
@@ -55,9 +55,9 @@ def _to_fraction(value: object) -> Fraction:
 def _checked_exponent(exp: Sequence[int], nvars: int) -> ExpVec:
     out = tuple(map(operator.index, exp))
     if len(out) != nvars:
-        raise ValueError(f"exponent {out} has length {len(out)}, expected {nvars}")
+        raise ValueError(f"exponent {_brief(out)} has length {len(out)}, expected {nvars}")
     if out and min(out) < 0:
-        raise ValueError(f"negative entry in exponent {out}")
+        raise ValueError(f"negative entry in exponent {_brief(out)}")
     return out
 
 
@@ -359,12 +359,13 @@ class Poly:
     def from_json(cls, obj: dict) -> "Poly":
         """Read the `to_json` layout; every malformed input raises ValueError.
 
-        One pass: each row is checked once and the sums are wrapped by
-        `_trusted`.  An exponent row that is a list of nvars nonnegative
-        ints passes one C-level test; any other row goes through the
-        per-entry checks, which name the first bad entry.  `nvars >= 1` is
-        tested after the rows, so a bad row is reported first, as building
-        `Poly(nvars, terms)` would.
+        A regular document, such as every one `to_json` writes, is read in
+        column passes (`_column_terms`): C-level checks over the flattened
+        exponent column and one `Fraction` per distinct coefficient.  Any
+        other document goes through the row loop: each row is checked once,
+        named by its first bad entry, and the sums are wrapped by
+        `_trusted`.  `nvars >= 1` is tested after the rows, so a bad row is
+        reported first, as building `Poly(nvars, terms)` would.
         """
         if not isinstance(obj, dict):
             raise ValueError("polynomial JSON must be an object")
@@ -373,61 +374,138 @@ class Poly:
             raise ValueError("polynomial JSON needs an integer 'nvars'")
         basis = obj.get("basis", "plain")
         if basis not in ("plain", "normalized"):
-            raise ValueError(f"unknown basis {basis!r}")
+            raise ValueError(f"unknown basis {_brief(basis)}")
         normalized = basis == "normalized"
-        terms: dict[ExpVec, Fraction] = {}
-        # symbols repeat a few coefficients many times: one Fraction per
-        # distinct (num, den, exp! or 1), its numbers read on the first row
-        ratios: dict[tuple, Fraction] = {}
-        try:
-            for row in obj.get("terms", []):
-                raw_exp = row["exp"]
-                # one C-level test for the common row; `type` refuses bool
-                if (
-                    type(raw_exp) is list
-                    and len(raw_exp) == nvars
-                    and set(map(type, raw_exp)) == {int}
-                    and min(raw_exp) >= 0
-                ):
-                    exp = tuple(raw_exp)
-                else:
-                    if isinstance(raw_exp, list):
-                        raw_exp = json_ints(raw_exp, "exponent entries must be integers, got {}")
-                    exp = _checked_exponent(raw_exp, nvars)
-                if "num" in row:
-                    # JSON integers or integer strings, as `to_json` writes them
-                    num = row["num"]
-                    den = row.get("den", "1")
-                    if not (isinstance(num, str) or _is_json_int(num)) or not (
-                        isinstance(den, str) or _is_json_int(den)
-                    ):
-                        raise ValueError(_COEFFICIENTS)
-                elif "coeff" in row:
-                    num, den = row["coeff"], 1
-                    if type(num) is not int:
-                        c = json_rational(num, _COEFFICIENTS)
-                        num, den = c.numerator, c.denominator
-                else:
-                    raise ValueError("term needs 'num'/'den' or 'coeff'")
-                # the types are checked, so a key never mixes up 1 and True
-                key = (num, den, vec_factorial(exp) if normalized else 1)
-                c = ratios.get(key)
-                if c is None:
-                    num, den = int_text(num), int_text(den)
-                    if not den:
-                        raise ValueError("coefficient denominator must be nonzero")
-                    c = ratios[key] = Fraction(num, den * key[2])
-                if exp in terms:
-                    terms[exp] += c
-                else:
-                    terms[exp] = c
-        except (TypeError, KeyError, ZeroDivisionError) as exc:
-            raise ValueError(str(exc)) from exc
+        rows = obj.get("terms", [])
+        terms = _column_terms(rows, nvars, normalized)
+        if terms is None:
+            terms = _row_terms(rows, nvars, normalized)
         if nvars < 1:
             raise ValueError("nvars must be >= 1")
         if not all(terms.values()):
             terms = {exp: c for exp, c in terms.items() if c}
         return cls._trusted(nvars, terms)
+
+
+_EXP, _NUM, _DEN, _COEFF = map(operator.itemgetter, ("exp", "num", "den", "coeff"))
+
+
+def _from_num_den(num, den, fact: int) -> Fraction:
+    return Fraction(int_text(num), int_text(den) * fact)
+
+
+def _from_coeff(coeff, fact: int) -> Fraction:
+    return json_rational(coeff) / fact
+
+
+def _column_terms(rows, nvars: int, normalized: bool) -> dict | None:
+    """The terms of a regular document, read in column passes, or None.
+
+    Regular: a nonempty list of rows that are all {"exp", "num", "den"} or
+    all {"exp", "coeff"}, every exp a list of nvars >= 1 ints (bools are
+    not ints here), none negative, and every number an int or a string.
+    The exponent lists are flattened into one column for the type and sign
+    checks; exp! is taken per row only in the normalized basis, and one
+    Fraction is made per distinct (num, den, exp!).  Rows that repeat an
+    exponent are summed, as the row loop sums them.  A bad number string or
+    a zero denominator also answers None, so that the row loop names the
+    first bad row.
+    """
+    if type(rows) is not list or not rows or nvars < 1 or set(map(type, rows)) != {dict}:
+        return None
+    sizes = set(map(len, rows))
+    try:
+        exps = list(map(_EXP, rows))
+        if sizes == {3}:
+            columns, make = [list(map(_NUM, rows)), list(map(_DEN, rows))], _from_num_den
+        elif sizes == {2}:
+            columns, make = [list(map(_COEFF, rows))], _from_coeff
+        else:
+            return None
+    except KeyError:
+        return None
+    if set(map(type, exps)) != {list} or set(map(len, exps)) != {nvars}:
+        return None
+    flat = list(itertools.chain.from_iterable(exps))
+    if set(map(type, flat)) != {int} or min(flat) < 0:
+        return None
+    if not set(map(type, itertools.chain(*columns))) <= {int, str}:
+        return None
+    # zip over nvars references to one iterator cuts a column into rows
+    if normalized:
+        facts = map(math.prod, zip(*[iter(map(math.factorial, flat))] * nvars))
+    else:
+        facts = itertools.repeat(1)
+    coeffs = list(zip(*columns, facts))
+    ratios = dict.fromkeys(coeffs)
+    try:
+        for key in ratios:
+            ratios[key] = make(*key)
+    except (ValueError, ZeroDivisionError):
+        return None
+    terms = dict(zip(zip(*[iter(flat)] * nvars), map(ratios.__getitem__, coeffs)))
+    if len(terms) < len(rows):
+        # a repeated exponent: sum its rows where it first appears
+        terms = {}
+        for exp, c in zip(zip(*[iter(flat)] * nvars), map(ratios.__getitem__, coeffs)):
+            if exp in terms:
+                terms[exp] += c
+            else:
+                terms[exp] = c
+    return terms
+
+
+def _row_terms(rows, nvars: int, normalized: bool) -> dict[ExpVec, Fraction]:
+    """The summed terms of any document, row by row; the first bad row raises."""
+    terms: dict[ExpVec, Fraction] = {}
+    # one Fraction per distinct (num, den, exp! or 1), its numbers read on
+    # the first row
+    ratios: dict[tuple, Fraction] = {}
+    try:
+        for row in rows:
+            raw_exp = row["exp"]
+            # one C-level test for the common row; `type` refuses bool
+            if (
+                type(raw_exp) is list
+                and len(raw_exp) == nvars
+                and set(map(type, raw_exp)) == {int}
+                and min(raw_exp) >= 0
+            ):
+                exp = tuple(raw_exp)
+            else:
+                if isinstance(raw_exp, list):
+                    raw_exp = json_ints(raw_exp, "exponent entries must be integers, got {}")
+                exp = _checked_exponent(raw_exp, nvars)
+            if "num" in row:
+                # JSON integers or integer strings, as `to_json` writes them
+                num = row["num"]
+                den = row.get("den", "1")
+                if not (isinstance(num, str) or _is_json_int(num)) or not (
+                    isinstance(den, str) or _is_json_int(den)
+                ):
+                    raise ValueError(_COEFFICIENTS)
+            elif "coeff" in row:
+                num, den = row["coeff"], 1
+                if type(num) is not int:
+                    c = json_rational(num, _COEFFICIENTS)
+                    num, den = c.numerator, c.denominator
+            else:
+                raise ValueError("term needs 'num'/'den' or 'coeff'")
+            # the types are checked, so a key never mixes up 1 and True
+            key = (num, den, vec_factorial(exp) if normalized else 1)
+            c = ratios.get(key)
+            if c is None:
+                num, den = int_text(num), int_text(den)
+                if not den:
+                    raise ValueError("coefficient denominator must be nonzero")
+                c = ratios[key] = Fraction(num, den * key[2])
+            if exp in terms:
+                terms[exp] += c
+            else:
+                terms[exp] = c
+    except (TypeError, KeyError, ZeroDivisionError) as exc:
+        raise ValueError(str(exc)) from exc
+    return terms
 
 
 def elementary_symmetric(nvars: int, degree: int) -> Poly:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Mapping, Sequence
 
-from ._util import bounded_compositions, checked_tolerance, iter_box, vec_factorial
+from ._util import _brief, bounded_compositions, checked_tolerance, iter_box, vec_factorial
 from .lorentzian import certify_lorentzian, is_m_convex, quad_inertia
 from .matchings import (
     SubsetSeq,
@@ -330,7 +330,7 @@ def _eval_base_membership(cfg: TrialConfig, instance: Mapping) -> list[str]:
     if expected is None:
         return reasons
     if not isinstance(expected, bool):
-        raise TypeError(f"'expected' must be null or a JSON bool, got {expected!r}")
+        raise TypeError(f"'expected' must be null or a JSON bool, got {_brief(expected)}")
     if member is not expected:
         reasons.append(f"membership is {member}, expected {expected}")
     return reasons

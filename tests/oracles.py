@@ -366,6 +366,29 @@ def points_rank_literal(points, nvars) -> tuple:
     )
 
 
+def shown_literal(value) -> str:
+    """How an error message renders a refused JSON value: an object by its
+    kind; a list or tuple by its first 8 entries, or by its kind when one of
+    those is a list or an object; any text longer than 40 characters cut to
+    its first 37 and "..."."""
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, (list, tuple)):
+        head = list(value[:8])
+        if any(isinstance(v, (list, tuple, dict)) for v in head):
+            return "a list"
+        inner = ", ".join(repr(v) for v in head)
+        if len(value) > 8:
+            inner += ", ..."
+        if isinstance(value, tuple):
+            text = "(" + inner + ("," if len(value) == 1 else "") + ")"
+        else:
+            text = "[" + inner + "]"
+    else:
+        text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def poly_from_json_two_pass(obj) -> Poly:
     """`Poly.from_json` as two passes: each row parsed to a Fraction and
     summed per exponent, then the whole dict re-checked by `Poly(nvars, ..)`,
@@ -377,13 +400,13 @@ def poly_from_json_two_pass(obj) -> Poly:
         raise ValueError("polynomial JSON needs an integer 'nvars'")
     basis = obj.get("basis", "plain")
     if basis not in ("plain", "normalized"):
-        raise ValueError(f"unknown basis {basis!r}")
+        raise ValueError(f"unknown basis {shown_literal(basis)}")
     terms = {}
     try:
         for row in obj.get("terms", []):
             raw_exp = row["exp"]
             if isinstance(raw_exp, list) and not all(map(_is_json_int, raw_exp)):
-                raise ValueError(f"exponent entries must be integers, got {raw_exp}")
+                raise ValueError(f"exponent entries must be integers, got {shown_literal(raw_exp)}")
             exp = _checked_exponent(raw_exp, nvars)
             if "num" in row:
                 num = row["num"]
@@ -392,7 +415,7 @@ def poly_from_json_two_pass(obj) -> Poly:
                     raise ValueError("coefficients must be integers or strings")
                 for v in (num, den):
                     if isinstance(v, str) and not re.fullmatch("-?[0-9]+", v):
-                        raise ValueError(f'expected an integer string such as "-12", got {v!r}')
+                        raise ValueError(f'expected an integer string such as "-12", got {shown_literal(v)}')
                 num, den = int(num), int(den)
                 if not den:
                     raise ValueError("coefficient denominator must be nonzero")
@@ -402,7 +425,7 @@ def poly_from_json_two_pass(obj) -> Poly:
                 if not (isinstance(raw, str) or _is_json_int(raw)):
                     raise ValueError("coefficients must be integers or strings")
                 if isinstance(raw, str) and not re.fullmatch(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?", raw):
-                    raise ValueError(f'expected a rational string such as "-3/2" or "0.5", got {raw!r}')
+                    raise ValueError(f'expected a rational string such as "-3/2" or "0.5", got {shown_literal(raw)}')
                 c = Fraction(raw)
             else:
                 raise ValueError("term needs 'num'/'den' or 'coeff'")

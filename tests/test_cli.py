@@ -44,6 +44,29 @@ JSON_SOURCES = {
     "--pm": (("pminduce", "--pm"), ()),
     "--replay": (("verify", "--check", "golden-examples", "--replay"), ()),
 }
+# every flag read through `_parse_with`, and the number flags, each with one
+# bad 200,000-entry list or 200,000-character value in the argv slot None,
+# and the exit code: 1 for a domain error, 2 for a refused number flag
+_BIG, _LONG = ["x"] * 200_000, "x" * 200_000
+BOUNDED_REFUSALS = [
+    ("--sets", ("ct", "--sets", None, "--r", "1"), {"m": 2, "sets": [_BIG]}, 1),
+    ("--then", ("induce", "--sets", NARROW, "--then", None, "--elementary", "1"), {"m": 2, "sets": [_BIG]}, 1),
+    ("--poly", ("certify", "--poly", None), {"nvars": 1, "basis": _BIG, "terms": []}, 1),
+    ("--poly", ("certify", "--poly", None), {"nvars": 1, "terms": [{"exp": [1], "num": _LONG}]}, 1),
+    ("--support-of", ("pminduce", "--support-of", None), {"nvars": 1, "terms": [{"exp": [1] * 200_000, "coeff": 1}]}, 1),
+    ("--caps", ("match", "--sets", WIDE, "--alpha", "1,1,1,0", "--beta", "1,1,1", "--caps", None), {"1-1": _BIG}, 1),
+    ("--caps", ("match", "--sets", WIDE, "--alpha", "1,1,1,0", "--beta", "1,1,1", "--caps", None), {_LONG: 1}, 1),
+    ("--matroid", ("ct", "--sets", WIDE, "--topic", "1", "--matroid", None), {"m": 4, "rank": _BIG}, 1),
+    ("--pm", ("pminduce", "--pm", None, "--points"), {"uniform": _BIG}, 1),
+    ("--real", ("pminduce", "--real", None, "--points"), {"blockdims": [1], "gens": [[_BIG]]}, 1),
+    ("--matrix", ("subst", "--sets", NARROW, "--poly", X1, "--matrix", None), [[_BIG]], 1),
+    ("--replay", ("verify", "--check", "golden-examples", "--replay", None), _BIG, 1),
+    ("--q", ("symbol", "--sets", NARROW, "--kappa", "1,1", "--q", None), _LONG, 1),
+    ("--alpha", ("match", "--sets", WIDE, "--alpha", None), _LONG, 1),
+    ("--seed", ("verify", "--check", "golden-examples", "--seed", None), _LONG, 2),
+    ("--tolerance", ("verify", "--check", "golden-examples", "--tolerance", None), _LONG, 2),
+    ("--tolerance", ("certify", "--poly", X1X2, "--tolerance", None), _LONG, 2),
+]
 # far past the JSON scanner's recursion limit (996 levels on CPython 3.11),
 # since newer interpreters may allow deeper C recursion
 DEEP = 100_000
@@ -194,6 +217,22 @@ class TestParsing:
             "error": "invalid-value",
             "flag": flag,
         }
+
+    @pytest.mark.parametrize("flag, argv, value, code", BOUNDED_REFUSALS, ids=[case[0] for case in BOUNDED_REFUSALS])
+    def test_refused_value_is_one_short_line(self, capsys, tmp_path, flag, argv, value, code):
+        # a JSON value goes through an @file, a string is the flag's text
+        if not isinstance(value, str):
+            path = tmp_path / "value.json"
+            path.write_text(json.dumps(value))
+            value = f"@{path}"
+        got, out, err = _call(capsys, *(value if arg is None else arg for arg in argv))
+        line, other = (out, err) if code == 1 else (err, out)
+        assert (got, other, line.count("\n")) == (code, "", 1)
+        assert len(line) < 1024
+        if code == 1:
+            assert json.loads(line)["flag"] == flag
+        else:
+            assert line.startswith(f"error: argument {flag}: ")
 
     @pytest.mark.parametrize("source", ["missing", "not-utf8"])
     @pytest.mark.parametrize("flag", JSON_SOURCES)
@@ -940,10 +979,22 @@ class TestVerifySubcommand:
         # "false" and 1 are refused, never truncated or read by truthiness
         assert _call(capsys, "verify", "--check", check, "--replay", doc) == (1, expected, "")
 
+    def test_replayed_verdict_is_not_echoed(self, capsys):
+        doc = json.dumps({**json.loads(MEMBERSHIP), "expected": _BIG})
+        code, out, err = _call(capsys, "verify", "--check", "base-membership-duality", "--replay", doc)
+        assert (code, err) == (1, "")
+        assert json.loads(out)["reasons"] == [
+            "exception: TypeError(\"'expected' must be null or a JSON bool, "
+            "got ['x', 'x', 'x', 'x', 'x', 'x', 'x', '...\")"
+        ]
+
     def test_unknown_check(self, capsys):
-        code, out, _ = _call(capsys, "verify", "--check", "nope")
-        assert code == 1
-        assert json.loads(out)["error"] == "unknown-check"
+        # a short name is shown as given, a long one cut to 40 characters
+        for name, detail in (("nope", "nope"), (_LONG, "x" * 37 + "...")):
+            code, out, _ = _call(capsys, "verify", "--check", name)
+            assert code == 1
+            payload = json.loads(out)
+            assert (payload["error"], payload["detail"]) == ("unknown-check", detail)
 
     def test_list(self, capsys):
         data = _json_out(capsys, "verify", "--list")

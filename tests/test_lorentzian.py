@@ -18,8 +18,10 @@ from lormatch import (
     symbol_of,
     symmetric_inertia,
 )
+from lormatch import lorentzian
 from lormatch._util import bounded_compositions, vec_factorial
 from lormatch.lorentzian import _inertia
+from lormatch.polymatroids import points_polymatroid
 
 from oracles import (
     certify_literal,
@@ -252,6 +254,30 @@ class TestMConvex:
         assert is_m_convex(full) == (True, None)
         full.discard((2, 1, 1))
         assert is_m_convex(full) == (False, ((1, 1, 2), (3, 0, 1)))
+
+    @pytest.mark.parametrize(
+        "supp, calls",
+        [
+            # the d + 1 points of degree d in 2 variables, against 2^2 = 4
+            (set(bounded_compositions(4, (4, 4))), 1),
+            (set(bounded_compositions(3, (3, 3))), 0),
+            (set(bounded_compositions(2, (2, 2))), 0),
+            # 6 points, one gap: the route rejects it and the scan names the pair
+            (set(bounded_compositions(6, (6, 6))) - {(3, 3)}, 1),
+        ],
+        ids=["above-2^n", "at-2^n", "below-2^n", "rejected-above-2^n"],
+    )
+    def test_polymatroid_route_runs_above_2_to_the_n(self, monkeypatch, supp, calls):
+        seen = []
+
+        def counted(points, nvars):
+            seen.append(len(points))
+            return points_polymatroid(points, nvars)
+
+        monkeypatch.setattr(lorentzian, "points_polymatroid", counted)
+        witness = m_convex_witness(supp)
+        assert is_m_convex(supp) == (witness is None, witness)
+        assert seen == [len(supp)] * calls
 
     @given(supports())
     @settings(max_examples=200, deadline=None)

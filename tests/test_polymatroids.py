@@ -30,7 +30,7 @@ from lormatch import (
 )
 from lormatch import polymatroids
 from lormatch.polymatroids import _walk_base_points, points_polymatroid
-from lormatch.polynomials import Poly
+from lormatch.polynomials import FloatPoly, Poly
 
 from oracles import (
     base_points_literal,
@@ -585,6 +585,14 @@ class TestSupportRecognition:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             support_polymatroid(Poly(1, {(2,): -1}))
+
+    def test_float_coefficients(self):
+        f = base_egf(direct_sum([free_polymatroid(2, 2), free_polymatroid(1, 1)]))
+        floats = FloatPoly(f.nvars, {e: float(c) for e, c in f.items()})
+        assert support_polymatroid(floats) == support_polymatroid(f) is not None
+        assert support_polymatroid(FloatPoly(2, {(2, 0): 0.5, (0, 2): 1.0})) is None
+        with pytest.raises(ValueError, match="nonnegative"):
+            support_polymatroid(FloatPoly(1, {(2,): -0.5}))
 
     @given(point_sets())
     @_pin_wide_examples

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lormatch import ANY_DEGREE, FloatPoly, Poly, elementary_symmetric
+from lormatch.polynomials import _column_terms
 from oracles import eval_exact, float_poly_from, poly_from_json_two_pass, substitute_literal
 
 
@@ -203,6 +205,55 @@ def _poly_documents(draw):
     return doc
 
 
+_MUTATIONS = [
+    None, "bool-entry", "float-entry", "negative-entry", "wrong-length", "missing-key",
+    "zero-den", "repeated-exp", "second-form", "bool-coeff", "float-coeff",
+]
+
+
+def _regular_document(basis, form, mutation):
+    """240 rows of one coefficient form, then one row changed by `mutation`."""
+    rng = random.Random(f"{basis}:{form}:{mutation}")
+    nvars = 6
+    rows = []
+    for exp in rng.sample(sorted(itertools.product(range(3), repeat=nvars)), 240):
+        # zero numerators too: their terms are dropped after the read
+        num, den = rng.randint(-4, 4), rng.randint(1, 6)
+        row = {"exp": list(exp)}
+        if form == "num-den-str":
+            row.update(num=str(num), den=str(den))
+        elif form == "num-den-int":
+            row.update(num=num, den=den)
+        else:
+            row["coeff"] = num if form == "coeff-int" else f"{num}/{den}"
+        rows.append(row)
+    row, other = rng.sample(rows, 2)
+    entry = rng.randrange(nvars)
+    if mutation in ("bool-entry", "float-entry", "negative-entry"):
+        row["exp"][entry] = {"bool-entry": True, "float-entry": 1.0, "negative-entry": -1}[mutation]
+    elif mutation == "wrong-length":
+        row["exp"].append(0)
+    elif mutation == "missing-key":
+        del row[rng.choice(sorted(row))]
+    elif mutation == "zero-den":
+        if "coeff" in row:
+            row["coeff"] = "1/0"
+        else:
+            row["den"] = 0 if form == "num-den-int" else "0"
+    elif mutation == "repeated-exp":
+        row["exp"] = list(other["exp"])
+    elif mutation == "second-form":
+        if "coeff" in row:
+            row.update(num="3", den="2")
+            del row["coeff"]
+        else:
+            row.update(coeff=2)
+            del row["num"], row["den"]
+    elif mutation in ("bool-coeff", "float-coeff"):
+        row["coeff" if "coeff" in row else "num"] = True if mutation == "bool-coeff" else 0.5
+    return {"nvars": nvars, "basis": basis, "terms": rows}
+
+
 class TestJson:
     @given(polys())
     def test_round_trip_plain(self, f):
@@ -335,6 +386,18 @@ class TestJson:
     @given(_poly_documents())
     @settings(max_examples=300, deadline=None)
     def test_from_json_matches_two_pass(self, doc):
+        self._same_as_two_pass(doc)
+
+    @pytest.mark.parametrize("mutation", _MUTATIONS)
+    @pytest.mark.parametrize("form", ["num-den-str", "num-den-int", "coeff-int", "coeff-str"])
+    @pytest.mark.parametrize("basis", ["plain", "normalized"])
+    def test_column_reader_matches_two_pass(self, basis, form, mutation):
+        # 240 rows: the column pass reads the regular documents, summing a
+        # repeated exponent, and one bad or irregular row hands the whole
+        # document to the row loop
+        doc = _regular_document(basis, form, mutation)
+        engaged = _column_terms(doc["terms"], doc["nvars"], basis == "normalized") is not None
+        assert engaged == (mutation in (None, "repeated-exp"))
         self._same_as_two_pass(doc)
 
     @staticmethod
