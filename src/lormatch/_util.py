@@ -48,18 +48,6 @@ def bounded_compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int,
             yield (head,) + tail
 
 
-def mask_to_elements(mask: int) -> tuple[int, ...]:
-    """Bitmask to sorted 1-indexed elements; bit i-1 encodes element i."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
 # -- the JSON number rule: a JSON integer is an int that is not a bool (JSON
 # true/false decode to bool); a JSON rational is a JSON integer or a rational
 # string such as "3/2", never a float or a bool.  A refused value raises

@@ -20,7 +20,7 @@ import os
 import sys
 from typing import Mapping, Sequence
 
-from ._util import _cut, checked_tolerance, float_text, int_text, json_ints, json_rational
+from ._util import _brief, _cut, checked_tolerance, float_text, int_text, json_ints, json_rational
 from ._util import json_rational_rows
 from .lorentzian import certify_lorentzian, is_m_convex, quad_inertia
 from .matchings import (
@@ -84,16 +84,17 @@ def _canon(obj) -> str:
 
 
 def _read_source(raw: str, flag: str) -> str:
-    if raw.startswith("@"):
-        path = raw[1:]
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return handle.read()
-        except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8
-            raise DomainError(
-                {"error": "unreadable-file", "flag": flag, "detail": str(exc)}
-            ) from exc
-    return raw
+    if not raw.startswith("@"):
+        return raw
+    path = raw[1:]
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:  # unreadable; the OS text would show the whole path
+        detail = f"[Errno {exc.errno}] {exc.strerror}: {_brief(path)}"
+    except UnicodeDecodeError as exc:  # not UTF-8
+        detail = str(exc)
+    raise DomainError({"error": "unreadable-file", "flag": flag, "detail": detail})
 
 
 def _parse_json(raw: str, flag: str):
@@ -424,6 +425,10 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser whose refusals raise UsageError, so `run` reports them."""
 
     def error(self, message):
+        # argparse shows a refused choice, an unrecognized argument or an
+        # ambiguous option as typed; its own messages are under 200 characters
+        if len(message) > 200 or not message.isprintable():
+            message = _cut(" ".join(message.split()))
         raise UsageError(message)
 
 

@@ -20,11 +20,11 @@ gamma + e_i + e_j, so one pass over the coefficient table files each entry
 under its gamma = support point - e_i - e_j: exactly the derivatives that
 do not vanish.  Exact input is first scaled to integers by the same
 `clear_denominators`, which changes no inertia, so every Hessian is an
-integer matrix.  Each gamma is keyed by a packed int, its entries as
-big-endian digits in radix (largest exponent entry + 1); no digit carries,
-so the key of gamma = exp - e_i - e_j is key(exp) - place[i] - place[j],
-and int order is lexicographic order.  Only the upper triangle (i <= j) of
-each Hessian is filed, as a flat list of n(n + 1)/2 entries.
+integer matrix.  Each gamma is keyed by its `_packed` digit key in radix
+(largest exponent entry + 1), so the key of gamma = exp - e_i - e_j is
+key(exp) - place[i] - place[j], and key order is lexicographic order.
+Only the upper triangle (i <= j) of each Hessian is filed, as a flat list
+of n(n + 1)/2 entries.
 
 Symbols repeat their Hessians heavily, and exactly: the kappa = 4^4 symbol
 of the four-cycle of pairs has 44,000 derivatives but 87 distinct entry
@@ -54,8 +54,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._packed import _places, _split
 from ._util import _inertia, checked_tolerance, clear_denominators, grlex_key, vec_factorial
-from .matchings import _key_decoder, _places
 from .polymatroids import points_polymatroid
 from .polynomials import FloatPoly, Poly
 
@@ -266,7 +266,7 @@ def _hessian_walk(f, tol):
                 hess[i][j] = hess[j][i] = v
             inertia = memo[entries] = _inertia(hess, tol)
         if inertia[0] > 1:
-            witness = _key_decoder(radix, n)(gamma)[0]
+            witness = _split(radix, n, gamma)[0]
             return CertFailure("bad-inertia", derivative=witness, inertia=inertia), checked
     return None, len(flats)
 

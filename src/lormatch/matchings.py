@@ -12,20 +12,17 @@ or no, and `find_witness` returns the flow as a witnessing weighting.
 at one vertex against a fixed beta.  `matched_degrees` lists the feasible
 beta for one alpha by spreading each element over its parts.
 
-The spreads are summed on packed ints: beta is encoded as the key
-sum_j beta_j * R**(n-j) (`_places`, shared with the Hessian keys of
-`lorentzian`) for a radix R above sum(alpha), part 1 most significant, so
-among keys of one degree int order is lexicographic order.
-No digit of a partial sum exceeds sum(alpha), so adding keys never carries,
-and the sumset is a set of int additions.  `_packed_sums` walks many alphas
-in one call: it keeps the partial sumset of every prefix of the current
-alpha, so alphas in sorted order (the terms of a polynomial, the entries of
-a box) share the work on their common prefixes, and it builds each
-element's spreads once per call.  `_key_decoder` turns keys back into beta
-and beta! for every caller: it splits each key in two and decodes each
-distinct half once per call.  `matched_degrees` is the walk over a single
-alpha; `apply_inducing` and `inducing_box` accumulate on the keys directly
-and insert their terms in sorted key order, which is graded-lex order.
+The spreads are summed on packed ints: beta is the digit key of `_packed`
+in a radix R above sum(alpha), part 1 most significant.  No digit of a
+partial sum exceeds sum(alpha), so the sumset is a set of int additions.
+`_packed_sums` walks many alphas in one call: it keeps the partial sumset
+of every prefix of the current alpha, so alphas in sorted order (the terms
+of a polynomial, the entries of a box) share the work on their common
+prefixes, and it builds each element's spreads once per call.
+`matched_degrees` is the walk over a single alpha, its keys read back by
+`_key_decoder`; `apply_inducing` and `inducing_box` accumulate on the keys
+directly and insert their terms in sorted key order, which is graded-lex
+order.
 """
 
 from __future__ import annotations
@@ -34,9 +31,9 @@ import functools
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from math import factorial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._packed import _key_decoder, _places
 from ._util import _brief, _is_json_int, int_text
 
 Edge = tuple[int, int]
@@ -317,52 +314,6 @@ def _packed_sums(
             stack.append(acc)
         prev = alpha
         yield alpha, acc
-
-
-def _split(radix: int, width: int, key: int) -> tuple[tuple[int, ...], int]:
-    """The width digits of a key, most significant first, and the product
-    of their factorials."""
-    out = []
-    fact = 1
-    for _ in range(width):
-        digit = key % radix
-        key //= radix
-        out.append(digit)
-        if digit > 1:
-            fact *= factorial(digit)
-    out.reverse()
-    return tuple(out), fact
-
-
-def _places(radix: int, n: int) -> list[int]:
-    """The place value of each of n key digits, most significant first."""
-    return [radix ** (n - 1 - i) for i in range(n)]
-
-
-def _key_decoder(radix: int, n: int) -> Callable[[int], tuple[tuple[int, ...], int]]:
-    """The decoder of n-digit keys: key -> (its digits, most significant
-    first; the product of their factorials).
-
-    A key is split once, by R**ceil(n/2), and each half is decoded on its
-    first sighting and looked up after that: the keys of one call share few
-    distinct halves.
-    """
-    low = (n + 1) // 2
-    size = radix**low
-    highs: dict[int, tuple[tuple[int, ...], int]] = {}
-    lows: dict[int, tuple[tuple[int, ...], int]] = {}
-
-    def decode(key: int) -> tuple[tuple[int, ...], int]:
-        hi, lo = divmod(key, size)
-        head = highs.get(hi)
-        if head is None:
-            head = highs[hi] = _split(radix, n - low, hi)
-        tail = lows.get(lo)
-        if tail is None:
-            tail = lows[lo] = _split(radix, low, lo)
-        return head[0] + tail[0], head[1] * tail[1]
-
-    return decode
 
 
 def matched_degrees(seq: SubsetSeq, alpha: Sequence[int]) -> frozenset[tuple[int, ...]]:

@@ -6,18 +6,20 @@ A subset B is counted once even when several matchings exist, so this is a
 set count, not a permanent.
 
 The matchable B are the systems of distinct representatives (SDRs) of
-(S_t), t in T, taken as sets and held as int masks (bit i-1 for element i).
-They are grown one part at a time: each SDR mask gains an element of the
-next part that it lacks.  The panel counts walk the r-subsets T depth first
-in combinations order, so each prefix's SDR family is grown once and shared
-by every T that extends it.
+(S_t), t in T, taken as sets and held as `_packed` subset masks.  They are
+grown one part at a time: each SDR mask gains an element of the next part
+that it lacks.  The panel counts walk the r-subsets T depth first in
+combinations order, so each prefix's SDR family is grown once and shared
+by every T that extends it; a single topic grows the same families along
+its parts.
 
 A family is held in one of two ways, chosen by the ground-set size m alone:
 
 - m <= 16: one int of 2^m bits (at most 8 KB), bit b set iff mask b is an
   SDR.  Growing by a part S is OR over i in S of (F & LACK[i]) << 2^(i-1),
-  LACK[i] being the bits of the masks without element i, so a grow step is
-  three big-int operations per element of S.  A count is a popcount.
+  LACK[i] being the bits of the masks without element i (`_split_masks`
+  with 1-bit fields), so a grow step is three big-int operations per
+  element of S.  A count is a popcount.
 - m > 16: a Python set of the masks, so the work follows the partial SDRs
   that occur (at most the sum over k <= |T| of C(|U|, k), U the union of
   T's parts) rather than 2^m bits per family.
@@ -30,8 +32,6 @@ of 7 runs (of 1 at m = 16, r = 8) on a 2-core host with Python 3.11:
     14                                      42 -> 12 ms     310 -> 20 ms
     16   0.38 -> 0.60 ms   3.3 -> 3.2 ms    105 -> 33 ms    2,942 -> 215 ms
     18                     4.2 -> 8.4 ms    235 -> 224 ms
-
-Single topics (`match_count`, `basis_match_count`) stay on the set walk.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from ._packed import _split_masks
 from .matchings import SubsetSeq
 from .polymatroids import Matroid, matroid_bases
 from .polynomials import Poly
@@ -64,34 +65,12 @@ def _units(part: frozenset[int]) -> tuple[int, ...]:
     return tuple(1 << (i - 1) for i in part)
 
 
-def _grow(found: set[int], units: tuple[int, ...]) -> set[int]:
-    """The SDR masks one part further: each gains a unit bit it lacks."""
-    return {b | u for b in found for u in units if not b & u}
-
-
 _BITSET_M = 16  # the widest ground set whose SDR families are 2^m-bit ints
-
-
-@functools.cache
-def _lacks(m: int) -> tuple[int, ...]:
-    """Entry i - 1: the 2^m-bit set of the masks without element i.
-
-    Its bits repeat 2^(i-1) ones then 2^(i-1) zeros; the pattern is doubled
-    up to 2^m bits."""
-    out = []
-    for i in range(1, m + 1):
-        period = 1 << i
-        bits = (1 << (period >> 1)) - 1
-        while period < 1 << m:
-            bits |= bits << period
-            period <<= 1
-        out.append(bits)
-    return tuple(out)
 
 
 def _bitset_ops(seq: SubsetSeq, bases: set[int] | None):
     """(start, grow, count) on families held as 2^m-bit ints."""
-    lacks = _lacks(seq.m)
+    _, lacks = _split_masks(seq.m, 1)
     steps = [tuple((lacks[i - 1], 1 << (i - 1)) for i in part) for part in seq.sets]
 
     def grow(family: int, j: int) -> int:
@@ -111,11 +90,19 @@ def _set_ops(seq: SubsetSeq, bases: set[int] | None):
     units = [_units(part) for part in seq.sets]
 
     def grow(found: set[int], j: int) -> set[int]:
-        return _grow(found, units[j - 1])
+        part = units[j - 1]
+        return {b | u for b in found for u in part if not b & u}
 
     if bases is None:
         return {0}, grow, len
     return {0}, grow, lambda found: len(found & bases)
+
+
+def _ops(seq: SubsetSeq, bases: set[int] | None):
+    """(start, grow, count) for seq's SDR families, counting only the masks
+    in `bases` when it is given: bitsets for m <= _BITSET_M, sets above."""
+    ops = _bitset_ops if seq.m <= _BITSET_M else _set_ops
+    return ops(seq, bases)
 
 
 def _walk(n: int, r: int, start, grow, count) -> dict[tuple[int, ...], int]:
@@ -151,11 +138,8 @@ def _walk(n: int, r: int, start, grow, count) -> dict[tuple[int, ...], int]:
 def _panel_rows(
     seq: SubsetSeq, r: int, bases: set[int] | None = None
 ) -> dict[tuple[int, ...], int]:
-    """The nonzero SDR counts of the r-subsets T, in combinations order,
-    counting only the SDRs whose masks are in `bases` when it is given:
-    bitset families for m <= _BITSET_M, sets of masks above."""
-    ops = _bitset_ops if seq.m <= _BITSET_M else _set_ops
-    return _walk(seq.n, r, *ops(seq, bases))
+    """The nonzero SDR counts of the r-subsets T, in combinations order."""
+    return _walk(seq.n, r, *_ops(seq, bases))
 
 
 def _multiaffine(n: int, rows: Mapping[tuple[int, ...], int]) -> Poly:
@@ -169,18 +153,15 @@ def _multiaffine(n: int, rows: Mapping[tuple[int, ...], int]) -> Poly:
     return Poly._trusted(n, terms)
 
 
-def _matchable_sets(seq: SubsetSeq, topic: Iterable[int]) -> set[int]:
-    """The SDRs of (S_t), t in topic, as element masks: the set walk's grow
-    step along a single topic."""
-    found = {0}
-    for t in _check_topic(seq, topic):
-        found = _grow(found, _units(seq.sets[t - 1]))
-    return found
+def _topic_count(seq: SubsetSeq, topic: Iterable[int], bases: set[int] | None = None) -> int:
+    t = _check_topic(seq, topic)
+    start, grow, count = _ops(seq, bases)
+    return count(functools.reduce(grow, t, start))
 
 
 def match_count(seq: SubsetSeq, topic: Iterable[int]) -> int:
     """Number of |T|-subsets of the ground set perfectly matchable to T."""
-    return len(_matchable_sets(seq, topic))
+    return _topic_count(seq, topic)
 
 
 def _bases(mat: Matroid, seq: SubsetSeq) -> set[int]:
@@ -191,8 +172,7 @@ def _bases(mat: Matroid, seq: SubsetSeq) -> set[int]:
 
 def basis_match_count(mat: Matroid, seq: SubsetSeq, topic: Iterable[int]) -> int:
     """Same count with the candidate subsets restricted to matroid bases."""
-    bases = _bases(mat, seq)
-    return len(_matchable_sets(seq, topic) & bases)
+    return _topic_count(seq, topic, _bases(mat, seq))
 
 
 def match_poly(seq: SubsetSeq, r: int) -> Poly:

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from ._packed import _key_decoder
 from ._util import _brief, _is_json_int, clear_denominators, iter_box, json_ints, nonnegative_weights
 from ._util import vec_factorial
-from .matchings import SubsetSeq, _key_decoder, _packed_sums
+from .matchings import SubsetSeq, _packed_sums
 from .polynomials import FloatPoly, Poly
 
 

@@ -1,20 +1,16 @@
 """Polymatroid rank functions, base polytopes, induction, and realizations.
 
 Rank functions are explicit tables with one entry per subset of the ground
-set {1..m}, indexed by bitmask (bit i-1 is element i).  Everything here is
-desk scale: rank queries read the table.  Validation and the base-point walk
-work on the whole table packed into one int (`_pack`): one byte-aligned
-field per mask with a guard bit above the largest entry, in bit-reversed
-mask order, so that the masks without element 1 are the low half of the int
-and those with it the high half.  Validation compares packed halves, one
+set {1..m}, indexed by subset mask.  Everything here is desk scale: rank
+queries read the table.  Validation and the base-point walk work on the
+whole table packed into one int of guard-bit fields; `_packed` states the
+layouts and their invariants.  Validation compares packed halves, one
 comparison per element and per pair of elements, with a mask-order scan
 only to name the first witness (`_check_local_axioms`).  Base points are
 listed by a contraction walk that fixes one coordinate at a time, only ever
 extends prefixes of real base points, and contracts each distinct packed
 state once, by one subtraction and one fieldwise minimum of its two halves
-(see `_walk_base_points`).  Other tables over all masks are built in mask
-order by doubling: the list for the first k elements, then each entry again
-with element k + 1 added.
+(see `_walk_base_points`).
 
 A table is checked against the axioms once, where it enters the library:
 `Polymatroid(...)`, `validate_polymatroid`, `Polymatroid.from_json`,
@@ -35,15 +31,16 @@ one exact elimination in `_util`.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Callable, Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
+from ._packed import _field_width, _fields_le, _ones, _pack, _split_masks, _subset_sums
+from ._packed import mask_to_elements
 from ._util import _brief, _inertia, _is_json_int, json_ints, json_rational_rows
-from ._util import clear_denominators, exact_rational, mask_to_elements, vec_factorial
+from ._util import clear_denominators, exact_rational, vec_factorial
 from .matchings import SubsetSeq, admits_matching, single_vertex_cuts
 from .polynomials import Poly
 
@@ -66,67 +63,6 @@ class AxiomViolation(ValueError):
 
 class InternalCheckError(RuntimeError):
     """Two supposedly equivalent computations disagreed: an implementation bug."""
-
-
-@functools.lru_cache(maxsize=64)
-def _mask_order(m: int) -> Callable:
-    """An itemgetter that lists a 2^m table in bit-reversed mask order.
-
-    Position p holds the mask whose bit i - 1 is bit m - i of p, so element 1
-    is the top bit of the position: the masks without element 1 fill the low
-    half and those with it the high half, in the same order.
-    """
-    masks = [0]
-    for bit in reversed(range(m)):
-        masks += [u | 1 << bit for u in masks]
-    return operator.itemgetter(*masks)
-
-
-def _pack(table: Sequence[int], m: int, width: int) -> int:
-    """The table as one int of `width`-byte fields in `_mask_order`, position 0 lowest.
-
-    The entries must be nonnegative and below 2^(8 width - 1), so the top
-    bit of every field is a guard bit that a fieldwise subtraction can borrow
-    from without touching the next field.
-    """
-    entries = _mask_order(m)(table)
-    if width == 1:
-        raw = bytes(entries)
-    else:
-        raw = b"".join([v.to_bytes(width, "little") for v in entries])
-    return int.from_bytes(raw, "little")
-
-
-def _field_width(top: int) -> int:
-    """Bytes per field for entries up to `top`, leaving room for the guard bit."""
-    return top.bit_length() // 8 + 1
-
-
-def _ones(fields: int, bits: int) -> int:
-    """The int with a 1 at the bottom of each of `fields` fields of `bits` bits."""
-    return ((1 << fields * bits) - 1) // ((1 << bits) - 1)
-
-
-def _fields_le(small: int, large: int, guards: int) -> bool:
-    """Is every field of `small` at most the same field of `large`?
-
-    `guards` has the guard bit of every field set; a field of
-    (large | guards) - small keeps its guard bit exactly when it did not
-    need to borrow.
-    """
-    return ((large | guards) - small) & guards == guards
-
-
-@functools.lru_cache(maxsize=64)
-def _split_masks(m: int, bits: int) -> tuple[int, tuple[int, ...]]:
-    """The guard bits of a packed 2^m table, and for each position bit b the
-    fields whose position has b clear (runs of 2^b fields, every other run)."""
-    fields = 1 << m
-    guards = _ones(fields, bits) << (bits - 1)
-    clear = tuple(
-        _ones(fields >> b + 1, bits << b + 1) * ((1 << (bits << b)) - 1) for b in range(m)
-    )
-    return guards, clear
 
 
 def _check_local_axioms(table: list[int], m: int) -> None:
@@ -273,7 +209,7 @@ class Matroid:
 
     def __post_init__(self) -> None:
         rank = self.underlying.rank
-        if all(map(operator.le, rank, _cardinalities(self.m))):
+        if all(map(operator.le, rank, _subset_sums([1] * self.m))):
             return
         for mask, value in enumerate(rank):
             if value > mask.bit_count():
@@ -320,14 +256,6 @@ def free_polymatroid(n_elements: int, r: int) -> Polymatroid:
     return Polymatroid._derived(n_elements, (0,) + (r,) * ((1 << n_elements) - 1))
 
 
-def _cardinalities(m: int) -> list[int]:
-    """|I| for every subset I of {1..m}, in mask order."""
-    out = [0]
-    for _ in range(m):
-        out += [c + 1 for c in out]
-    return out
-
-
 def uniform_matroid(m: int, r: int) -> Matroid:
     """Rank min(|I|, r)."""
     m, r = operator.index(m), operator.index(r)
@@ -335,7 +263,7 @@ def uniform_matroid(m: int, r: int) -> Matroid:
         raise ValueError(f"rank {r} outside 0..{m}")
     if m < 1:
         raise ValueError("ground-set size must be >= 1")
-    table = [c if c < r else r for c in _cardinalities(m)]
+    table = [c if c < r else r for c in _subset_sums([1] * m)]
     return Matroid(Polymatroid._derived(m, table))
 
 
@@ -395,16 +323,14 @@ def _walk_base_points(
     """Integer base points in lexicographic order, one coordinate at a time.
 
     Fixing x_1 = a leaves the points of a polymatroid on the later elements,
-    of rank min(r(T), r(T + 1) - a) (contraction by a vector).  The table is
-    packed into one int (`_pack`), with element 1 as the top bit of the
-    position, so the sets without 1 are the low half of the int and the sets
-    with 1 the high half, in the same order.  The contracted table is then
-    min(low, high - a * ONES): the subtraction borrows from no guard bit,
-    since every entry of the high half is at least r({1}) >= a, and the
-    guard bits of (low | GUARDS) - (high - a * ONES) select the smaller of
-    each pair.  `a` runs from what the later elements cannot absorb up to
-    the current rank of {1}, which by monotonicity never exceeds the number
-    left to place.  That upper bound is every inequality
+    of rank min(r(T), r(T + 1) - a) (contraction by a vector).  On the
+    packed table (`_pack`), whose low and high halves are the sets without
+    and with 1, that is min(low, high - a * ONES): the subtraction borrows
+    from no guard bit, since every entry of the high half is at least
+    r({1}) >= a, and the guard bits of (low | GUARDS) - (high - a * ONES)
+    select the smaller of each pair.  `a` runs from what the later elements
+    cannot absorb up to the current rank of {1}, which by monotonicity never
+    exceeds the number left to place.  That upper bound is every inequality
     x(U) <= r(U) whose largest element is the one being fixed, so each
     emitted point is a base point; submodularity lets every branch reach
     one, so the work follows the output rather than the box of candidates.
@@ -492,10 +418,7 @@ def in_base_polytope(pm: Polymatroid, vec: Sequence[int]) -> bool:
         raise ValueError(f"vector has length {len(x)}, expected {pm.m}")
     if any(v < 0 for v in x) or sum(x) != pm.full_rank:
         return False
-    # x(U) for every U in mask order, doubling the list once per element
-    sums = [0]
-    for v in x:
-        sums += [u + v for u in sums]
+    sums = _subset_sums(x)  # x(U) for every U, in mask order
     full = pm.full_mask
     return all(map(operator.le, sums[1:full], pm.rank[1:full]))
 

@@ -44,9 +44,10 @@ JSON_SOURCES = {
     "--pm": (("pminduce", "--pm"), ()),
     "--replay": (("verify", "--check", "golden-examples", "--replay"), ()),
 }
-# every flag read through `_parse_with`, and the number flags, each with one
-# bad 200,000-entry list or 200,000-character value in the argv slot None,
-# and the exit code: 1 for a domain error, 2 for a refused number flag
+# every flag read through `_parse_with`, the number flags and the choice
+# flags, each with one bad 200,000-entry list or 200,000-character value in
+# the argv slot None, and an @file whose 5,000-character path is unreadable;
+# with the exit code: 1 for a domain error, 2 for a refused flag
 _BIG, _LONG = ["x"] * 200_000, "x" * 200_000
 BOUNDED_REFUSALS = [
     ("--sets", ("ct", "--sets", None, "--r", "1"), {"m": 2, "sets": [_BIG]}, 1),
@@ -66,6 +67,10 @@ BOUNDED_REFUSALS = [
     ("--seed", ("verify", "--check", "golden-examples", "--seed", None), _LONG, 2),
     ("--tolerance", ("verify", "--check", "golden-examples", "--tolerance", None), _LONG, 2),
     ("--tolerance", ("certify", "--poly", X1X2, "--tolerance", None), _LONG, 2),
+    ("--op", ("symbol", "--sets", NARROW, "--kappa", "1,1", "--op", None), _LONG, 2),
+    ("--basis", ("induce", "--sets", NARROW, "--elementary", "1", "--basis", None), _LONG, 2),
+    ("--format", ("ct", "--sets", WIDE, "--r", "1", "--format", None), _LONG, 2),
+    ("--poly", ("certify", "--poly", None), "@" + "x" * 5_000, 1),
 ]
 # far past the JSON scanner's recursion limit (996 levels on CPython 3.11),
 # since newer interpreters may allow deeper C recursion

@@ -1,5 +1,6 @@
 """The library imports nothing outside the standard library, reads JSON
-numbers in one place, and keeps its exact-input rules in one place."""
+numbers in one place, and keeps its exact-input rules and its packed-int
+layouts in one place each."""
 
 import ast
 import sys
@@ -60,3 +61,33 @@ def test_exact_input_rules_live_in_util(path):
         elif isinstance(node, ast.Constant) and "got float" in str(node.value):
             found.add("a 'got float' refusal")
     assert not found, f"{path.name} has {sorted(found)}; use _util's exact-input rules"
+
+
+def _functions(path, nested=True):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    nodes = ast.walk(tree) if nested else tree.body
+    return {node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_packed_layouts_live_in_packed(path):
+    # digit keys, guard-bit fields and subset masks are `_packed`'s layouts; a
+    # copy elsewhere could drift from the invariants that module states
+    if path.name == "_packed.py":
+        return
+    helpers = _functions(path.with_name("_packed.py"), nested=False)
+    copies = sorted(_functions(path) & helpers)
+    assert not copies, f"{path.name} defines {copies}; import them from _packed"
+
+
+def test_lorentzian_imports_nothing_from_matchings():
+    # the certifier needs only key packing from there, which `_packed` owns
+    path = next(path for path in SOURCES if path.name == "lorentzian.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)  # `from . import matchings` too
+    assert not [name for name in names if name.split(".")[-1] == "matchings"]
