@@ -20,9 +20,9 @@ of every prefix of the current alpha, so alphas in sorted order (the terms
 of a polynomial, the entries of a box) share the work on their common
 prefixes, and it builds each element's spreads once per call.
 `matched_degrees` is the walk over a single alpha, its keys read back by
-`_key_decoder`; `apply_inducing` and `inducing_box` accumulate on the keys
-directly and insert their terms in sorted key order, which is graded-lex
-order.
+`_key_decoder`; the sumset route of `apply_inducing` and `inducing_box`
+accumulate on the keys directly and insert their terms in sorted key order,
+which is graded-lex order.
 """
 
 from __future__ import annotations

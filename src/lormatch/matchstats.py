@@ -11,7 +11,9 @@ grown one part at a time: each SDR mask gains an element of the next part
 that it lacks.  The panel counts walk the r-subsets T depth first in
 combinations order, so each prefix's SDR family is grown once and shared
 by every T that extends it; a single topic grows the same families along
-its parts.
+its parts.  The families serve part multisets too: `_multiset_walk` lets a
+part repeat, and the masks it counts, weighted, are the inducing image of
+a multi-affine polynomial (`operators.apply_inducing`).
 
 A family is held in one of two ways, chosen by the ground-set size m alone:
 
@@ -133,6 +135,51 @@ def _walk(n: int, r: int, start, grow, count) -> dict[tuple[int, ...], int]:
             return rows
         nxt = topic.pop() + 1
         found.pop()
+
+
+def _multiset_walk(
+    seq: SubsetSeq, degree: int, groups: list[tuple[int, int]]
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """(beta, beta!, total) for every multiset T of `degree` parts with a
+    nonzero total, in descending lex order of beta; m <= _BITSET_M.
+
+    beta_j is the multiplicity of part j in T, and total is the sum over
+    `groups` of w * |F & W|, F the 2^m-bit SDR family of T and W the bitset
+    of the masks of weight w.  Depth first over T with its parts in
+    nondecreasing order (a part may repeat): beta and beta! are carried down,
+    and a prefix without SDRs is not extended.  The last part is counted
+    inline, without a call per leaf.
+    """
+    n = seq.n
+    if degree == 0:  # the empty T, whose one SDR is the empty mask, bit 0
+        total = sum(w * (within & 1) for w, within in groups)
+        return [((0,) * n, 1, total)] if total else []
+    start, grow, _ = _bitset_ops(seq, None)
+    beta = [0] * n
+    rows = []
+
+    def visit(family: int, lo: int, depth: int, fact: int) -> None:
+        if depth < degree - 1:
+            for j in range(lo, n):
+                grown = grow(family, j + 1)
+                if grown:
+                    beta[j] += 1
+                    visit(grown, j, depth + 1, fact * beta[j])
+                    beta[j] -= 1
+            return
+        for j in range(lo, n):
+            grown = grow(family, j + 1)
+            if grown:
+                total = 0
+                for w, within in groups:
+                    total += w * (grown & within).bit_count()
+                if total:
+                    beta[j] += 1
+                    rows.append((tuple(beta), fact * beta[j], total))
+                    beta[j] -= 1
+
+    visit(start, 0, 0, 1)
+    return rows
 
 
 def _panel_rows(

@@ -35,6 +35,8 @@ from .matchings import (
 from .matchstats import basis_match_poly, match_count, match_poly, stat_table
 from .operators import (
     OperatorBox,
+    _bitset_layers,
+    _induce_by_sumsets,
     apply_inducing,
     apply_substitution,
     box_from_symbol,
@@ -196,14 +198,26 @@ def _gen_matching_stat(cfg: TrialConfig, rng: random.Random, trial: int) -> dict
 def _eval_matching_stat(cfg: TrialConfig, instance: Mapping) -> list[str]:
     seq = SubsetSeq.from_json(instance["seq"])
     reasons = []
+    # the sumset walk shares no grow step with match_poly or with the bitset
+    # route of apply_inducing, so it checks both.  Its image of the sum of
+    # every e_r holds each e_r's image as the terms of degree r
+    one = Fraction(1)
+    squarefree = Poly._trusted(seq.m, {exp: one for exp in product((0, 1), repeat=seq.m)})
+    by_degree: list[dict] = [{} for _ in range(seq.m + 1)]
+    for beta, c in _induce_by_sumsets(seq, squarefree).items():
+        by_degree[sum(beta)][beta] = c
     for r in range(seq.m + 1):
         fp = match_poly(seq, r)
         report = certify_lorentzian(fp)
         if not report.verdict:
             reasons.append(f"r={r}: certification failed ({report.failure.kind})")
-        bridge = apply_inducing(seq, elementary_symmetric(seq.m, r)).multiaffine_part()
-        if fp != bridge:
+        by_sumsets = Poly._trusted(seq.n, by_degree[r])
+        if fp != by_sumsets.multiaffine_part():
             reasons.append(f"r={r}: statistic differs from the multi-affine bridge")
+        # outside the bitset route's gate apply_inducing is the sumset walk
+        e_r = elementary_symmetric(seq.m, r)
+        if _bitset_layers(seq, e_r) is not None and apply_inducing(seq, e_r) != by_sumsets:
+            reasons.append(f"r={r}: induced e_r differs from the sumset walk")
     return reasons
 
 

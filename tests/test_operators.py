@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -22,12 +23,16 @@ from lormatch import (
     symbol_of,
     tab_family_box,
 )
+from lormatch import operators
 from lormatch._util import iter_box, vec_factorial
+from lormatch.operators import _induce_by_sumsets
+from lormatch.polynomials import elementary_symmetric
 from oracles import apply_inducing_literal, matched_degrees_box, tab_family_via_symbol
 
 NARROW = SubsetSeq(2, (frozenset({1}), frozenset({2}), frozenset({1, 2})))
 WIDE = SubsetSeq(4, (frozenset({1, 2, 3, 4}), frozenset({2, 3}), frozenset({3, 4})))
 X1X2 = Poly(2, {(1, 1): 1})
+X1X2_OF_8 = Poly.monomial(8, (1, 1) + (0,) * 6)
 
 
 @st.composite
@@ -81,6 +86,41 @@ def seq_inhomogeneous(draw, max_m=4, max_n=4, max_e=2):
         )
     )
     return seq, Poly(seq.m, terms)
+
+
+def _squarefree(m: int, degree: int) -> list[tuple[int, ...]]:
+    return [tuple(int(i in chosen) for i in range(m)) for chosen in itertools.combinations(range(m), degree)]
+
+
+def _weighted(m: int, degree: int, groups: int) -> Poly:
+    """Every squarefree monomial of one degree, with `groups` distinct weights."""
+    exps = _squarefree(m, degree)
+    assert len(exps) > groups
+    return Poly(m, {exp: k % groups + 1 for k, exp in enumerate(exps)})
+
+
+@st.composite
+def seq_multiaffine(draw, max_m=8, max_n=4):
+    """A sequence (empty parts and elements in no part allowed) and a
+    multi-affine polynomial: at each drawn degree, the constant included,
+    every squarefree monomial with a signed rational weight from a short
+    list, and sometimes a term or two dropped.  Drawing no degree gives the
+    zero polynomial, and a weight of 0 drops its terms, so the draws fall on
+    both sides of the bitset route's gate."""
+    seq = draw(seqs(max_m, max_n))
+    pool = draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=1, max_size=3))
+    terms = {}
+    for degree in sorted(draw(st.sets(st.integers(0, seq.m), max_size=3))):
+        for exp in _squarefree(seq.m, degree):
+            terms[exp] = draw(st.sampled_from(pool))
+    if terms and draw(st.booleans()):
+        for exp in draw(st.sets(st.sampled_from(sorted(terms)), max_size=2)):
+            del terms[exp]
+    return seq, Poly(seq.m, terms)
+
+
+def _windows(m: int) -> SubsetSeq:
+    return SubsetSeq(m, tuple(frozenset({j, j % m + 1, (j + 1) % m + 1}) for j in range(1, m + 1)))
 
 
 def _canonical(poly: Poly, basis: str) -> str:
@@ -210,6 +250,62 @@ class TestApplyInducing:
         for basis in ("plain", "normalized"):
             assert _canonical(image, basis) == _canonical(literal, basis)
         assert _in_grlex_order(image)
+
+
+class TestInducingRoutes:
+    """The bitset route of `apply_inducing` against the sumset walk and the
+    literal operator, and the gate that picks between them."""
+
+    # e_2 on 4 cyclic windows, with the constant and a part that is empty
+    @example(
+        (
+            SubsetSeq(4, tuple(map(frozenset, ({1, 2}, {2, 3}, set(), {4, 1})))),
+            elementary_symmetric(4, 2) + Poly.constant(4, 3),
+        )
+    )
+    # element 3 lies in no part; weights -1/2 and 5/3 at degree 1
+    @example(
+        (
+            SubsetSeq(3, tuple(map(frozenset, ({1}, {1, 2})))),
+            Poly(3, {(1, 0, 0): Fraction(-1, 2), (0, 1, 0): Fraction(5, 3), (0, 0, 1): Fraction(5, 3)}),
+        )
+    )
+    @given(seq_multiaffine())
+    @settings(max_examples=150, deadline=None)
+    def test_against_sumsets_and_literal(self, pair):
+        seq, f = pair
+        image = apply_inducing(seq, f)
+        by_sumsets = _induce_by_sumsets(seq, f)
+        literal = apply_inducing_literal(seq, f)
+        assert image == by_sumsets == literal
+        for basis in ("plain", "normalized"):
+            assert _canonical(image, basis) == _canonical(by_sumsets, basis) == _canonical(literal, basis)
+        assert _in_grlex_order(image)
+
+    @pytest.mark.parametrize(
+        "seq, f, route",
+        [
+            (_windows(16), elementary_symmetric(16, 2), "_multiset_walk"),
+            (_windows(17), elementary_symmetric(17, 2), "_induce_by_sumsets"),
+            (_windows(8), elementary_symmetric(8, 2), "_multiset_walk"),
+            (_windows(8), elementary_symmetric(8, 2) - X1X2_OF_8 + Poly.monomial(8, (2,) + (0,) * 7), "_induce_by_sumsets"),
+            (_windows(8), _weighted(8, 3, operators._INDUCE_GROUPS), "_multiset_walk"),
+            (_windows(8), _weighted(8, 3, operators._INDUCE_GROUPS + 1), "_induce_by_sumsets"),
+            (_windows(8), elementary_symmetric(8, 6), "_multiset_walk"),
+            (_windows(8), elementary_symmetric(8, 7), "_induce_by_sumsets"),
+            (_windows(8), elementary_symmetric(8, 2) - X1X2_OF_8, "_induce_by_sumsets"),
+        ],
+        ids=["m=16", "m=17", "entries-0-1", "an-entry-of-2", "G-groups", "G+1-groups", "degree-m-2", "degree-m-1", "one-term-missing"],
+    )
+    def test_route_gate(self, monkeypatch, seq, f, route):
+        expected = _induce_by_sumsets(seq, f)
+        ran = []
+        for name in ("_multiset_walk", "_induce_by_sumsets"):
+            real = getattr(operators, name)
+            monkeypatch.setattr(operators, name, lambda *args, name=name, real=real: ran.append(name) or real(*args))
+        image = apply_inducing(seq, f)
+        assert set(ran) == {route}
+        assert image == expected and list(image.items()) == list(expected.items())
 
 
 class TestApplySubstitution:

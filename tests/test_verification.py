@@ -21,7 +21,7 @@ from lormatch import (
     run_all,
     run_check,
 )
-from lormatch import verification
+from lormatch import matchstats, operators, verification
 from lormatch._util import iter_box
 from lormatch.verification import _trial_rng
 from oracles import matched_degrees_box
@@ -180,6 +180,33 @@ class TestCheckResult:
         assert ok.passed
         bad = CheckResult("x", 3, ({"trial": 0, "instance": {}, "reasons": ["r"]},))
         assert not bad.passed
+
+
+class TestMatchingStatCrossCheck:
+    """`match_poly` and the bitset route of `apply_inducing` grow the same
+    SDR families; the sumset walk the check compares both with does not."""
+
+    TRIANGLE = {"seq": {"m": 3, "sets": [[1, 2], [2, 3], [1, 3]]}}
+
+    def test_a_broken_grow_step_shows_on_both_sides(self, monkeypatch):
+        assert replay("matching-stat-lorentzian", self.TRIANGLE) == []
+        real = matchstats._bitset_ops
+
+        def broken(seq, bases):
+            start, grow, count = real(seq, bases)
+            # each grown family loses its lowest SDR mask
+            return start, lambda family, j: (g := grow(family, j)) & (g - 1), count
+
+        monkeypatch.setattr(matchstats, "_bitset_ops", broken)
+        reasons = replay("matching-stat-lorentzian", self.TRIANGLE)
+        assert "r=1: statistic differs from the multi-affine bridge" in reasons
+        assert "r=1: induced e_r differs from the sumset walk" in reasons
+
+    def test_a_dropped_multiset_is_reported(self, monkeypatch):
+        real = operators._multiset_walk
+        monkeypatch.setattr(operators, "_multiset_walk", lambda *args: real(*args)[1:])
+        reasons = replay("matching-stat-lorentzian", self.TRIANGLE)
+        assert reasons == ["r=0: induced e_r differs from the sumset walk", "r=1: induced e_r differs from the sumset walk"]
 
 
 class TestDerivedTablesAtRunTime:
