@@ -4,7 +4,8 @@ Every flag that takes structured data accepts either inline JSON or
 `@path/to/file.json`.  Results go to standard output as canonical JSON
 (sorted keys, compact separators), so identical inputs produce identical
 bytes; `--pretty` mirrors an indented rendering to standard error without
-touching the machine-readable stream.
+touching the machine-readable stream.  A polynomial in a result is written
+by its own `_json_text`, the same bytes `json` writes for its `to_json`.
 
 Exit codes: 0 success, 1 domain error (a machine-readable error object is
 printed to standard output), 2 usage error (one `error: ...` line on
@@ -60,7 +61,7 @@ from .polymatroids import (
     uniform_matroid,
     validate_polymatroid,
 )
-from .polynomials import Poly, elementary_symmetric
+from .polynomials import FloatPoly, Poly, elementary_symmetric
 from .verification import CHECKS, TrialConfig, replay, run_all, run_check
 
 SEED_ENV = "LORMATCH_SEED"
@@ -79,8 +80,36 @@ class DomainError(Exception):
         self.payload = payload
 
 
+class _PolyOut:
+    """A polynomial in a payload, written in ``basis``."""
+
+    __slots__ = ("poly", "basis")
+
+    def __init__(self, poly: Poly | FloatPoly, basis: str = "plain") -> None:
+        self.poly = poly
+        self.basis = basis
+
+
 def _canon(obj) -> str:
+    """Canonical JSON: sorted keys, compact separators.
+
+    A payload that is a polynomial, or an object with polynomial values,
+    has each polynomial's `_json_text` spliced in.
+    """
+    if isinstance(obj, _PolyOut):
+        return obj.poly._json_text(obj.basis)
+    if isinstance(obj, dict) and any(isinstance(value, _PolyOut) for value in obj.values()):
+        return "{%s}" % ",".join(json.dumps(key) + ":" + _canon(obj[key]) for key in sorted(obj))
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _plain(obj):
+    """The payload with each polynomial as its `to_json` document."""
+    if isinstance(obj, _PolyOut):
+        return obj.poly.to_json(obj.basis)
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    return obj
 
 
 def _read_source(raw: str, flag: str) -> str:
@@ -199,16 +228,30 @@ def _matroid_from_json(data) -> Matroid:
     return Matroid(_polymatroid_from_json(data))
 
 
-def _emit(payload, pretty: bool) -> None:
-    """Write one payload to stdout: CSV text as it is, anything else as canonical JSON."""
+def _domain_error(exc: Exception) -> int:
+    sys.stdout.write(_canon({"error": "domain", "detail": str(exc)}) + "\n")
+    return 1
+
+
+def _emit(payload, pretty: bool) -> int:
+    """Write one payload to stdout: CSV text as it is, anything else as canonical JSON.
+
+    Both texts are built before either is written.  A payload that cannot be
+    written, an integer too long for `str`, is reported as a domain error
+    instead, with both streams otherwise empty; the exit code is returned.
+    """
     if isinstance(payload, str):
-        sys.stdout.write(payload)
-        if pretty:
-            sys.stderr.write(payload)
-        return
-    sys.stdout.write(_canon(payload) + "\n")
+        text = copy = payload
+    else:
+        try:
+            text = _canon(payload) + "\n"
+            copy = json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n" if pretty else ""
+        except ValueError as exc:  # `str` and "%d" refuse ints over the digit limit
+            return _domain_error(exc)
+    sys.stdout.write(text)
     if pretty:
-        sys.stderr.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stderr.write(copy)
+    return 0
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -234,7 +277,7 @@ def _cmd_match(args) -> dict:
     }
 
 
-def _cmd_induce(args) -> dict:
+def _cmd_induce(args) -> _PolyOut:
     seq = _parse_seq(args.sets)
     if args.then is not None:
         seq = compose_seq(seq, _parse_seq(args.then, "--then"))
@@ -242,13 +285,13 @@ def _cmd_induce(args) -> dict:
         f = _parse_poly(args.poly)
     else:
         f = elementary_symmetric(seq.m, args.elementary)
-    return apply_inducing(seq, f).to_json(args.basis)
+    return _PolyOut(apply_inducing(seq, f), args.basis)
 
 
-def _cmd_subst(args) -> dict:
+def _cmd_subst(args) -> _PolyOut:
     seq = _parse_seq(args.sets)
     matrix = _parse_matrix(args.matrix)
-    return apply_substitution(seq, matrix, _parse_poly(args.poly)).to_json(args.basis)
+    return _PolyOut(apply_substitution(seq, matrix, _parse_poly(args.poly)), args.basis)
 
 
 def _cmd_ct(args) -> dict | str:
@@ -271,15 +314,15 @@ def _cmd_ct(args) -> dict | str:
     return {"r": table.r, "rows": table.to_json()}
 
 
-def _cmd_fpoly(args) -> dict:
+def _cmd_fpoly(args) -> _PolyOut:
     seq = _parse_seq(args.sets)
     if args.matroid is not None:
         mat = _parse_with(_matroid_from_json, args.matroid, "--matroid")
-        return basis_match_poly(mat, seq).to_json()
-    return match_poly(seq, args.r).to_json()
+        return _PolyOut(basis_match_poly(mat, seq))
+    return _PolyOut(match_poly(seq, args.r))
 
 
-def _cmd_symbol(args) -> dict:
+def _cmd_symbol(args) -> dict | _PolyOut:
     if args.matrix is not None and args.op != "substitution":
         raise UsageError("--matrix only applies to --op substitution")
     seq = _parse_seq(args.sets)
@@ -290,7 +333,7 @@ def _cmd_symbol(args) -> dict:
         box = inducing_box(seq, kappa)
     if args.q is not None:
         box = power_box(box, _parse_number(args.q, "--q", json_rational))
-    return (box if args.table else symbol_of(box)).to_json()
+    return box.to_json() if args.table else _PolyOut(symbol_of(box))
 
 
 def _cmd_certify(args) -> dict:
@@ -341,7 +384,7 @@ def _cmd_pminduce(args) -> dict:
     if args.points:
         payload["base_points"] = [list(p) for p in _walk_base_points(pm)]
     if args.egf:
-        payload["egf"] = base_egf(pm).to_json()
+        payload["egf"] = _PolyOut(base_egf(pm))
     return payload
 
 
@@ -362,7 +405,7 @@ def _cmd_tab_family(args) -> dict:
     box = tab_family_box(seq, a, b, kappa)
     payload = {"augmented_sets": augment_with_singletons(seq).to_json()}
     if args.symbol:
-        payload["symbol"] = symbol_of(box).to_json()
+        payload["symbol"] = _PolyOut(symbol_of(box))
     else:
         payload["box"] = box.to_json()
     return payload
@@ -572,12 +615,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         sys.stdout.write(_canon(payload) + "\n")
         return 1
     except (ValueError, TypeError, KeyError, ZeroDivisionError, OverflowError) as exc:
-        sys.stdout.write(_canon({"error": "domain", "detail": str(exc)}) + "\n")
-        return 1
+        return _domain_error(exc)
     if isinstance(out, int):  # verify wrote its own lines and chose its exit code
         return out
-    _emit(out, args.pretty)
-    return 0
+    return _emit(out, args.pretty)
 
 
 def main() -> None:

@@ -337,13 +337,22 @@ def symbol_of(box: OperatorBox) -> Poly | FloatPoly:
     kappa = box.kappa
     kfact = vec_factorial(kappa)
     data: dict = {}
+    # one product per distinct (coefficient object, factor), so the symbol
+    # shares its coefficients as the images share theirs (`Poly._json_text`
+    # formats a row once per object); the table holds every c, so no id is
+    # reused during the loop
+    products: dict = {}
     # each alpha has its own u-exponent, so every key is new, and c * factor
     # is a nonzero coefficient of the kind
     for alpha, poly in box.table.items():
         uexp = tuple(k - a for k, a in zip(kappa, alpha))
         factor = kfact // vec_factorial(uexp)
         for yexp, c in poly.items():
-            data[yexp + uexp] = c * factor
+            key = id(c), factor
+            product = products.get(key)
+            if product is None:
+                product = products[key] = c * factor
+            data[yexp + uexp] = product
     # the zero-alpha image is in every table and carries the coefficient kind
     poly_type = type(box.table[(0,) * box.m])
     if poly_type is FloatPoly:

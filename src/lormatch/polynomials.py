@@ -9,22 +9,31 @@ floating-point entry point.
 
 `FloatPoly` holds float-coefficient data.  It reuses the read-only core of
 `Poly` (construction, `_trusted`, access, equality, degrees,
-`derivative_multi`, `to_json`) as the same function objects, which read the
-coefficient kind from class attributes.  It is still a separate type and
-not a subclass: the ring operations test `isinstance(.., Poly)` and the
-operator-table check tests the image types, so exact and float data never
-mix silently.
+`derivative_multi`, `to_json`, `_json_text`) as the same function objects,
+which read the coefficient kind from class attributes.  It is still a
+separate type and not a subclass: the ring operations test
+`isinstance(.., Poly)` and the operator-table check tests the image types,
+so exact and float data never mix silently.
+
+There are two writers of the JSON layout.  `to_json` returns the document
+as dicts and lists; it serves library users, `--pretty`'s indented copy,
+and it is the reference that tests hold the other writer to.  `_json_text`
+returns the canonical text of that document, `json.dumps(to_json(basis),
+sort_keys=True, separators=(",", ":"))`, byte for byte; the CLI writes
+every polynomial it prints through it.  It formats the row text of each
+distinct coefficient once and splices each exponent's text into it.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._util import _brief, _is_json_int, exact_rational, grlex_key, int_text, json_ints
+from ._util import _brief, _is_json_int, exact_rational, int_text, json_ints
 from ._util import json_rational, vec_factorial
 
 ExpVec = tuple[int, ...]
@@ -75,6 +84,23 @@ def _float_term_json(terms: Iterable[tuple[ExpVec, float]]) -> list[dict]:
     return [{"exp": list(exp), "coeff": c} for exp, c in terms]
 
 
+# `_json_text` row formats, one per distinct coefficient, with a %s slot for
+# the exponent text; "%d" and `str` of an int refuse the same sizes
+def _exact_row_format(c: Fraction) -> str:
+    return '{"den":"%d","exp":[%%s],"num":"%d"}' % (c.denominator, c.numerator)
+
+
+def _float_row_format(c: float) -> str:
+    # `json` spells the non-finite floats NaN and Infinity, `repr` does not
+    return '{"coeff":%s,"exp":[%%s]}' % json.dumps(c)
+
+
+def _exponent_texts(exps: Sequence[ExpVec]) -> list[str]:
+    """The JSON text of each exponent list, without its brackets: `json`
+    writes the whole list of exponents once and the text is split between them."""
+    return json.dumps(exps, separators=(",", ":"))[2:-2].split("],[")
+
+
 class Poly:
     """Immutable sparse polynomial in ``nvars`` variables over the rationals."""
 
@@ -83,6 +109,7 @@ class Poly:
     _zero = Fraction(0)
     _ratio = Fraction
     _term_json = staticmethod(_exact_term_json)
+    _row_format = staticmethod(_exact_row_format)
 
     def __init__(self, nvars: int, terms: Mapping | Iterable = ()) -> None:
         if nvars < 1:
@@ -143,7 +170,19 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[ExpVec, Fraction]]:
         """Terms in graded-lexicographic order (the serialization order)."""
-        return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]))
+        exps = self._sorted_exponents()
+        return list(zip(exps, map(self._terms.__getitem__, exps)))
+
+    def _sorted_exponents(self) -> list[ExpVec]:
+        """The exponents in graded-lexicographic order.
+
+        They are sorted lexicographically with no key, then by degree in one
+        stable pass, which runs only when there is more than one degree.
+        """
+        exps = sorted(self._terms)
+        if len(set(map(sum, exps))) > 1:
+            exps.sort(key=sum)
+        return exps
 
     def support(self) -> frozenset[ExpVec]:
         return frozenset(self._terms)
@@ -355,6 +394,35 @@ class Poly:
             terms = [(exp, c * vec_factorial(exp)) for exp, c in terms]
         return {"nvars": self.nvars, "basis": basis, "terms": self._term_json(terms)}
 
+    def _json_text(self, basis: str = "plain") -> str:
+        """`to_json(basis)` as canonical JSON text: sorted keys, compact separators.
+
+        One row format is made per distinct coefficient and every exponent's
+        text is spliced into it.  The formats are keyed by the coefficient
+        object's identity (and exp! in the normalized basis), not by its
+        value: hashing a `Fraction` takes a modular inverse.  Functions such
+        as `apply_inducing`, `match_poly` and `symbol_of` share coefficient
+        objects between terms; equal values held apart only cost a format
+        each.  The coefficients live in ``self`` for the whole call, so no
+        identity is reused.
+        """
+        if basis not in ("plain", "normalized"):
+            raise ValueError(f"unknown basis {basis!r}")
+        head = '{"basis":"%s","nvars":%d,"terms":[' % (basis, self.nvars)
+        if not self._terms:
+            return head + "]}"
+        exps = self._sorted_exponents()
+        coeffs = list(map(self._terms.__getitem__, exps))
+        keys = list(map(id, coeffs))
+        if basis == "normalized":
+            keys = list(zip(keys, map(vec_factorial, exps)))
+            values = {key: c * key[1] for key, c in dict(zip(keys, coeffs)).items()}
+        else:
+            values = dict(zip(keys, coeffs))
+        formats = {key: self._row_format(c) for key, c in values.items()}
+        rows = map(operator.mod, map(formats.__getitem__, keys), _exponent_texts(exps))
+        return head + ",".join(rows) + "]}"
+
     @classmethod
     def from_json(cls, obj: dict) -> "Poly":
         """Read the `to_json` layout; every malformed input raises ValueError.
@@ -537,11 +605,13 @@ class FloatPoly:
     _zero = 0.0
     _ratio = operator.truediv
     _term_json = staticmethod(_float_term_json)
+    _row_format = staticmethod(_float_row_format)
 
     __init__ = Poly.__init__
     _trusted = vars(Poly)["_trusted"]
     items = Poly.items
     sorted_terms = Poly.sorted_terms
+    _sorted_exponents = Poly._sorted_exponents
     support = Poly.support
     coefficient = Poly.coefficient
     normalized_coeff = Poly.normalized_coeff
@@ -552,6 +622,7 @@ class FloatPoly:
     homogeneous_degree = Poly.homogeneous_degree
     derivative_multi = Poly.derivative_multi
     to_json = Poly.to_json
+    _json_text = Poly._json_text
 
     def __repr__(self) -> str:
         return f"FloatPoly({len(self._terms)} terms, nvars={self.nvars})"

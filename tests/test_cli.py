@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import lormatch
+from lormatch import cli
 from lormatch.cli import run
 from lormatch.verification import CHECKS
 from oracles import rank_literal
@@ -849,6 +850,129 @@ class TestDeterminismAndPretty:
         assert json.loads("".join(err.splitlines(keepends=True)[len(lines) :])) == json.loads(
             out.splitlines()[-1]
         )
+
+
+def _seq(text):
+    return lormatch.SubsetSeq.from_json(json.loads(text))
+
+
+def _egf_payload(pm):
+    return {"polymatroid": pm.to_json(), "egf": lormatch.base_egf(pm).to_json()}
+
+
+RATIONAL_POLY = '{"nvars":2,"terms":[{"exp":[2,0],"num":"-3","den":"4"},{"exp":[1,1],"coeff":5},{"exp":[0,1],"coeff":"1/6"}]}'
+FREE_PM = '{"free":[3,2]}'
+# every command whose payload holds a polynomial, with that payload built
+# as dicts by `to_json`; the CLI splices each polynomial in as its own text
+SPLICED = {
+    "induce": (
+        ("induce", "--sets", TRIANGLE, "--elementary", "2"),
+        lambda: lormatch.apply_inducing(_seq(TRIANGLE), lormatch.elementary_symmetric(3, 2)).to_json(),
+    ),
+    "induce-normalized": (
+        ("induce", "--sets", NARROW, "--poly", RATIONAL_POLY, "--basis", "normalized"),
+        lambda: lormatch.apply_inducing(
+            _seq(NARROW), lormatch.Poly.from_json(json.loads(RATIONAL_POLY))
+        ).to_json("normalized"),
+    ),
+    "subst": (
+        ("subst", "--sets", NARROW, "--poly", RATIONAL_POLY),
+        lambda: lormatch.apply_substitution(
+            _seq(NARROW), None, lormatch.Poly.from_json(json.loads(RATIONAL_POLY))
+        ).to_json(),
+    ),
+    "subst-normalized": (
+        ("subst", "--sets", NARROW, "--poly", RATIONAL_POLY, "--matrix", '[[1,0,3],[0,2,"1/2"]]', "--basis", "normalized"),
+        lambda: lormatch.apply_substitution(
+            _seq(NARROW),
+            [[Fraction(1), Fraction(0), Fraction(3)], [Fraction(0), Fraction(2), Fraction(1, 2)]],
+            lormatch.Poly.from_json(json.loads(RATIONAL_POLY)),
+        ).to_json("normalized"),
+    ),
+    "fpoly": (
+        ("fpoly", "--sets", WIDE, "--r", "2"),
+        lambda: lormatch.match_poly(_seq(WIDE), 2).to_json(),
+    ),
+    "fpoly-matroid": (
+        ("fpoly", "--sets", WIDE, "--matroid", '{"uniform":[4,2]}'),
+        lambda: lormatch.basis_match_poly(lormatch.uniform_matroid(4, 2), _seq(WIDE)).to_json(),
+    ),
+    "symbol": (
+        ("symbol", "--sets", TRIANGLE, "--kappa", "2,1,2"),
+        lambda: lormatch.symbol_of(lormatch.inducing_box(_seq(TRIANGLE), (2, 1, 2))).to_json(),
+    ),
+    "symbol-q": (
+        ("symbol", "--sets", NARROW, "--kappa", "2,1", "--q", "1/2"),
+        lambda: lormatch.symbol_of(
+            lormatch.power_box(lormatch.inducing_box(_seq(NARROW), (2, 1)), Fraction(1, 2))
+        ).to_json(),
+    ),
+    "symbol-substitution": (
+        ("symbol", "--sets", NARROW, "--kappa", "2,1", "--op", "substitution"),
+        lambda: lormatch.symbol_of(lormatch.substitution_box(_seq(NARROW), None, (2, 1))).to_json(),
+    ),
+    "pminduce-egf": (
+        ("pminduce", "--pm", FREE_PM, "--sets", TRIANGLE, "--egf"),
+        lambda: _egf_payload(lormatch.induce_polymatroid(lormatch.free_polymatroid(3, 2), _seq(TRIANGLE))),
+    ),
+    "tab-family-symbol": (
+        ("tab-family", "--sets", NARROW, "--a", "1,2,1/2", "--b", "1,0,1/3,1", "--kappa", "1,1", "--symbol"),
+        lambda: {
+            "augmented_sets": lormatch.augment_with_singletons(_seq(NARROW)).to_json(),
+            "symbol": lormatch.symbol_of(
+                lormatch.tab_family_box(
+                    _seq(NARROW),
+                    (Fraction(1), Fraction(2), Fraction(1, 2)),
+                    (Fraction(1), Fraction(0), Fraction(1, 3), Fraction(1)),
+                    (1, 1),
+                )
+            ).to_json(),
+        },
+    ),
+}
+# the polynomial that makes the payload, and 1600!, its normalized coefficient
+# (4,475 digits), is too long for `str` since Python 3.11 (and 3.10.7)
+LONG_COEFFICIENT = (
+    "induce", "--sets", ONE, "--poly", '{"nvars":1,"terms":[{"exp":[1600],"coeff":1}]}',
+    "--basis", "normalized",
+)
+
+
+class TestSplicedPolynomialText:
+    @pytest.mark.parametrize("name", SPLICED)
+    def test_stdout_is_the_canonical_dict_payload(self, capsys, name):
+        argv, payload = SPLICED[name]
+        code, out, err = _call(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == cli._canon(payload()) + "\n"
+
+    @pytest.mark.parametrize("name", SPLICED)
+    def test_pretty_indents_the_dict_payload(self, capsys, name):
+        argv, payload = SPLICED[name]
+        code, out, err = _call(capsys, *argv, "--pretty")
+        assert code == 0
+        assert err == json.dumps(payload(), sort_keys=True, indent=2) + "\n"
+        assert json.loads(err) == json.loads(out)
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+        reason="this interpreter writes integers of any length",
+    )
+    @pytest.mark.parametrize("extra", [(), ("--pretty",)])
+    def test_coefficient_too_long_to_write_is_a_domain_error(self, capsys, extra):
+        code, out, err = _call(capsys, *LONG_COEFFICIENT, *extra)
+        assert (code, err, out.count("\n")) == (1, "", 1)
+        assert json.loads(out)["error"] == "domain"
+
+    def test_writer_fault_is_not_a_domain_error(self, capsys, monkeypatch):
+        # the domain-error line is for bad input; a fault in the writer surfaces
+        def broken(poly, basis="plain"):
+            raise TypeError("writer fault")
+
+        monkeypatch.setattr(lormatch.Poly, "_json_text", broken)
+        with pytest.raises(TypeError, match="writer fault"):
+            run(["fpoly", "--sets", WIDE, "--r", "2"])
+        assert capsys.readouterr().out == ""
 
 
 class TestVerifySubcommand:

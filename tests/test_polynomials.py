@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lormatch import ANY_DEGREE, FloatPoly, Poly, elementary_symmetric
+from lormatch._util import grlex_key
 from lormatch.polynomials import _column_terms
 from oracles import eval_exact, float_poly_from, poly_from_json_two_pass, substitute_literal
 
@@ -469,7 +471,8 @@ class TestFloatPoly:
         assert math.isclose(fp.normalized_coeff((3,)), 3.0)
 
     def test_shares_the_exact_core(self):
-        for name in ("__init__", "_trusted", "items", "derivative_multi", "to_json", "__eq__"):
+        shared = ("__init__", "_trusted", "items", "derivative_multi", "to_json", "_json_text")
+        for name in (*shared, "_sorted_exponents", "__eq__"):
             assert vars(FloatPoly)[name] is vars(Poly)[name]
         assert type(FloatPoly._trusted(1, {(1,): 0.5})) is FloatPoly
         assert not issubclass(FloatPoly, Poly)
@@ -499,3 +502,71 @@ class TestFloatPoly:
         assert (floating == exact) is False
         assert float_poly_from(exact) == floating
         assert isinstance(floating.derivative_multi((1,)), FloatPoly)
+
+
+# exponent entries: mostly single digits, sometimes two or three digits
+_ENTRIES = st.one_of(st.integers(0, 3), st.integers(0, 12), st.integers(0, 300))
+_BIG = 10**300
+_EXACT_VALUES = st.one_of(
+    _coeffs(),
+    st.integers(-_BIG, _BIG),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+)
+
+
+def _canonical(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+@st.composite
+def _exact_polys(draw):
+    """Signed rationals and multi-hundred-digit numbers, mixed degrees, from
+    the zero polynomial up; equal values are often held by distinct objects."""
+    nvars = draw(st.integers(1, 4))
+    exps = draw(st.sets(st.tuples(*[_ENTRIES] * nvars), max_size=12))
+    pool = draw(st.lists(_EXACT_VALUES.filter(bool).map(Fraction), min_size=1, max_size=3))
+    terms = {}
+    for exp in exps:
+        c = draw(st.sampled_from(pool))
+        # a copy is equal to c but is another object
+        terms[exp] = Fraction(c.numerator, c.denominator) if draw(st.booleans()) else c
+    return Poly._trusted(nvars, terms)
+
+
+@st.composite
+def _float_polys(draw):
+    """Float coefficients, NaN and the infinities too (held through `_trusted`,
+    as `FloatPoly` refuses them at construction)."""
+    nvars = draw(st.integers(1, 4))
+    # exp! of these entries stays a finite float
+    exps = draw(st.sets(st.tuples(*[st.integers(0, 12)] * nvars), max_size=12))
+    values = st.floats(allow_nan=True, allow_infinity=True).filter(lambda c: c != 0)
+    return FloatPoly._trusted(nvars, {exp: draw(values) for exp in exps})
+
+
+class TestJsonText:
+    """`_json_text` is `to_json` as canonical text, byte for byte."""
+
+    @given(_exact_polys(), st.sampled_from(["plain", "normalized"]))
+    @settings(max_examples=300)
+    @example(Poly(1), "plain")
+    @example(Poly(1, {(3,): Fraction(-7, 2)}), "normalized")
+    @example(Poly(2, {(1, 0): Fraction(2, 3), (0, 1): Fraction(2, 3)}), "plain")
+    def test_exact_rows_match_json(self, f, basis):
+        assert f._json_text(basis) == _canonical(f.to_json(basis))
+
+    @given(_float_polys(), st.sampled_from(["plain", "normalized"]))
+    @settings(max_examples=300)
+    @example(FloatPoly(1), "normalized")
+    @example(FloatPoly._trusted(2, {(1, 0): math.nan, (0, 1): math.inf, (1, 1): -math.inf}), "plain")
+    @example(FloatPoly._trusted(1, {(2,): math.nan, (3,): -math.inf}), "normalized")
+    def test_float_rows_match_json(self, f, basis):
+        assert f._json_text(basis) == _canonical(f.to_json(basis))
+
+    def test_unknown_basis_refused(self):
+        with pytest.raises(ValueError, match="unknown basis"):
+            Poly(1)._json_text("divided")
+
+    @given(_exact_polys())
+    def test_sorted_terms_are_graded_lex(self, f):
+        assert f.sorted_terms() == sorted(f.items(), key=lambda term: grlex_key(term[0]))
