@@ -103,15 +103,6 @@ def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _plain(obj):
-    """The payload with each polynomial as its `to_json` document."""
-    if isinstance(obj, _PolyOut):
-        return obj.poly.to_json(obj.basis)
-    if isinstance(obj, dict):
-        return {key: _plain(value) for key, value in obj.items()}
-    return obj
-
-
 def _read_source(raw: str, flag: str) -> str:
     if not raw.startswith("@"):
         return raw
@@ -236,7 +227,8 @@ def _domain_error(exc: Exception) -> int:
 def _emit(payload, pretty: bool) -> int:
     """Write one payload to stdout: CSV text as it is, anything else as canonical JSON.
 
-    Both texts are built before either is written.  A payload that cannot be
+    Both texts are built before either is written; the `--pretty` copy is the
+    canonical text parsed back and indented.  A payload that cannot be
     written, an integer too long for `str`, is reported as a domain error
     instead, with both streams otherwise empty; the exit code is returned.
     """
@@ -245,7 +237,7 @@ def _emit(payload, pretty: bool) -> int:
     else:
         try:
             text = _canon(payload) + "\n"
-            copy = json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n" if pretty else ""
+            copy = json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" if pretty else ""
         except ValueError as exc:  # `str` and "%d" refuse ints over the digit limit
             return _domain_error(exc)
     sys.stdout.write(text)

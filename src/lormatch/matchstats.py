@@ -8,12 +8,14 @@ set count, not a permanent.
 The matchable B are the systems of distinct representatives (SDRs) of
 (S_t), t in T, taken as sets and held as `_packed` subset masks.  They are
 grown one part at a time: each SDR mask gains an element of the next part
-that it lacks.  The panel counts walk the r-subsets T depth first in
-combinations order, so each prefix's SDR family is grown once and shared
-by every T that extends it; a single topic grows the same families along
-its parts.  The families serve part multisets too: `_multiset_walk` lets a
-part repeat, and the masks it counts, weighted, are the inducing image of
-a multi-affine polynomial (`operators.apply_inducing`).
+that it lacks.  One walk, `_walk`, visits the T of one size depth first,
+so each prefix's SDR family is grown once and shared by every T that
+extends it.  Its r-subsets give the panel counts.  With a part allowed to
+repeat, its multisets, counted with weights, give the inducing image of a
+multi-affine polynomial (`operators.apply_inducing`); the multisets with
+no repeated part are the r-subsets, so the panel-count polynomial is the
+multi-affine part of the induced e_r.  `_rows_poly` makes either walk's
+terms; a single topic grows the same families along its parts.
 
 A family is held in one of two ways, chosen by the ground-set size m alone:
 
@@ -44,6 +46,7 @@ import io
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping
 
 from ._packed import _split_masks
@@ -107,97 +110,73 @@ def _ops(seq: SubsetSeq, bases: set[int] | None):
     return ops(seq, bases)
 
 
-def _walk(n: int, r: int, start, grow, count) -> dict[tuple[int, ...], int]:
-    """count(SDR family of T) for every r-subset T of 1..n, keeping nonzero rows.
+def _walk(n: int, degree: int, start, grow, count, repeat: bool = False):
+    """Yield (beta, beta!, count(F)) for every T of `degree` parts with a
+    nonzero count, F the SDR family of T, in descending lex order of beta.
 
-    Depth first over T in combinations order: found[d] holds the family of
-    T's first d parts, grown by grow(family, part index), and serves every T
-    that extends that prefix.  A prefix without SDRs (an empty family) is
-    not extended, since every T above it counts 0.
+    T is a subset of the parts 1..n, or a multiset of them when `repeat` is
+    set, and beta_j is how many times T takes part j.  Depth first on an
+    explicit stack, T's parts in increasing (with `repeat`, nondecreasing)
+    order: each entry holds a prefix's family, grown by grow(family, part
+    index), and its beta!, and serves every T that extends that prefix.  A
+    prefix without SDRs (an empty family) is not extended, since every T
+    above it counts 0.  The last part is counted inline, off the stack.
     """
-    rows = {}
-    topic, found = [], [start]
-    nxt = 1
-    while True:
-        depth = len(topic)
-        if depth == r:
-            c = count(found[-1])
-            if c:
-                rows[tuple(topic)] = c
-        elif nxt <= n - r + depth + 1:  # leaves room for the rest of T
-            grown = grow(found[-1], nxt)
-            if grown:
-                topic.append(nxt)
-                found.append(grown)
-            nxt += 1
-            continue
-        if not topic:
-            return rows
-        nxt = topic.pop() + 1
-        found.pop()
-
-
-def _multiset_walk(
-    seq: SubsetSeq, degree: int, groups: list[tuple[int, int]]
-) -> list[tuple[tuple[int, ...], int, int]]:
-    """(beta, beta!, total) for every multiset T of `degree` parts with a
-    nonzero total, in descending lex order of beta; m <= _BITSET_M.
-
-    beta_j is the multiplicity of part j in T, and total is the sum over
-    `groups` of w * |F & W|, F the 2^m-bit SDR family of T and W the bitset
-    of the masks of weight w.  Depth first over T with its parts in
-    nondecreasing order (a part may repeat): beta and beta! are carried down,
-    and a prefix without SDRs is not extended.  The last part is counted
-    inline, without a call per leaf.
-    """
-    n = seq.n
-    if degree == 0:  # the empty T, whose one SDR is the empty mask, bit 0
-        total = sum(w * (within & 1) for w, within in groups)
-        return [((0,) * n, 1, total)] if total else []
-    start, grow, _ = _bitset_ops(seq, None)
+    if degree == 0:  # the empty T, whose one SDR is the empty mask
+        c = count(start)
+        if c:
+            yield (0,) * n, 1, c
+        return
+    # a part below limit[depth] leaves room for the rest of T
+    limit = [n if repeat else n - degree + 1 + depth for depth in range(degree)]
     beta = [0] * n
-    rows = []
-
-    def visit(family: int, lo: int, depth: int, fact: int) -> None:
-        if depth < degree - 1:
-            for j in range(lo, n):
+    stack = [(start, 1, None)]  # (family, beta!, last part) per prefix of T
+    nxt = 0
+    while True:
+        family, fact, _ = stack[-1]
+        depth = len(stack) - 1
+        if depth == degree - 1:
+            for j in range(nxt, n):
                 grown = grow(family, j + 1)
                 if grown:
-                    beta[j] += 1
-                    visit(grown, j, depth + 1, fact * beta[j])
-                    beta[j] -= 1
-            return
-        for j in range(lo, n):
-            grown = grow(family, j + 1)
+                    c = count(grown)
+                    if c:
+                        beta[j] += 1
+                        yield tuple(beta), fact * beta[j], c
+                        beta[j] -= 1
+        elif nxt < limit[depth]:
+            grown = grow(family, nxt + 1)
             if grown:
-                total = 0
-                for w, within in groups:
-                    total += w * (grown & within).bit_count()
-                if total:
-                    beta[j] += 1
-                    rows.append((tuple(beta), fact * beta[j], total))
-                    beta[j] -= 1
+                beta[nxt] += 1
+                stack.append((grown, fact * beta[nxt], nxt))
+                nxt += not repeat  # a multiset may take the part again
+            else:
+                nxt += 1
+            continue
+        if not depth:
+            return
+        _, _, nxt = stack.pop()
+        beta[nxt] -= 1
+        nxt += 1
 
-    visit(start, 0, 0, 1)
-    return rows
 
-
-def _panel_rows(
-    seq: SubsetSeq, r: int, bases: set[int] | None = None
-) -> dict[tuple[int, ...], int]:
-    """The nonzero SDR counts of the r-subsets T, in combinations order."""
+def _panel_rows(seq: SubsetSeq, r: int, bases: set[int] | None = None):
+    """The walk's rows of the r-subsets T, in combinations order of T."""
     return _walk(seq.n, r, *_ops(seq, bases))
 
 
-def _multiaffine(n: int, rows: Mapping[tuple[int, ...], int]) -> Poly:
-    coeffs = {c: Fraction(c) for c in set(rows.values())}  # one per distinct count
-    terms = {}
-    for t, c in rows.items():
-        exp = [0] * n
-        for j in t:
-            exp[j - 1] = 1
-        terms[tuple(exp)] = coeffs[c]
-    return Poly._trusted(n, terms)
+def _rows_poly(n: int, rows, scale: int = 1) -> Poly:
+    """The polynomial of walk rows (beta, beta!, total): y^beta with
+    coefficient total / (scale * beta!), inserted in row order, with one
+    Fraction per distinct (total, beta!)."""
+    ratios: dict[tuple[int, int], Fraction] = {}
+    data = {}
+    for beta, fact, total in rows:
+        c = ratios.get((total, fact))
+        if c is None:
+            c = ratios[total, fact] = Fraction(total, scale * fact)
+        data[beta] = c
+    return Poly._trusted(n, data)
 
 
 def _topic_count(seq: SubsetSeq, topic: Iterable[int], bases: set[int] | None = None) -> int:
@@ -226,13 +205,13 @@ def match_poly(seq: SubsetSeq, r: int) -> Poly:
     """Multi-affine polynomial whose y^T coefficient is match_count(seq, T)."""
     if not 0 <= r <= seq.m:
         raise ValueError(f"r = {r} outside 0..{seq.m}")
-    return _multiaffine(seq.n, _panel_rows(seq, r))
+    return _rows_poly(seq.n, _panel_rows(seq, r))
 
 
 def basis_match_poly(mat: Matroid, seq: SubsetSeq) -> Poly:
     """Multi-affine polynomial of basis-restricted counts, degree = matroid rank."""
     bases = _bases(mat, seq)  # listed once, not once per topic
-    return _multiaffine(seq.n, _panel_rows(seq, mat.full_rank, bases))
+    return _rows_poly(seq.n, _panel_rows(seq, mat.full_rank, bases))
 
 
 @dataclass(frozen=True)
@@ -275,4 +254,5 @@ def stat_table(seq: SubsetSeq, r: int) -> StatTable:
     """Tabulate match_count over all r-subsets of part indices."""
     if not 0 <= r <= seq.n:
         raise ValueError(f"r = {r} outside 0..{seq.n}")
-    return StatTable(r, _panel_rows(seq, r))
+    parts = range(1, seq.n + 1)
+    return StatTable(r, {tuple(compress(parts, beta)): c for beta, _, c in _panel_rows(seq, r)})

@@ -22,14 +22,15 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from typing import Mapping, Sequence
 
+from . import matchstats
 from ._packed import _key_decoder
 from ._util import _brief, _is_json_int, clear_denominators, iter_box, json_ints, nonnegative_weights
 from ._util import vec_factorial
 from .matchings import SubsetSeq, _packed_sums
-from .matchstats import _BITSET_M, _multiset_walk
+from .matchstats import _BITSET_M, _rows_poly, _walk
 from .polynomials import FloatPoly, Poly
 
 
@@ -122,17 +123,18 @@ def apply_inducing(seq: SubsetSeq, f: Poly) -> Poly:
     parts with part j taken beta_j times, and (alpha, beta) matches iff A is
     an SDR of T.  So y^beta gets sum_w w |F & W_w| / (L beta!): F the SDR
     family of T, W_w the bitset of the alphas of weight w = L c (L from
-    `clear_denominators`).  `matchstats._multiset_walk` counts this per
-    degree on 2^m-bit families.  This bitset route takes f when
+    `clear_denominators`).  The panel counts' walk, `matchstats._walk`,
+    lists these T per degree on 2^m-bit families with a part allowed to
+    repeat, and `_rows_poly` makes the terms.  This bitset route takes f when
       - every exponent entry is 0 or 1, and m <= 16 (`_BITSET_M`);
       - each degree d of f is at most m - 2, and f has all C(m, d)
         squarefree monomials of that degree;
       - f has at most `_INDUCE_GROUPS` (16) distinct (degree, weight) groups.
     Every other f takes `_induce_by_sumsets`, which also checks this route.
 
-    The walk's cost is in its multisets, and a leaf's in one popcount per
-    weight group; the sumset walk's is in its (alpha, beta) pairs.  So the
-    bitset route loses on a sparse f (one degree-8 monomial on 16 cyclic
+    The walk's cost is in its multisets, and a leaf's in one popcount plus
+    one per further weight group (`_layer_count`); the sumset walk's is in
+    its (alpha, beta) pairs.  So the bitset route loses on a sparse f (one degree-8 monomial on 16 cyclic
     3-windows: 4.4 s against 5 ms) and at d >= m - 1 (e_12 on 13 windows:
     5.7 s against 2.4 s).  Sumset time over bitset time with every
     squarefree monomial of one degree, by weight groups, the best of 3 on a
@@ -165,24 +167,21 @@ def apply_inducing(seq: SubsetSeq, f: Poly) -> Poly:
     route = _bitset_layers(seq, f)
     if route is None:
         return _induce_by_sumsets(seq, f)
-    scale, layers = route
-    ratios: dict[tuple[int, int], Fraction] = {}
-    data = {}
-    for degree in sorted(layers):
-        # the walk lists each degree's betas in descending lex order
-        for beta, fact, total in reversed(_multiset_walk(seq, degree, layers[degree])):
-            c = ratios.get((total, fact))
-            if c is None:
-                c = ratios[total, fact] = Fraction(total, scale * fact)
-            data[beta] = c
-    return Poly._trusted(seq.n, data)
+    scale, counts = route
+    # the families are looked up in matchstats at call time, so the two walks
+    # always share one grow step
+    start, grow, _ = matchstats._bitset_ops(seq, None)
+    # the walk lists each degree's betas in descending lex order
+    walks = (
+        reversed(list(_walk(seq.n, degree, start, grow, counts[degree], repeat=True)))
+        for degree in sorted(counts)
+    )
+    return _rows_poly(seq.n, chain.from_iterable(walks), scale)
 
 
-def _bitset_layers(
-    seq: SubsetSeq, f: Poly
-) -> tuple[int, dict[int, list[tuple[int, int]]]] | None:
-    """(L, {degree: [(weight, bitset of its alphas)]}) when f takes the
-    bitset route, else None; `apply_inducing` states the gate."""
+def _bitset_layers(seq: SubsetSeq, f: Poly) -> tuple[int, dict] | None:
+    """(L, {degree: count}) when f takes the bitset route, else None;
+    `apply_inducing` states the gate."""
     m = seq.m
     if m > _BITSET_M:
         return None
@@ -194,15 +193,34 @@ def _bitset_layers(
         return None
     scale, ints = clear_denominators([c for _, c in terms])
     units = [1 << i for i in range(m)]
-    groups: dict[tuple[int, int], list[int]] = {}
+    layers: dict[int, dict[int, list[int]]] = {}  # {degree: {weight: masks}}
     for (exp, _), degree, w in zip(terms, degrees, ints):
-        groups.setdefault((degree, w), []).append(sum(compress(units, exp)))
-    if len(groups) > _INDUCE_GROUPS:
+        layers.setdefault(degree, {}).setdefault(w, []).append(sum(compress(units, exp)))
+    if sum(map(len, layers.values())) > _INDUCE_GROUPS:
         return None
-    layers: dict[int, list[tuple[int, int]]] = {}
-    for (degree, w), masks in groups.items():
-        layers.setdefault(degree, []).append((w, sum(1 << mask for mask in masks)))
-    return scale, layers
+    return scale, {degree: _layer_count(groups) for degree, groups in layers.items()}
+
+
+def _layer_count(groups: dict[int, list[int]]):
+    """F -> sum over the weights w of w |F & W_w|, W_w the bitset of the
+    masks of weight w in one degree's layer.
+
+    The layer holds every mask of its degree (the gate), so every SDR in F:
+    with w0 the first weight the sum is w0 |F| plus (w - w0) |F & W_w| over
+    the other weights, one popcount for e_r.
+    """
+    w0, *rest = groups
+    others = [(w - w0, sum(1 << mask for mask in groups[w])) for w in rest]
+    if w0 == 1 and not others:
+        return int.bit_count  # no Python call per counted family
+
+    def count(family: int) -> int:
+        total = w0 * family.bit_count()
+        for dw, within in others:
+            total += dw * (family & within).bit_count()
+        return total
+
+    return count
 
 
 def _induce_by_sumsets(seq: SubsetSeq, f: Poly) -> Poly:

@@ -1,7 +1,9 @@
 import copy
 import inspect
 import json
+import os
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -850,6 +852,31 @@ class TestDeterminismAndPretty:
         assert json.loads("".join(err.splitlines(keepends=True)[len(lines) :])) == json.loads(
             out.splitlines()[-1]
         )
+
+
+class TestModuleEntry:
+    """`python -m lormatch` is the command line, as a real process."""
+
+    @staticmethod
+    def _module(*argv):
+        src = str(Path(lormatch.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        return subprocess.run(
+            [sys.executable, "-m", "lormatch", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+
+    def test_result_equals_run(self, capsys):
+        argv = ("ct", "--sets", WIDE, "--r", "2")
+        done = self._module(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == _call(capsys, *argv)
+        assert done.stdout == '{"r":2,"rows":[{"T":[1,2],"count":5},{"T":[1,3],"count":5},{"T":[2,3],"count":3}]}\n'
+
+    def test_usage_error_exits_2(self):
+        # the rule is checked before the malformed --sets is read
+        done = self._module("ct", "--sets", MALFORMED)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def _seq(text):

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import pytest
@@ -119,25 +120,52 @@ class TestPanelWalk:
         rows = _literal_rows(seq, mat.full_rank, among=matroid_bases(mat))
         assert basis_match_poly(mat, seq) == _as_poly(seq.n, rows)
 
+    def test_a_walk_deeper_than_the_recursion_limit(self):
+        # 1,200 singleton parts at r = 1,200: one topic, reached 1,200 parts
+        # deep, past the interpreter's default recursion limit
+        n = 1200
+        seq = SubsetSeq(n, tuple(frozenset({i}) for i in range(1, n + 1)))
+        assert match_poly(seq, n) == Poly(n, {(1,) * n: 1})
+        assert stat_table(seq, n).rows == {tuple(range(1, n + 1)): 1}
+
+
+def _topic_rows(rows):
+    """{T: count} of subset-walk rows, T read off the 0/1 beta."""
+    out = {}
+    for beta, fact, count in rows:
+        assert fact == 1 and max(beta, default=0) <= 1
+        out[tuple(j for j, b in enumerate(beta, start=1) if b)] = count
+    return out
+
 
 def _masks(elements):
     return {sum(1 << (i - 1) for i in chosen) for chosen in elements}
 
 
 class TestWalkRoutes:
-    """The bitset and set families through the same walk: equal row dicts in
-    the same order, both equal to the literal count."""
+    """The bitset and set families through the same walk: equal rows in the
+    same order, both equal to the literal count."""
 
-    @given(seqs(max_m=8, max_n=6), st.data())
+    @given(seqs(max_m=8, max_n=6), st.data(), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_bitset_walk_equals_set_walk(self, seq, data):
+    def test_bitset_walk_equals_set_walk(self, seq, data, repeat):
         bases = data.draw(st.sets(st.integers(0, (1 << seq.m) - 1)))
-        for r in range(seq.n + 1):
+        # one degree past the most parts and the most SDR elements
+        for degree in range(max(seq.n, seq.m) + 2):
             for within in (None, bases):
                 by_sets, by_bits = (
-                    list(_walk(seq.n, r, *ops(seq, within)).items()) for ops in (_set_ops, _bitset_ops)
+                    list(_walk(seq.n, degree, *ops(seq, within), repeat=repeat)) for ops in (_set_ops, _bitset_ops)
                 )
                 assert by_sets == by_bits
+                assert by_bits == sorted(by_bits, reverse=True)
+                for beta, fact, _ in by_bits:
+                    assert sum(beta) == degree
+                    assert fact == math.prod(map(math.factorial, beta))
+                if repeat:
+                    # the panel counts are the multi-affine part of the
+                    # multiset walk: its rows with every beta_j <= 1
+                    subsets = list(_walk(seq.n, degree, *_bitset_ops(seq, within)))
+                    assert [row for row in by_bits if max(row[0]) <= 1] == subsets
 
     @given(seqs(max_m=4, max_n=5), st.data())
     @settings(max_examples=60, deadline=None)
@@ -147,8 +175,8 @@ class TestWalkRoutes:
         for r in range(seq.n + 1):
             plain, restricted = _literal_rows(seq, r), _literal_rows(seq, r, among=among)
             for ops in (_set_ops, _bitset_ops):
-                assert _walk(seq.n, r, *ops(seq, None)) == plain
-                assert _walk(seq.n, r, *ops(seq, bases)) == restricted
+                assert _topic_rows(_walk(seq.n, r, *ops(seq, None))) == plain
+                assert _topic_rows(_walk(seq.n, r, *ops(seq, bases))) == restricted
 
     @pytest.mark.parametrize("m, route", [(16, "_bitset_ops"), (17, "_set_ops")])
     def test_route_by_ground_set_size(self, monkeypatch, m, route):

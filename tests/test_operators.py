@@ -285,13 +285,13 @@ class TestInducingRoutes:
     @pytest.mark.parametrize(
         "seq, f, route",
         [
-            (_windows(16), elementary_symmetric(16, 2), "_multiset_walk"),
+            (_windows(16), elementary_symmetric(16, 2), "_walk"),
             (_windows(17), elementary_symmetric(17, 2), "_induce_by_sumsets"),
-            (_windows(8), elementary_symmetric(8, 2), "_multiset_walk"),
+            (_windows(8), elementary_symmetric(8, 2), "_walk"),
             (_windows(8), elementary_symmetric(8, 2) - X1X2_OF_8 + Poly.monomial(8, (2,) + (0,) * 7), "_induce_by_sumsets"),
-            (_windows(8), _weighted(8, 3, operators._INDUCE_GROUPS), "_multiset_walk"),
+            (_windows(8), _weighted(8, 3, operators._INDUCE_GROUPS), "_walk"),
             (_windows(8), _weighted(8, 3, operators._INDUCE_GROUPS + 1), "_induce_by_sumsets"),
-            (_windows(8), elementary_symmetric(8, 6), "_multiset_walk"),
+            (_windows(8), elementary_symmetric(8, 6), "_walk"),
             (_windows(8), elementary_symmetric(8, 7), "_induce_by_sumsets"),
             (_windows(8), elementary_symmetric(8, 2) - X1X2_OF_8, "_induce_by_sumsets"),
         ],
@@ -300,9 +300,11 @@ class TestInducingRoutes:
     def test_route_gate(self, monkeypatch, seq, f, route):
         expected = _induce_by_sumsets(seq, f)
         ran = []
-        for name in ("_multiset_walk", "_induce_by_sumsets"):
+        for name in ("_walk", "_induce_by_sumsets"):
             real = getattr(operators, name)
-            monkeypatch.setattr(operators, name, lambda *args, name=name, real=real: ran.append(name) or real(*args))
+            monkeypatch.setattr(
+                operators, name, lambda *args, name=name, real=real, **kwargs: ran.append(name) or real(*args, **kwargs)
+            )
         image = apply_inducing(seq, f)
         assert set(ran) == {route}
         assert image == expected and list(image.items()) == list(expected.items())
