@@ -109,9 +109,13 @@ def _field_width(top: int) -> int:
     return top.bit_length() // 8 + 1
 
 
-def _ones(fields: int, bits: int) -> int:
-    """The int with a 1 at the bottom of each of `fields` fields of `bits` bits."""
-    return ((1 << fields * bits) - 1) // ((1 << bits) - 1)
+def _tile(unit: int, period: int, size: int) -> int:
+    """`unit` repeated every `period` bits up to `size` bits, copied by doubling
+    (linear in size); size / period must be a power of two."""
+    while period < size:
+        unit |= unit << period
+        period <<= 1
+    return unit
 
 
 def _fields_le(small: int, large: int, guards: int) -> bool:
@@ -125,11 +129,9 @@ def _split_masks(m: int, bits: int) -> tuple[int, tuple[int, ...]]:
     """The guard bits of 2^m packed fields of `bits` bits, and for each
     position bit b the fields whose position has b clear (runs of 2^b
     fields, every other run)."""
-    fields = 1 << m
-    guards = _ones(fields, bits) << (bits - 1)
-    clear = tuple(
-        _ones(fields >> b + 1, bits << b + 1) * ((1 << (bits << b)) - 1) for b in range(m)
-    )
+    size = bits << m
+    guards = _tile(1 << bits - 1, bits, size)
+    clear = tuple(_tile((1 << (bits << b)) - 1, bits << b + 1, size) for b in range(m))
     return guards, clear
 
 

@@ -8,6 +8,9 @@ weight caps.  Two public entries, both taking (seq, alpha, beta, caps), make
 one call each to `_flow`, which validates the degrees and caps and runs
 shortest augmenting paths over the edge list: `admits_matching` answers yes
 or no, and `find_witness` returns the flow as a witnessing weighting.
+First `_flow` rejects a pair with some degree above the summed limits of
+its vertex's edges (a single-vertex cut; Gale 1957, Ford-Fulkerson 1956):
+the cut only ever answers "no", so every "yes" and witness is the search's.
 `single_vertex_cuts` drops, without a flow, the alphas that fail a Hall cut
 at one vertex against a fixed beta.  `matched_degrees` lists the feasible
 beta for one alpha by spreading each element over its parts.
@@ -71,6 +74,12 @@ class SubsetSeq:
     @property
     def n(self) -> int:
         return len(self.sets)
+
+    @functools.cached_property
+    def _members(self) -> tuple[tuple[int, ...], ...]:
+        """Each part's members in order, for `_flow`; built on first use,
+        since most sequences never reach a flow."""
+        return tuple(tuple(sorted(s)) for s in self.sets)
 
     def parts_containing(self, element: int) -> tuple[int, ...]:
         if not 1 <= element <= self.m:
@@ -138,7 +147,7 @@ def _check_degrees(vec: Sequence[int], length: int, name: str) -> tuple[int, ...
     out = tuple(map(operator.index, vec))
     if len(out) != length:
         raise ValueError(f"{name} has length {len(out)}, expected {length}")
-    if any(v < 0 for v in out):
+    if out and min(out) < 0:
         raise ValueError(f"{name} must be nonnegative")
     return out
 
@@ -156,6 +165,16 @@ def _check_caps(seq: SubsetSeq, caps: Mapping[Edge, int]) -> dict[Edge, int]:
     return out
 
 
+def _fails_vertex_cut(a: tuple[int, ...], b: tuple[int, ...], limit: dict[Edge, int]) -> bool:
+    """Is some alpha_i above the summed limits of element i's edges, or some
+    beta_j above those of part j's?  Then (alpha, beta) cannot match."""
+    send, draw = [0] * len(a), [0] * len(b)
+    for (i, j), room in limit.items():
+        send[i - 1] += room
+        draw[j - 1] += room
+    return any(map(operator.gt, a, send)) or any(map(operator.gt, b, draw))
+
+
 def _flow(
     seq: SubsetSeq,
     alpha: Sequence[int],
@@ -168,28 +187,31 @@ def _flow(
     with supply left, goes element -> part along an edge with room and part ->
     element along an edge that carries weight, and ends at the first part
     reached that has demand left.  An uncapped edge is limited by the total,
-    which never binds.
+    which never binds.  After the checks, and before any path, a pair that
+    fails `_fails_vertex_cut` is rejected: the cut only ever answers "no".
     """
+    n = seq.n
     a = _check_degrees(alpha, seq.m, "alpha")
-    b = _check_degrees(beta, seq.n, "beta")
-    limit = dict.fromkeys(seq.edges(), sum(a))
+    b = _check_degrees(beta, n, "beta")
+    total = sum(a)
+    limit = dict.fromkeys(seq._edges, total)
     if caps is not None:
         limit.update(_check_caps(seq, caps))
-    if sum(a) != sum(b):
+    if total != sum(b) or _fails_vertex_cut(a, b, limit):
         return None
+    parts_of, members = seq._parts_of, seq._members
     supply, demand = list(a), list(b)
-    flow = dict.fromkeys(seq.edges(), 0)
-    members = [sorted(s) for s in seq.sets]
+    flow = dict.fromkeys(seq._edges, 0)
     while any(supply):
         reached_from_part = [None] * (seq.m + 1)  # 0 marks a start element
-        reached_from_elem = [0] * (seq.n + 1)
+        reached_from_elem = [0] * (n + 1)
         queue = deque(i for i in range(1, seq.m + 1) if supply[i - 1])
         for i in queue:
             reached_from_part[i] = 0
         end = 0
         while queue and not end:
             i = queue.popleft()
-            for j in seq.parts_containing(i):
+            for j in parts_of[i - 1]:
                 if reached_from_elem[j] or flow[i, j] == limit[i, j]:
                     continue
                 reached_from_elem[j] = i

@@ -233,6 +233,14 @@ class StatTable:
             checked[t] = count
         object.__setattr__(self, "rows", checked)
 
+    @classmethod
+    def _trusted(cls, r: int, rows: dict[tuple[int, ...], int]) -> "StatTable":
+        """Wrap rows the library built as is: int r-tuples, positive int counts."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "r", r)
+        object.__setattr__(out, "rows", rows)
+        return out
+
     def count(self, topic: Iterable[int]) -> int:
         return self.rows.get(tuple(sorted(topic)), 0)
 
@@ -255,4 +263,4 @@ def stat_table(seq: SubsetSeq, r: int) -> StatTable:
     if not 0 <= r <= seq.n:
         raise ValueError(f"r = {r} outside 0..{seq.n}")
     parts = range(1, seq.n + 1)
-    return StatTable(r, {tuple(compress(parts, beta)): c for beta, _, c in _panel_rows(seq, r)})
+    return StatTable._trusted(r, {tuple(compress(parts, b)): c for b, _, c in _panel_rows(seq, r)})

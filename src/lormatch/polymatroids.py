@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Sequence
 
-from ._packed import _field_width, _fields_le, _ones, _pack, _split_masks, _subset_sums
+from ._packed import _field_width, _fields_le, _pack, _split_masks, _subset_sums, _tile
 from ._packed import mask_to_elements
 from ._util import _brief, _inertia, _is_json_int, json_ints, json_rational_rows
 from ._util import clear_denominators, exact_rational, vec_factorial
@@ -367,7 +367,7 @@ def _walk_base_points(
     for i in range(m - 2):
         half = bits << (m - 1 - i)  # bits in half the level's tables
         low_mask = (1 << half) - 1
-        ones = _ones(1 << (m - 1 - i), bits)
+        ones = _tile(1, bits, half)
         guards = ones << (bits - 1)
         last = half - bits
         halves = [(t & low_mask, t >> half) for t in tables]

@@ -386,42 +386,23 @@ def _eval_power_family(cfg: TrialConfig, instance: Mapping) -> list[str]:
 # -- check: capped matchings against exhaustive enumeration --------------------
 
 
-def _enumerate_restricted(
-    seq: SubsetSeq,
-    alpha: Sequence[int],
-    beta: Sequence[int],
-    caps: Mapping[tuple[int, int], int],
-) -> bool:
-    """Spread each row budget over its incident parts, within caps, and look
-    for an assignment hitting the column sums exactly."""
+def _capped_column_sums(seq: SubsetSeq, caps: Mapping, alpha: Sequence[int]) -> set[tuple[int, ...]]:
+    """Every column sum that alpha reaches within the caps, by brute force:
+    each element's degree is spread over its parts in every way the caps
+    allow, one element after another, keeping the set of partial sums."""
     total = sum(alpha)
-    if total != sum(beta):
-        return False
-
-    def rec(element: int, colsums: tuple[int, ...]) -> bool:
-        if element > seq.m:
-            return colsums == tuple(beta)
-        need = alpha[element - 1]
-        parts = seq.parts_containing(element)
-        if need == 0:
-            return rec(element + 1, colsums)
-        if not parts:
-            return False
-        limits = [
-            min(caps.get((element, j), total), beta[j - 1] - colsums[j - 1])
-            for j in parts
-        ]
-        if any(v < 0 for v in limits):
-            limits = [max(v, 0) for v in limits]
-        for spread in bounded_compositions(need, limits):
-            updated = list(colsums)
-            for j, w in zip(parts, spread):
-                updated[j - 1] += w
-            if rec(element + 1, tuple(updated)):
-                return True
-        return False
-
-    return rec(1, (0,) * seq.n)
+    reached = {(0,) * seq.n}
+    for i, need in enumerate(alpha, start=1):
+        if need:
+            parts = seq.parts_containing(i)
+            grown = set()
+            for spread in bounded_compositions(need, [caps.get((i, j), total) for j in parts]):
+                step = [0] * seq.n
+                for j, w in zip(parts, spread):
+                    step[j - 1] = w
+                grown.update(tuple(map(operator.add, r, step)) for r in reached)
+            reached = grown
+    return reached
 
 
 def _gen_capped(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
@@ -440,11 +421,14 @@ def _gen_capped(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
 def _capped_mismatches(
     seq: SubsetSeq, caps: Mapping[tuple[int, int], int], alpha: Sequence[int]
 ) -> list[str]:
+    """Each beta of alpha's total: the flow's answer against membership in
+    alpha's column sums, enumerated once for all the betas without a flow."""
     out = []
     total = sum(alpha)
+    reached = _capped_column_sums(seq, caps, alpha)
     for beta in bounded_compositions(total, (total,) * seq.n):
         flow = admits_matching(seq, alpha, beta, caps)
-        scan = _enumerate_restricted(seq, alpha, beta, caps)
+        scan = beta in reached
         if flow != scan:
             out.append(
                 f"alpha={tuple(alpha)}, beta={beta}: flow says {flow}, "

@@ -13,6 +13,7 @@ from lormatch import (
     find_witness,
     matched_degrees,
 )
+from lormatch import matchings
 from lormatch._util import vec_factorial
 from lormatch.matchings import _key_decoder, _places, single_vertex_cuts
 
@@ -46,6 +47,28 @@ def capped_instances(draw):
     edges = seq.edges()
     caps = draw(st.dictionaries(st.sampled_from(edges), st.integers(0, 2))) if edges else {}
     return seq, alpha, beta, caps
+
+
+# single-vertex cut cases, as (seq, alpha, beta, caps); an uncapped edge is
+# limited by the total.  Element 1 sends at most 1 + 1 < 3, and both parts
+# can draw enough:
+ELEMENT_CUT = (SubsetSeq(2, (frozenset({1, 2}), frozenset({1, 2}))), (3, 0), (2, 1), {(1, 1): 1, (1, 2): 1})
+# part 1 draws at most 1 + 1 < 3, and both elements can send enough
+PART_CUT = (SubsetSeq(2, (frozenset({1, 2}), frozenset({1, 2}))), (2, 1), (3, 0), {(1, 1): 1, (2, 1): 1})
+# part 2 draws only on element 3, which supplies nothing: the summed limits
+# do not see a cut that needs alpha
+PAST_THE_CUT = (SubsetSeq(3, (frozenset({1, 2}), frozenset({3}))), (1, 1, 0), (1, 1), {})
+# element 1's alpha equals its room, as do both parts' betas
+TIGHT = (SubsetSeq(1, (frozenset({1}), frozenset({1}))), (2,), (1, 1), {(1, 1): 1, (1, 2): 1})
+
+
+def _rooms(seq, alpha, caps):
+    """The summed edge limits of each element and of each part."""
+    limit = dict.fromkeys(seq.edges(), sum(alpha))
+    limit.update(caps)
+    send = [sum(limit[i, j] for j in seq.parts_containing(i)) for i in range(1, seq.m + 1)]
+    draw = [sum(limit[i, j] for i in seq.sets[j - 1]) for j in range(1, seq.n + 1)]
+    return send, draw
 
 
 def _spread(draw, total, slots):
@@ -175,16 +198,50 @@ class TestRestricted:
     @given(capped_instances())
     # a cap of 0 on (1, 2) cuts part 2 off from its only element
     @example((SubsetSeq(1, (frozenset({1}), frozenset({1}))), (2,), (1, 1), {(1, 2): 0}))
-    @settings(max_examples=150, deadline=None)
+    @example(ELEMENT_CUT)
+    @example(PART_CUT)
+    @example(PAST_THE_CUT)
+    @example(TIGHT)
+    # zero caps, an empty part and an element in no part
+    @example((SubsetSeq(3, (frozenset(), frozenset({1, 2}))), (1, 1, 0), (0, 2), {(1, 2): 0}))
+    @example((SubsetSeq(3, (frozenset(), frozenset({1, 2}))), (0, 2, 0), (0, 2), {(1, 2): 0}))
+    @settings(max_examples=300, deadline=None)
     def test_one_signature(self, instance):
         # the flow, its witness and the oracle all read (seq, alpha, beta, caps)
         seq, alpha, beta, caps = instance
         expected = enumerate_matching(seq, alpha, beta, caps)
         assert admits_matching(seq, alpha, beta, caps) == expected
-        assert (find_witness(seq, alpha, beta, caps) is not None) == expected
+        witness = find_witness(seq, alpha, beta, caps)
+        assert (witness is not None) == expected
+        if witness is not None:
+            assert (witness.row_sums(seq.m), witness.col_sums(seq.n)) == (alpha, beta)
+            assert all(0 < w <= caps.get(edge, w) for edge, w in witness.weights.items())
+        send, draw = _rooms(seq, alpha, caps)
+        if any(map(operator.gt, alpha, send)) or any(map(operator.gt, beta, draw)):
+            assert not expected
         # no caps and an empty cap table both leave every edge free
         free = admits_matching(seq, alpha, beta, None)
         assert admits_matching(seq, alpha, beta, {}) == free == enumerate_matching(seq, alpha, beta)
+
+    @pytest.mark.parametrize(
+        "key, error, message",
+        [
+            ((1, 2), ValueError, "cap keyed by (1, 2), which is not an edge"),  # element 1 not in part 2
+            ((1, 4), ValueError, "cap keyed by (1, 4), which is not an edge"),  # part 4 of 3
+            ((1, 1.5), TypeError, "tuple indices must be integers or slices, not float"),
+            ((1, 1.0), TypeError, "tuple indices must be integers or slices, not float"),
+        ],
+    )
+    def test_cap_key_errors(self, key, error, message):
+        # the part lookup's own errors, a float part index included
+        with pytest.raises(error) as info:
+            admits_matching(WIDE, (1, 0, 0, 0), (1, 0, 0), {key: 1})
+        assert str(info.value) == message
+
+    def test_cap_keys_that_equal_an_edge(self):
+        # an element equal to an int, and a bool part, name the edge they equal
+        assert admits_matching(WIDE, (1, 0, 0, 0), (1, 0, 0), {(1.0, 1): 1})
+        assert not admits_matching(WIDE, (1, 0, 0, 0), (1, 0, 0), {(1, True): 0})
 
     def test_caps_from_json(self):
         caps = caps_from_json(WIDE, {"2-1": 3})
@@ -193,6 +250,38 @@ class TestRestricted:
             caps_from_json(WIDE, {"1-2": 1})  # element 1 is not in part 2
         with pytest.raises(ValueError):
             caps_from_json(WIDE, {"2-1": -1})
+
+
+class TestVertexCut:
+    """`_flow` rejects a pair whose alpha_i exceeds the summed limits of
+    element i's edges, or whose beta_j exceeds those of part j's, before any
+    augmenting path (`TestRestricted.test_one_signature` runs these cases
+    against the oracle)."""
+
+    @pytest.mark.parametrize("case", ["ELEMENT_CUT", "PART_CUT"])
+    def test_cut_cases_fail_their_side(self, case, monkeypatch):
+        seq, alpha, beta, caps = globals()[case]
+        send, draw = _rooms(seq, alpha, caps)
+        elements = any(map(operator.gt, alpha, send))
+        parts = any(map(operator.gt, beta, draw))
+        assert (elements, parts) == ((True, False) if case == "ELEMENT_CUT" else (False, True))
+        assert not enumerate_matching(seq, alpha, beta, caps)
+
+        # the cut answers on either side before the search builds its queue
+        def no_search(*args):
+            raise AssertionError("the augmenting-path search ran")
+
+        monkeypatch.setattr(matchings, "deque", no_search)
+        assert not admits_matching(seq, alpha, beta, caps)
+
+    def test_tight_and_past_the_cut(self):
+        seq, alpha, beta, caps = TIGHT
+        assert _rooms(seq, alpha, caps) == ([2], [1, 1])
+        assert find_witness(seq, alpha, beta, caps).weights == {(1, 1): 1, (1, 2): 1}
+        seq, alpha, beta, caps = PAST_THE_CUT
+        send, draw = _rooms(seq, alpha, caps)
+        assert all(map(operator.le, alpha, send)) and all(map(operator.le, beta, draw))
+        assert not enumerate_matching(seq, alpha, beta, caps)
 
 
 class TestMatchedDegrees:

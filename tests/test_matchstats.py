@@ -271,6 +271,18 @@ class TestStatTable:
         with pytest.raises(TypeError):
             StatTable(1, rows)
 
+    @given(seqs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_built_table_equals_validated_table(self, seq, data):
+        # stat_table wraps its own rows unchecked; the public constructor
+        # re-checks them and must find nothing to change
+        r = data.draw(st.integers(0, seq.n))
+        table = stat_table(seq, r)
+        checked = StatTable(r, table.rows)
+        assert checked == table
+        assert list(checked.rows.items()) == list(table.rows.items())
+        assert all(type(v) is int for t in table.rows for v in t)
+
     def test_zero_rows_dropped(self):
         table = stat_table(SubsetSeq(1, (frozenset({1}), frozenset())), 1)
         assert table.rows == {(1,): 1}

@@ -41,6 +41,18 @@ def _position_mask(m, position):
     return sum(1 << (e - 1) for e in range(1, m + 1) if position >> (m - e) & 1)
 
 
+def _check_split_masks(m, bits):
+    """`_split_masks` against its fields written out one by one, the
+    highest position first, as `int(.., 2)` reads them."""
+    guards, clear = _split_masks(m, bits)
+    positions = range((1 << m) - 1, -1, -1)
+    assert guards == int(("1" + "0" * (bits - 1)) * (1 << m), 2)
+    assert len(clear) == m
+    for b in range(m):
+        fields = "".join("0" * bits if p >> b & 1 else "1" * bits for p in positions)
+        assert clear[b] == int(fields, 2)
+
+
 class TestDigitKeys:
     @given(digit_vectors())
     def test_keys_round_trip(self, case):
@@ -108,11 +120,12 @@ class TestGuardBitFields:
     @pytest.mark.parametrize("bits", [8, 16, 24])
     @pytest.mark.parametrize("m", range(1, 6))
     def test_split_masks_select_fields(self, m, bits):
-        guards, clear = _split_masks(m, bits)
-        field = (1 << bits) - 1
-        assert guards == sum(1 << bits * p + bits - 1 for p in range(1 << m))
-        for b in range(m):
-            assert clear[b] == sum(field << bits * p for p in range(1 << m) if not p >> b & 1)
+        _check_split_masks(m, bits)
+
+    @pytest.mark.parametrize("m, bits", [(16, 1), (16, 8), (17, 1)])
+    def test_split_masks_select_fields_of_wide_tables(self, m, bits):
+        # the tables whose runs were built by big-int products before doubling
+        _check_split_masks(m, bits)
 
 
 class TestSubsetMasks:

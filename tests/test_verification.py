@@ -1,3 +1,4 @@
+import operator
 from itertools import islice
 
 import pytest
@@ -23,10 +24,10 @@ from lormatch import (
     run_all,
     run_check,
 )
-from lormatch import matchstats, operators, verification
-from lormatch._util import iter_box
-from lormatch.verification import _trial_rng
-from oracles import matched_degrees_box
+from lormatch import matchings, matchstats, operators, verification
+from lormatch._util import bounded_compositions, iter_box
+from lormatch.verification import _capped_column_sums, _trial_rng
+from oracles import enumerate_matching, matched_degrees_box
 
 
 class TestTrialConfig:
@@ -182,6 +183,61 @@ class TestCheckResult:
         assert ok.passed
         bad = CheckResult("x", 3, ({"trial": 0, "instance": {}, "reasons": ["r"]},))
         assert not bad.passed
+
+
+@st.composite
+def capped_alphas(draw):
+    """(seq, caps, alpha) with m, n <= 3: empty parts, elements in no part and
+    zero caps all occur."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    seq = SubsetSeq(m, tuple(frozenset(draw(st.sets(st.integers(1, m)))) for _ in range(n)))
+    caps = {edge: draw(st.integers(0, 2)) for edge in seq.edges() if draw(st.booleans())}
+    alpha = tuple(draw(st.integers(0, 2)) for _ in range(m))
+    return seq, caps, alpha
+
+
+class TestCappedMatchings:
+    @given(capped_alphas())
+    @settings(max_examples=200, deadline=None)
+    def test_column_sums_are_the_matched_betas(self, case):
+        # the slow side of the check, one enumeration per alpha, against
+        # the oracle's search over edge weightings one beta at a time
+        seq, caps, alpha = case
+        total = sum(alpha)
+        reached = _capped_column_sums(seq, caps, alpha)
+        assert all(sum(beta) == total for beta in reached)
+        for beta in bounded_compositions(total, (total,) * seq.n):
+            assert (beta in reached) == enumerate_matching(seq, alpha, beta, caps)
+
+    def test_a_planted_ge_cut_is_reported(self, monkeypatch):
+        # a cut that also rejects a degree equal to its vertex's room
+        def planted(a, b, limit):
+            send, draw = [0] * len(a), [0] * len(b)
+            for (i, j), room in limit.items():
+                send[i - 1] += room
+                draw[j - 1] += room
+            return any(map(operator.ge, a, send)) or any(map(operator.ge, b, draw))
+
+        monkeypatch.setattr(matchings, "_fails_vertex_cut", planted)
+        result = run_check("capped-matchings", TrialConfig(trials=3))
+        reasons = [r for failure in result.failures for r in failure["reasons"]]
+        assert reasons and all(r.endswith("flow says False, enumeration says True") for r in reasons)
+
+    def test_a_search_past_the_caps_is_reported(self, monkeypatch):
+        # the cut reads the true limits, then lifts every cap to the total in
+        # the dict the search goes on to read: the search alone is at fault,
+        # on the pairs that pass the cut and still do not match
+        cut = matchings._fails_vertex_cut
+
+        def uncapped_search(a, b, limit):
+            failed = cut(a, b, limit)
+            limit.update(dict.fromkeys(limit, sum(a)))
+            return failed
+
+        monkeypatch.setattr(matchings, "_fails_vertex_cut", uncapped_search)
+        result = run_check("capped-matchings", TrialConfig(trials=3))
+        reasons = [r for failure in result.failures for r in failure["reasons"]]
+        assert reasons and all(r.endswith("flow says True, enumeration says False") for r in reasons)
 
 
 class TestMatchingStatCrossCheck:
