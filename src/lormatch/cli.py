@@ -90,16 +90,29 @@ class _PolyOut:
         self.basis = basis
 
 
+def _holds_poly(obj) -> bool:
+    """Whether a payload value holds a `_PolyOut`: is one, is an object with
+    a value that holds one, or is a list of row objects whose first does."""
+    if isinstance(obj, dict):
+        return any(map(_holds_poly, obj.values()))
+    if isinstance(obj, list):
+        return bool(obj) and isinstance(obj[0], dict) and _holds_poly(obj[0])
+    return isinstance(obj, _PolyOut)
+
+
 def _canon(obj) -> str:
     """Canonical JSON: sorted keys, compact separators.
 
-    A payload that is a polynomial, or an object with polynomial values,
-    has each polynomial's `_json_text` spliced in.
+    A payload that is a polynomial, or that holds polynomials in objects and
+    in lists of row objects (an operator box's table), has each polynomial's
+    `_json_text` spliced in.
     """
     if isinstance(obj, _PolyOut):
         return obj.poly._json_text(obj.basis)
-    if isinstance(obj, dict) and any(isinstance(value, _PolyOut) for value in obj.values()):
+    if isinstance(obj, dict) and _holds_poly(obj):
         return "{%s}" % ",".join(json.dumps(key) + ":" + _canon(obj[key]) for key in sorted(obj))
+    if isinstance(obj, list) and _holds_poly(obj):
+        return "[%s]" % ",".join(map(_canon, obj))
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -325,7 +338,7 @@ def _cmd_symbol(args) -> dict | _PolyOut:
         box = inducing_box(seq, kappa)
     if args.q is not None:
         box = power_box(box, _parse_number(args.q, "--q", json_rational))
-    return box.to_json() if args.table else _PolyOut(symbol_of(box))
+    return box._json(_PolyOut) if args.table else _PolyOut(symbol_of(box))
 
 
 def _cmd_certify(args) -> dict:
@@ -399,7 +412,7 @@ def _cmd_tab_family(args) -> dict:
     if args.symbol:
         payload["symbol"] = _PolyOut(symbol_of(box))
     else:
-        payload["box"] = box.to_json()
+        payload["box"] = box._json(_PolyOut)
     return payload
 
 

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import matchstats
 from ._packed import _key_decoder
@@ -87,11 +87,15 @@ class OperatorBox:
         return self.table[tuple(map(operator.index, alpha))]
 
     def to_json(self) -> dict:
+        return self._json(operator.methodcaller("to_json"))
+
+    def _json(self, encode: Callable) -> dict:
+        """The JSON object of `to_json`, each image written by ``encode``."""
         return {
             "kappa": list(self.kappa),
             "n_out": self.n_out,
             "table": [
-                {"alpha": list(alpha), "poly": poly.to_json()}
+                {"alpha": list(alpha), "poly": encode(poly)}
                 for alpha, poly in sorted(self.table.items())
             ],
         }
@@ -167,6 +171,12 @@ def apply_inducing(seq: SubsetSeq, f: Poly) -> Poly:
     route = _bitset_layers(seq, f)
     if route is None:
         return _induce_by_sumsets(seq, f)
+    return _induce_by_bitsets(seq, route)
+
+
+def _induce_by_bitsets(seq: SubsetSeq, route: tuple[int, dict]) -> Poly:
+    """The bitset route of `apply_inducing`, on the (L, {degree: count})
+    that `_bitset_layers` returned for f."""
     scale, counts = route
     # the families are looked up in matchstats at call time, so the two walks
     # always share one grow step

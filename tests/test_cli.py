@@ -938,6 +938,30 @@ SPLICED = {
         ("symbol", "--sets", NARROW, "--kappa", "2,1", "--op", "substitution"),
         lambda: lormatch.symbol_of(lormatch.substitution_box(_seq(NARROW), None, (2, 1))).to_json(),
     ),
+    "symbol-table": (
+        ("symbol", "--sets", TRIANGLE, "--kappa", "2,1,2", "--table"),
+        lambda: lormatch.inducing_box(_seq(TRIANGLE), (2, 1, 2)).to_json(),
+    ),
+    "symbol-table-q": (
+        ("symbol", "--sets", NARROW, "--kappa", "2,1", "--q", "1/2", "--table"),
+        lambda: lormatch.power_box(lormatch.inducing_box(_seq(NARROW), (2, 1)), Fraction(1, 2)).to_json(),
+    ),
+    "symbol-table-substitution": (
+        ("symbol", "--sets", NARROW, "--kappa", "2,1", "--op", "substitution", "--table"),
+        lambda: lormatch.substitution_box(_seq(NARROW), None, (2, 1)).to_json(),
+    ),
+    "tab-family-box": (
+        ("tab-family", "--sets", NARROW, "--a", "1,2,1/2", "--b", "1,0,1/3,1", "--kappa", "1,1"),
+        lambda: {
+            "augmented_sets": lormatch.augment_with_singletons(_seq(NARROW)).to_json(),
+            "box": lormatch.tab_family_box(
+                _seq(NARROW),
+                (Fraction(1), Fraction(2), Fraction(1, 2)),
+                (Fraction(1), Fraction(0), Fraction(1, 3), Fraction(1)),
+                (1, 1),
+            ).to_json(),
+        },
+    ),
     "pminduce-egf": (
         ("pminduce", "--pm", FREE_PM, "--sets", TRIANGLE, "--egf"),
         lambda: _egf_payload(lormatch.induce_polymatroid(lormatch.free_polymatroid(3, 2), _seq(TRIANGLE))),

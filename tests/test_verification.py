@@ -1,4 +1,8 @@
+import json
 import operator
+import os
+import threading
+import time
 from itertools import islice
 
 import pytest
@@ -185,6 +189,115 @@ class TestCheckResult:
         assert not bad.passed
 
 
+def _pin_workers(monkeypatch, k):
+    monkeypatch.setattr(verification, "_worker_count", lambda: k)
+
+
+def _same_on_two_workers(monkeypatch, name, cfg):
+    """run_check in one loop, asserted equal to run_check on two workers."""
+    _pin_workers(monkeypatch, 1)
+    alone = run_check(name, cfg)
+    _pin_workers(monkeypatch, 2)
+    assert run_check(name, cfg) == alone
+    return alone
+
+
+def _plant_failures(monkeypatch):
+    """Add a reason to about a third of all instances, chosen by the
+    instance alone, so that a split has failures to merge."""
+    real = verification._evaluate_safe
+
+    def planted(check, cfg, instance):
+        reasons = real(check, cfg, instance)
+        if len(json.dumps(instance, sort_keys=True)) % 3 == 0:
+            reasons = reasons + ["planted"]
+        return reasons
+
+    monkeypatch.setattr(verification, "_evaluate_safe", planted)
+
+
+class TestSplitTrials:
+    """`run_check` splits a check's trials over forked workers by index; no
+    result depends on the split."""
+
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_every_split_gives_the_one_loop_result(self, monkeypatch, name):
+        _plant_failures(monkeypatch)
+        for seed in (1, 2, 3):
+            for trials in (1, 2, 7, 100):
+                cfg = TrialConfig(seed=seed, trials=trials)
+                _pin_workers(monkeypatch, 1)
+                alone = run_check(name, cfg)
+                for k in (2, 3):
+                    _pin_workers(monkeypatch, k)
+                    assert run_check(name, cfg) == alone, (seed, trials, k)
+        # the last result, at 100 trials, had failures to merge
+        assert len(alone.failures) >= 2 or CHECKS[name].fixed_trials == 1
+
+    def test_a_dead_worker_share_is_rerun(self, monkeypatch):
+        _plant_failures(monkeypatch)
+        cfg = TrialConfig(seed=2, trials=7)
+        _pin_workers(monkeypatch, 1)
+        alone = run_check("capped-matchings", cfg)
+        parent = os.getpid()
+        real = verification._trial_rng
+
+        def dying(seed, name, trial):
+            # the child of two workers runs trials 1, 3 and 5
+            if trial == 3 and os.getpid() != parent:
+                os._exit(1)
+            return real(seed, name, trial)
+
+        monkeypatch.setattr(verification, "_trial_rng", dying)
+        _pin_workers(monkeypatch, 2)
+        assert alone.failures and run_check("capped-matchings", cfg) == alone
+
+    def test_an_interrupted_parent_leaves_no_child(self, monkeypatch):
+        real = verification._trial_rng
+
+        def interrupted(seed, name, trial):
+            # the parent of three workers runs trials 0, 3, 6, ...; each
+            # child stalls in its first trial, 1 or 2, until it is killed
+            if trial in (1, 2):
+                time.sleep(60)
+            if trial == 3:
+                raise KeyboardInterrupt
+            return real(seed, name, trial)
+
+        monkeypatch.setattr(verification, "_trial_rng", interrupted)
+        _pin_workers(monkeypatch, 3)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_check("capped-matchings", TrialConfig(trials=100))
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_live_thread_keeps_the_trials_in_process(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked with a live thread")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert verification._worker_count() == 1
+            assert run_check("capped-matchings", TrialConfig(trials=7)).passed
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (16, 2)])
+    def test_workers_follow_the_usable_cpus(self, monkeypatch, cpus, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert verification._worker_count() == workers
+        monkeypatch.delattr(os, "fork")
+        assert verification._worker_count() == 1
+
+
 @st.composite
 def capped_alphas(draw):
     """(seq, caps, alpha) with m, n <= 3: empty parts, elements in no part and
@@ -219,7 +332,7 @@ class TestCappedMatchings:
             return any(map(operator.ge, a, send)) or any(map(operator.ge, b, draw))
 
         monkeypatch.setattr(matchings, "_fails_vertex_cut", planted)
-        result = run_check("capped-matchings", TrialConfig(trials=3))
+        result = _same_on_two_workers(monkeypatch, "capped-matchings", TrialConfig(trials=3))
         reasons = [r for failure in result.failures for r in failure["reasons"]]
         assert reasons and all(r.endswith("flow says False, enumeration says True") for r in reasons)
 
@@ -235,7 +348,7 @@ class TestCappedMatchings:
             return failed
 
         monkeypatch.setattr(matchings, "_fails_vertex_cut", uncapped_search)
-        result = run_check("capped-matchings", TrialConfig(trials=3))
+        result = _same_on_two_workers(monkeypatch, "capped-matchings", TrialConfig(trials=3))
         reasons = [r for failure in result.failures for r in failure["reasons"]]
         assert reasons and all(r.endswith("flow says True, enumeration says False") for r in reasons)
 
@@ -281,6 +394,8 @@ class TestDerivedTablesAtRunTime:
             return real(rank, m)
 
         monkeypatch.setattr(verification, "validate_polymatroid", counting)
+        # the calls are counted in this process, so no trial may run in a child
+        _pin_workers(monkeypatch, 1)
         result = run_check(name, TrialConfig(trials=6))
         assert result.passed
         assert len(seen) == result.trials
