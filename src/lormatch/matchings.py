@@ -155,7 +155,10 @@ def _check_degrees(vec: Sequence[int], length: int, name: str) -> tuple[int, ...
 def _check_caps(seq: SubsetSeq, caps: Mapping[Edge, int]) -> dict[Edge, int]:
     out = {}
     for edge, cap in caps.items():
-        i, j = edge
+        try:
+            i, j = map(operator.index, edge)
+        except TypeError:
+            raise TypeError(f"cap keyed by {edge}, whose indices are not integers") from None
         if not (1 <= j <= seq.n and seq.has_edge(i, j)):
             raise ValueError(f"cap keyed by {edge}, which is not an edge")
         cap = operator.index(cap)

@@ -245,8 +245,9 @@ def _induce_by_sumsets(seq: SubsetSeq, f: Poly) -> Poly:
     one degree (|beta| = |alpha|) int order is lex order: the degrees in
     increasing order, each with its keys sorted, insert the terms in
     graded-lex order.  Each term is decoded by the shared `_key_decoder`
-    and costs one Fraction, total / (L * beta!), per distinct (total,
-    beta!); a total that cancels to 0 is dropped.
+    and made by `_rows_poly` with the scale L, so it costs one Fraction,
+    total / (L * beta!), per distinct (total, beta!); a total that cancels
+    to 0 is dropped.
     """
     terms = sorted(f.items())
     scale, ints = clear_denominators([c for _, c in terms])
@@ -263,19 +264,13 @@ def _induce_by_sumsets(seq: SubsetSeq, f: Poly) -> Poly:
         for key, k in group.items():
             into[key] = into.get(key, 0) + weight * k
     decode = _key_decoder(radix, seq.n)
-    ratios: dict[tuple[int, int], Fraction] = {}
-    data = {}
-    for degree in sorted(totals):
-        into = totals[degree]
-        for key in sorted(into):
-            total = into[key]
-            if total:
-                beta, fact = decode(key)
-                c = ratios.get((total, fact))
-                if c is None:
-                    c = ratios[total, fact] = Fraction(total, scale * fact)
-                data[beta] = c
-    return Poly._trusted(seq.n, data)
+    rows = (
+        (*decode(key), total)
+        for degree in sorted(totals)
+        for key, total in sorted(totals[degree].items())
+        if total
+    )
+    return _rows_poly(seq.n, rows, scale)
 
 
 def _linear_images(

@@ -6,14 +6,14 @@ form.  Trials are deterministic per (seed, check name, trial index): the
 per-trial generator is re-derived from that triple, so results never depend
 on execution order, and `replay` reruns a recorded instance standalone.
 
-That independence lets `run_check` split a check's trials by index over
-forked worker processes, one per CPU this process may use (at most 2), and
-merge the failures back in trial order.  It runs them in one loop instead
-when there is one trial or one usable CPU, when the platform has no
-`os.fork`, or when the process has more than one OS thread.  A worker that
-dies has its trials rerun in process.  So no
-output depends on the split: restricting the CPUs, as `taskset -c 0` does,
-changes the time a check takes and nothing else.
+That independence lets `run_check` split a check's trials in two: the
+process runs the even trials while one forked child runs the odd ones, and
+the failures are merged back in trial order.  It runs them in one loop
+instead when there is one trial or one usable CPU, when the platform has
+no `os.fork`, or when the process has more than one OS thread.  A child
+that dies has its trials rerun in process.  So no output depends on the
+split: restricting the CPUs, as `taskset -c 0` does, changes the time a
+check takes and nothing else.
 
 The checks treat proved statements as oracles: a failure is evidence of an
 implementation bug, and the serialized instance is the bug report.
@@ -886,99 +886,86 @@ def _run_trials(check: Check, cfg: TrialConfig, trials: Sequence[int]) -> list[d
     return failures
 
 
-# the most processes that share one check's trials: 2 is the only count
-# whose gain has been measured; the CPUs of a quota are not seen
-_MAX_WORKERS = 2
-
-
-def _worker_count() -> int:
-    """The processes a check's trials may be split over: the CPUs this
-    process may use, at most `_MAX_WORKERS`; 1 where forking is missing or
-    unsafe.  A process with a second OS thread is not forked (the child would
-    hold a copy of any lock that thread held, and CPython 3.12+ warns).  On
-    Linux the threads are counted in /proc/self/task, because
+def _can_split() -> bool:
+    """May a check's trials be split with one forked child?  Only where
+    `os.fork` exists, the process has one OS thread, and it may use 2 CPUs
+    or more.  A process with a second OS thread is not forked (the child
+    would hold a copy of any lock that thread held, and CPython 3.12+
+    warns).  On Linux the threads are counted in /proc/self/task, because
     `threading.active_count()` misses threads that native code started,
-    such as a BLAS pool."""
+    such as a BLAS pool.  The CPUs of a quota are not seen."""
     if not hasattr(os, "fork"):
-        return 1
+        return False
     try:
         threads = len(os.listdir("/proc/self/task"))
     except OSError:
         threads = threading.active_count()
     if threads > 1:
-        return 1
+        return False
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS)
+    return cpus >= 2
 
 
-def _run_split(check: Check, cfg: TrialConfig, count: int, workers: int) -> list[dict]:
-    """`_run_trials` over range(count), worker w taking the trials t with
-    t % workers == w.  The parent is worker 0 and runs its share while each
-    forked child runs its own and pickles the failures to a pipe.
+def _run_split(check: Check, cfg: TrialConfig, count: int) -> list[dict]:
+    """`_run_trials` over range(count) in two processes: the parent runs the
+    even trials while one forked child runs the odd ones and pickles their
+    failures to a pipe.
 
-    A child leaves only by `os._exit` in a `finally`: it never returns into
+    The child leaves only by `os._exit` in a `finally`: it never returns into
     the caller, flushes no inherited buffer and runs no `atexit` handler.
-    The parent reruns the share of a child that exits non-zero, and takes
-    the share itself where no child can be forked.  Every child is reaped
-    before this returns, and killed first if the parent leaves by an
+    Where the fork fails, the parent runs every trial itself; where the
+    child exits non-zero, the parent reruns the odd trials.  The child is
+    reaped before this returns, and killed first if the parent leaves by an
     exception such as KeyboardInterrupt.
     """
     import pickle
 
-    shares = [range(w, count, workers) for w in range(workers)]
-    mine, children, fds, live = [shares[0]], [], [], set()
+    odd = range(1, count, 2)
+    read, write = os.pipe()
     try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            fds += (read, write)
-            try:
-                pid = os.fork()
-            except OSError:
-                mine.append(share)
-                continue
-            if pid == 0:
-                code = 1
-                try:
-                    data = pickle.dumps(_run_trials(check, cfg, share), pickle.HIGHEST_PROTOCOL)
-                    with open(write, "wb", closefd=False) as pipe:
-                        pipe.write(data)
-                    code = 0
-                finally:
-                    os._exit(code)
-            live.add(pid)
-            children.append((pid, read, share))
-            fds.remove(write)
-            os.close(write)
-        failures = [f for share in mine for f in _run_trials(check, cfg, share)]
-        for pid, read, share in children:
-            with open(read, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            live.remove(pid)
-            failures += pickle.loads(data) if status == 0 else _run_trials(check, cfg, share)
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return _run_trials(check, cfg, range(count))
+    if pid == 0:
+        code = 1
+        try:
+            data = pickle.dumps(_run_trials(check, cfg, odd), pickle.HIGHEST_PROTOCOL)
+            with open(write, "wb", closefd=False) as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    try:
+        failures = _run_trials(check, cfg, range(0, count, 2))
+        with open(read, "rb", closefd=False) as pipe:
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        pid = 0
     finally:
-        for fd in fds:
-            os.close(fd)
-        if live:
+        os.close(read)
+        if pid:
             import signal
 
-            for pid in live:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures += pickle.loads(data) if status == 0 else _run_trials(check, cfg, odd)
     return sorted(failures, key=operator.itemgetter("trial"))
 
 
 def run_check(name: str, cfg: TrialConfig | None = None) -> CheckResult:
     """Run one named check; failures carry the serialized instances.
 
-    The trials are split over `_worker_count()` processes, never more than
-    there are trials, and with one process they run in one loop.  Either
-    way the result is the one loop's: the failures in trial order, each
-    trial computed from (seed, name, trial index) alone (see `_run_split`).
-    A counter that a trial updates would live in the child that ran it, so
+    A check of more than one trial is split over two processes where
+    `_can_split()` allows, and otherwise runs in one loop.  Either way the
+    result is the one loop's: the failures in trial order, each trial
+    computed from (seed, name, trial index) alone (see `_run_split`).  A
+    counter that a trial updates would live in the process that ran it, so
     run-context counters must come back through the pipe with the failures.
     """
     if name not in CHECKS:
@@ -986,9 +973,8 @@ def run_check(name: str, cfg: TrialConfig | None = None) -> CheckResult:
     cfg = cfg or TrialConfig()
     check = CHECKS[name]
     count = check.trial_count(cfg)
-    workers = min(count, _worker_count())
-    if workers > 1:
-        failures = _run_split(check, cfg, count, workers)
+    if count > 1 and _can_split():
+        failures = _run_split(check, cfg, count)
     else:
         failures = _run_trials(check, cfg, range(count))
     return CheckResult(name, count, tuple(failures))

@@ -228,20 +228,23 @@ class TestRestricted:
         [
             ((1, 2), ValueError, "cap keyed by (1, 2), which is not an edge"),  # element 1 not in part 2
             ((1, 4), ValueError, "cap keyed by (1, 4), which is not an edge"),  # part 4 of 3
-            ((1, 1.5), TypeError, "tuple indices must be integers or slices, not float"),
-            ((1, 1.0), TypeError, "tuple indices must be integers or slices, not float"),
+            ((1, 1.5), TypeError, "cap keyed by (1, 1.5), whose indices are not integers"),
+            ((1, 1.0), TypeError, "cap keyed by (1, 1.0), whose indices are not integers"),
         ],
     )
     def test_cap_key_errors(self, key, error, message):
-        # the part lookup's own errors, a float part index included
+        # an index is read with operator.index, as alpha and beta are
         with pytest.raises(error) as info:
             admits_matching(WIDE, (1, 0, 0, 0), (1, 0, 0), {key: 1})
         assert str(info.value) == message
 
     def test_cap_keys_that_equal_an_edge(self):
-        # an element equal to an int, and a bool part, name the edge they equal
-        assert admits_matching(WIDE, (1, 0, 0, 0), (1, 0, 0), {(1.0, 1): 1})
+        # a bool index names the edge it equals; a float one is refused
+        # even where it equals an int
         assert not admits_matching(WIDE, (1, 0, 0, 0), (1, 0, 0), {(1, True): 0})
+        assert admits_matching(WIDE, (1, 0, 0, 0), (1, 0, 0), {(True, 1): 1})
+        with pytest.raises(TypeError, match=r"cap keyed by \(1\.0, 1\)"):
+            admits_matching(WIDE, (1, 0, 0, 0), (1, 0, 0), {(1.0, 1): 1})
 
     def test_caps_from_json(self):
         caps = caps_from_json(WIDE, {"2-1": 3})

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import operator
 import os
@@ -189,15 +190,16 @@ class TestCheckResult:
         assert not bad.passed
 
 
-def _pin_workers(monkeypatch, k):
-    monkeypatch.setattr(verification, "_worker_count", lambda: k)
+def _pin_split(monkeypatch, split):
+    monkeypatch.setattr(verification, "_can_split", lambda: split)
 
 
 def _same_on_two_workers(monkeypatch, name, cfg):
-    """run_check in one loop, asserted equal to run_check on two workers."""
-    _pin_workers(monkeypatch, 1)
+    """run_check in one loop, asserted equal to run_check split over the
+    parent and one child."""
+    _pin_split(monkeypatch, False)
     alone = run_check(name, cfg)
-    _pin_workers(monkeypatch, 2)
+    _pin_split(monkeypatch, True)
     assert run_check(name, cfg) == alone
     return alone
 
@@ -216,9 +218,28 @@ def _plant_failures(monkeypatch):
     monkeypatch.setattr(verification, "_evaluate_safe", planted)
 
 
+@contextlib.contextmanager
+def _live_thread():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    # the OS thread may outlive join() for a moment, and a later test's
+    # _can_split would count it in /proc/self/task
+    deadline = time.monotonic() + 10
+    while os.path.exists(f"/proc/self/task/{thread.native_id}") and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
 class TestSplitTrials:
-    """`run_check` splits a check's trials over forked workers by index; no
-    result depends on the split."""
+    """`run_check` splits a check's trials by index: the parent runs the
+    even trials and one forked child the odd ones; no result depends on the
+    split."""
 
     @pytest.mark.parametrize("name", list(CHECKS))
     def test_every_split_gives_the_one_loop_result(self, monkeypatch, name):
@@ -226,46 +247,69 @@ class TestSplitTrials:
         for seed in (1, 2, 3):
             for trials in (1, 2, 7, 100):
                 cfg = TrialConfig(seed=seed, trials=trials)
-                _pin_workers(monkeypatch, 1)
-                alone = run_check(name, cfg)
-                for k in (2, 3):
-                    _pin_workers(monkeypatch, k)
-                    assert run_check(name, cfg) == alone, (seed, trials, k)
+                alone = _same_on_two_workers(monkeypatch, name, cfg)
         # the last result, at 100 trials, had failures to merge
         assert len(alone.failures) >= 2 or CHECKS[name].fixed_trials == 1
 
     def test_a_dead_worker_share_is_rerun(self, monkeypatch):
         _plant_failures(monkeypatch)
         cfg = TrialConfig(seed=2, trials=7)
-        _pin_workers(monkeypatch, 1)
+        _pin_split(monkeypatch, False)
         alone = run_check("capped-matchings", cfg)
         parent = os.getpid()
         real = verification._trial_rng
 
         def dying(seed, name, trial):
-            # the child of two workers runs trials 1, 3 and 5
+            # the child runs trials 1, 3 and 5
             if trial == 3 and os.getpid() != parent:
                 os._exit(1)
             return real(seed, name, trial)
 
         monkeypatch.setattr(verification, "_trial_rng", dying)
-        _pin_workers(monkeypatch, 2)
+        _pin_split(monkeypatch, True)
         assert alone.failures and run_check("capped-matchings", cfg) == alone
+
+    def test_a_failed_fork_runs_every_trial_in_process(self, monkeypatch):
+        _plant_failures(monkeypatch)
+        cfg = TrialConfig(seed=3, trials=7)
+        _pin_split(monkeypatch, False)
+        alone = run_check("capped-matchings", cfg)
+
+        def failing():
+            raise BlockingIOError("no process left")
+
+        monkeypatch.setattr(os, "fork", failing)
+        _pin_split(monkeypatch, True)
+        assert alone.failures and run_check("capped-matchings", cfg) == alone
+
+    @pytest.mark.parametrize("name, forks", [("capped-matchings", 1), ("golden-examples", 0)])
+    def test_one_fork_per_split_check(self, monkeypatch, name, forks):
+        calls = []
+        real = os.fork
+
+        def counting():
+            calls.append(name)
+            return real()
+
+        monkeypatch.setattr(os, "fork", counting)
+        _pin_split(monkeypatch, True)
+        assert run_check(name, TrialConfig(trials=7)).passed
+        assert len(calls) == forks
 
     def test_an_interrupted_parent_leaves_no_child(self, monkeypatch):
         real = verification._trial_rng
 
         def interrupted(seed, name, trial):
-            # the parent of three workers runs trials 0, 3, 6, ...; each
-            # child stalls in its first trial, 1 or 2, until it is killed
-            if trial in (1, 2):
+            # the parent runs trials 0, 2, 4, ...; the child stalls in its
+            # first trial, 1, until it is killed
+            if trial == 1:
                 time.sleep(60)
-            if trial == 3:
+            if trial == 2:
                 raise KeyboardInterrupt
             return real(seed, name, trial)
 
         monkeypatch.setattr(verification, "_trial_rng", interrupted)
-        _pin_workers(monkeypatch, 3)
+        _pin_split(monkeypatch, True)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             run_check("capped-matchings", TrialConfig(trials=100))
@@ -279,23 +323,33 @@ class TestSplitTrials:
 
         monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        stop = threading.Event()
-        thread = threading.Thread(target=stop.wait)
-        thread.start()
-        try:
-            assert verification._worker_count() == 1
+        with _live_thread():
+            assert not verification._can_split()
             assert run_check("capped-matchings", TrialConfig(trials=7)).passed
-        finally:
-            stop.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
+
+    def test_threads_are_counted_without_proc(self, monkeypatch):
+        def unreadable(path):
+            raise PermissionError(path)
+
+        monkeypatch.setattr(os, "listdir", unreadable)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert verification._can_split()
+        with _live_thread():
+            assert not verification._can_split()
 
     @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (16, 2)])
     def test_workers_follow_the_usable_cpus(self, monkeypatch, cpus, workers):
+        # a split runs on two processes, the parent and one child
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        assert verification._worker_count() == workers
+        assert 1 + verification._can_split() == workers
         monkeypatch.delattr(os, "fork")
-        assert verification._worker_count() == 1
+        assert not verification._can_split()
+
+    @pytest.mark.parametrize("cpus, split", [(None, False), (1, False), (4, True)])
+    def test_cpu_count_decides_without_affinity(self, monkeypatch, cpus, split):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert verification._can_split() == split
 
 
 @st.composite
@@ -395,7 +449,7 @@ class TestDerivedTablesAtRunTime:
 
         monkeypatch.setattr(verification, "validate_polymatroid", counting)
         # the calls are counted in this process, so no trial may run in a child
-        _pin_workers(monkeypatch, 1)
+        _pin_split(monkeypatch, False)
         result = run_check(name, TrialConfig(trials=6))
         assert result.passed
         assert len(seen) == result.trials
