@@ -14,8 +14,8 @@ extends it.  Its r-subsets give the panel counts.  With a part allowed to
 repeat, its multisets, counted with weights, give the inducing image of a
 multi-affine polynomial (`operators.apply_inducing`); the multisets with
 no repeated part are the r-subsets, so the panel-count polynomial is the
-multi-affine part of the induced e_r.  `_rows_poly` makes either walk's
-terms; a single topic grows the same families along its parts.
+multi-affine part of the induced e_r.  `polynomials._rows_poly` makes
+either walk's terms; a single topic grows the same families along its parts.
 
 A family is held in one of two ways, chosen by the ground-set size m alone:
 
@@ -45,14 +45,13 @@ import functools
 import io
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Mapping
 
 from ._packed import _split_masks
 from .matchings import SubsetSeq
 from .polymatroids import Matroid, matroid_bases
-from .polynomials import Poly
+from .polynomials import Poly, _rows_poly
 
 
 def _check_topic(seq: SubsetSeq, topic: Iterable[int]) -> tuple[int, ...]:
@@ -161,22 +160,15 @@ def _walk(n: int, degree: int, start, grow, count, repeat: bool = False):
 
 
 def _panel_rows(seq: SubsetSeq, r: int, bases: set[int] | None = None):
-    """The walk's rows of the r-subsets T, in combinations order of T."""
+    """The walk's rows of the r-subsets T, in combinations order of T.
+
+    Any r >= 0 is a topic size.  Above min(m, n) no T has r parts and an
+    SDR, so there are no rows and no walk."""
+    if r < 0:
+        raise ValueError(f"topic size r = {r} is negative")
+    if r > min(seq.m, seq.n):
+        return ()
     return _walk(seq.n, r, *_ops(seq, bases))
-
-
-def _rows_poly(n: int, rows, scale: int = 1) -> Poly:
-    """The polynomial of walk rows (beta, beta!, total): y^beta with
-    coefficient total / (scale * beta!), inserted in row order, with one
-    Fraction per distinct (total, beta!)."""
-    ratios: dict[tuple[int, int], Fraction] = {}
-    data = {}
-    for beta, fact, total in rows:
-        c = ratios.get((total, fact))
-        if c is None:
-            c = ratios[total, fact] = Fraction(total, scale * fact)
-        data[beta] = c
-    return Poly._trusted(n, data)
 
 
 def _topic_count(seq: SubsetSeq, topic: Iterable[int], bases: set[int] | None = None) -> int:
@@ -203,8 +195,6 @@ def basis_match_count(mat: Matroid, seq: SubsetSeq, topic: Iterable[int]) -> int
 
 def match_poly(seq: SubsetSeq, r: int) -> Poly:
     """Multi-affine polynomial whose y^T coefficient is match_count(seq, T)."""
-    if not 0 <= r <= seq.m:
-        raise ValueError(f"r = {r} outside 0..{seq.m}")
     return _rows_poly(seq.n, _panel_rows(seq, r))
 
 
@@ -260,7 +250,5 @@ class StatTable:
 
 def stat_table(seq: SubsetSeq, r: int) -> StatTable:
     """Tabulate match_count over all r-subsets of part indices."""
-    if not 0 <= r <= seq.n:
-        raise ValueError(f"r = {r} outside 0..{seq.n}")
     parts = range(1, seq.n + 1)
     return StatTable._trusted(r, {tuple(compress(parts, b)): c for b, _, c in _panel_rows(seq, r)})

@@ -30,8 +30,8 @@ from ._packed import _key_decoder
 from ._util import _brief, _is_json_int, clear_denominators, iter_box, json_ints, nonnegative_weights
 from ._util import vec_factorial
 from .matchings import SubsetSeq, _packed_sums
-from .matchstats import _BITSET_M, _rows_poly, _walk
-from .polynomials import FloatPoly, Poly
+from .matchstats import _BITSET_M, _walk
+from .polynomials import FloatPoly, Poly, _rows_poly
 
 
 def _checked_kappa(kappa: Sequence[int], m: int | None = None) -> tuple[int, ...]:
@@ -245,9 +245,8 @@ def _induce_by_sumsets(seq: SubsetSeq, f: Poly) -> Poly:
     one degree (|beta| = |alpha|) int order is lex order: the degrees in
     increasing order, each with its keys sorted, insert the terms in
     graded-lex order.  Each term is decoded by the shared `_key_decoder`
-    and made by `_rows_poly` with the scale L, so it costs one Fraction,
-    total / (L * beta!), per distinct (total, beta!); a total that cancels
-    to 0 is dropped.
+    and made by `_rows_poly` with the scale L; a total that cancels to 0 is
+    dropped.
     """
     terms = sorted(f.items())
     scale, ints = clear_denominators([c for _, c in terms])
@@ -315,22 +314,16 @@ def inducing_box(seq: SubsetSeq, kappa: Sequence[int]) -> OperatorBox:
     """Box table of the inducing operator: all matched images over alpha <= kappa.
 
     Each image is built in graded-lex order (its keys sorted, all of one
-    degree), its keys decoded by one `_key_decoder` for the whole box, with
-    one Fraction 1/beta! per distinct beta!."""
+    degree), its keys decoded by one `_key_decoder` and its terms made by
+    `_rows_poly` with one ratio table, both for the whole box."""
     k = _checked_kappa(kappa, seq.m)
     radix = sum(k) + 1
     decode = _key_decoder(radix, seq.n)
-    ratios: dict[int, Fraction] = {}
+    ratios: dict = {}
     table = {}
     for alpha, keys in _packed_sums(seq, iter_box(k), radix):
-        data = {}
-        for key in sorted(keys):
-            beta, fact = decode(key)
-            c = ratios.get(fact)
-            if c is None:
-                c = ratios[fact] = Fraction(1, fact)
-            data[beta] = c
-        table[alpha] = Poly._trusted(seq.n, data)
+        rows = ((*decode(key), 1) for key in sorted(keys))
+        table[alpha] = _rows_poly(seq.n, rows, 1, ratios)
     return OperatorBox(k, seq.n, table)
 
 

@@ -42,7 +42,7 @@ from ._packed import mask_to_elements
 from ._util import _brief, _inertia, _is_json_int, json_ints, json_rational_rows
 from ._util import clear_denominators, exact_rational, vec_factorial
 from .matchings import SubsetSeq, admits_matching, single_vertex_cuts
-from .polynomials import Poly
+from .polynomials import Poly, _rows_poly
 
 
 class AxiomViolation(ValueError):
@@ -425,9 +425,7 @@ def in_base_polytope(pm: Polymatroid, vec: Sequence[int]) -> bool:
 
 def base_egf(pm: Polymatroid) -> Poly:
     """Sum of x^alpha/alpha! over the base points (normalized coefficients 1)."""
-    return Poly(
-        pm.m, {pt: Fraction(1, vec_factorial(pt)) for pt in base_points(pm)}
-    )
+    return _rows_poly(pm.m, ((pt, vec_factorial(pt), 1) for pt in base_points(pm)))
 
 
 def points_polymatroid(

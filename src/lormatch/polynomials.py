@@ -22,6 +22,15 @@ returns the canonical text of that document, `json.dumps(to_json(basis),
 sort_keys=True, separators=(",", ":"))`, byte for byte; the CLI writes
 every polynomial it prints through it.  It formats the row text of each
 distinct coefficient once and splices each exponent's text into it.
+
+Exact coefficients are made in two places, each making one `Fraction` per
+distinct value: `_rows_poly` for counted rows (beta, beta!, total), which
+every panel count, inducing image and base-point generating polynomial is
+built from, and the column pass of `from_json` (`_column_terms`) for
+documents.  The readers that key on coefficient identity rely on that
+sharing: `_json_text` formats one row per coefficient object and
+`operators.symbol_of` makes one product per object, so equal values held
+apart cost only a format or a product each.
 """
 
 from __future__ import annotations
@@ -400,11 +409,9 @@ class Poly:
         One row format is made per distinct coefficient and every exponent's
         text is spliced into it.  The formats are keyed by the coefficient
         object's identity (and exp! in the normalized basis), not by its
-        value: hashing a `Fraction` takes a modular inverse.  Functions such
-        as `apply_inducing`, `match_poly` and `symbol_of` share coefficient
-        objects between terms; equal values held apart only cost a format
-        each.  The coefficients live in ``self`` for the whole call, so no
-        identity is reused.
+        value: hashing a `Fraction` takes a modular inverse.  The
+        coefficients live in ``self`` for the whole call, so no identity is
+        reused.
         """
         if basis not in ("plain", "normalized"):
             raise ValueError(f"unknown basis {basis!r}")
@@ -428,11 +435,10 @@ class Poly:
         """Read the `to_json` layout; every malformed input raises ValueError.
 
         A regular document, such as every one `to_json` writes, is read in
-        column passes (`_column_terms`): C-level checks over the flattened
-        exponent column and one `Fraction` per distinct coefficient.  Any
-        other document goes through the row loop: each row is checked once,
-        named by its first bad entry, and the sums are wrapped by
-        `_trusted`.  `nvars >= 1` is tested after the rows, so a bad row is
+        column passes (`_column_terms`).  Any other document, one that
+        repeats an exponent included, goes through the row loop
+        (`_row_terms`), which sums the rows per exponent and names the first
+        bad row.  `nvars >= 1` is tested after the rows, so a bad row is
         reported first, as building `Poly(nvars, terms)` would.
         """
         if not isinstance(obj, dict):
@@ -455,6 +461,24 @@ class Poly:
         return cls._trusted(nvars, terms)
 
 
+def _rows_poly(n: int, rows, scale: int = 1, ratios: dict | None = None) -> Poly:
+    """The polynomial of counted rows (beta, beta!, total): y^beta with
+    coefficient total / (scale * beta!), inserted in row order.
+
+    `ratios` holds the Fraction of each (total, beta!) made so far; callers
+    that build several polynomials at one scale pass one table to all.
+    """
+    if ratios is None:
+        ratios = {}
+    data = {}
+    for beta, fact, total in rows:
+        c = ratios.get((total, fact))
+        if c is None:
+            c = ratios[total, fact] = Fraction(total, scale * fact)
+        data[beta] = c
+    return Poly._trusted(n, data)
+
+
 _EXP, _NUM, _DEN, _COEFF = map(operator.itemgetter, ("exp", "num", "den", "coeff"))
 
 
@@ -463,7 +487,7 @@ def _from_num_den(num, den, fact: int) -> Fraction:
 
 
 def _from_coeff(coeff, fact: int) -> Fraction:
-    return json_rational(coeff) / fact
+    return json_rational(coeff, _COEFFICIENTS) / fact
 
 
 def _column_terms(rows, nvars: int, normalized: bool) -> dict | None:
@@ -473,11 +497,10 @@ def _column_terms(rows, nvars: int, normalized: bool) -> dict | None:
     all {"exp", "coeff"}, every exp a list of nvars >= 1 ints (bools are
     not ints here), none negative, and every number an int or a string.
     The exponent lists are flattened into one column for the type and sign
-    checks; exp! is taken per row only in the normalized basis, and one
-    Fraction is made per distinct (num, den, exp!).  Rows that repeat an
-    exponent are summed, as the row loop sums them.  A bad number string or
-    a zero denominator also answers None, so that the row loop names the
-    first bad row.
+    checks, and exp! is taken per row only in the normalized basis.  A
+    repeated exponent, a bad number string or a zero denominator also
+    answers None, so that the row loop sums the rows or names the first bad
+    one.
     """
     if type(rows) is not list or not rows or nvars < 1 or set(map(type, rows)) != {dict}:
         return None
@@ -512,65 +535,35 @@ def _column_terms(rows, nvars: int, normalized: bool) -> dict | None:
     except (ValueError, ZeroDivisionError):
         return None
     terms = dict(zip(zip(*[iter(flat)] * nvars), map(ratios.__getitem__, coeffs)))
-    if len(terms) < len(rows):
-        # a repeated exponent: sum its rows where it first appears
-        terms = {}
-        for exp, c in zip(zip(*[iter(flat)] * nvars), map(ratios.__getitem__, coeffs)):
-            if exp in terms:
-                terms[exp] += c
-            else:
-                terms[exp] = c
-    return terms
+    return terms if len(terms) == len(rows) else None
 
 
 def _row_terms(rows, nvars: int, normalized: bool) -> dict[ExpVec, Fraction]:
     """The summed terms of any document, row by row; the first bad row raises."""
     terms: dict[ExpVec, Fraction] = {}
-    # one Fraction per distinct (num, den, exp! or 1), its numbers read on
-    # the first row
-    ratios: dict[tuple, Fraction] = {}
     try:
         for row in rows:
-            raw_exp = row["exp"]
-            # one C-level test for the common row; `type` refuses bool
-            if (
-                type(raw_exp) is list
-                and len(raw_exp) == nvars
-                and set(map(type, raw_exp)) == {int}
-                and min(raw_exp) >= 0
-            ):
-                exp = tuple(raw_exp)
-            else:
-                if isinstance(raw_exp, list):
-                    raw_exp = json_ints(raw_exp, "exponent entries must be integers, got {}")
-                exp = _checked_exponent(raw_exp, nvars)
+            exp = row["exp"]
+            if isinstance(exp, list):
+                exp = json_ints(exp, "exponent entries must be integers, got {}")
+            exp = _checked_exponent(exp, nvars)
+            fact = vec_factorial(exp) if normalized else 1
             if "num" in row:
                 # JSON integers or integer strings, as `to_json` writes them
-                num = row["num"]
-                den = row.get("den", "1")
+                num, den = row["num"], row.get("den", "1")
                 if not (isinstance(num, str) or _is_json_int(num)) or not (
                     isinstance(den, str) or _is_json_int(den)
                 ):
                     raise ValueError(_COEFFICIENTS)
-            elif "coeff" in row:
-                num, den = row["coeff"], 1
-                if type(num) is not int:
-                    c = json_rational(num, _COEFFICIENTS)
-                    num, den = c.numerator, c.denominator
-            else:
-                raise ValueError("term needs 'num'/'den' or 'coeff'")
-            # the types are checked, so a key never mixes up 1 and True
-            key = (num, den, vec_factorial(exp) if normalized else 1)
-            c = ratios.get(key)
-            if c is None:
                 num, den = int_text(num), int_text(den)
                 if not den:
                     raise ValueError("coefficient denominator must be nonzero")
-                c = ratios[key] = Fraction(num, den * key[2])
-            if exp in terms:
-                terms[exp] += c
+                c = Fraction(num, den * fact)
+            elif "coeff" in row:
+                c = _from_coeff(row["coeff"], fact)
             else:
-                terms[exp] = c
+                raise ValueError("term needs 'num'/'den' or 'coeff'")
+            terms[exp] = terms[exp] + c if exp in terms else c
     except (TypeError, KeyError, ZeroDivisionError) as exc:
         raise ValueError(str(exc)) from exc
     return terms

@@ -17,6 +17,23 @@ check takes and nothing else.
 
 The checks treat proved statements as oracles: a failure is evidence of an
 implementation bug, and the serialized instance is the bug report.
+
+The library's route gates, each of which picks between two ways to the
+same answer:
+
+- `matchstats._BITSET_M` (16): SDR families as 2^m-bit ints up to that m,
+  sets of masks above (`matchstats._ops`); the same bound gates the bitset
+  route of `operators._bitset_layers`.
+- `operators._INDUCE_GROUPS` (16): the most (degree, weight) groups of
+  `apply_inducing`'s bitset route; other f take the sumset walk.
+- `lorentzian.is_m_convex`: a support of more than 2^n points is first
+  decided by `points_polymatroid`, else by the pair scan.
+- `polymatroids.hall_rado_member`: `single_vertex_cuts` drops source base
+  points before any flow.
+- `matchings._flow`: `_fails_vertex_cut` rejects a pair before any
+  augmenting path.
+- `Poly.from_json`: the column pass reads regular documents, the row loop
+  every other one.
 """
 
 from __future__ import annotations

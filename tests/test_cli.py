@@ -105,6 +105,30 @@ class TestPinnedInvocations:
             {"T": [2, 3], "count": 3},
         ]
 
+    @pytest.mark.parametrize(
+        "sets, r, count",
+        [
+            # r past the parts: no topic of that size
+            ('{"m":5,"sets":[[1,2],[2,3]]}', 3, 0),
+            # r past the ground set: no topic has an SDR
+            ('{"m":3,"sets":[[1],[2],[3],[1,2],[2,3]]}', 4, 0),
+            ('{"m":3,"sets":[[1],[2],[3],[1,2],[2,3]]}', 3, 8),
+        ],
+    )
+    def test_fpoly_and_ct_take_the_same_topic_sizes(self, capsys, sets, r, count):
+        poly = _json_out(capsys, "fpoly", "--sets", sets, "--r", str(r))
+        table = _json_out(capsys, "ct", "--sets", sets, "--r", str(r))
+        from_poly = {
+            tuple(j + 1 for j, e in enumerate(term["exp"]) if e): int(term["num"])
+            for term in poly["terms"]
+        }
+        assert {tuple(row["T"]): row["count"] for row in table["rows"]} == from_poly
+        assert len(from_poly) == count
+        for command in ("fpoly", "ct"):
+            code, out, err = _call(capsys, command, "--sets", sets, "--r", "-1")
+            assert (code, err) == (1, "")
+            assert json.loads(out) == {"detail": "topic size r = -1 is negative", "error": "domain"}
+
     def test_match_with_witness(self, capsys):
         data = _json_out(
             capsys, "match", "--sets", WIDE, "--alpha", "0,2,2,1", "--beta", "2,2,1"

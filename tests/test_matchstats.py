@@ -101,16 +101,16 @@ def _as_poly(n, rows):
 class TestPanelWalk:
     """The walk over topic prefixes against the literal count on every T."""
 
-    @given(seqs(max_m=4, max_n=5), st.integers(0, 5))
+    @given(seqs(max_m=4, max_n=5))
     # five parts over four elements: long shared prefixes, some of them
     # without an SDR (part 4 is empty), so their subtrees are pruned
-    @example(SubsetSeq(4, tuple(map(frozenset, ({1, 2}, {2, 3}, {1, 3}, (), {3, 4})))), 3)
+    @example(SubsetSeq(4, tuple(map(frozenset, ({1, 2}, {2, 3}, {1, 3}, (), {3, 4})))))
     @settings(max_examples=80, deadline=None)
-    def test_match_poly_and_stat_table(self, seq, r):
-        r = min(r, seq.n)
-        rows = _literal_rows(seq, r)
-        assert stat_table(seq, r).rows == rows
-        if r <= seq.m:
+    def test_match_poly_and_stat_table(self, seq):
+        # both take every r >= 0, past min(m, n) too
+        for r in range(seq.m + seq.n + 2):
+            rows = _literal_rows(seq, r)
+            assert stat_table(seq, r).rows == rows
             assert match_poly(seq, r) == _as_poly(seq.n, rows)
 
     @given(seqs(max_m=4, max_n=5), st.data())
@@ -202,10 +202,14 @@ class TestMatchPoly:
         assert match_poly(WIDE, 0) == Poly.constant(3, 1)
 
     def test_r_out_of_range(self):
-        with pytest.raises(ValueError):
-            match_poly(WIDE, 5)
-        with pytest.raises(ValueError):
-            match_poly(WIDE, -1)
+        # any r >= 0 is a topic size; above min(m, n) no topic has an SDR,
+        # and no walk is made (`_walk` would list r limits)
+        for r in (5, 10**18):
+            assert match_poly(WIDE, r) == Poly.zero(3)
+            assert stat_table(WIDE, r).rows == {}
+        for build in (match_poly, stat_table):
+            with pytest.raises(ValueError, match="^topic size r = -1 is negative$"):
+                build(WIDE, -1)
 
     @given(seqs(), st.data())
     @settings(max_examples=80, deadline=None)
@@ -288,6 +292,5 @@ class TestStatTable:
         assert table.rows == {(1,): 1}
 
     def test_r_bounds(self):
-        with pytest.raises(ValueError):
-            stat_table(WIDE, 4)
+        assert stat_table(WIDE, 4).rows == {}
         assert stat_table(WIDE, 0).rows == {(): 1}

@@ -405,6 +405,15 @@ class TestBoxes:
         seq, kappa = pair
         assert all(map(_in_grlex_order, inducing_box(seq, kappa).table.values()))
 
+    def test_images_share_one_coefficient_per_value(self):
+        # one ratio table serves the whole box, so the 1/beta! of every image
+        # is one object per value: `symbol_of` and `Poly._json_text` key on it
+        cycle = SubsetSeq(4, tuple(frozenset(p) for p in ({1, 2}, {2, 3}, {3, 4}, {4, 1})))
+        box = inducing_box(cycle, (3, 3, 3, 3))
+        coeffs = [c for image in box.table.values() for _, c in image.items()]
+        assert len(coeffs) == 8704
+        assert len(set(map(id, coeffs))) == len(set(coeffs)) == 42
+
     def test_substitution_box_expands_each_power_once(self, monkeypatch):
         calls = []
         power = Poly.__pow__

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lormatch import ANY_DEGREE, FloatPoly, Poly, elementary_symmetric
-from lormatch._util import grlex_key
-from lormatch.polynomials import _column_terms
+from lormatch._util import grlex_key, vec_factorial
+from lormatch.polynomials import _column_terms, _rows_poly
 from oracles import eval_exact, float_poly_from, poly_from_json_two_pass, substitute_literal
 
 
@@ -394,12 +394,12 @@ class TestJson:
     @pytest.mark.parametrize("form", ["num-den-str", "num-den-int", "coeff-int", "coeff-str"])
     @pytest.mark.parametrize("basis", ["plain", "normalized"])
     def test_column_reader_matches_two_pass(self, basis, form, mutation):
-        # 240 rows: the column pass reads the regular documents, summing a
-        # repeated exponent, and one bad or irregular row hands the whole
-        # document to the row loop
+        # 240 rows: the column pass reads the regular documents, and one bad
+        # or irregular row, or a repeated exponent, hands the whole document
+        # to the row loop
         doc = _regular_document(basis, form, mutation)
         engaged = _column_terms(doc["terms"], doc["nvars"], basis == "normalized") is not None
-        assert engaged == (mutation in (None, "repeated-exp"))
+        assert engaged == (mutation is None)
         self._same_as_two_pass(doc)
 
     @staticmethod
@@ -420,6 +420,41 @@ class TestJson:
         f = Poly(2, {(0, 2): 1, (1, 0): 1, (2, 0): 1})
         exps = [tuple(t["exp"]) for t in f.to_json()["terms"]]
         assert exps == [(1, 0), (0, 2), (2, 0)]
+
+
+@st.composite
+def counted_rows(draw, nvars):
+    """Rows (beta, beta!, total) with distinct betas and nonzero totals."""
+    betas = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), unique=True, max_size=8))
+    totals = st.integers(-6, 6).filter(bool)
+    return [(beta, vec_factorial(beta), draw(totals)) for beta in betas]
+
+
+class TestRowsPoly:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_against_checked_construction(self, data):
+        nvars = data.draw(st.integers(1, 3))
+        rows = data.draw(counted_rows(nvars))
+        scale = data.draw(st.integers(1, 12))
+        f = _rows_poly(nvars, rows, scale)
+        want = Poly(nvars, {beta: Fraction(total, scale * fact) for beta, fact, total in rows})
+        assert f == want
+        # in row order
+        assert list(f.items()) == list(want.items())
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_table_gives_one_object_per_key(self, data):
+        nvars = data.draw(st.integers(1, 3))
+        first, second = data.draw(counted_rows(nvars)), data.draw(counted_rows(nvars))
+        scale = data.draw(st.integers(1, 12))
+        ratios: dict = {}
+        made: dict = {}
+        for rows in (first, second):
+            f = _rows_poly(nvars, rows, scale, ratios)
+            for beta, fact, total in rows:
+                assert f.coefficient(beta) is made.setdefault((total, fact), f.coefficient(beta))
 
 
 class TestElementarySymmetric:
