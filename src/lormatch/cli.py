@@ -209,18 +209,26 @@ def _polymatroid_from_json(data) -> Polymatroid:
     """Rank-table JSON, or the shorthands {"free": [N, r]}, {"uniform": [m, r]},
     {"sum": [...]} for quick construction on the command line."""
     if isinstance(data, Mapping) and "free" in data:
-        n_elements, r = json_ints(data["free"], _INTS)
-        return free_polymatroid(n_elements, r)
+        return free_polymatroid(*_shorthand_pair(data["free"], '"free": [N, r]'))
     if isinstance(data, Mapping) and "uniform" in data:
-        m, r = json_ints(data["uniform"], _INTS)
-        return uniform_matroid(m, r).underlying
+        return uniform_matroid(*_shorthand_pair(data["uniform"], '"uniform": [m, r]')).underlying
     if isinstance(data, Mapping) and "sum" in data:
-        return direct_sum([_polymatroid_from_json(part) for part in data["sum"]])
+        parts = data["sum"]
+        if not isinstance(parts, list):
+            raise ValueError(f'expected "sum": a list of rank tables or shorthands, got {_brief(parts)}')
+        return direct_sum([_polymatroid_from_json(part) for part in parts])
     if isinstance(data, Mapping) and "rank" in data:
         if "m" in data:
             return Polymatroid.from_json(data)
         return validate_polymatroid(json_ints(data["rank"], _INTS))
     raise ValueError("expected a rank table or a construction shorthand")
+
+
+def _shorthand_pair(value, shape: str) -> tuple[int, ...]:
+    pair = json_ints(value, _INTS)
+    if len(pair) != 2:
+        raise ValueError(f"expected {shape}, got {_brief(value)}")
+    return pair
 
 
 def _parse_polymatroid(data, flag: str) -> Polymatroid:

@@ -22,7 +22,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 from . import matchstats
@@ -113,124 +113,74 @@ class OperatorBox:
         return cls(kappa, n_out, table)
 
 
-_INDUCE_GROUPS = 16  # the most (degree, weight) groups of the bitset route
-
-
 def apply_inducing(seq: SubsetSeq, f: Poly) -> Poly:
     """Send each normalized monomial to the sum of its matched counterparts.
 
     The normalized coefficient of x^alpha lands, unchanged, on y^beta for
     every beta with (alpha, beta) matchable; extended linearly and exactly.
 
-    Two routes build the same image, term for term in graded-lex order.  For
-    a multi-affine f each alpha is a mask A, each beta the multiset T of
-    parts with part j taken beta_j times, and (alpha, beta) matches iff A is
-    an SDR of T.  So y^beta gets sum_w w |F & W_w| / (L beta!): F the SDR
-    family of T, W_w the bitset of the alphas of weight w = L c (L from
-    `clear_denominators`).  The panel counts' walk, `matchstats._walk`,
-    lists these T per degree on 2^m-bit families with a part allowed to
-    repeat, and `_rows_poly` makes the terms.  This bitset route takes f when
-      - every exponent entry is 0 or 1, and m <= 16 (`_BITSET_M`);
-      - each degree d of f is at most m - 2, and f has all C(m, d)
-        squarefree monomials of that degree;
-      - f has at most `_INDUCE_GROUPS` (16) distinct (degree, weight) groups.
-    Every other f takes `_induce_by_sumsets`, which also checks this route.
+    Two routes build the same image, term for term in graded-lex order.  The
+    bitset route takes f = sum_d c_d e_d over degrees d <= m - 2 when
+    m <= 16 (`_BITSET_M`): f is multi-affine, and each of its degrees holds
+    all C(m, d) squarefree monomials with one shared coefficient.  Then each
+    alpha is a mask A, each beta the multiset T of parts with part j taken
+    beta_j times, (alpha, beta) matches iff A is an SDR of T, and y^beta
+    gets c_d |F| / beta!, with d = |beta| and F the SDR family of T.  The
+    panel counts' walk, `matchstats._walk`, lists these T per degree on
+    2^m-bit families with a part allowed to repeat, and `_rows_poly` makes
+    the terms.  Every other f takes `_induce_by_sumsets`, which also checks
+    this route.
 
-    The walk's cost is in its multisets, and a leaf's in one popcount plus
-    one per further weight group (`_layer_count`); the sumset walk's is in
-    its (alpha, beta) pairs.  So the bitset route loses on a sparse f (one degree-8 monomial on 16 cyclic
-    3-windows: 4.4 s against 5 ms) and at d >= m - 1 (e_12 on 13 windows:
-    5.7 s against 2.4 s).  Sumset time over bitset time with every
-    squarefree monomial of one degree, by weight groups, the best of 3 on a
-    2-core host with Python 3.11:
-
-        parts                         d    1     8     16    32    ~64   ~110
-        9 cyclic 3-windows            4    2.8   1.9   1.5   1.3   0.9   0.8
-        10 cyclic 3-windows           5    2.9   2.0   1.6   1.3   0.9   0.7
-        11 cyclic 3-windows           5    3.1   2.0   1.7   1.5   0.9   0.6
-        12 cyclic 3-windows           3    2.5   1.6   1.4   1.05  0.9   0.6
-        12 cyclic 3-windows           6    4.4   2.8   2.2   1.5   1.1   0.7
-        13 cyclic 3-windows           6    3.7   2.9   2.2   2.0   1.15  0.5
-        14 cyclic 3-windows           7    5.3   3.4   1.9   1.7   1.05
-        8 parts, each all of 1..8     4    7.5   6.4   5.2   4.2   3.4
-        10 parts, each all of 1..10   5    24    17    15    11    7.3   5.9
-        30 random parts, m = 8        3    3.7   3.2   2.7   2.2   1.7
-        30 random parts, m = 6        3    2.3   3.2   1.9
-
-    (~64 is 41-64 groups, where m and d allow that many weights.)
-
-    At one group (e_r) and 1 <= d <= m - 2 the route is 1.2-29x ahead on
-    these shapes at m = 6-15 (e_0 takes 0.05 ms either way), and 1.0-1.9x
-    at m = 16, where e_2 and e_3 are at parity; 16 groups keeps it at least
-    1.37x ahead in the table.
+    The walk's cost is in its multisets, one popcount each; the sumset
+    walk's is in its (alpha, beta) pairs.  So the bitset route loses on a
+    sparse f (one degree-8 monomial on 16 cyclic 3-windows: 4.4 s against
+    5 ms) and at d >= m - 1 (e_12 on 13 windows: 5.7 s against 2.4 s).  For
+    e_d at 1 <= d <= m - 2, sumset time over bitset time, the best of 3 on
+    a 2-core host with Python 3.11, is 2.5-5.3 on 9-14 cyclic 3-windows
+    (d = 3-7), 7.5 and 24 on 8 and 10 parts that are each all of 1..m
+    (d = 4, 5) and 2.3-3.7 on 30 random parts at m = 6 and 8; on these
+    shapes it is 1.2-29 at m = 6-15 (e_0 takes 0.05 ms either way), and
+    1.0-1.9 at m = 16, where e_2 and e_3 are at parity.
     """
     if not isinstance(f, Poly):
         raise TypeError("exact Poly required")
     if f.nvars != seq.m:
         raise ValueError(f"polynomial in {f.nvars} variables, sequence over 1..{seq.m}")
-    route = _bitset_layers(seq, f)
-    if route is None:
+    layers = _bitset_layers(seq, f)
+    if layers is None:
         return _induce_by_sumsets(seq, f)
-    return _induce_by_bitsets(seq, route)
+    return _induce_by_bitsets(seq, layers)
 
 
-def _induce_by_bitsets(seq: SubsetSeq, route: tuple[int, dict]) -> Poly:
-    """The bitset route of `apply_inducing`, on the (L, {degree: count})
-    that `_bitset_layers` returned for f."""
-    scale, counts = route
+def _induce_by_bitsets(seq: SubsetSeq, layers: dict[int, Fraction]) -> Poly:
+    """The bitset route of `apply_inducing`, on the {d: c_d} of `_bitset_layers`."""
+    degrees = sorted(layers)
+    scale, weights = clear_denominators([layers[d] for d in degrees])
     # the families are looked up in matchstats at call time, so the two walks
     # always share one grow step
     start, grow, _ = matchstats._bitset_ops(seq, None)
-    # the walk lists each degree's betas in descending lex order
-    walks = (
-        reversed(list(_walk(seq.n, degree, start, grow, counts[degree], repeat=True)))
-        for degree in sorted(counts)
-    )
+    walks = []
+    for degree, w in zip(degrees, weights):
+        # the walk lists each degree's betas in descending lex order
+        rows = reversed(list(_walk(seq.n, degree, start, grow, int.bit_count, repeat=True)))
+        # a list, not a generator, so that each degree keeps its own w
+        walks.append(rows if w == 1 else [(beta, fact, w * c) for beta, fact, c in rows])
     return _rows_poly(seq.n, chain.from_iterable(walks), scale)
 
 
-def _bitset_layers(seq: SubsetSeq, f: Poly) -> tuple[int, dict] | None:
-    """(L, {degree: count}) when f takes the bitset route, else None;
+def _bitset_layers(seq: SubsetSeq, f: Poly) -> dict[int, Fraction] | None:
+    """{d: c_d} when f = sum_d c_d e_d takes the bitset route, else None;
     `apply_inducing` states the gate."""
     m = seq.m
-    if m > _BITSET_M:
+    layers, sizes = {}, Counter()
+    for exp, c in f.items():
+        degree = sum(exp)
+        if max(exp) > 1 or layers.setdefault(degree, c) != c:
+            return None
+        sizes[degree] += 1
+    if m > _BITSET_M or any(d > m - 2 or k != math.comb(m, d) for d, k in sizes.items()):
         return None
-    terms = list(f.items())
-    if any(max(exp) > 1 for exp, _ in terms):
-        return None
-    degrees = [sum(exp) for exp, _ in terms]
-    if any(d > m - 2 or k != math.comb(m, d) for d, k in Counter(degrees).items()):
-        return None
-    scale, ints = clear_denominators([c for _, c in terms])
-    units = [1 << i for i in range(m)]
-    layers: dict[int, dict[int, list[int]]] = {}  # {degree: {weight: masks}}
-    for (exp, _), degree, w in zip(terms, degrees, ints):
-        layers.setdefault(degree, {}).setdefault(w, []).append(sum(compress(units, exp)))
-    if sum(map(len, layers.values())) > _INDUCE_GROUPS:
-        return None
-    return scale, {degree: _layer_count(groups) for degree, groups in layers.items()}
-
-
-def _layer_count(groups: dict[int, list[int]]):
-    """F -> sum over the weights w of w |F & W_w|, W_w the bitset of the
-    masks of weight w in one degree's layer.
-
-    The layer holds every mask of its degree (the gate), so every SDR in F:
-    with w0 the first weight the sum is w0 |F| plus (w - w0) |F & W_w| over
-    the other weights, one popcount for e_r.
-    """
-    w0, *rest = groups
-    others = [(w - w0, sum(1 << mask for mask in groups[w])) for w in rest]
-    if w0 == 1 and not others:
-        return int.bit_count  # no Python call per counted family
-
-    def count(family: int) -> int:
-        total = w0 * family.bit_count()
-        for dw, within in others:
-            total += dw * (family & within).bit_count()
-        return total
-
-    return count
+    return layers
 
 
 def _induce_by_sumsets(seq: SubsetSeq, f: Poly) -> Poly:

@@ -23,9 +23,8 @@ same answer:
 
 - `matchstats._BITSET_M` (16): SDR families as 2^m-bit ints up to that m,
   sets of masks above (`matchstats._ops`); the same bound gates the bitset
-  route of `operators._bitset_layers`.
-- `operators._INDUCE_GROUPS` (16): the most (degree, weight) groups of
-  `apply_inducing`'s bitset route; other f take the sumset walk.
+  route of `apply_inducing` (`operators._bitset_layers`), which also asks
+  f = sum_d c_d e_d at degrees d <= m - 2; other f take the sumset walk.
 - `lorentzian.is_m_convex`: a support of more than 2^n points is first
   decided by `points_polymatroid`, else by the pair scan.
 - `polymatroids.hall_rado_member`: `single_vertex_cuts` drops source base
@@ -54,6 +53,7 @@ from ._util import _brief, bounded_compositions, checked_tolerance, iter_box, ve
 from .lorentzian import certify_lorentzian, is_m_convex, quad_inertia
 from .matchings import (
     SubsetSeq,
+    _check_degrees,
     admits_matching,
     caps_from_json,
     compose_seq,
@@ -483,7 +483,9 @@ def _eval_capped(cfg: TrialConfig, instance: Mapping) -> list[str]:
         return reasons
     seq = SubsetSeq.from_json(instance["seq"])
     caps = caps_from_json(seq, instance["caps"])
-    return _capped_mismatches(seq, caps, list(map(_replay_int, instance["alpha"])))
+    # a negative entry would leave no beta of alpha's total to compare
+    alpha = _check_degrees(list(map(_replay_int, instance["alpha"])), seq.m, "alpha")
+    return _capped_mismatches(seq, caps, alpha)
 
 
 # -- check: basis-restricted statistics ----------------------------------------

@@ -795,6 +795,27 @@ class TestIntegerJson:
         assert "integer" in payload["detail"]
 
     @pytest.mark.parametrize(
+        "cmd, pm, detail",
+        [
+            ("pminduce", '{"sum":5}', r'expected \"sum\": a list of rank tables or shorthands, got 5'),
+            ("pminduce", '{"free":[3]}', r'expected \"free\": [N, r], got [3]'),
+            ("pminduce", '{"uniform":[3]}', r'expected \"uniform\": [m, r], got [3]'),
+            ("pminduce", '{"sum":[{"free":[2]}]}', r'expected \"free\": [N, r], got [2]'),
+            ("pminduce", '{"free":[3,1,2]}', r'expected \"free\": [N, r], got [3, 1, 2]'),
+            ("hallrado", '{"uniform":[3,1,2]}', r'expected \"uniform\": [m, r], got [3, 1, 2]'),
+        ],
+    )
+    def test_bad_shorthand_names_its_shape(self, capsys, cmd, pm, detail):
+        # the expected shape and the refused value, not Python's unpacking
+        # or iteration error
+        tail = ("--points",) if cmd == "pminduce" else ("--sets", NARROW, "--delta", "1,0,0")
+        assert _call(capsys, cmd, "--pm", pm, *tail) == (
+            1,
+            '{"detail":"' + detail + '","error":"invalid-value","flag":"--pm"}\n',
+            "",
+        )
+
+    @pytest.mark.parametrize(
         "pm",
         [
             '{"m":2,"rank":[0,1,1,3]}',

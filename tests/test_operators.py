@@ -103,14 +103,21 @@ def _weighted(m: int, degree: int, groups: int) -> Poly:
 def seq_multiaffine(draw, max_m=8, max_n=4):
     """A sequence (empty parts and elements in no part allowed) and a
     multi-affine polynomial: at each drawn degree, the constant included,
-    every squarefree monomial with a signed rational weight from a short
-    list, and sometimes a term or two dropped.  Drawing no degree gives the
-    zero polynomial, and a weight of 0 drops its terms, so the draws fall on
-    both sides of the bitset route's gate."""
+    every squarefree monomial, weighted either from a short list of signed
+    rationals or by one distinct weight per degree, and sometimes a term or
+    two dropped.  Drawing no degree gives the zero polynomial, and a weight
+    of 0 drops its terms, so the draws fall on both sides of the bitset
+    route's gate."""
     seq = draw(seqs(max_m, max_n))
-    pool = draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=1, max_size=3))
+    weight = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    degrees = sorted(draw(st.sets(st.integers(0, seq.m), max_size=3)))
+    if draw(st.booleans()):
+        shared = draw(st.lists(weight.filter(bool), min_size=len(degrees), max_size=len(degrees), unique=True))
+        pools = [[w] for w in shared]
+    else:
+        pools = [draw(st.lists(weight, min_size=1, max_size=3))] * len(degrees)
     terms = {}
-    for degree in sorted(draw(st.sets(st.integers(0, seq.m), max_size=3))):
+    for degree, pool in zip(degrees, pools):
         for exp in _squarefree(seq.m, degree):
             terms[exp] = draw(st.sampled_from(pool))
     if terms and draw(st.booleans()):
@@ -289,13 +296,13 @@ class TestInducingRoutes:
             (_windows(17), elementary_symmetric(17, 2), "_induce_by_sumsets"),
             (_windows(8), elementary_symmetric(8, 2), "_walk"),
             (_windows(8), elementary_symmetric(8, 2) - X1X2_OF_8 + Poly.monomial(8, (2,) + (0,) * 7), "_induce_by_sumsets"),
-            (_windows(8), _weighted(8, 3, operators._INDUCE_GROUPS), "_walk"),
-            (_windows(8), _weighted(8, 3, operators._INDUCE_GROUPS + 1), "_induce_by_sumsets"),
+            (_windows(8), 3 * elementary_symmetric(8, 2) + Fraction(1, 2) * elementary_symmetric(8, 3), "_walk"),
+            (_windows(8), _weighted(8, 3, 2), "_induce_by_sumsets"),
             (_windows(8), elementary_symmetric(8, 6), "_walk"),
             (_windows(8), elementary_symmetric(8, 7), "_induce_by_sumsets"),
             (_windows(8), elementary_symmetric(8, 2) - X1X2_OF_8, "_induce_by_sumsets"),
         ],
-        ids=["m=16", "m=17", "entries-0-1", "an-entry-of-2", "G-groups", "G+1-groups", "degree-m-2", "degree-m-1", "one-term-missing"],
+        ids=["m=16", "m=17", "entries-0-1", "an-entry-of-2", "one-weight-per-degree", "two-weights-in-a-degree", "degree-m-2", "degree-m-1", "one-term-missing"],
     )
     def test_route_gate(self, monkeypatch, seq, f, route):
         expected = _induce_by_sumsets(seq, f)

@@ -164,6 +164,12 @@ class TestRunAndReplay:
         instance["caps"]["1-1"] = 0
         assert replay("capped-matchings", instance) == []
 
+    @pytest.mark.parametrize("alpha", [[0, -1], [2, -1]])
+    def test_replay_negative_alpha_is_reported(self, alpha):
+        # with a negative total no beta was compared, and [0, -1] passed
+        instance = {"mode": "random", "seq": {"m": 2, "sets": [[1, 2]]}, "caps": {}, "alpha": alpha}
+        assert replay("capped-matchings", instance) == ["exception: ValueError('alpha must be nonnegative')"]
+
     def test_failure_payload_is_replayable(self):
         # force a failing trial by corrupting a recorded instance
         cfg = TrialConfig(trials=2)
