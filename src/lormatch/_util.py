@@ -117,11 +117,14 @@ def float_text(value: str) -> float:
 
 
 def json_rational(cell, message: str = "expected a rational, got {json}") -> Fraction:
-    """A JSON rational; a "p/q" string with q = 0 raises ZeroDivisionError."""
+    """A JSON rational; a "p/q" string with q = 0 is refused like any other."""
     if isinstance(cell, str):
         if not _RATIONAL_TEXT.fullmatch(cell):
             raise ValueError(f"expected a rational string such as \"-3/2\" or \"0.5\", got {_brief(cell)}")
-        return Fraction(cell)
+        try:
+            return Fraction(cell)
+        except ZeroDivisionError:
+            raise ValueError(f"expected a nonzero denominator, got {_brief(cell)}") from None
     if not _is_json_int(cell):
         raise ValueError(message.format(json=_cut(json.dumps(cell, default=repr))))
     return Fraction(cell)

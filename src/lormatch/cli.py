@@ -171,7 +171,7 @@ def _parse_number(raw: str, flag: str, convert):
     """A number read by ``convert`` (`int_text` or `json_rational`): ASCII digits only."""
     try:
         return convert(raw.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise _domain(flag, exc) from exc
 
 

@@ -363,8 +363,6 @@ def _eval_base_membership(cfg: TrialConfig, instance: Mapping) -> list[str]:
     seq = SubsetSeq.from_json(instance["seq"])
     delta = list(map(_replay_int, instance["delta"]))
     reasons = _invalid_table_reasons(induce_polymatroid(pm, seq))
-    if any(v < 0 for v in delta):
-        return reasons
     try:
         member = hall_rado_member(pm, seq, delta)
     except InternalCheckError as exc:

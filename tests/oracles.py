@@ -426,6 +426,8 @@ def poly_from_json_two_pass(obj) -> Poly:
                     raise ValueError("coefficients must be integers or strings")
                 if isinstance(raw, str) and not re.fullmatch(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?", raw):
                     raise ValueError(f'expected a rational string such as "-3/2" or "0.5", got {shown_literal(raw)}')
+                if isinstance(raw, str) and re.fullmatch(r"-?[0-9]+/0+", raw):
+                    raise ValueError(f"expected a nonzero denominator, got {shown_literal(raw)}")
                 c = Fraction(raw)
             else:
                 raise ValueError("term needs 'num'/'den' or 'coeff'")

@@ -667,7 +667,8 @@ class TestNumberFlags:
 
     def test_q_zero_denominator_refused(self, capsys):
         code, out, _ = _call(capsys, "symbol", "--sets", ONE, "--kappa", "1", "--q", "1/0")
-        assert code == 1 and json.loads(out)["flag"] == "--q"
+        detail = "expected a nonzero denominator, got '1/0'"
+        assert code == 1 and json.loads(out) == {"detail": detail, "error": "invalid-value", "flag": "--q"}
 
     # the argparse-typed number flags: a refused text is a usage error
     INT_FLAGS = [

@@ -104,18 +104,18 @@ def seq_multiaffine(draw, max_m=8, max_n=4):
     """A sequence (empty parts and elements in no part allowed) and a
     multi-affine polynomial: at each drawn degree, the constant included,
     every squarefree monomial, weighted either from a short list of signed
-    rationals or by one distinct weight per degree, and sometimes a term or
-    two dropped.  Drawing no degree gives the zero polynomial, and a weight
-    of 0 drops its terms, so the draws fall on both sides of the bitset
-    route's gate."""
+    rationals (at least one of them nonzero) or by one distinct nonzero
+    weight per degree, and sometimes a term or two dropped.  At least one
+    degree is drawn; a weight of 0 drops its terms, so the draws fall on
+    both sides of the bitset route's gate."""
     seq = draw(seqs(max_m, max_n))
     weight = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-    degrees = sorted(draw(st.sets(st.integers(0, seq.m), max_size=3)))
+    degrees = sorted(draw(st.sets(st.integers(0, seq.m), min_size=1, max_size=3)))
     if draw(st.booleans()):
         shared = draw(st.lists(weight.filter(bool), min_size=len(degrees), max_size=len(degrees), unique=True))
         pools = [[w] for w in shared]
     else:
-        pools = [draw(st.lists(weight, min_size=1, max_size=3))] * len(degrees)
+        pools = [draw(st.lists(weight, min_size=1, max_size=3).filter(any))] * len(degrees)
     terms = {}
     for degree, pool in zip(degrees, pools):
         for exp in _squarefree(seq.m, degree):
@@ -263,6 +263,9 @@ class TestInducingRoutes:
     """The bitset route of `apply_inducing` against the sumset walk and the
     literal operator, and the gate that picks between them."""
 
+    # the zero polynomial, which the strategy draws only when a weight of 0
+    # or a dropped term leaves no term
+    @example((SubsetSeq(3, tuple(map(frozenset, ({1, 2}, {3})))), Poly(3)))
     # e_2 on 4 cyclic windows, with the constant and a part that is empty
     @example(
         (

@@ -170,6 +170,25 @@ class TestRunAndReplay:
         instance = {"mode": "random", "seq": {"m": 2, "sets": [[1, 2]]}, "caps": {}, "alpha": alpha}
         assert replay("capped-matchings", instance) == ["exception: ValueError('alpha must be nonnegative')"]
 
+    @pytest.mark.parametrize(
+        "expected, reasons",
+        [
+            (True, ["membership is False, expected True"]),
+            ("yes", ["exception: TypeError(\"'expected' must be null or a JSON bool, got 'yes'\")"]),
+            (False, []),
+        ],
+    )
+    def test_replay_negative_delta_compares_expected(self, expected, reasons):
+        # hall_rado_member answers False for a negative entry, and that answer
+        # is held to `expected` like any other
+        instance = {
+            "pm": {"m": 2, "rank": [0, 1, 1, 1]},
+            "seq": {"m": 2, "sets": [[1], [2]]},
+            "delta": [1, -1],
+            "expected": expected,
+        }
+        assert replay("base-membership-duality", instance) == reasons
+
     def test_failure_payload_is_replayable(self):
         # force a failing trial by corrupting a recorded instance
         cfg = TrialConfig(trials=2)
