@@ -333,7 +333,12 @@ class TestJson:
             ({"nvars": 0, "terms": [{"exp": "", "coeff": 1}]}, "nvars must be >= 1"),
             ({"nvars": 1, "terms": [{"exp": "1", "coeff": 1}]}, "'str' object cannot be interpreted as an integer"),
             ({"nvars": 1, "terms": [{"exp": [-1], "coeff": 1}]}, "negative entry in exponent (-1,)"),
-            ({"nvars": 1, "terms": [{"exp": [1], "coeff": "1/0"}]}, "expected a nonzero denominator, got '1/0'"),
+            # the id names the input, the rational 1/0, not the message
+            pytest.param(
+                {"nvars": 1, "terms": [{"exp": [1], "coeff": "1/0"}]},
+                "expected a nonzero denominator, got '1/0'",
+                id="doc12-Fraction(1, 0)",
+            ),
             ({"nvars": 1, "terms": [{"exp": [1]}]}, "term needs 'num'/'den' or 'coeff'"),
             ({"nvars": 1, "terms": [{"coeff": 1}]}, "'exp'"),
             # JSON true is a bool, not the coefficient 1
