@@ -2,7 +2,11 @@
 exact-input rules (a float is refused, never rounded; rationals are summed
 or eliminated as ints, scaled by the lcm of their denominators); and
 `_inertia`, the one exact elimination, which `lorentzian` (every inertia)
-and `polymatroids.linreal_rank` (every rank) share without an import cycle."""
+and `polymatroids.linreal_rank` (every rank) share without an import cycle.
+
+`AxiomViolation` and the trial defaults of `verification.TrialConfig` live
+here too, so the command line can catch the one and show the others in
+`verify --help` without loading `polymatroids` or `verification`."""
 
 from __future__ import annotations
 
@@ -12,6 +16,26 @@ import math
 import re
 from fractions import Fraction
 from typing import Iterator, Sequence
+
+
+# `verification.TrialConfig`'s defaults: seed, base trial count, tolerance
+DEFAULT_SEED, DEFAULT_TRIALS, DEFAULT_TOLERANCE = 1, 100, 1e-9
+
+
+class AxiomViolation(ValueError):
+    """A rank table failed a polymatroid axiom.
+
+    `axiom` names the failed requirement; `witness` holds the subsets (as
+    sorted element tuples) instantiating the failure, so the report can be
+    replayed against the raw table.
+    """
+
+    def __init__(
+        self, axiom: str, witness: tuple[tuple[int, ...], ...], detail: str
+    ) -> None:
+        super().__init__(f"{axiom}: {detail}")
+        self.axiom = axiom
+        self.witness = witness
 
 
 def vec_factorial(exp: Sequence[int]) -> int:

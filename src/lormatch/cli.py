@@ -10,6 +10,10 @@ by its own `_json_text`, the same bytes `json` writes for its `to_json`.
 Exit codes: 0 success, 1 domain error (a machine-readable error object is
 printed to standard output), 2 usage error (one `error: ...` line on
 standard error, found before any input is read).
+
+Only the standard library and `_util` are imported with this module: each
+handler imports the compute modules it runs, so a process loads those alone
+and building the parser (`--help` included) loads none.
 """
 
 from __future__ import annotations
@@ -19,50 +23,16 @@ import functools
 import json
 import os
 import sys
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
+from ._util import DEFAULT_SEED, DEFAULT_TOLERANCE, DEFAULT_TRIALS, AxiomViolation
 from ._util import _brief, _cut, checked_tolerance, float_text, int_text, json_ints, json_rational
 from ._util import json_rational_rows
-from .lorentzian import certify_lorentzian, is_m_convex, quad_inertia
-from .matchings import (
-    SubsetSeq,
-    caps_from_json,
-    compose_seq,
-    find_witness,
-    matched_degrees,
-)
-from .matchstats import basis_match_count, basis_match_poly, match_count, match_poly, stat_table
-from .operators import (
-    apply_inducing,
-    apply_substitution,
-    augment_with_singletons,
-    inducing_box,
-    power_box,
-    substitution_box,
-    symbol_of,
-    tab_family_box,
-)
-from .polymatroids import (
-    _walk_base_points,
-    AxiomViolation,
-    LinReal,
-    Matroid,
-    Polymatroid,
-    base_egf,
-    direct_sum,
-    free_polymatroid,
-    hall_rado_member,
-    induce_matroid,
-    induce_polymatroid,
-    linreal_induce,
-    linreal_rank,
-    matroid_bases,
-    support_polymatroid,
-    uniform_matroid,
-    validate_polymatroid,
-)
-from .polynomials import FloatPoly, Poly, elementary_symmetric
-from .verification import CHECKS, TrialConfig, replay, run_all, run_check
+
+if TYPE_CHECKING:
+    from .matchings import SubsetSeq
+    from .polymatroids import Matroid, Polymatroid
+    from .polynomials import FloatPoly, Poly
 
 SEED_ENV = "LORMATCH_SEED"
 TOLERANCE_ENV = "LORMATCH_TOLERANCE"
@@ -160,10 +130,14 @@ def _parse_with(build, raw: str, flag: str):
 
 
 def _parse_seq(raw: str, flag: str = "--sets") -> SubsetSeq:
+    from .matchings import SubsetSeq
+
     return _parse_with(SubsetSeq.from_json, raw, flag)
 
 
 def _parse_poly(raw: str, flag: str = "--poly") -> Poly:
+    from .polynomials import Poly
+
     return _parse_with(Poly.from_json, raw, flag)
 
 
@@ -208,6 +182,9 @@ _INTS = "expected a list of integers, got {}"
 def _polymatroid_from_json(data) -> Polymatroid:
     """Rank-table JSON, or the shorthands {"free": [N, r]}, {"uniform": [m, r]},
     {"sum": [...]} for quick construction on the command line."""
+    from .polymatroids import Polymatroid, direct_sum, free_polymatroid, uniform_matroid
+    from .polymatroids import validate_polymatroid
+
     if isinstance(data, Mapping) and "free" in data:
         return free_polymatroid(*_shorthand_pair(data["free"], '"free": [N, r]'))
     if isinstance(data, Mapping) and "uniform" in data:
@@ -237,6 +214,8 @@ def _parse_polymatroid(data, flag: str) -> Polymatroid:
 
 
 def _matroid_from_json(data) -> Matroid:
+    from .polymatroids import Matroid
+
     return Matroid(_polymatroid_from_json(data))
 
 
@@ -269,11 +248,14 @@ def _emit(payload, pretty: bool) -> int:
 
 # -- subcommand handlers ---------------------------------------------------------
 #
-# Each handler first refuses the flag combinations argparse cannot state, before
-# it reads any input, then returns its payload for `run` to emit.
+# Each handler imports the compute modules it runs, refuses the flag combinations
+# argparse cannot state before it reads any input, then returns its payload for
+# `run` to emit.
 
 
 def _cmd_match(args) -> dict:
+    from .matchings import caps_from_json, find_witness, matched_degrees
+
     if args.caps is not None and args.beta is None:
         raise UsageError("--caps requires --beta")
     seq = _parse_seq(args.sets)
@@ -291,6 +273,10 @@ def _cmd_match(args) -> dict:
 
 
 def _cmd_induce(args) -> _PolyOut:
+    from .matchings import compose_seq
+    from .operators import apply_inducing
+    from .polynomials import elementary_symmetric
+
     seq = _parse_seq(args.sets)
     if args.then is not None:
         seq = compose_seq(seq, _parse_seq(args.then, "--then"))
@@ -302,12 +288,16 @@ def _cmd_induce(args) -> _PolyOut:
 
 
 def _cmd_subst(args) -> _PolyOut:
+    from .operators import apply_substitution
+
     seq = _parse_seq(args.sets)
     matrix = _parse_matrix(args.matrix)
     return _PolyOut(apply_substitution(seq, matrix, _parse_poly(args.poly)), args.basis)
 
 
 def _cmd_ct(args) -> dict | str:
+    from .matchstats import basis_match_count, match_count, stat_table
+
     if args.topic is not None and args.format == "csv":
         raise UsageError("--topic does not combine with --format csv")
     if args.topic is None and args.matroid is not None:
@@ -328,6 +318,8 @@ def _cmd_ct(args) -> dict | str:
 
 
 def _cmd_fpoly(args) -> _PolyOut:
+    from .matchstats import basis_match_poly, match_poly
+
     seq = _parse_seq(args.sets)
     if args.matroid is not None:
         mat = _parse_with(_matroid_from_json, args.matroid, "--matroid")
@@ -336,6 +328,8 @@ def _cmd_fpoly(args) -> _PolyOut:
 
 
 def _cmd_symbol(args) -> dict | _PolyOut:
+    from .operators import inducing_box, power_box, substitution_box, symbol_of
+
     if args.matrix is not None and args.op != "substitution":
         raise UsageError("--matrix only applies to --op substitution")
     seq = _parse_seq(args.sets)
@@ -350,6 +344,8 @@ def _cmd_symbol(args) -> dict | _PolyOut:
 
 
 def _cmd_certify(args) -> dict:
+    from .lorentzian import certify_lorentzian, is_m_convex, quad_inertia
+
     f = _parse_poly(args.poly)
     if args.tolerance is not None:
         checked_tolerance(args.tolerance)
@@ -362,6 +358,10 @@ def _cmd_certify(args) -> dict:
 
 
 def _cmd_pminduce(args) -> dict:
+    from .polymatroids import LinReal, Matroid, _walk_base_points, base_egf, induce_matroid
+    from .polymatroids import induce_polymatroid, linreal_induce, linreal_rank, matroid_bases
+    from .polymatroids import support_polymatroid
+
     if args.bases and not args.matroid:
         raise UsageError("--bases requires --matroid")
     if args.support_of is not None:
@@ -402,6 +402,8 @@ def _cmd_pminduce(args) -> dict:
 
 
 def _cmd_hallrado(args) -> dict:
+    from .polymatroids import LinReal, hall_rado_member, linreal_rank
+
     if args.real is not None:
         pm = linreal_rank(_parse_with(LinReal.from_json, args.real, "--real"))
     else:
@@ -411,6 +413,8 @@ def _cmd_hallrado(args) -> dict:
 
 
 def _cmd_tab_family(args) -> dict:
+    from .operators import augment_with_singletons, symbol_of, tab_family_box
+
     seq = _parse_seq(args.sets)
     kappa = _parse_list(args.kappa, "--kappa")
     a = _parse_list(args.a, "--a", json_rational)
@@ -439,6 +443,8 @@ def _env(name: str, convert):
 
 def _cmd_verify(args) -> int:
     """Writes its own lines, one per check and a summary; returns the exit code."""
+    from .verification import CHECKS, TrialConfig, replay, run_all, run_check
+
     if args.replay is not None and args.check is None:
         raise UsageError("--replay requires --check")
     if args.list_checks:
@@ -593,10 +599,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tab_family)
 
     p = sub.add_parser("verify", parents=[common], help="run the randomized verification checks")
-    p.add_argument("--seed", type=_INT_FLAG, help=f"default {TrialConfig.seed}, or ${SEED_ENV}")
-    p.add_argument("--trials", type=_INT_FLAG, help=f"base trial count, default {TrialConfig.trials}")
+    p.add_argument("--seed", type=_INT_FLAG, help=f"default {DEFAULT_SEED}, or ${SEED_ENV}")
+    p.add_argument("--trials", type=_INT_FLAG, help=f"base trial count, default {DEFAULT_TRIALS}")
     p.add_argument("--tolerance", type=_FLOAT_FLAG,
-                   help=f"default {TrialConfig.tolerance}, or ${TOLERANCE_ENV}")
+                   help=f"default {DEFAULT_TOLERANCE}, or ${TOLERANCE_ENV}")
     p.add_argument("--check", help="run a single named check")
     p.add_argument("--list", action="store_true", dest="list_checks", help="list check names")
     p.add_argument("--replay", help="re-evaluate a recorded failing instance (requires --check)")

@@ -40,25 +40,9 @@ from typing import AbstractSet, Iterable, Sequence
 from ._packed import _field_width, _fields_le, _pack, _split_masks, _subset_sums, _tile
 from ._packed import mask_to_elements
 from ._util import _brief, _inertia, _is_json_int, json_ints, json_rational_rows
-from ._util import clear_denominators, exact_rational, vec_factorial
+from ._util import AxiomViolation, clear_denominators, exact_rational, vec_factorial
 from .matchings import SubsetSeq, admits_matching, single_vertex_cuts
 from .polynomials import Poly, _rows_poly
-
-
-class AxiomViolation(ValueError):
-    """A rank table failed a polymatroid axiom.
-
-    `axiom` names the failed requirement; `witness` holds the subsets (as
-    sorted element tuples) instantiating the failure, so the report can be
-    replayed against the raw table.
-    """
-
-    def __init__(
-        self, axiom: str, witness: tuple[tuple[int, ...], ...], detail: str
-    ) -> None:
-        super().__init__(f"{axiom}: {detail}")
-        self.axiom = axiom
-        self.witness = witness
 
 
 class InternalCheckError(RuntimeError):

@@ -50,6 +50,7 @@ from itertools import combinations, product
 from typing import Callable, Mapping, Sequence
 
 from ._util import _brief, bounded_compositions, checked_tolerance, iter_box, vec_factorial
+from ._util import DEFAULT_SEED, DEFAULT_TOLERANCE, DEFAULT_TRIALS
 from .lorentzian import certify_lorentzian, is_m_convex, quad_inertia
 from .matchings import (
     SubsetSeq,
@@ -106,9 +107,9 @@ MAX_M, MAX_N, MAX_RANK, MAX_KAPPA = 5, 5, 3, 2
 class TrialConfig:
     """Seed, budget and tolerance for randomized checks."""
 
-    seed: int = 1
-    trials: int = 100
-    tolerance: float = 1e-9
+    seed: int = DEFAULT_SEED
+    trials: int = DEFAULT_TRIALS
+    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -226,6 +227,12 @@ def _gen_matching_stat(cfg: TrialConfig, rng: random.Random, trial: int) -> dict
 
 def _eval_matching_stat(cfg: TrialConfig, instance: Mapping) -> list[str]:
     seq = SubsetSeq.from_json(instance["seq"])
+    # the squarefree sum below has 2^m terms: refuse a replayed seq the
+    # generator could not have drawn before any term is built
+    if seq.m > MAX_M or seq.n > MAX_N:
+        raise ValueError(
+            f"seq has m={seq.m}, n={seq.n}; the generator draws m <= {MAX_M}, n <= {MAX_N}"
+        )
     reasons = []
     # the sumset walk shares no grow step with match_poly or with the bitset
     # route of apply_inducing, so it checks both.  Its image of the sum of

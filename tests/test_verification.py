@@ -459,6 +459,21 @@ class TestMatchingStatCrossCheck:
         reasons = replay("matching-stat-lorentzian", self.TRIANGLE)
         assert reasons == ["r=0: induced e_r differs from the sumset walk", "r=1: induced e_r differs from the sumset walk"]
 
+    @pytest.mark.parametrize(
+        "seq, sizes",
+        [({"m": 30, "sets": [[1]]}, "m=30, n=1"), ({"m": 2, "sets": [[1]] * 6}, "m=2, n=6")],
+        ids=["m30", "n6"],
+    )
+    def test_a_seq_beyond_the_generator_is_refused_unbuilt(self, monkeypatch, seq, sizes):
+        # the check sums all 2^m squarefree terms: at m = 30 that exhausted
+        # memory, so no term may be built before the bounds are checked
+        def product(*args, **kwargs):
+            raise AssertionError("a squarefree term was built")
+
+        monkeypatch.setattr(verification, "product", product)
+        reasons = replay("matching-stat-lorentzian", {"seq": seq})
+        assert reasons == [f"exception: ValueError('seq has {sizes}; the generator draws m <= 5, n <= 5')"]
+
 
 class TestDerivedTablesAtRunTime:
     """Induced tables skip validation; the harness re-validates them."""
