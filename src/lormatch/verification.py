@@ -16,7 +16,8 @@ split: restricting the CPUs, as `taskset -c 0` does, changes the time a
 check takes and nothing else.
 
 The checks treat proved statements as oracles: a failure is evidence of an
-implementation bug, and the serialized instance is the bug report.
+implementation bug, and the serialized instance is the bug report.  Each
+check refuses a replay past its generator's bounds before building anything.
 
 The library's route gates, each of which picks between two ways to the
 same answer:
@@ -101,6 +102,8 @@ from .polynomials import Poly, elementary_symmetric
 
 # instance bounds: ground-set size, part count, rank and per-variable degree cap
 MAX_M, MAX_N, MAX_RANK, MAX_KAPPA = 5, 5, 3, 2
+# smaller draws where brute force grows fast: (m, n), alpha total, blocks, block dim, abcd rows
+_SMALL_M, _SMALL_N, _MAX_TOTAL, _MAX_BLOCKS, _MAX_DIM, _ABCD_ROWS = 3, 3, 4, 4, 2, 20
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,7 @@ class TrialConfig:
 
     def __post_init__(self) -> None:
         if self.trials < 1:
-            raise ValueError("bounds and trial count must be >= 1")
+            raise ValueError("trial count must be >= 1")
         checked_tolerance(self.tolerance)
 
     def to_json(self) -> dict:
@@ -152,11 +155,21 @@ def _trial_rng(seed: int, name: str, trial: int) -> random.Random:
     return random.Random(f"{seed}:{name}:{trial}")
 
 
-def _replay_int(value) -> int:
-    """A replayed integer field: `operator.index`, refusing JSON true/false."""
+def _replay_int(value, name: str = "", top: int | None = None) -> int:
+    """A replayed integer field: `operator.index`, refusing JSON true/false and any value above `top`."""
     if isinstance(value, bool):
         raise TypeError(f"expected an integer, got {str(value).lower()}")
-    return operator.index(value)
+    value = operator.index(value)
+    if top is not None and value > top:
+        raise ValueError(f"{name}={value}; the generator draws {name} <= {top}")
+    return value
+
+
+def _read_seq(raw, max_m: int, max_n: int) -> SubsetSeq:
+    seq = SubsetSeq.from_json(raw)
+    if seq.m > max_m or seq.n > max_n:
+        raise ValueError(f"seq has m={seq.m}, n={seq.n}; the generator draws m <= {max_m}, n <= {max_n}")
+    return seq
 
 
 # -- instance generators -------------------------------------------------------
@@ -192,13 +205,6 @@ def _random_gens(rng: random.Random, max_rows: int, ncols: int) -> tuple:
     )
 
 
-def _random_linreal(
-    rng: random.Random, blocks: int, max_dim: int, max_rows: int
-) -> LinReal:
-    dims = tuple(rng.randint(1, max_dim) for _ in range(blocks))
-    return LinReal(dims, _random_gens(rng, max_rows, sum(dims)))
-
-
 def _random_polymatroid(rng: random.Random, m: int, max_rank: int) -> Polymatroid:
     flavor = rng.choice(["free", "uniform", "linear", "sum", "induced"])
     if flavor == "free":
@@ -226,13 +232,7 @@ def _gen_matching_stat(cfg: TrialConfig, rng: random.Random, trial: int) -> dict
 
 
 def _eval_matching_stat(cfg: TrialConfig, instance: Mapping) -> list[str]:
-    seq = SubsetSeq.from_json(instance["seq"])
-    # the squarefree sum below has 2^m terms: refuse a replayed seq the
-    # generator could not have drawn before any term is built
-    if seq.m > MAX_M or seq.n > MAX_N:
-        raise ValueError(
-            f"seq has m={seq.m}, n={seq.n}; the generator draws m <= {MAX_M}, n <= {MAX_N}"
-        )
+    seq = _read_seq(instance["seq"], MAX_M, MAX_N)
     reasons = []
     # the sumset walk shares no grow step with match_poly or with the bitset
     # route of apply_inducing, so it checks both.  Its image of the sum of
@@ -273,7 +273,7 @@ def _invalid_table_reasons(pm: Polymatroid) -> list[str]:
     return []
 
 
-def _symbol_instance_reasons(seq: SubsetSeq, kappa: tuple[int, ...]) -> list[str]:
+def _eval_symbol_support(cfg: TrialConfig, instance: Mapping) -> list[str]:
     """The inducing symbol against the polymatroid that the operator induces.
 
     The symbol is the inducing image of x^kappa along `seq` with one singleton
@@ -281,6 +281,7 @@ def _symbol_instance_reasons(seq: SubsetSeq, kappa: tuple[int, ...]) -> list[str
     base point set of the direct sum of the free(1, kappa_i), induced along
     that sequence, with the coordinates in the symbol's (y, u) order.
     """
+    seq, kappa = _read_seq_kappa(instance)
     sym = symbol_of(inducing_box(seq, kappa))
     singletons = tuple(frozenset({i}) for i in range(1, seq.m + 1))
     tracked = SubsetSeq(seq.m, seq.sets + singletons)
@@ -298,9 +299,7 @@ def _symbol_instance_reasons(seq: SubsetSeq, kappa: tuple[int, ...]) -> list[str
         if c != want:
             reasons.append(f"coefficient at y^{yexp} u^{uexp} is {c}, want {want}")
             break
-    col_caps = [
-        sum(kappa[i - 1] for i in seq.sets[j]) for j in range(seq.n)
-    ]
+    col_caps = [sum(kappa[i - 1] for i in part) for part in seq.sets]
     for alpha in iter_box(kappa):
         mu = tuple(k - a for k, a in zip(kappa, alpha))
         for beta in bounded_compositions(sum(alpha), col_caps):
@@ -317,19 +316,14 @@ def _symbol_instance_reasons(seq: SubsetSeq, kappa: tuple[int, ...]) -> list[str
 def _gen_seq_kappa(
     cfg: TrialConfig, rng: random.Random, trial: int, cover: bool = False
 ) -> dict:
-    # symbol-support-egf draws with cover=True, coefficient-power-family without;
-    # brute-force sides grow fast, so both stay at their own small scale
-    seq = _random_seq(rng, 3, 3, cover)
+    seq = _random_seq(rng, _SMALL_M, _SMALL_N, cover)
     kappa = [rng.randint(0, MAX_KAPPA) for _ in range(seq.m)]
     return {"seq": seq.to_json(), "kappa": kappa}
 
 
 def _read_seq_kappa(instance: Mapping) -> tuple[SubsetSeq, tuple[int, ...]]:
-    return SubsetSeq.from_json(instance["seq"]), tuple(map(_replay_int, instance["kappa"]))
-
-
-def _eval_symbol_support(cfg: TrialConfig, instance: Mapping) -> list[str]:
-    return _symbol_instance_reasons(*_read_seq_kappa(instance))
+    seq = _read_seq(instance["seq"], _SMALL_M, _SMALL_N)
+    return seq, tuple(_replay_int(k, "kappa_i", MAX_KAPPA) for k in instance["kappa"])
 
 
 # -- check: dual descriptions of induced base-point membership -----------------
@@ -367,19 +361,18 @@ def _gen_base_membership(cfg: TrialConfig, rng: random.Random, trial: int) -> di
 
 def _eval_base_membership(cfg: TrialConfig, instance: Mapping) -> list[str]:
     pm = Polymatroid.from_json(instance["pm"])
-    seq = SubsetSeq.from_json(instance["seq"])
+    _replay_int(pm.full_rank, "pm full rank", MAX_RANK)
+    seq = _read_seq(instance["seq"], MAX_M, MAX_N)
     delta = list(map(_replay_int, instance["delta"]))
+    expected = instance.get("expected")
+    if expected is not None and not isinstance(expected, bool):
+        raise TypeError(f"'expected' must be null or a JSON bool, got {_brief(expected)}")
     reasons = _invalid_table_reasons(induce_polymatroid(pm, seq))
     try:
         member = hall_rado_member(pm, seq, delta)
     except InternalCheckError as exc:
         return reasons + [f"membership paths disagree: {exc}"]
-    expected = instance.get("expected")
-    if expected is None:
-        return reasons
-    if not isinstance(expected, bool):
-        raise TypeError(f"'expected' must be null or a JSON bool, got {_brief(expected)}")
-    if member is not expected:
+    if expected is not None and member is not expected:
         reasons.append(f"membership is {member}, expected {expected}")
     return reasons
 
@@ -442,12 +435,12 @@ def _capped_column_sums(seq: SubsetSeq, caps: Mapping, alpha: Sequence[int]) -> 
 def _gen_capped(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
     if trial == 0:
         return {"mode": "exhaustive-core"}
-    seq = _random_seq(rng, 3, 3)
+    seq = _random_seq(rng, _SMALL_M, _SMALL_N)
     caps = {}
     for i, j in seq.edges():
         if rng.random() < 0.7:
             caps[f"{i}-{j}"] = rng.randint(0, 2)
-    total = rng.randint(0, 4)
+    total = rng.randint(0, _MAX_TOTAL)
     alpha = list(rng.choice(sorted(bounded_compositions(total, (total,) * seq.m))))
     return {"mode": "random", "seq": seq.to_json(), "caps": caps, "alpha": alpha}
 
@@ -486,10 +479,11 @@ def _eval_capped(cfg: TrialConfig, instance: Mapping) -> list[str]:
                             if len(reasons) > 5:
                                 return reasons
         return reasons
-    seq = SubsetSeq.from_json(instance["seq"])
+    seq = _read_seq(instance["seq"], _SMALL_M, _SMALL_N)
     caps = caps_from_json(seq, instance["caps"])
     # a negative entry would leave no beta of alpha's total to compare
     alpha = _check_degrees(list(map(_replay_int, instance["alpha"])), seq.m, "alpha")
+    _replay_int(sum(alpha), "sum(alpha)", _MAX_TOTAL)
     return _capped_mismatches(seq, caps, alpha)
 
 
@@ -515,14 +509,14 @@ def _gen_basis_stats(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
 
 def _eval_basis_stats(cfg: TrialConfig, instance: Mapping) -> list[str]:
     mat = Matroid.from_json(instance["matroid"])
-    seq = SubsetSeq.from_json(instance["seq"])
+    seq = _read_seq(instance["seq"], MAX_M, MAX_N)
+    r = instance.get("uniform_rank")
+    r = None if r is None else _replay_int(r)
     reasons = []
     g = basis_match_poly(mat, seq)
     report = certify_lorentzian(g)
     if not report.verdict:
         reasons.append(f"certification failed ({report.failure.kind})")
-    r = instance.get("uniform_rank")
-    r = None if r is None else _replay_int(r)
     if r is not None and r <= seq.m and g != match_poly(seq, r):
         reasons.append("uniform-matroid restriction differs from the plain statistic")
     return reasons
@@ -532,15 +526,19 @@ def _eval_basis_stats(cfg: TrialConfig, instance: Mapping) -> list[str]:
 
 
 def _gen_support_induction(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
-    blocks = rng.randint(1, 4)
-    real = _random_linreal(rng, blocks, 2, MAX_RANK)
+    blocks = rng.randint(1, _MAX_BLOCKS)
+    dims = tuple(rng.randint(1, _MAX_DIM) for _ in range(blocks))
+    real = LinReal(dims, _random_gens(rng, MAX_RANK, sum(dims)))
     seq = _random_parts(rng, blocks, rng.randint(1, MAX_N), cover=True)
     return {"real": real.to_json(), "seq": seq.to_json()}
 
 
 def _eval_support_induction(cfg: TrialConfig, instance: Mapping) -> list[str]:
     real = LinReal.from_json(instance["real"])
-    seq = SubsetSeq.from_json(instance["seq"])
+    _replay_int(real.m, "len(blockdims)", _MAX_BLOCKS)
+    _replay_int(max(real.blockdims), "blockdims_i", _MAX_DIM)
+    _replay_int(len(real.gens), "len(gens)", MAX_RANK)
+    seq = _read_seq(instance["seq"], _MAX_BLOCKS, MAX_N)
     reasons = []
     pm = linreal_rank(real)
     induced = induce_polymatroid(pm, seq)
@@ -564,10 +562,12 @@ def _normalized_poly(nvars: int, table: Mapping[tuple[int, ...], int]) -> Poly:
 
 
 def _gen_golden(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
-    return {"abcd": [[rng.randint(1, 9) for _ in range(4)] for _ in range(20)]}
+    return {"abcd": [[rng.randint(1, 9) for _ in range(4)] for _ in range(_ABCD_ROWS)]}
 
 
 def _eval_golden(cfg: TrialConfig, instance: Mapping) -> list[str]:
+    rows = instance.get("abcd", [])
+    _replay_int(len(rows), "len(abcd)", _ABCD_ROWS)
     reasons: list[str] = []
 
     def need(cond: bool, label: str) -> None:
@@ -631,7 +631,7 @@ def _eval_golden(cfg: TrialConfig, instance: Mapping) -> list[str]:
         == Poly(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1, (0, 0, 2): 1}),
         "substitution image of x1 x2 is off",
     )
-    for a, b, c, d in instance.get("abcd", []):
+    for a, b, c, d in rows:
         weighted = apply_substitution(
             narrow, [[a, 0, b], [0, c, d]], x1x2
         )
@@ -707,7 +707,7 @@ def _eval_golden(cfg: TrialConfig, instance: Mapping) -> list[str]:
         box_from_symbol(symbol_of(box), (1, 1), 3) == box,
         "symbol round-trip lost the box",
     )
-    reasons.extend(_symbol_instance_reasons(narrow, (1, 1)))
+    reasons.extend(_eval_symbol_support(cfg, {"seq": narrow.to_json(), "kappa": [1, 1]}))
     n_single = sum(len(s) for s in narrow.sets)
     need(
         tab_family_box(narrow, [1] * 3, [0] * n_single, (1, 1)) == box,

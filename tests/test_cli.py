@@ -1091,6 +1091,10 @@ class TestVerifySubcommand:
         summary = json.loads(out.splitlines()[-1])
         assert summary["config"]["tolerance"] == 1e-8
 
+    def test_zero_trials_refused(self, capsys):
+        invalid = '{"detail":"trial count must be >= 1","error":"invalid-config"}\n'
+        assert _call(capsys, "verify", "--trials", "0") == (1, invalid, "")
+
     def test_infinite_tolerance_refused(self, capsys, monkeypatch):
         invalid = '{"detail":"tolerance must be finite","error":"invalid-config"}\n'
         assert _call(capsys, "verify", "--tolerance", "inf") == (1, invalid, "")
@@ -1367,6 +1371,8 @@ class TestJsonFlagFuzz:
         )
     )
     @example(case=("--caps", [1]))
+    # a replay far past capped-matchings' 3 x 3 draw, refused before it is built
+    @example(case=("--replay", {"mode": "random", "seq": {"m": 1, "sets": [[1]] * 8}, "caps": {}, "alpha": [60]}))
     @settings(
         max_examples=400,
         deadline=None,

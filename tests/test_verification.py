@@ -459,20 +459,148 @@ class TestMatchingStatCrossCheck:
         reasons = replay("matching-stat-lorentzian", self.TRIANGLE)
         assert reasons == ["r=0: induced e_r differs from the sumset walk", "r=1: induced e_r differs from the sumset walk"]
 
-    @pytest.mark.parametrize(
-        "seq, sizes",
-        [({"m": 30, "sets": [[1]]}, "m=30, n=1"), ({"m": 2, "sets": [[1]] * 6}, "m=2, n=6")],
-        ids=["m30", "n6"],
-    )
-    def test_a_seq_beyond_the_generator_is_refused_unbuilt(self, monkeypatch, seq, sizes):
-        # the check sums all 2^m squarefree terms: at m = 30 that exhausted
-        # memory, so no term may be built before the bounds are checked
-        def product(*args, **kwargs):
-            raise AssertionError("a squarefree term was built")
 
-        monkeypatch.setattr(verification, "product", product)
-        reasons = replay("matching-stat-lorentzian", {"seq": seq})
-        assert reasons == [f"exception: ValueError('seq has {sizes}; the generator draws m <= 5, n <= 5')"]
+def _seq(m, n):
+    return {"m": m, "sets": [list(range(1, m + 1))] * n}
+
+
+def _seq_kappa(m, n, k):
+    return {"seq": _seq(m, n), "kappa": [k] * m}
+
+
+def _membership(m, n, r):
+    # free(m, r) along parts that each hold every element induces free(n, r)
+    pm = {"m": m, "rank": [0] + [r] * ((1 << m) - 1)}
+    return {"pm": pm, "seq": _seq(m, n), "delta": [r] + [0] * (n - 1), "expected": True}
+
+
+def _capped(m, n, total):
+    return {"mode": "random", "seq": _seq(m, n), "caps": {}, "alpha": [total] + [0] * (m - 1)}
+
+
+def _support(blocks, dim, rows, m, n):
+    return {"real": {"blockdims": [dim] * blocks, "gens": [[1] * (dim * blocks)] * rows}, "seq": _seq(m, n)}
+
+
+def _basis(m, n):
+    return {"matroid": {"m": m, "rank": [min(mask.bit_count(), 1) for mask in range(1 << m)]}, "seq": _seq(m, n)}
+
+
+# (check, its first costly call, field, an instance just past the field's
+# bound, one at it, the refusal of the first)
+PAST_AND_AT = [
+    ("golden-examples", "apply_inducing", "rows", {"abcd": [[2, 3, 4, 5]] * 21}, {"abcd": [[2, 3, 4, 5]] * 20},
+     "len(abcd)=21; the generator draws len(abcd) <= 20"),
+    ("matching-stat-lorentzian", "product", "m", {"seq": _seq(6, 1)}, {"seq": _seq(5, 1)},
+     "seq has m=6, n=1; the generator draws m <= 5, n <= 5"),
+    ("matching-stat-lorentzian", "product", "n", {"seq": _seq(2, 6)}, {"seq": _seq(2, 5)},
+     "seq has m=2, n=6; the generator draws m <= 5, n <= 5"),
+    ("symbol-support-egf", "inducing_box", "m", _seq_kappa(4, 1, 1), _seq_kappa(3, 1, 1),
+     "seq has m=4, n=1; the generator draws m <= 3, n <= 3"),
+    ("symbol-support-egf", "inducing_box", "n", _seq_kappa(1, 4, 1), _seq_kappa(1, 3, 1),
+     "seq has m=1, n=4; the generator draws m <= 3, n <= 3"),
+    ("symbol-support-egf", "inducing_box", "kappa", _seq_kappa(1, 1, 3), _seq_kappa(1, 1, 2),
+     "kappa_i=3; the generator draws kappa_i <= 2"),
+    ("coefficient-power-family", "substitution_box", "m", _seq_kappa(4, 1, 1), _seq_kappa(3, 1, 1),
+     "seq has m=4, n=1; the generator draws m <= 3, n <= 3"),
+    ("coefficient-power-family", "substitution_box", "n", _seq_kappa(1, 4, 1), _seq_kappa(1, 3, 1),
+     "seq has m=1, n=4; the generator draws m <= 3, n <= 3"),
+    ("coefficient-power-family", "substitution_box", "kappa", _seq_kappa(1, 1, 3), _seq_kappa(1, 1, 2),
+     "kappa_i=3; the generator draws kappa_i <= 2"),
+    ("base-membership-duality", "induce_polymatroid", "m", _membership(6, 1, 1), _membership(5, 1, 1),
+     "seq has m=6, n=1; the generator draws m <= 5, n <= 5"),
+    ("base-membership-duality", "induce_polymatroid", "n", _membership(1, 6, 1), _membership(1, 5, 1),
+     "seq has m=1, n=6; the generator draws m <= 5, n <= 5"),
+    ("base-membership-duality", "induce_polymatroid", "rank", _membership(1, 1, 4), _membership(1, 1, 3),
+     "pm full rank=4; the generator draws pm full rank <= 3"),
+    ("capped-matchings", "_capped_mismatches", "m", _capped(4, 1, 0), _capped(3, 1, 0),
+     "seq has m=4, n=1; the generator draws m <= 3, n <= 3"),
+    ("capped-matchings", "_capped_mismatches", "n", _capped(1, 4, 0), _capped(1, 3, 0),
+     "seq has m=1, n=4; the generator draws m <= 3, n <= 3"),
+    ("capped-matchings", "_capped_mismatches", "total", _capped(1, 1, 5), _capped(1, 1, 4),
+     "sum(alpha)=5; the generator draws sum(alpha) <= 4"),
+    ("support-induction", "linreal_rank", "blocks", _support(5, 1, 0, 5, 1), _support(4, 1, 0, 4, 1),
+     "len(blockdims)=5; the generator draws len(blockdims) <= 4"),
+    ("support-induction", "linreal_rank", "dim", _support(1, 3, 0, 1, 1), _support(1, 2, 0, 1, 1),
+     "blockdims_i=3; the generator draws blockdims_i <= 2"),
+    ("support-induction", "linreal_rank", "rows", _support(1, 1, 4, 1, 1), _support(1, 1, 3, 1, 1),
+     "len(gens)=4; the generator draws len(gens) <= 3"),
+    ("support-induction", "linreal_rank", "m", _support(4, 1, 0, 5, 1), _support(4, 1, 0, 4, 1),
+     "seq has m=5, n=1; the generator draws m <= 4, n <= 5"),
+    ("support-induction", "linreal_rank", "n", _support(1, 1, 0, 1, 6), _support(1, 1, 0, 1, 5),
+     "seq has m=1, n=6; the generator draws m <= 4, n <= 5"),
+    ("basis-restricted-stats", "basis_match_poly", "m", _basis(6, 1), _basis(5, 1),
+     "seq has m=6, n=1; the generator draws m <= 5, n <= 5"),
+    ("basis-restricted-stats", "basis_match_poly", "n", _basis(1, 6), _basis(1, 5),
+     "seq has m=1, n=6; the generator draws m <= 5, n <= 5"),
+]
+PAST_AND_AT_IDS = [f"{check}-{field}" for check, _, field, *_ in PAST_AND_AT]
+
+
+def _bound_sizes(name, instance):
+    """{field: (size, bound)} of a generated instance, read off its JSON."""
+    seq = instance.get("seq")
+    sizes = {}
+    if name in ("symbol-support-egf", "coefficient-power-family") or instance.get("mode") == "random":
+        small = (verification._SMALL_M, verification._SMALL_N)
+    elif name == "support-induction":
+        small = (verification._MAX_BLOCKS, verification.MAX_N)
+    else:
+        small = (verification.MAX_M, verification.MAX_N)
+    if seq is not None:
+        sizes["m"], sizes["n"] = (seq["m"], small[0]), (len(seq["sets"]), small[1])
+    if name == "golden-examples":
+        sizes["rows"] = (len(instance["abcd"]), verification._ABCD_ROWS)
+    if "kappa" in instance:
+        sizes["kappa"] = (max(instance["kappa"], default=0), verification.MAX_KAPPA)
+    if "pm" in instance:
+        sizes["rank"] = (instance["pm"]["rank"][-1], verification.MAX_RANK)
+    if "alpha" in instance:
+        sizes["total"] = (sum(instance["alpha"]), verification._MAX_TOTAL)
+    if "real" in instance:
+        dims = instance["real"]["blockdims"]
+        sizes["blocks"] = (len(dims), verification._MAX_BLOCKS)
+        sizes["dim"] = (max(dims), verification._MAX_DIM)
+        sizes["rows"] = (len(instance["real"]["gens"]), verification.MAX_RANK)
+    return sizes
+
+
+class TestReplayBounds:
+    """Each check refuses a replay past the bounds that its generator draws
+    from, before its first costly call; the bounds are the generator's own
+    constants."""
+
+    @pytest.mark.parametrize("check, costly, field, past, at, reason", PAST_AND_AT, ids=PAST_AND_AT_IDS)
+    def test_past_a_bound_is_refused(self, monkeypatch, check, costly, field, past, at, reason):
+        # at m = 30 the squarefree sum of matching-stat-lorentzian exhausted
+        # memory; a refused replay must build nothing
+        def unbuilt(*args, **kwargs):
+            raise AssertionError(f"{costly} was called")
+
+        monkeypatch.setattr(verification, costly, unbuilt)
+        assert replay(check, past) == [f"exception: {ValueError(reason)!r}"]
+        # the patched call is on the route: the instance at the bound reaches it
+        assert replay(check, at) == [f"exception: AssertionError('{costly} was called')"]
+
+    @pytest.mark.parametrize("check, costly, field, past, at, reason", PAST_AND_AT, ids=PAST_AND_AT_IDS)
+    def test_at_a_bound_passes(self, check, costly, field, past, at, reason):
+        assert replay(check, at) == []
+
+    def test_generated_instances_lie_within_the_bounds(self):
+        largest, bounds = {}, {}
+        for seed in (1, 2, 3):
+            cfg = TrialConfig(seed=seed)
+            for name, check in CHECKS.items():
+                for trial in range(check.trial_count(cfg)):
+                    instance = check.gen(cfg, _trial_rng(seed, name, trial), trial)
+                    for field, (size, bound) in _bound_sizes(name, instance).items():
+                        assert size <= bound, (name, seed, trial, field)
+                        key = (name, field)
+                        largest[key], bounds[key] = max(largest.get(key, size), size), bound
+        # each bound is drawn by some trial, so none is looser than its generator
+        assert largest == bounds
+        # and the refusal table covers every bound the generators draw with
+        assert {(check, field) for check, _, field, *_ in PAST_AND_AT} == set(bounds)
 
 
 class TestDerivedTablesAtRunTime:
