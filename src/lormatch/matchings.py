@@ -44,7 +44,12 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class SubsetSeq:
-    """Ordered parts over the ground set {1..m}; empty parts are allowed."""
+    """Ordered parts over the ground set {1..m}; empty parts are allowed.
+
+    The constructor only checks.  The views that the flow, the Hall cuts and
+    the sumset walk read (`_parts_of`, `_edges`, `_members`) are built on
+    first use, so a large m costs nothing until one of them is read.
+    """
 
     m: int
     sets: tuple[frozenset[int], ...]
@@ -59,26 +64,28 @@ class SubsetSeq:
             for e in s:
                 if not 1 <= e <= self.m:
                     raise ValueError(f"part {j} contains {e}, outside 1..{self.m}")
+        operator.index(self.m)  # a float m passes the checks above
         object.__setattr__(self, "sets", parts)
-        by_elem = tuple(
-            tuple(j for j, s in enumerate(parts, start=1) if i in s)
-            for i in range(1, self.m + 1)
-        )
-        object.__setattr__(self, "_parts_of", by_elem)
-        object.__setattr__(
-            self,
-            "_edges",
-            tuple((i, j) for i in range(1, self.m + 1) for j in by_elem[i - 1]),
-        )
 
     @property
     def n(self) -> int:
         return len(self.sets)
 
     @functools.cached_property
+    def _parts_of(self) -> tuple[tuple[int, ...], ...]:
+        by_elem: list[list[int]] = [[] for _ in range(self.m)]
+        for j, s in enumerate(self.sets, start=1):
+            for i in s:
+                by_elem[i - 1].append(j)
+        return tuple(map(tuple, by_elem))
+
+    @functools.cached_property
+    def _edges(self) -> tuple[Edge, ...]:
+        return tuple((i, j) for i, parts in enumerate(self._parts_of, start=1) for j in parts)
+
+    @functools.cached_property
     def _members(self) -> tuple[tuple[int, ...], ...]:
-        """Each part's members in order, for `_flow`; built on first use,
-        since most sequences never reach a flow."""
+        """Each part's members in order."""
         return tuple(tuple(sorted(s)) for s in self.sets)
 
     def parts_containing(self, element: int) -> tuple[int, ...]:
@@ -293,8 +300,8 @@ def single_vertex_cuts(
     the alphas, which must be checked degree vectors of length m.
     """
     b = _check_degrees(beta, seq.n, "beta")
-    reach = [sum(b[j - 1] for j in seq.parts_containing(i)) for i in range(1, seq.m + 1)]
-    demands = [(b[j], [i - 1 for i in sorted(s)]) for j, s in enumerate(seq.sets) if b[j]]
+    reach = [sum(b[j - 1] for j in parts) for parts in seq._parts_of]
+    demands = [(b[j], [i - 1 for i in s]) for j, s in enumerate(seq._members) if b[j]]
     for alpha in alphas:
         if all(map(operator.le, alpha, reach)) and all(
             want <= sum(map(alpha.__getitem__, members)) for want, members in demands

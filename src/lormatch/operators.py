@@ -229,10 +229,7 @@ def _linear_images(
     when no matrix is given.  An explicit matrix must be m x n, exact,
     nonnegative, and nonzero exactly on the incidences of the sequence."""
     if matrix is None:
-        matrix = [
-            [int(seq.has_edge(i, j)) for j in range(1, seq.n + 1)]
-            for i in range(1, seq.m + 1)
-        ]
+        matrix = [[int(i in s) for s in seq.sets] for i in range(1, seq.m + 1)]
     rows = [list(r) for r in matrix]
     if len(rows) != seq.m or any(len(r) != seq.n for r in rows):
         raise ValueError(f"matrix must be {seq.m} x {seq.n}")

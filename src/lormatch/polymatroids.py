@@ -31,6 +31,7 @@ one exact elimination in `_util`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -513,12 +514,10 @@ class LinReal:
             if len(row) != ncols:
                 raise ValueError(f"row has {len(row)} entries, expected {ncols}")
         object.__setattr__(self, "gens", rows)
-        offsets = []
-        at = 0
-        for d in dims:
-            offsets.append(at)
-            at += d
-        object.__setattr__(self, "_offsets", tuple(offsets))
+
+    @functools.cached_property
+    def _offsets(self) -> tuple[int, ...]:
+        return (0, *itertools.accumulate(self.blockdims[:-1]))
 
     @property
     def m(self) -> int:
@@ -581,8 +580,8 @@ def linreal_induce(real: LinReal, seq: SubsetSeq) -> LinReal:
         raise ValueError(f"sequence over 1..{seq.m}, realization has {real.m} blocks")
     col_order: list[int] = []
     dims = []
-    for part in seq.sets:
-        cols = [c for i in sorted(part) for c in real.block_columns(i)]
+    for part in seq._members:
+        cols = [c for i in part for c in real.block_columns(i)]
         col_order.extend(cols)
         dims.append(len(cols))
     rows = tuple(tuple(row[c] for c in col_order) for row in real.gens)
@@ -620,10 +619,7 @@ def hall_rado_member(
     if any(v < 0 for v in d):
         return False
     via_rank = in_base_polytope(induced, d)
-    reach = [0] * seq.m  # what each element can send: delta summed over its parts
-    for want, part in zip(d, seq.sets):
-        for i in part:
-            reach[i - 1] += want
+    reach = [sum(d[j - 1] for j in parts) for parts in seq._parts_of]
     via_flow = any(
         admits_matching(seq, gamma, d)
         for gamma in single_vertex_cuts(seq, d, _walk_base_points(pm, caps=reach))

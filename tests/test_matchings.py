@@ -1,5 +1,7 @@
+import json
 import operator
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,7 @@ from lormatch import (
 from lormatch import matchings
 from lormatch._util import vec_factorial
 from lormatch.matchings import _key_decoder, _places, single_vertex_cuts
+from lormatch.matchstats import stat_table
 
 from oracles import enumerate_matching, matched_degrees_box
 
@@ -104,6 +107,51 @@ class TestSubsetSeq:
     def test_empty_part_allowed(self):
         seq = SubsetSeq(2, (frozenset(), frozenset({1, 2})))
         assert seq.parts_containing(1) == (2,)
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda m: st.tuples(st.just(m), st.lists(st.frozensets(st.integers(1, m)), min_size=1, max_size=5))
+        )
+    )
+    @example((8, [frozenset(), frozenset({2, 5}), frozenset()]))
+    @settings(max_examples=100, deadline=None)
+    def test_views_follow_the_parts(self, drawn):
+        m, sets = drawn
+        seq = SubsetSeq(m, tuple(sets))
+        numbered = list(enumerate(sets, start=1))
+        parts_of = tuple(tuple(j for j, s in numbered if i in s) for i in range(1, m + 1))
+        edges = tuple(sorted((i, j) for j, s in numbered for i in s))
+        assert seq._parts_of == parts_of
+        assert seq._edges == seq.edges() == edges
+        assert seq._members == tuple(tuple(sorted(s)) for s in sets)
+        assert [seq.parts_containing(i) for i in range(1, m + 1)] == list(parts_of)
+
+    def test_a_large_ground_set_builds_no_view(self):
+        # the constructor only checks; the panel counts never read a view
+        seq = SubsetSeq(10**8, (frozenset({1}), frozenset({1, 99999999})))
+        assert not {"_parts_of", "_edges"} & vars(seq).keys()
+        assert stat_table(seq, 1).rows == {(1,): 1, (2,): 2}
+        assert not {"_parts_of", "_edges"} & vars(seq).keys()
+
+    @pytest.mark.parametrize(
+        "m, sets, error, message",
+        [
+            (2.5, (frozenset({1}),), TypeError, "'float' object cannot be interpreted as an integer"),
+            (2.0, (frozenset({1}),), TypeError, "'float' object cannot be interpreted as an integer"),
+            (0.5, (frozenset({1}),), ValueError, "ground-set size must be >= 1"),
+            # the range check comes before the float refusal
+            (1.5, (frozenset({2}),), ValueError, "part 1 contains 2, outside 1..1.5"),
+        ],
+        ids=["m2.5", "m2.0", "m0.5", "m1.5"],
+    )
+    def test_construction_errors(self, m, sets, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            SubsetSeq(m, sets)
+
+    def test_bool_ground_set_size_accepted(self):
+        seq = SubsetSeq(True, (frozenset({1}),))
+        assert seq.parts_containing(1) == (1,)
+        assert json.dumps(seq.to_json()) == '{"m": true, "sets": [[1]]}'
 
 
 class TestFeasibility:

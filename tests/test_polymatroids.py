@@ -673,6 +673,13 @@ class TestLinReal:
         real = LinReal((1, 2), ((Fraction(1, 2), 0, 1),))
         assert LinReal.from_json(real.to_json()) == real
 
+    def test_block_columns_are_prefix_sums(self):
+        dims = (2, 0, 1, 0)
+        real = LinReal(dims, ((1, 2, 3),))
+        ends = list(itertools.accumulate(dims))
+        spans = [(c.start, c.stop) for c in map(real.block_columns, range(1, real.m + 1))]
+        assert spans == [(e - d, e) for d, e in zip(dims, ends)] == [(0, 2), (2, 2), (2, 3), (3, 3)]
+
     @given(linreals(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_induce_commutes_with_rank(self, real, data):

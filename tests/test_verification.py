@@ -586,6 +586,18 @@ class TestReplayBounds:
     def test_at_a_bound_passes(self, check, costly, field, past, at, reason):
         assert replay(check, at) == []
 
+    def test_an_oversized_seq_is_refused_unbuilt(self, monkeypatch):
+        # SubsetSeq builds its views on first use, so a seq over 10^8
+        # elements is refused before anything per element is built
+        def unbuilt(self):
+            raise AssertionError("a SubsetSeq view was built")
+
+        monkeypatch.setattr(matchings.SubsetSeq, "_parts_of", property(unbuilt))
+        monkeypatch.setattr(matchings.SubsetSeq, "_edges", property(unbuilt))
+        reason = "seq has m=100000000, n=1; the generator draws m <= 5, n <= 5"
+        instance = {"seq": {"m": 100000000, "sets": [[1]]}}
+        assert replay("matching-stat-lorentzian", instance) == [f"exception: {ValueError(reason)!r}"]
+
     def test_generated_instances_lie_within_the_bounds(self):
         largest, bounds = {}, {}
         for seed in (1, 2, 3):
