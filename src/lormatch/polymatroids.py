@@ -25,8 +25,8 @@ checks the cardinality bound.  `induce_polymatroid` is the one construction
 of union-rank tables: `induce_matroid` starts from its table, and
 `hall_rado_member` reads the rank of the part union off it.  The randomized
 harness re-validates induced tables at run time (`verification.py`).
-`linreal_rank` reads each rank off the inertia of a Gram matrix, through the
-one exact elimination in `_util`.
+`linreal_rank` reads rank(C) = rank(sum_{i in C} G_i G_i^T) off `_util`'s one
+exact elimination: one Gram per block, summed depth first, m + 1 alive at most.
 """
 
 from __future__ import annotations
@@ -547,24 +547,22 @@ class LinReal:
 def linreal_rank(real: LinReal) -> Polymatroid:
     """Rank of a block set = dimension of the projection of the row span.
 
-    Each generator row is scaled to integers by `clear_denominators` (a
-    nonzero row scale keeps the span).  For the columns C of a block set,
-    rank(G_C) = rank(G_C G_C^T), and that Gram matrix is positive
-    semidefinite, so its rank is its count of nonzero eigenvalues, read from
-    the one exact elimination `_inertia`.
+    Rows are scaled to integers by `clear_denominators` (a nonzero row scale
+    keeps the span).  rank(C) = rank(sum_{i in C} G_i G_i^T), the nonzero part
+    of a positive semidefinite Gram's inertia.  In mask order a set's parent,
+    the set less its lowest block, is the last set of its size seen, so `path`
+    holds one Gram per size (depth first, m + 1 at most), each its parent's
+    plus one block's.
     """
     rows = [clear_denominators(row)[1] for row in real.gens]
-    table = []
-    for mask in range(1 << real.m):
-        cols = [
-            c
-            for i in range(real.m)
-            if mask >> i & 1
-            for c in real.block_columns(i + 1)
-        ]
-        picked = [[row[c] for c in cols] for row in rows]
-        gram = [[sum(map(operator.mul, a, b)) for b in picked] for a in picked]
-        n_pos, n_neg, _ = _inertia(gram)
+    spans = map(real.block_columns, range(1, real.m + 1))
+    picks = ([row[cols.start : cols.stop] for row in rows] for cols in spans)
+    blocks = [[[sum(map(operator.mul, a, b)) for b in p] for a in p] for p in picks]
+    path, table = [[[0] * len(rows) for _ in rows]], [0]
+    for mask in range(1, 1 << real.m):
+        d, low = mask.bit_count(), (mask & -mask).bit_length() - 1
+        path[d:] = [[list(map(operator.add, a, b)) for a, b in zip(path[d - 1], blocks[low])]]
+        n_pos, n_neg, _ = _inertia([list(row) for row in path[d]])
         table.append(n_pos + n_neg)
     return Polymatroid(real.m, tuple(table))
 

@@ -350,13 +350,8 @@ class Poly(PolyCore):
         if not isinstance(power, int) or power < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
         out = Poly.constant(self.nvars, 1)
-        base = self
-        k = power
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        for _ in range(power):
+            out = out * self
         return out
 
     # -- structure -----------------------------------------------------------

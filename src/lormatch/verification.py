@@ -102,8 +102,10 @@ from .polynomials import Poly, elementary_symmetric
 
 # instance bounds: ground-set size, part count, rank and per-variable degree cap
 MAX_M, MAX_N, MAX_RANK, MAX_KAPPA = 5, 5, 3, 2
-# smaller draws where brute force grows fast: (m, n), alpha total, blocks, block dim, abcd rows
-_SMALL_M, _SMALL_N, _MAX_TOTAL, _MAX_BLOCKS, _MAX_DIM, _ABCD_ROWS = 3, 3, 4, 4, 2, 20
+# smaller draws where brute force grows fast: (m, n), alpha total, blocks, block dim
+_SMALL_M, _SMALL_N, _MAX_TOTAL, _MAX_BLOCKS, _MAX_DIM = 3, 3, 4, 4, 2
+# golden-examples' rows of four integers, each at most _ABCD_TOP
+_ABCD_ROWS, _ABCD_TOP = 20, 9
 
 
 @dataclass(frozen=True)
@@ -562,12 +564,16 @@ def _normalized_poly(nvars: int, table: Mapping[tuple[int, ...], int]) -> Poly:
 
 
 def _gen_golden(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
-    return {"abcd": [[rng.randint(1, 9) for _ in range(4)] for _ in range(_ABCD_ROWS)]}
+    return {"abcd": [[rng.randint(1, _ABCD_TOP) for _ in range(4)] for _ in range(_ABCD_ROWS)]}
 
 
 def _eval_golden(cfg: TrialConfig, instance: Mapping) -> list[str]:
     rows = instance.get("abcd", [])
     _replay_int(len(rows), "len(abcd)", _ABCD_ROWS)
+    rows = [[_replay_int(v, "abcd entry", _ABCD_TOP) for v in row] for row in rows]
+    for row in rows:
+        if len(row) != 4:
+            raise ValueError(f"abcd row {row} has {len(row)} entries; the generator draws 4")
     reasons: list[str] = []
 
     def need(cond: bool, label: str) -> None:

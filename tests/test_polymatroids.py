@@ -1,5 +1,6 @@
 import itertools
 import operator
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -62,9 +63,9 @@ def linreals(draw, max_blocks=3, max_dim=2, max_rows=3):
 
 @st.composite
 def fractional_linreals(draw):
-    """Blocks of width 0-3 and up to 5 rows of fractional and zero entries;
+    """Up to 6 blocks of width 0-3 and up to 5 rows of fractional and zero entries;
     some rows combine two earlier ones, so that ranks drop."""
-    dims = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)))
+    dims = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=6)))
     cell = st.just(Fraction(0)) | st.fractions(-4, 4, max_denominator=6)
     rows = []
     for _ in range(draw(st.integers(0, 5))):
@@ -664,6 +665,37 @@ class TestLinReal:
     def test_rank_matches_gaussian_elimination(self, real):
         table = linreal_rank(real).rank
         assert table == tuple(rank_literal(real, mask) for mask in range(1 << real.m))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_each_block_is_read_once(self, monkeypatch, m):
+        # one Gram per block: the columns of a block are not re-listed per block set
+        calls = []
+        columns = LinReal.block_columns
+
+        def counting(self, i):
+            calls.append(i)
+            return columns(self, i)
+
+        dims = (1, 0, 2, 1, 3, 1)[:m]
+        rows = tuple(tuple((5 * i + 3 * j) % 7 - 3 for j in range(sum(dims))) for i in range(3))
+        real = LinReal(dims, rows)
+        monkeypatch.setattr(LinReal, "block_columns", counting)
+        linreal_rank(real)
+        assert sorted(calls) == list(range(1, m + 1))
+
+    def test_peak_memory_stays_with_the_walk(self):
+        # depth first, at most m + 1 Gram sums are alive: the bound separates
+        # the walk (about 0.2 MiB) from holding all 2^12 sums (about 4 MiB)
+        rows = tuple(tuple((3 * i + 7 * j) % 11 - 5 for j in range(12)) for i in range(4))
+        real = LinReal((1,) * 12, rows)
+        linreal_rank(real)
+        tracemalloc.start()
+        try:
+            linreal_rank(real)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_float_rows_rejected(self):
         with pytest.raises(TypeError):

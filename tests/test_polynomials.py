@@ -101,6 +101,24 @@ class TestArithmetic:
         assert f**3 == f * f * f
         assert f**0 == Poly.constant(f.nvars, 1)
 
+    @pytest.mark.parametrize("e", range(7))
+    def test_pow_multiplies_up(self, monkeypatch, e):
+        # e products by f: no power above f^e is built
+        f = Poly(2, {(1, 0): 1, (0, 1): Fraction(1, 2), (0, 0): 3})
+        product = Poly.constant(2, 1)
+        for _ in range(e):
+            product = product * f
+        calls = []
+        mul = Poly.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        assert f**e == product
+        assert len(calls) <= e
+
     @given(polys())
     def test_sub_self_is_zero(self, f):
         assert f - f == Poly.zero(f.nvars)

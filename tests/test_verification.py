@@ -491,6 +491,8 @@ def _basis(m, n):
 PAST_AND_AT = [
     ("golden-examples", "apply_inducing", "rows", {"abcd": [[2, 3, 4, 5]] * 21}, {"abcd": [[2, 3, 4, 5]] * 20},
      "len(abcd)=21; the generator draws len(abcd) <= 20"),
+    ("golden-examples", "apply_inducing", "entry", {"abcd": [[10, 1, 1, 1]]}, {"abcd": [[9, 1, 1, 1]]},
+     "abcd entry=10; the generator draws abcd entry <= 9"),
     ("matching-stat-lorentzian", "product", "m", {"seq": _seq(6, 1)}, {"seq": _seq(5, 1)},
      "seq has m=6, n=1; the generator draws m <= 5, n <= 5"),
     ("matching-stat-lorentzian", "product", "n", {"seq": _seq(2, 6)}, {"seq": _seq(2, 5)},
@@ -551,6 +553,7 @@ def _bound_sizes(name, instance):
         sizes["m"], sizes["n"] = (seq["m"], small[0]), (len(seq["sets"]), small[1])
     if name == "golden-examples":
         sizes["rows"] = (len(instance["abcd"]), verification._ABCD_ROWS)
+        sizes["entry"] = (max(map(max, instance["abcd"])), verification._ABCD_TOP)
     if "kappa" in instance:
         sizes["kappa"] = (max(instance["kappa"], default=0), verification.MAX_KAPPA)
     if "pm" in instance:
@@ -597,6 +600,23 @@ class TestReplayBounds:
         reason = "seq has m=100000000, n=1; the generator draws m <= 5, n <= 5"
         instance = {"seq": {"m": 100000000, "sets": [[1]]}}
         assert replay("matching-stat-lorentzian", instance) == [f"exception: {ValueError(reason)!r}"]
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            (["3", "1", "2", "5"], TypeError("'str' object cannot be interpreted as an integer")),
+            ([True, 1, 2, 5], TypeError("expected an integer, got true")),
+            ([10, 1, 1, 1], ValueError("abcd entry=10; the generator draws abcd entry <= 9")),
+            ([1, 2, 3], ValueError("abcd row [1, 2, 3] has 3 entries; the generator draws 4")),
+        ],
+        ids=["text", "bool", "past-top", "short"],
+    )
+    def test_golden_rows_are_read_before_any_example(self, monkeypatch, row, error):
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("apply_inducing was called")
+
+        monkeypatch.setattr(verification, "apply_inducing", unbuilt)
+        assert replay("golden-examples", {"abcd": [row]}) == [f"exception: {error!r}"]
 
     def test_generated_instances_lie_within_the_bounds(self):
         largest, bounds = {}, {}
