@@ -7,9 +7,9 @@ bytes; `--pretty` mirrors an indented rendering to standard error without
 touching the machine-readable stream.  A polynomial in a result is written
 by its own `_json_text`, the same bytes `json` writes for its `to_json`.
 
-Exit codes: 0 success, 1 domain error (a machine-readable error object is
-printed to standard output), 2 usage error (one `error: ...` line on
-standard error, found before any input is read).
+Exit codes: 0 success, 1 domain error or out of memory (a machine-readable
+error object is printed to standard output), 2 usage error (one
+`error: ...` line on standard error, found before any input is read).
 
 Only the standard library and `_util` are imported with this module: each
 handler imports the compute modules it runs, so a process loads those alone
@@ -612,7 +612,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse one command line, run its handler and emit what it returns."""
+    """Parse one command line, run its handler and emit what it returns.
+
+    Running out of memory anywhere in that is one constant error object on
+    stdout and exit 1, with nothing on stderr.
+    """
+    try:
+        return _run(argv)
+    except MemoryError:
+        sys.stdout.write('{"error":"out-of-memory"}\n')
+        return 1
+
+
+def _run(argv: Sequence[str] | None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         out = args.func(args)

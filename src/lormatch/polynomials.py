@@ -16,6 +16,11 @@ subclasses the other: the ring operations test `isinstance(.., Poly)` and
 the operator-table check tests the image types, so exact and float data
 never mix silently.
 
+Terms are summed in one place, `_summed`: repeated exponents are summed
+in first-seen order and no zero coefficient is stored.  Construction, `+`,
+`*`, `substitute` and the JSON row loop build their terms through it, and
+`*` and `substitute` form term products with `_products`.
+
 There are two writers of the JSON layout.  `to_json` returns the document
 as dicts and lists; it serves library users, `--pretty`'s indented copy,
 and it is the reference that tests hold the other writer to.  `_json_text`
@@ -111,6 +116,20 @@ def _exponent_texts(exps: Sequence[ExpVec]) -> list[str]:
     return json.dumps(exps, separators=(",", ":"))[2:-2].split("],[")
 
 
+def _summed(pairs: Iterable[tuple[ExpVec, object]]) -> dict:
+    """The (exponent, coefficient) pairs as a dict: repeated exponents are
+    summed in first-seen order and no zero coefficient is kept."""
+    data: dict = {}
+    for exp, c in pairs:
+        data[exp] = data[exp] + c if exp in data else c
+    return data if all(data.values()) else {exp: c for exp, c in data.items() if c}
+
+
+def _products(a: Iterable, b: Iterable) -> Iterator[tuple[ExpVec, object]]:
+    """(e1 + e2, c1 * c2) over two term lists; `b` is read once per term of `a`."""
+    return ((tuple(map(operator.add, e1, e2)), c1 * c2) for e1, c1 in a for e2, c2 in b)
+
+
 class PolyCore:
     """Read-only core of `Poly` and `FloatPoly`; each member reads the
     coefficient kind from the class attributes each kind sets.  The name is
@@ -123,17 +142,7 @@ class PolyCore:
         self.nvars = nvars
         pairs = terms.items() if isinstance(terms, Mapping) else terms
         coerce = self._coerce
-        data: dict = {}
-        for exp, coeff in pairs:
-            key = _checked_exponent(exp, nvars)
-            c = coerce(coeff)
-            if key in data:
-                c = data[key] + c
-            if c:
-                data[key] = c
-            else:
-                data.pop(key, None)
-        self._terms = data
+        self._terms = _summed((_checked_exponent(exp, nvars), coerce(c)) for exp, c in pairs)
 
     @classmethod
     def _trusted(cls, nvars: int, terms: dict) -> "Poly":
@@ -205,10 +214,8 @@ class PolyCore:
         """Common term degree, ANY_DEGREE for the zero polynomial, None if mixed."""
         if not self._terms:
             return ANY_DEGREE
-        degrees = {sum(e) for e in self._terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
+        degrees = set(map(sum, self._terms))
+        return min(degrees) if len(degrees) == 1 else None
 
     # -- serialization ---------------------------------------------------------
 
@@ -306,14 +313,8 @@ class Poly(PolyCore):
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_same_arity(other)
-        data = dict(self._terms)
-        for exp, c in other._terms.items():
-            s = data.get(exp, Fraction(0)) + c
-            if s:
-                data[exp] = s
-            else:
-                data.pop(exp, None)
-        return Poly._trusted(self.nvars, data)
+        terms = itertools.chain(self._terms.items(), other._terms.items())
+        return Poly._trusted(self.nvars, _summed(terms))
 
     def __neg__(self) -> "Poly":
         return Poly._trusted(self.nvars, {e: -c for e, c in self._terms.items()})
@@ -326,15 +327,7 @@ class Poly(PolyCore):
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._require_same_arity(other)
-            data: dict[ExpVec, Fraction] = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    s = data.get(key, Fraction(0)) + c1 * c2
-                    if s:
-                        data[key] = s
-                    else:
-                        data.pop(key, None)
+            data = _summed(_products(self._terms.items(), other._terms.items()))
             return Poly._trusted(self.nvars, data)
         return self.scale(other)
 
@@ -369,24 +362,20 @@ class Poly(PolyCore):
         g = _checked_exponent(gamma, self.nvars)
         data = {}
         for exp, c in self._terms.items():
-            if any(e < gi for e, gi in zip(exp, g)):
-                continue
-            factor = 1
-            for e, gi in zip(exp, g):
-                # falling factorial e * (e-1) * ... * (e-gi+1)
-                for t in range(gi):
-                    factor *= e - t
-            # exp - gamma is one-to-one on the terms kept, so no key repeats
-            data[tuple(e - gi for e, gi in zip(exp, g))] = c * factor
+            # falling factorials e (e-1) ... (e-gi+1), 0 where gi > e
+            factor = math.prod(map(math.perm, exp, g))
+            if factor:
+                # exp - gamma is one-to-one on the terms kept, so no key repeats
+                data[tuple(map(operator.sub, exp, g))] = c * factor
         return type(self)(self.nvars, data)
 
     def substitute(self, images: Sequence["Poly"], nvars_out: int) -> "Poly":
         """Replace variable i by images[i]; all images live in nvars_out variables.
 
         One loop over the terms: each multiplies in images[v] ** e, expanded
-        once per (v, e) and kept as a term list, and the products are summed
-        into one dict.  A zero image has no terms, so every term that uses
-        its variable drops out.
+        once per (v, e) and kept as a term list, and the term images are
+        summed into one dict.  A zero image has no terms, so every term that
+        uses its variable drops out.
         """
         if len(images) != self.nvars:
             raise ValueError(
@@ -397,24 +386,20 @@ class Poly(PolyCore):
                 raise ValueError("image arity differs from nvars_out")
         powers: dict[tuple[int, int], list] = {}
         one = (0,) * nvars_out
-        data: dict[ExpVec, Fraction] = {}
-        for exp, c in self._terms.items():
-            partial = {one: c}
-            for v, e in enumerate(exp):
-                if not e:
-                    continue
-                factor = powers.get((v, e))
-                if factor is None:
-                    factor = powers[v, e] = list((images[v] ** e)._terms.items())
-                product: dict[ExpVec, Fraction] = {}
-                for e1, c1 in partial.items():
-                    for e2, c2 in factor:
-                        key = tuple(map(operator.add, e1, e2))
-                        product[key] = product.get(key, 0) + c1 * c2
-                partial = product
-            for key, value in partial.items():
-                data[key] = data.get(key, 0) + value
-        return Poly._trusted(nvars_out, {key: c for key, c in data.items() if c})
+
+        def term_images() -> Iterator[tuple[ExpVec, Fraction]]:
+            for exp, c in self._terms.items():
+                partial = {one: c}
+                for v, e in enumerate(exp):
+                    if not e:
+                        continue
+                    factor = powers.get((v, e))
+                    if factor is None:
+                        factor = powers[v, e] = list((images[v] ** e)._terms.items())
+                    partial = _summed(_products(partial.items(), factor))
+                yield from partial.items()
+
+        return Poly._trusted(nvars_out, _summed(term_images()))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -547,7 +532,7 @@ def _column_terms(rows, nvars: int, normalized: bool) -> dict | None:
 
 def _row_terms(rows, nvars: int, normalized: bool) -> dict[ExpVec, Fraction]:
     """The summed terms of any document, row by row; the first bad row raises."""
-    terms: dict[ExpVec, Fraction] = {}
+    pairs = []
     try:
         for row in rows:
             exp = row["exp"]
@@ -570,10 +555,10 @@ def _row_terms(rows, nvars: int, normalized: bool) -> dict[ExpVec, Fraction]:
                 c = _from_coeff(row["coeff"], fact)
             else:
                 raise ValueError("term needs 'num'/'den' or 'coeff'")
-            terms[exp] = terms[exp] + c if exp in terms else c
+            pairs.append((exp, c))
     except (TypeError, KeyError, ZeroDivisionError) as exc:
         raise ValueError(str(exc)) from exc
-    return terms
+    return _summed(pairs)
 
 
 def elementary_symmetric(nvars: int, degree: int) -> Poly:

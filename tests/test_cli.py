@@ -284,6 +284,17 @@ class TestParsing:
         code, _, _ = _call(capsys, "match", "--sets", WIDE, "--alpha", "1,0,0,0", "--caps", "{}")
         assert code == 2
 
+    @pytest.mark.parametrize("pretty", [(), ("--pretty",)], ids=["plain", "pretty"])
+    def test_out_of_memory_is_an_error_object(self, capsys, monkeypatch, pretty):
+        # e_1 over a 10^8-element ground set once left a MemoryError traceback
+        def exhausted(nvars, degree):
+            raise MemoryError
+
+        monkeypatch.setattr("lormatch.polynomials.elementary_symmetric", exhausted)
+        sets = '{"m":100000000,"sets":[[1],[1,99999999]]}'
+        code, out, err = _call(capsys, "induce", "--elementary", "1", "--sets", sets, *pretty)
+        assert (code, out, err) == (1, '{"error":"out-of-memory"}\n', "")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -635,3 +635,92 @@ class TestJsonText:
     @given(_exact_polys())
     def test_sorted_terms_are_graded_lex(self, f):
         assert f.sorted_terms() == sorted(f.items(), key=lambda term: grlex_key(term[0]))
+
+
+def _literal_sum(pairs) -> dict:
+    out = {}
+    for exp, c in pairs:
+        out[exp] = out.get(exp, 0) + c
+    return {exp: c for exp, c in out.items() if c}
+
+
+_SIGNS = st.sampled_from([Fraction(-2), Fraction(-1), Fraction(1), Fraction(2)])
+
+
+@st.composite
+def _cancelling_pairs(draw, nvars, coeffs, max_deg=2):
+    """(exponent, coefficient) pairs, some exponents repeated with the
+    coefficient negated, so that their sums cancel, in a shuffled order."""
+    exps = st.tuples(*([st.integers(0, max_deg)] * nvars))
+    pairs = draw(st.lists(st.tuples(exps, coeffs), max_size=5))
+    if pairs:
+        pairs += [(exp, -c) for exp, c in draw(st.lists(st.sampled_from(pairs), max_size=3))]
+    return draw(st.permutations(pairs))
+
+
+class TestOneSum:
+    """Construction, `+`, `*`, `substitute` and the JSON row loop sum repeated
+    exponents and store no zero coefficient, as a literal dict sum does."""
+
+    @given(st.data(), st.sampled_from([Poly, FloatPoly]), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_construction_is_the_literal_sum(self, data, kind, nvars):
+        coeffs = _coeffs() if kind is Poly else st.floats(-4, 4)
+        pairs = data.draw(_cancelling_pairs(nvars, coeffs))
+        f = kind(nvars, pairs)
+        assert dict(f.items()) == _literal_sum(pairs)
+        assert all(c for _, c in f.items())
+
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_add_and_mul_are_literal_expansions(self, data, nvars):
+        f = Poly(nvars, data.draw(_cancelling_pairs(nvars, _SIGNS, max_deg=1)))
+        # g holds some of f's terms negated, so f + g cancels them
+        negated = data.draw(st.lists(st.sampled_from(list(f.items())), max_size=3)) if f else []
+        extra = data.draw(_cancelling_pairs(nvars, _SIGNS, max_deg=1))
+        g = Poly(nvars, [(exp, -c) for exp, c in negated] + extra)
+        products = (
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in f.items()
+            for e2, c2 in g.items()
+        )
+        assert dict((f + g).items()) == _literal_sum([*f.items(), *g.items()])
+        assert dict((f * g).items()) == _literal_sum(products)
+        assert all(c for _, c in (f + g).items()) and all(c for _, c in (f * g).items())
+
+    def test_substitute_cancels_inside_a_term(self):
+        # x1 x2 -> (y1 + y2)(y1 - y2): the partial product's y1 y2 cancels
+        images = [Poly(2, {(1, 0): 1, (0, 1): 1}), Poly(2, {(1, 0): 1, (0, 1): -1})]
+        got = Poly(2, {(1, 1): 1}).substitute(images, 2)
+        assert dict(got.items()) == {(2, 0): 1, (0, 2): -1}
+
+    @given(st.data(), st.integers(1, 3), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_substitute_with_negative_images(self, data, nvars, nvars_out):
+        f = Poly(nvars, data.draw(_cancelling_pairs(nvars, _SIGNS)))
+        images = [
+            Poly(nvars_out, data.draw(_cancelling_pairs(nvars_out, _SIGNS, max_deg=1)))
+            for _ in range(nvars)
+        ]
+        got = f.substitute(images, nvars_out)
+        assert got == substitute_literal(f, images, nvars_out)
+        assert all(c for _, c in got.items())
+
+    @given(
+        st.data(),
+        st.integers(1, 3),
+        st.sampled_from(["plain", "normalized"]),
+        st.sampled_from(["num", "coeff"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_from_json_is_the_literal_sum_of_rows(self, data, nvars, basis, form):
+        pairs = data.draw(_cancelling_pairs(nvars, _coeffs()))
+        if form == "num":
+            rows = [{"exp": list(e), "num": str(c.numerator), "den": str(c.denominator)} for e, c in pairs]
+        else:
+            rows = [{"exp": list(e), "coeff": str(c)} for e, c in pairs]
+        f = Poly.from_json({"nvars": nvars, "basis": basis, "terms": rows})
+        if basis == "normalized":
+            pairs = [(e, c / vec_factorial(e)) for e, c in pairs]
+        assert dict(f.items()) == _literal_sum(pairs)
+        assert all(c for _, c in f.items())

@@ -189,6 +189,22 @@ class TestRunAndReplay:
         }
         assert replay("base-membership-duality", instance) == reasons
 
+    def test_membership_disagreement_is_named_once(self, monkeypatch):
+        # the InternalCheckError text already names the disagreement, and
+        # both checks that call hall_rado_member report it as it is
+        from lormatch import polymatroids
+
+        monkeypatch.setattr(polymatroids, "in_base_polytope", lambda pm, delta: False)
+        line = "membership paths disagree: inequalities say False, witness search says True (delta=(1, 1))"
+        instance = {
+            "pm": {"m": 2, "rank": [0, 2, 2, 2]},
+            "seq": {"m": 2, "sets": [[1], [2]]},
+            "delta": [1, 1],
+            "expected": True,
+        }
+        assert replay("base-membership-duality", instance) == [line]
+        assert replay("golden-examples", {"abcd": [[1, 1, 1, 1]]}) == [line]
+
     def test_failure_payload_is_replayable(self):
         # force a failing trial by corrupting a recorded instance
         cfg = TrialConfig(trials=2)
