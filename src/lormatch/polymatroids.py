@@ -139,10 +139,10 @@ class Polymatroid:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("ground-set size must be >= 1")
-        size = 1 << self.m
         table = list(map(operator.index, self.rank))
-        if len(table) != size:
-            raise ValueError(f"rank table has {len(table)} entries, expected {size}")
+        # a table of 2^m entries has bit length m + 1, so 2^m is formed only then
+        if len(table).bit_length() != self.m + 1 or len(table) != 1 << self.m:
+            raise ValueError(f"rank table has {len(table)} entries, expected 2^{self.m}")
         object.__setattr__(self, "rank", tuple(table))
         if table[0] != 0:
             raise AxiomViolation(

@@ -104,7 +104,7 @@ from .polynomials import Poly, elementary_symmetric
 MAX_M, MAX_N, MAX_RANK, MAX_KAPPA = 5, 5, 3, 2
 # smaller draws where brute force grows fast: (m, n), alpha total, blocks, block dim
 _SMALL_M, _SMALL_N, _MAX_TOTAL, _MAX_BLOCKS, _MAX_DIM = 3, 3, 4, 4, 2
-# golden-examples' rows of four integers, each at most _ABCD_TOP
+# golden-examples' rows of four integers, each in 1.._ABCD_TOP
 _ABCD_ROWS, _ABCD_TOP = 20, 9
 
 
@@ -567,299 +567,178 @@ def _gen_golden(cfg: TrialConfig, rng: random.Random, trial: int) -> dict:
     return {"abcd": [[rng.randint(1, _ABCD_TOP) for _ in range(4)] for _ in range(_ABCD_ROWS)]}
 
 
+def _unequal(rows: Sequence[tuple[str, object, object]]) -> list[str]:
+    """The label of each `(label, value, expected)` row whose value is not the expected one."""
+    return [label for label, value, expected in rows if value != expected]
+
+
 def _eval_golden(cfg: TrialConfig, instance: Mapping) -> list[str]:
-    rows = instance.get("abcd", [])
-    _replay_int(len(rows), "len(abcd)", _ABCD_ROWS)
-    rows = [[_replay_int(v, "abcd entry", _ABCD_TOP) for v in row] for row in rows]
-    for row in rows:
+    abcd = instance.get("abcd", [])
+    _replay_int(len(abcd), "len(abcd)", _ABCD_ROWS)
+    abcd = [[_replay_int(v, "abcd entry", _ABCD_TOP) for v in row] for row in abcd]
+    for row in abcd:
         if len(row) != 4:
             raise ValueError(f"abcd row {row} has {len(row)} entries; the generator draws 4")
-    reasons: list[str] = []
+        if min(row) < 1:
+            raise ValueError(f"abcd entry={min(row)}; the generator draws abcd entry >= 1")
 
-    def need(cond: bool, label: str) -> None:
-        if not cond:
-            reasons.append(label)
+    def identity(f: Poly) -> bool:
+        # c(y1 y2) c(y3^2) = c(y1 y3) c(y2 y3)
+        c = f.coefficient
+        return c((1, 1, 0)) * c((0, 0, 2)) == c((1, 0, 1)) * c((0, 1, 1))
 
-    # four-element worked example
     wide = SubsetSeq(4, (frozenset({1, 2, 3, 4}), frozenset({2, 3}), frozenset({3, 4})))
     image = apply_inducing(wide, elementary_symmetric(4, 2))
-    need(
-        image
-        == _normalized_poly(
-            3,
-            {
-                (2, 0, 0): 6,
-                (0, 2, 0): 1,
-                (0, 0, 2): 1,
-                (1, 1, 0): 5,
-                (1, 0, 1): 5,
-                (0, 1, 1): 3,
-            },
-        ),
-        "degree-2 image of the wide example is off",
-    )
-    need(
-        stat_table(wide, 2).rows == {(1, 2): 5, (1, 3): 5, (2, 3): 3},
-        "pair counts of the wide example are off",
-    )
-    need(
-        match_poly(wide, 1) == Poly(3, {(1, 0, 0): 4, (0, 1, 0): 2, (0, 0, 1): 2}),
-        "singleton counts of the wide example are off",
-    )
-    need(match_count(wide, ()) == 1, "empty topic should count exactly the empty set")
-    witness = find_witness(wide, (0, 2, 2, 1), (2, 2, 1))
-    need(witness is not None, "no witness for the feasible degree pair")
-    need(
-        matched_degrees(wide, (1, 1, 0, 0)) == {(2, 0, 0), (1, 1, 0)},
-        "matched degree set of (1,1,0,0) is off",
-    )
-
-    # three-part example on two elements
     narrow = SubsetSeq(2, (frozenset({1}), frozenset({2}), frozenset({1, 2})))
     x1x2 = Poly(2, {(1, 1): 1})
     narrow_image = apply_inducing(narrow, x1x2)
-    need(
-        narrow_image
-        == Poly(
-            3,
-            {
-                (1, 1, 0): 1,
-                (1, 0, 1): 1,
-                (0, 1, 1): 1,
-                (0, 0, 2): Fraction(1, 2),
-            },
-        ),
-        "inducing image of x1 x2 is off",
-    )
-    plain_sub = apply_substitution(narrow, None, x1x2)
-    need(
-        plain_sub
-        == Poly(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1, (0, 0, 2): 1}),
-        "substitution image of x1 x2 is off",
-    )
-    for a, b, c, d in rows:
-        weighted = apply_substitution(
-            narrow, [[a, 0, b], [0, c, d]], x1x2
-        )
-        lhs = weighted.coefficient((1, 1, 0)) * weighted.coefficient((0, 0, 2))
-        rhs = weighted.coefficient((1, 0, 1)) * weighted.coefficient((0, 1, 1))
-        need(lhs == rhs, f"substitution coefficient identity fails at {(a, b, c, d)}")
-    need(
-        narrow_image.coefficient((1, 1, 0)) * narrow_image.coefficient((0, 0, 2))
-        != narrow_image.coefficient((1, 0, 1)) * narrow_image.coefficient((0, 1, 1)),
-        "inducing image unexpectedly satisfies the coefficient identity",
-    )
-
-    # symmetric three-element example with a non-stable Lorentzian image
     tri = SubsetSeq(3, (frozenset({1, 2, 3}), frozenset({1, 2, 3}), frozenset({1, 2})))
     tri_image = apply_inducing(tri, Poly(3, {(1, 1, 1): 1}))
     ysum = Poly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
-    y3 = Poly.variable(3, 2)
-    need(
-        tri_image == (ysum**3 - y3**3).scale(Fraction(1, 6)),
-        "inducing image of x1 x2 x3 is off",
-    )
-    need(
-        certify_lorentzian(tri_image).verdict,
-        "the symmetric example should certify",
-    )
     z3 = cmath.exp(1j * math.pi / 12)
     z1 = (cmath.exp(3j * math.pi / 4) - z3) / 2
     point = [z1, z1, z3]
-    need(
-        all(p.imag > 0 for p in point),
-        "upper-half-plane witness has a bad coordinate",
-    )
-    need(
-        abs(tri_image.eval_complex(point)) <= 1e-9,
-        "upper-half-plane root witness does not vanish",
-    )
-
-    # composing sequences is not functorial
     stage1 = SubsetSeq(2, (frozenset({1}), frozenset({1}), frozenset({2}), frozenset({2})))
     stage2 = SubsetSeq(4, (frozenset({1, 3}), frozenset({2, 4})))
     combined = compose_seq(stage1, stage2)
-    need(
-        combined == SubsetSeq(2, (frozenset({1, 2}), frozenset({1, 2}))),
-        "composed sequence is off",
-    )
-    direct = apply_inducing(combined, x1x2)
-    need(
-        direct
-        == Poly(2, {(1, 1): 1, (2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)}),
-        "one-step image of the composite is off",
-    )
     halfway = apply_inducing(stage1, x1x2)
-    need(
-        halfway
-        == Poly(4, {(1, 0, 1, 0): 1, (1, 0, 0, 1): 1, (0, 1, 1, 0): 1, (0, 1, 0, 1): 1}),
-        "first-stage image is off",
-    )
-    staged = apply_inducing(stage2, halfway)
-    need(
-        staged == Poly(2, {(1, 1): 2, (2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)}),
-        "two-step image is off",
-    )
-
-    # operator boxes on the three-part example
     box = inducing_box(narrow, (1, 1))
-    need(
-        box.image((1, 0)) == Poly(3, {(1, 0, 0): 1, (0, 0, 1): 1}),
-        "box image of x1 is off",
-    )
-    need(box.image((0, 0)) == Poly.constant(3, 1), "box image of 1 is off")
-    need(box.image((1, 1)) == narrow_image, "box image of x1 x2 is off")
-    need(
-        box_from_symbol(symbol_of(box), (1, 1), 3) == box,
-        "symbol round-trip lost the box",
-    )
-    reasons.extend(_eval_symbol_support(cfg, {"seq": narrow.to_json(), "kappa": [1, 1]}))
+    reasons = _unequal([
+        # four-element worked example
+        ("degree-2 image of the wide example is off", image,
+         _normalized_poly(3, {(2, 0, 0): 6, (0, 2, 0): 1, (0, 0, 2): 1,
+                              (1, 1, 0): 5, (1, 0, 1): 5, (0, 1, 1): 3})),
+        ("pair counts of the wide example are off", stat_table(wide, 2).rows,
+         {(1, 2): 5, (1, 3): 5, (2, 3): 3}),
+        ("singleton counts of the wide example are off", match_poly(wide, 1),
+         Poly(3, {(1, 0, 0): 4, (0, 1, 0): 2, (0, 0, 1): 2})),
+        ("empty topic should count exactly the empty set", match_count(wide, ()), 1),
+        ("no witness for the feasible degree pair",
+         find_witness(wide, (0, 2, 2, 1), (2, 2, 1)) is not None, True),
+        ("matched degree set of (1,1,0,0) is off", matched_degrees(wide, (1, 1, 0, 0)),
+         {(2, 0, 0), (1, 1, 0)}),
+        # three-part example on two elements
+        ("inducing image of x1 x2 is off", narrow_image,
+         Poly(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1, (0, 0, 2): Fraction(1, 2)})),
+        ("substitution image of x1 x2 is off", apply_substitution(narrow, None, x1x2),
+         Poly(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1, (0, 0, 2): 1})),
+        *((f"substitution coefficient identity fails at {(a, b, c, d)}",
+           identity(apply_substitution(narrow, [[a, 0, b], [0, c, d]], x1x2)), True)
+          for a, b, c, d in abcd),
+        ("inducing image unexpectedly satisfies the coefficient identity",
+         identity(narrow_image), False),
+        # symmetric three-element example with a non-stable Lorentzian image
+        ("inducing image of x1 x2 x3 is off", tri_image,
+         (ysum**3 - Poly.variable(3, 2) ** 3).scale(Fraction(1, 6))),
+        ("the symmetric example should certify", certify_lorentzian(tri_image).verdict, True),
+        ("upper-half-plane witness has a bad coordinate", all(p.imag > 0 for p in point), True),
+        ("upper-half-plane root witness does not vanish",
+         abs(tri_image.eval_complex(point)) <= 1e-9, True),
+        # composing sequences is not functorial
+        ("composed sequence is off", combined,
+         SubsetSeq(2, (frozenset({1, 2}), frozenset({1, 2})))),
+        ("one-step image of the composite is off", apply_inducing(combined, x1x2),
+         Poly(2, {(1, 1): 1, (2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)})),
+        ("first-stage image is off", halfway,
+         Poly(4, {(1, 0, 1, 0): 1, (1, 0, 0, 1): 1, (0, 1, 1, 0): 1, (0, 1, 0, 1): 1})),
+        ("two-step image is off", apply_inducing(stage2, halfway),
+         Poly(2, {(1, 1): 2, (2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)})),
+        # operator boxes on the three-part example
+        ("box image of x1 is off", box.image((1, 0)), Poly(3, {(1, 0, 0): 1, (0, 0, 1): 1})),
+        ("box image of 1 is off", box.image((0, 0)), Poly.constant(3, 1)),
+        ("box image of x1 x2 is off", box.image((1, 1)), narrow_image),
+        ("symbol round-trip lost the box", box_from_symbol(symbol_of(box), (1, 1), 3), box),
+    ])
+    reasons += _eval_symbol_support(cfg, {"seq": narrow.to_json(), "kappa": [1, 1]})
+
     n_single = sum(len(s) for s in narrow.sets)
-    need(
-        tab_family_box(narrow, [1] * 3, [0] * n_single, (1, 1)) == box,
-        "family endpoint a=1, b=0 is off",
-    )
-    need(
-        tab_family_box(narrow, [0] * 3, [1] * n_single, (1, 1))
-        == substitution_box(narrow, None, (1, 1)),
-        "family endpoint a=0, b=1 is off",
-    )
     toy = power_box(
         OperatorBox((1,), 1, {(0,): Poly.constant(1, 1), (1,): Poly(1, {(1,): 4})}),
         Fraction(1, 2),
     )
-    need(
-        toy.image((1,)).coefficient((1,)) == 2.0,
-        "square root of a coefficient 4 should be exactly 2.0",
-    )
-
-    # polymatroid constructions
-    need(
-        free_polymatroid(2, 2).rank == (0, 2, 2, 2),
-        "rank table of the scaled simplex is off",
-    )
-    need(
-        base_points(direct_sum([free_polymatroid(2, 2), free_polymatroid(1, 1)]))
-        == {(2, 0, 1), (1, 1, 1), (0, 2, 1)},
-        "base points of a direct sum are off",
-    )
+    simplex = free_polymatroid(2, 2)
     u24 = uniform_matroid(4, 2).underlying
     induced_wide = induce_polymatroid(u24, wide)
-    need(
-        induced_wide == free_polymatroid(3, 2),
-        "induced polymatroid of the wide example is off",
-    )
-    need(
-        induce_matroid(u24, wide) == uniform_matroid(3, 2),
-        "induced matroid of the wide example is off",
-    )
-    need(
-        base_points(induced_wide) == image.support(),
-        "induced base points differ from the image support",
-    )
-    need(
-        matroid_bases(uniform_matroid(3, 2)) == [(1, 2), (1, 3), (2, 3)],
-        "bases of the rank-2 uniform matroid are off",
-    )
-    need(
-        matroid_bases(uniform_matroid(1, 0)) == [()],
-        "the rank-0 matroid should have exactly the empty basis",
-    )
-    need(
-        support_polymatroid(match_poly(wide, 2)) is not None,
-        "the pair statistic should have polymatroid support",
-    )
-    need(
-        support_polymatroid(Poly(2, {(2, 0): 1, (0, 2): 1})) is None,
-        "a gapped support should not look like base points",
-    )
+    squares = Poly(2, {(2, 0): 1, (0, 2): 1})
     diag = LinReal((2, 2), ((1, 0, 1, 0), (0, 1, 0, 1)))
-    need(
-        linreal_rank(diag) == free_polymatroid(2, 2),
-        "diagonal realization rank is off",
-    )
-    need(
-        linreal_rank(LinReal((1, 1), ((1, 1),)))
-        == uniform_matroid(2, 1).underlying,
-        "one-row realization rank is off",
-    )
-    need(
-        linreal_rank(LinReal((1, 1), ())) == Polymatroid(2, (0, 0, 0, 0)),
-        "empty realization should have rank zero",
-    )
-    merged = linreal_induce(LinReal((1, 1), ((1, 1),)), SubsetSeq(2, (frozenset({1, 2}),)))
-    need(
-        linreal_rank(merged) == Polymatroid(1, (0, 1)),
-        "merging blocks of the one-row realization is off",
-    )
-    need(
-        linreal_rank(linreal_induce(diag, narrow))
-        == induce_polymatroid(free_polymatroid(2, 2), narrow),
-        "induction through the realization disagrees with direct induction",
-    )
+    one_row = LinReal((1, 1), ((1, 1),))
+    reasons += _unequal([
+        ("family endpoint a=1, b=0 is off",
+         tab_family_box(narrow, [1] * 3, [0] * n_single, (1, 1)), box),
+        ("family endpoint a=0, b=1 is off", tab_family_box(narrow, [0] * 3, [1] * n_single, (1, 1)),
+         substitution_box(narrow, None, (1, 1))),
+        ("square root of a coefficient 4 should be exactly 2.0",
+         toy.image((1,)).coefficient((1,)), 2.0),
+        # polymatroid constructions
+        ("rank table of the scaled simplex is off", simplex.rank, (0, 2, 2, 2)),
+        ("base points of a direct sum are off",
+         base_points(direct_sum([simplex, free_polymatroid(1, 1)])),
+         {(2, 0, 1), (1, 1, 1), (0, 2, 1)}),
+        ("induced polymatroid of the wide example is off", induced_wide, free_polymatroid(3, 2)),
+        ("induced matroid of the wide example is off", induce_matroid(u24, wide),
+         uniform_matroid(3, 2)),
+        ("induced base points differ from the image support", base_points(induced_wide),
+         image.support()),
+        ("bases of the rank-2 uniform matroid are off", matroid_bases(uniform_matroid(3, 2)),
+         [(1, 2), (1, 3), (2, 3)]),
+        ("the rank-0 matroid should have exactly the empty basis",
+         matroid_bases(uniform_matroid(1, 0)), [()]),
+        ("the pair statistic should have polymatroid support",
+         support_polymatroid(match_poly(wide, 2)) is not None, True),
+        ("a gapped support should not look like base points", support_polymatroid(squares), None),
+        ("diagonal realization rank is off", linreal_rank(diag), simplex),
+        ("one-row realization rank is off", linreal_rank(one_row),
+         uniform_matroid(2, 1).underlying),
+        ("empty realization should have rank zero", linreal_rank(LinReal((1, 1), ())),
+         Polymatroid(2, (0, 0, 0, 0))),
+        ("merging blocks of the one-row realization is off",
+         linreal_rank(linreal_induce(one_row, SubsetSeq(2, (frozenset({1, 2}),)))),
+         Polymatroid(1, (0, 1))),
+        ("induction through the realization disagrees with direct induction",
+         linreal_rank(linreal_induce(diag, narrow)), induce_polymatroid(simplex, narrow)),
+    ])
+    split = SubsetSeq(2, (frozenset({1}), frozenset({2})))
     try:
-        member = hall_rado_member(
-            free_polymatroid(2, 2), SubsetSeq(2, (frozenset({1}), frozenset({2}))), (1, 1)
-        )
-        need(member, "the split simplex point (1,1) should be a member")
-        need(
-            not hall_rado_member(
-                free_polymatroid(2, 2),
-                SubsetSeq(2, (frozenset({1}), frozenset({2}))),
-                (1, 0),
-            ),
-            "a short vector should not be a member",
-        )
-        need(
-            hall_rado_member(
-                free_polymatroid(1, 0), SubsetSeq(1, (frozenset({1}),)), (0,)
-            ),
-            "the zero vector should be a member at rank zero",
-        )
+        reasons += _unequal([
+            ("the split simplex point (1,1) should be a member",
+             hall_rado_member(simplex, split, (1, 1)), True),
+            ("a short vector should not be a member",
+             hall_rado_member(simplex, split, (1, 0)), False),
+            ("the zero vector should be a member at rank zero",
+             hall_rado_member(free_polymatroid(1, 0), SubsetSeq(1, (frozenset({1}),)), (0,)), True),
+        ])
     except InternalCheckError as exc:
         reasons.append(str(exc))
 
-    # certification goldens
-    need(
-        quad_inertia(narrow_image).as_tuple() == (1, 2, 0),
-        "inertia of the three-variable quadratic is off",
-    )
-    need(
-        quad_inertia(Poly(2, {(1, 1): 1})).as_tuple() == (1, 1, 0),
-        "inertia of the hyperbolic plane is off",
-    )
-    need(
-        quad_inertia(Poly(2, {(2, 0): 1, (0, 2): 1})).as_tuple() == (2, 0, 0),
-        "inertia of the definite quadratic is off",
-    )
-    need(
-        certify_lorentzian(match_poly(wide, 2)).verdict,
-        "the pair statistic of the wide example should certify",
-    )
-    gapped = certify_lorentzian(Poly(2, {(2, 0): 1, (0, 2): 1}))
-    need(
-        not gapped.verdict and gapped.failure.kind == "support-not-M-convex",
-        "the gapped quadratic should fail on its support",
-    )
-    ok, _ = is_m_convex({(1, 1, 0), (1, 0, 1), (0, 1, 1)})
-    need(ok, "squarefree pairs should be exchangeable")
+    gapped = certify_lorentzian(squares)
     ok, pair = is_m_convex({(2, 0), (0, 2)})
-    need(not ok and pair is not None, "the gapped support should fail with a witness")
+    reasons += _unequal([
+        # certification goldens
+        ("inertia of the three-variable quadratic is off", quad_inertia(narrow_image).as_tuple(),
+         (1, 2, 0)),
+        ("inertia of the hyperbolic plane is off", quad_inertia(x1x2).as_tuple(), (1, 1, 0)),
+        ("inertia of the definite quadratic is off", quad_inertia(squares).as_tuple(), (2, 0, 0)),
+        ("the pair statistic of the wide example should certify",
+         certify_lorentzian(match_poly(wide, 2)).verdict, True),
+        ("the gapped quadratic should fail on its support",
+         not gapped.verdict and gapped.failure.kind == "support-not-M-convex", True),
+        ("squarefree pairs should be exchangeable",
+         is_m_convex({(1, 1, 0), (1, 0, 1), (0, 1, 1)})[0], True),
+        ("the gapped support should fail with a witness", not ok and pair is not None, True),
+    ])
 
     # axiom violation reporting
     try:
         validate_polymatroid((1, 1))
         reasons.append("a nonzero empty-set rank slipped through")
     except AxiomViolation as exc:
-        need(exc.axiom == "normalization", "wrong axiom for the empty-set rank")
+        reasons += _unequal([("wrong axiom for the empty-set rank", exc.axiom, "normalization")])
     try:
         validate_polymatroid((0, 1, 1, 3))
         reasons.append("a supermodular table slipped through")
     except AxiomViolation as exc:
-        need(
-            exc.axiom in ("monotonicity", "submodularity"),
-            "wrong axiom for the jumping table",
-        )
+        reasons += _unequal([("wrong axiom for the jumping table",
+                              exc.axiom in ("monotonicity", "submodularity"), True)])
     return reasons
 
 

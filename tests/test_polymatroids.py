@@ -306,6 +306,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_polymatroid((0,))
 
+    @pytest.mark.parametrize("m", [2, 20000, 10**11])
+    def test_table_length_is_compared_before_two_to_the_m(self, m):
+        # 2^20000 once reached the error text as a 6,000-digit number, past
+        # Python's int-to-str limit, and 2^(10^11) exhausted memory
+        with pytest.raises(ValueError) as err:
+            Polymatroid(m, (0, 1))
+        assert str(err.value) == f"rank table has 2 entries, expected 2^{m}"
+
     @given(st.lists(st.integers(0, 3), min_size=4, max_size=4))
     @settings(max_examples=300, deadline=None)
     def test_local_checks_match_global_loops(self, tail):

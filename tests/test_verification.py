@@ -31,6 +31,7 @@ from lormatch import (
 )
 from lormatch import matchings, matchstats, operators, verification
 from lormatch._util import bounded_compositions, iter_box
+from lormatch.lorentzian import Inertia
 from lormatch.verification import _capped_column_sums, _trial_rng
 from oracles import enumerate_matching, matched_degrees_box
 
@@ -144,8 +145,8 @@ class TestRunAndReplay:
         assert replay("golden-examples", instance, cfg) == []
 
     def test_replay_reports_broken_instance(self):
-        # a zero weight on an edge makes the substitution pattern invalid,
-        # which the evaluator must surface as a reason, not a crash
+        # a zero weight is below the generator's draws, and the row reader
+        # must surface its refusal as a reason, not a crash
         bad = {"abcd": [[0, 1, 1, 1]]}
         first = replay("golden-examples", bad)
         second = replay("golden-examples", bad)
@@ -624,8 +625,10 @@ class TestReplayBounds:
             ([True, 1, 2, 5], TypeError("expected an integer, got true")),
             ([10, 1, 1, 1], ValueError("abcd entry=10; the generator draws abcd entry <= 9")),
             ([1, 2, 3], ValueError("abcd row [1, 2, 3] has 3 entries; the generator draws 4")),
+            ([0, 1, 1, 1], ValueError("abcd entry=0; the generator draws abcd entry >= 1")),
+            ([1, 1, -3, 1], ValueError("abcd entry=-3; the generator draws abcd entry >= 1")),
         ],
-        ids=["text", "bool", "past-top", "short"],
+        ids=["text", "bool", "past-top", "short", "zero", "negative"],
     )
     def test_golden_rows_are_read_before_any_example(self, monkeypatch, row, error):
         def unbuilt(*args, **kwargs):
@@ -635,12 +638,14 @@ class TestReplayBounds:
         assert replay("golden-examples", {"abcd": [row]}) == [f"exception: {error!r}"]
 
     def test_generated_instances_lie_within_the_bounds(self):
-        largest, bounds = {}, {}
+        largest, bounds, smallest_abcd = {}, {}, []
         for seed in (1, 2, 3):
             cfg = TrialConfig(seed=seed)
             for name, check in CHECKS.items():
                 for trial in range(check.trial_count(cfg)):
                     instance = check.gen(cfg, _trial_rng(seed, name, trial), trial)
+                    if name == "golden-examples":
+                        smallest_abcd.append(min(map(min, instance["abcd"])))
                     for field, (size, bound) in _bound_sizes(name, instance).items():
                         assert size <= bound, (name, seed, trial, field)
                         key = (name, field)
@@ -649,6 +654,114 @@ class TestReplayBounds:
         assert largest == bounds
         # and the refusal table covers every bound the generators draw with
         assert {(check, field) for check, _, field, *_ in PAST_AND_AT} == set(bounds)
+        # the abcd entries reach down to 1, the lower bound a replay is held to
+        assert min(smallest_abcd) == 1
+
+
+# (name in verification, a wrong stand-in, the golden reasons it gives)
+GOLDEN_FAULTS = [
+    ("match_count", lambda seq, topic: 2, ["empty topic should count exactly the empty set"]),
+    ("quad_inertia", lambda q, tol=None: Inertia(0, 0, 0),
+     ["inertia of the three-variable quadratic is off", "inertia of the hyperbolic plane is off",
+      "inertia of the definite quadratic is off"]),
+    ("matroid_bases", lambda matroid: [],
+     ["bases of the rank-2 uniform matroid are off",
+      "the rank-0 matroid should have exactly the empty basis"]),
+    ("linreal_rank", lambda real: Polymatroid(real.m, (0,) * (1 << real.m)),
+     ["diagonal realization rank is off", "one-row realization rank is off",
+      "merging blocks of the one-row realization is off",
+      "induction through the realization disagrees with direct induction"]),
+    ("tab_family_box", lambda *args: None,
+     ["family endpoint a=1, b=0 is off", "family endpoint a=0, b=1 is off"]),
+    ("is_m_convex", lambda support: (True, None),
+     ["the gapped support should fail with a witness"]),
+    ("hall_rado_member", lambda pm, seq, delta: True, ["a short vector should not be a member"]),
+    ("validate_polymatroid", lambda rank, m=None: None,
+     ["a nonzero empty-set rank slipped through", "a supermodular table slipped through"]),
+    ("apply_substitution", lambda seq, weights, f: Poly(3, {(1, 1, 0): 1}),
+     ["substitution image of x1 x2 is off"]),
+]
+
+# every golden label of a replay of one abcd row, in the order they are checked
+GOLDEN_LABELS = [
+    "degree-2 image of the wide example is off",
+    "pair counts of the wide example are off",
+    "singleton counts of the wide example are off",
+    "empty topic should count exactly the empty set",
+    "no witness for the feasible degree pair",
+    "matched degree set of (1,1,0,0) is off",
+    "inducing image of x1 x2 is off",
+    "substitution image of x1 x2 is off",
+    "substitution coefficient identity fails at (1, 2, 3, 4)",
+    "inducing image unexpectedly satisfies the coefficient identity",
+    "inducing image of x1 x2 x3 is off",
+    "the symmetric example should certify",
+    "upper-half-plane witness has a bad coordinate",
+    "upper-half-plane root witness does not vanish",
+    "composed sequence is off",
+    "one-step image of the composite is off",
+    "first-stage image is off",
+    "two-step image is off",
+    "box image of x1 is off",
+    "box image of 1 is off",
+    "box image of x1 x2 is off",
+    "symbol round-trip lost the box",
+    "family endpoint a=1, b=0 is off",
+    "family endpoint a=0, b=1 is off",
+    "square root of a coefficient 4 should be exactly 2.0",
+    "rank table of the scaled simplex is off",
+    "base points of a direct sum are off",
+    "induced polymatroid of the wide example is off",
+    "induced matroid of the wide example is off",
+    "induced base points differ from the image support",
+    "bases of the rank-2 uniform matroid are off",
+    "the rank-0 matroid should have exactly the empty basis",
+    "the pair statistic should have polymatroid support",
+    "a gapped support should not look like base points",
+    "diagonal realization rank is off",
+    "one-row realization rank is off",
+    "empty realization should have rank zero",
+    "merging blocks of the one-row realization is off",
+    "induction through the realization disagrees with direct induction",
+    "the split simplex point (1,1) should be a member",
+    "a short vector should not be a member",
+    "the zero vector should be a member at rank zero",
+    "inertia of the three-variable quadratic is off",
+    "inertia of the hyperbolic plane is off",
+    "inertia of the definite quadratic is off",
+    "the pair statistic of the wide example should certify",
+    "the gapped quadratic should fail on its support",
+    "squarefree pairs should be exchangeable",
+    "the gapped support should fail with a witness",
+    "wrong axiom for the empty-set rank",
+    "wrong axiom for the jumping table",
+]
+
+
+class TestGoldenTable:
+    """Each golden-examples row reports its own label, in the order of the
+    worked examples, and nothing else."""
+
+    @pytest.mark.parametrize("name, fake, reasons", GOLDEN_FAULTS,
+                             ids=[name for name, *_ in GOLDEN_FAULTS])
+    def test_a_library_fault_names_its_goldens(self, monkeypatch, name, fake, reasons):
+        monkeypatch.setattr(verification, name, fake)
+        assert replay("golden-examples", {"abcd": [[1, 2, 3, 4]]}) == reasons
+
+    def test_every_row_is_reported_in_order(self, monkeypatch):
+        monkeypatch.setattr(verification, "_unequal", lambda rows: [label for label, _, _ in rows])
+        assert replay("golden-examples", {"abcd": [[1, 2, 3, 4]]}) == GOLDEN_LABELS
+
+    def test_every_abcd_row_has_its_label(self, monkeypatch):
+        # c(y1 y2) c(y3^2) = 1 and c(y1 y3) c(y2 y3) = 0 at every row
+        unbalanced = Poly(3, {(1, 1, 0): 1, (0, 0, 2): 1})
+        monkeypatch.setattr(verification, "apply_substitution", lambda seq, weights, f: unbalanced)
+        reasons = replay("golden-examples", {"abcd": [[1, 2, 3, 4], [5, 6, 7, 8]]})
+        assert reasons == [
+            "substitution image of x1 x2 is off",
+            "substitution coefficient identity fails at (1, 2, 3, 4)",
+            "substitution coefficient identity fails at (5, 6, 7, 8)",
+        ]
 
 
 class TestDerivedTablesAtRunTime:
