@@ -141,25 +141,24 @@ def _parse_poly(raw: str, flag: str = "--poly") -> Poly:
     return _parse_with(Poly.from_json, raw, flag)
 
 
-def _parse_number(raw: str, flag: str, convert):
-    """A number read by ``convert`` (`int_text` or `json_rational`): ASCII digits only."""
+def _read_text(text: str, convert, refuse):
+    """The stripped ``text`` read by ``convert`` (an ASCII-only `_util` reader);
+    a `ValueError` is raised again as ``refuse(exc)``.  Three surfaces share it:
+    list items and `--q` (`_parse_number`: exit 1, `invalid-value` naming the
+    flag), single-number flags (`_flag_type`: argparse, exit 2) and
+    environment variables (`_env`: exit 1, `invalid-environment`)."""
     try:
-        return convert(raw.strip())
+        return convert(text.strip())
     except ValueError as exc:
-        raise _domain(flag, exc) from exc
+        raise refuse(exc) from exc
+
+
+def _parse_number(raw: str, flag: str, convert):
+    return _read_text(raw, convert, functools.partial(_domain, flag))
 
 
 def _flag_type(convert):
-    """An argparse ``type`` reading the stripped flag text with ``convert``
-    (`int_text` or `float_text`: ASCII only); a refusal exits 2."""
-
-    def read(raw: str):
-        try:
-            return convert(raw.strip())
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-
-    return read
+    return lambda raw: _read_text(raw, convert, lambda exc: argparse.ArgumentTypeError(str(exc)))
 
 
 _INT_FLAG, _FLOAT_FLAG = _flag_type(int_text), _flag_type(float_text)
@@ -429,16 +428,12 @@ def _cmd_tab_family(args) -> dict:
 
 
 def _env(name: str, convert):
-    """The stripped environment variable read by ``convert``, or None if unset."""
+    """The environment variable read by `_read_text`, or None if unset."""
     value = os.environ.get(name)
     if value is None:
         return None
-    try:
-        return convert(value.strip())
-    except ValueError as exc:
-        raise DomainError(
-            {"error": "invalid-environment", "variable": name, "detail": str(exc)}
-        ) from exc
+    payload = {"error": "invalid-environment", "variable": name}
+    return _read_text(value, convert, lambda exc: DomainError({**payload, "detail": str(exc)}))
 
 
 def _cmd_verify(args) -> int:

@@ -210,11 +210,10 @@ def _homogeneity(f, tol):
 
 
 def _signs(f, tol):
-    # exponents are unique, so the grlex-least one is the first in sorted
-    # order; an exact coefficient's sign is its numerator's
-    cut = 0 if tol is None else -tol
+    # exponents are unique, so the grlex-least one is the first in sorted order;
+    # admission dropped float terms within tol; a Fraction's sign is its numerator's
     negative = min(
-        (exp for exp, c in f.items() if (c.numerator if tol is None else c) < cut),
+        (exp for exp, c in f.items() if (c.numerator if tol is None else c) < 0),
         key=grlex_key,
         default=None,
     )

@@ -379,13 +379,6 @@ def augment_with_singletons(seq: SubsetSeq) -> SubsetSeq:
     return SubsetSeq(seq.m, seq.sets + singles)
 
 
-def _singleton_owners(seq: SubsetSeq) -> tuple[int, ...]:
-    """Which original part each appended singleton came from (1-indexed)."""
-    return tuple(
-        i for i, part in enumerate(seq.sets, start=1) for _ in sorted(part)
-    )
-
-
 def tab_family_box(
     seq: SubsetSeq, a: Sequence, b: Sequence, kappa: Sequence[int]
 ) -> OperatorBox:
@@ -398,12 +391,13 @@ def tab_family_box(
     substitution operator.
     """
     k = _checked_kappa(kappa, seq.m)
-    owners = _singleton_owners(seq)
+    # the appended singletons' owning parts, in `augment_with_singletons` order
+    owners = [i for i, part in enumerate(seq.sets) for _ in part]
     a_w = nonnegative_weights(a, seq.n, "a")
     b_w = nonnegative_weights(b, len(owners), "b")
     n = seq.n
     images = [Poly.variable(n, i).scale(w) for i, w in enumerate(a_w)]
-    images += [Poly.variable(n, owner - 1).scale(w) for owner, w in zip(owners, b_w)]
+    images += [Poly.variable(n, owner).scale(w) for owner, w in zip(owners, b_w)]
     box = inducing_box(augment_with_singletons(seq), k)
     table = {alpha: image.substitute(images, n) for alpha, image in box.table.items()}
     return OperatorBox(k, n, table)

@@ -747,22 +747,22 @@ def _eval_golden(cfg: TrialConfig, instance: Mapping) -> list[str]:
 
 @dataclass(frozen=True)
 class Check:
+    """Trials: `--trials` times `ratio`, with a floor of one; ratio 0.0
+    (golden-examples) reads no budget, so it runs once at any `--trials`."""
+
     name: str
     gen: Callable[[TrialConfig, random.Random, int], dict]
     evaluate: Callable[[TrialConfig, Mapping], list[str]]
     ratio: float = 1.0
-    fixed_trials: int | None = None
 
     def trial_count(self, cfg: TrialConfig) -> int:
-        if self.fixed_trials is not None:
-            return self.fixed_trials
-        return max(1, round(cfg.trials * self.ratio))
+        return max(1, round(cfg.trials * self.ratio)) if self.ratio else 1
 
 
 CHECKS: dict[str, Check] = {
     check.name: check
     for check in (
-        Check("golden-examples", _gen_golden, _eval_golden, fixed_trials=1),
+        Check("golden-examples", _gen_golden, _eval_golden, 0.0),
         Check("matching-stat-lorentzian", _gen_matching_stat, _eval_matching_stat, 1.0),
         Check("symbol-support-egf", functools.partial(_gen_seq_kappa, cover=True), _eval_symbol_support, 0.5),
         Check("base-membership-duality", _gen_base_membership, _eval_base_membership, 2.0),

@@ -336,6 +336,9 @@ class TestCertify:
             # the term below the tolerance is dropped before the homogeneity stage
             (FloatPoly(2, {(2, 0): 1.0, (1, 1): 1.0, (0, 2): 1.0, (1, 0): 1e-12}), 1e-9,
              {"kind": "bad-inertia", "derivative": [0, 0], "inertia": [2, 0, 0]}, 1),
+            # a negative term past the tolerance, on a support that is not M-convex
+            (FloatPoly(3, {(2, 0, 0): 1.0, (1, 1, 0): 2.0, (0, 2, 0): 1.0, (1, 0, 1): -2e-9}), 1e-9,
+             {"kind": "negative-coefficient", "exponents": [[1, 0, 1]]}, 0),
         ],
     )
     def test_earlier_stage_decides(self, f, tol, failure, checked):
@@ -419,6 +422,11 @@ class TestCertify:
     def test_float_path_prunes_below_tolerance(self):
         f = FloatPoly(2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0, (0, 0): 1e-12})
         assert certify_lorentzian(f, tol=1e-9).verdict
+        # a term in [-tol, 0) is dropped with the rest, so no sign stage sees it
+        for c in (-5e-10, -1e-9):
+            g = FloatPoly(3, {(2, 0, 0): 1.0, (1, 1, 0): 2.0, (0, 2, 0): 1.0, (1, 0, 1): c})
+            assert certify_lorentzian(g, tol=1e-9).to_json() == certify_literal(g, 1e-9).to_json()
+            assert certify_lorentzian(g, tol=1e-9).verdict
         with pytest.raises(TypeError):
             certify_lorentzian(f)
 

@@ -601,11 +601,28 @@ class TestTabFamily:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_the_symbol_route(self, data):
-        seq, kappa = data.draw(seq_kappa(max_m=2, max_n=2, max_k=2))
+        # 3 parts over 3 elements keep kappa <= 1, for time
+        pairs = st.one_of(seq_kappa(max_m=2, max_n=2, max_k=2), seq_kappa(max_k=1))
+        seq, kappa = data.draw(pairs)
         weight = st.fractions(min_value=0, max_value=3, max_denominator=4)
         a = data.draw(st.lists(weight, min_size=seq.n, max_size=seq.n))
         n_single = sum(len(s) for s in seq.sets)
         b = data.draw(st.lists(weight, min_size=n_single, max_size=n_single))
+        assert tab_family_box(seq, a, b, kappa) == tab_family_via_symbol(seq, a, b, kappa)
+
+    @pytest.mark.parametrize(
+        "sets, kappa",
+        [
+            ([[1, 2, 3], [], [2, 3]], (1, 1, 1)),
+            ([[], [1, 3], [1, 2, 3]], (1, 0, 1)),
+            ([[2, 3], [1, 2, 3], []], (1, 1, 1)),
+        ],
+    )
+    def test_owners_on_long_and_empty_parts(self, sets, kappa):
+        # distinct weights, so a singleton collapsed onto the wrong part shows
+        seq = SubsetSeq(3, tuple(map(frozenset, sets)))
+        a = [Fraction(1, i + 2) for i in range(seq.n)]
+        b = list(range(1, sum(map(len, seq.sets)) + 1))
         assert tab_family_box(seq, a, b, kappa) == tab_family_via_symbol(seq, a, b, kappa)
 
     def test_arity_checked(self):

@@ -124,6 +124,10 @@ class TestDeterminism:
         assert run_check("symbol-support-egf", small).trials == 5
         assert run_check("base-membership-duality", small).trials == 20
         assert run_check("golden-examples", small).trials == 1
+        # ratio 0.0 reads no budget, not even one past float range: read off
+        # the count, never run
+        for trials in (1, 2, 7, 10**6, 10**400):
+            assert CHECKS["golden-examples"].trial_count(TrialConfig(trials=trials)) == 1
 
 
 class TestRunAndReplay:
@@ -291,7 +295,7 @@ class TestSplitTrials:
                 cfg = TrialConfig(seed=seed, trials=trials)
                 alone = _same_on_two_workers(monkeypatch, name, cfg)
         # the last result, at 100 trials, had failures to merge
-        assert len(alone.failures) >= 2 or CHECKS[name].fixed_trials == 1
+        assert len(alone.failures) >= 2 or CHECKS[name].trial_count(cfg) == 1
 
     def test_a_dead_worker_share_is_rerun(self, monkeypatch):
         _plant_failures(monkeypatch)
