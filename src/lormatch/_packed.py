@@ -8,6 +8,18 @@ carries, so adding keys adds their vectors, and int order is lexicographic
 order.  `_split` reads a key's digits back; `_key_decoder` does so for many
 keys that share their halves.
 
+Lattice bitsets (the class route of `lorentzian`'s Hessian walk).  In a
+mixed-radix key digit i runs below radices[i] (`_mixed_places`, entry 1 most
+significant), so the keys number the points of the box prod(radices) from 0
+up in lexicographic order; `_mixed_digits` reads one back.  A set of points
+is one int with bit k set for key k (`_bitset`), and `_nonzero_digit` is the
+set of the points whose digit i is not 0: runs of the box repeated with
+period radices[i] * places[i] by `_tile`, which takes any whole number of
+periods.  Shifting a bitset inside that mask right by places[i] lowers digit
+i of each of its points by 1 and borrows from no other digit, and the
+points whose digit i is at least 2 are those in both the mask and the mask
+shifted left by places[i].
+
 Guard-bit fields (the rank tables of `polymatroids`).  A table of 2^m
 entries, one per subset mask, is one int of `width`-byte fields (`_pack`)
 in bit-reversed mask order (`_mask_order`), so the masks without element 1
@@ -29,7 +41,7 @@ from __future__ import annotations
 import functools
 import operator
 from math import factorial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 def _places(radix: int, n: int) -> list[int]:
@@ -78,6 +90,42 @@ def _key_decoder(radix: int, n: int) -> Callable[[int], tuple[tuple[int, ...], i
     return decode
 
 
+def _mixed_places(radices: Sequence[int]) -> list[int]:
+    """The place value of each digit of a mixed-radix key, most significant
+    first: digit i runs below radices[i]."""
+    places = [1] * len(radices)
+    for i in range(len(radices) - 1, 0, -1):
+        places[i - 1] = places[i] * radices[i]
+    return places
+
+
+def _mixed_digits(radices: Sequence[int], key: int) -> tuple[int, ...]:
+    """The digits of a mixed-radix key, most significant first."""
+    out = []
+    for radix in reversed(radices):
+        key, digit = divmod(key, radix)
+        out.append(digit)
+    out.reverse()
+    return tuple(out)
+
+
+def _bitset(keys: Iterable[int], size: int) -> int:
+    """The int of `size` bits with bit k set for each key k, set in a byte buffer."""
+    buf = bytearray((size + 7) >> 3)
+    for key in keys:
+        buf[key >> 3] |= 1 << (key & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _nonzero_digit(radices: Sequence[int], places: Sequence[int], i: int) -> int:
+    """The keys of the box (bit k for key k, below prod(radices)) whose digit i
+    is not 0: one run of places[i] * (radices[i] - 1) bits per period of
+    radices[i] * places[i] bits."""
+    radix, place = radices[i], places[i]
+    run = ((1 << (radix - 1) * place) - 1) << place
+    return _tile(run, radix * place, radices[0] * places[0])
+
+
 def _subset_sums(values: Sequence[int]) -> list[int]:
     """The sum of values[i] over the bits i of each mask, in mask order."""
     out = [0]
@@ -111,11 +159,12 @@ def _field_width(top: int) -> int:
 
 def _tile(unit: int, period: int, size: int) -> int:
     """`unit` repeated every `period` bits up to `size` bits, copied by doubling
-    (linear in size); size / period must be a power of two."""
+    (linear in size); size must be a multiple of period, and when the quotient
+    is not a power of two the last doubling is cut back to size."""
     while period < size:
         unit |= unit << period
         period <<= 1
-    return unit
+    return unit if period == size else unit & (1 << size) - 1
 
 
 def _fields_le(small: int, large: int, guards: int) -> bool:

@@ -181,8 +181,9 @@ def nonnegative_weights(values: Sequence, length: int, name: str) -> list[Fracti
 
 def clear_denominators(values: Sequence) -> tuple[int, list[int]]:
     """(L, [v * L for v in values]) as ints, L the lcm of the denominators."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*[den for _, den in ratios])
+    return scale, [num * (scale // den) for num, den in ratios]
 
 
 def checked_tolerance(tol: float) -> None:

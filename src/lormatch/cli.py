@@ -417,7 +417,9 @@ def _cmd_tab_family(args) -> dict:
     seq = _parse_seq(args.sets)
     kappa = _parse_list(args.kappa, "--kappa")
     a = _parse_list(args.a, "--a", json_rational)
-    b = _parse_list(args.b, "--b", json_rational)
+    # the one list flag that can be empty: a sequence with no memberships
+    # has no singletons to weigh
+    b = _parse_list(args.b, "--b", json_rational) if args.b.strip() else ()
     box = tab_family_box(seq, a, b, kappa)
     payload = {"augmented_sets": augment_with_singletons(seq).to_json()}
     if args.symbol:
@@ -449,8 +451,13 @@ def _cmd_verify(args) -> int:
     tolerance = args.tolerance if args.tolerance is not None else _env(TOLERANCE_ENV, float_text)
     given = {"seed": seed, "trials": args.trials, "tolerance": tolerance}
     try:
-        # a value given nowhere takes TrialConfig's own default
+        # a value given nowhere takes TrialConfig's own default; the trial
+        # count of each check to run is read off before any trial
         cfg = TrialConfig(**{key: value for key, value in given.items() if value is not None})
+        if args.replay is None:
+            for name in [args.check] if args.check is not None else CHECKS:
+                if name in CHECKS:
+                    CHECKS[name].trial_count(cfg)
     except ValueError as exc:
         raise DomainError({"error": "invalid-config", "detail": str(exc)}) from exc
     if args.check is not None and args.check not in CHECKS:

@@ -16,25 +16,41 @@ tests/oracles.py).
 
 The work follows the support, not the degree box.  Entry (i, j) of the
 Hessian of the derivative at gamma is the normalized coefficient of f at
-gamma + e_i + e_j, so one pass over the coefficient table files each entry
-under its gamma = support point - e_i - e_j: exactly the derivatives that
-do not vanish.  Exact input is first scaled to integers by the same
-`clear_denominators`, which changes no inertia, so every Hessian is an
-integer matrix.  Each gamma is keyed by its `_packed` digit key in radix
-(largest exponent entry + 1), so the key of gamma = exp - e_i - e_j is
-key(exp) - place[i] - place[j], and key order is lexicographic order.
-Only the upper triangle (i <= j) of each Hessian is filed, as a flat list
-of n(n + 1)/2 entries.
+gamma + e_i + e_j, so the derivatives that do not vanish are exactly the
+gamma = support point - e_i - e_j.  Exact input is first scaled to integers
+by the same `clear_denominators`, which changes no inertia, so every Hessian
+is an integer matrix.  `_hessian_walk` takes one of two routes to the same
+verdict, witness, inertia and count:
+
+- The class route, when every normalized coefficient c * alpha! is one value
+  c (exactly; for float input, equal floats) and the box prod(max_i + 1) of
+  the support holds at most `_BOX_PER_POINT` keys per support point.  Every
+  inducing symbol has one normalized value.  The support is one `_packed`
+  lattice bitset over its mixed-radix box, and
+  hit_ij = (support & D_ij) >> (place_i + place_j), D_ij the keys whose
+  digits i and j are at least 1 (digit i at least 2 when i = j), is the set
+  of gamma whose Hessian holds c at (i, j).  Refining the box by every hit
+  leaves the classes of equal Hessians, c times a 0/1 pattern, and each is
+  eliminated once; the union of the hits numbers the derivatives, and the
+  lowest gamma of a failing class is the witness.  When the classes would
+  take more bits than the filing walk's pointers (`_POINTER_BITS`), the
+  route hands over to the filing walk.
+- The filing walk, for every other input: one pass over the coefficient
+  table files each entry under its gamma, keyed by its `_packed` digit key
+  in radix (largest exponent entry + 1), so the key of gamma = exp - e_i -
+  e_j is key(exp) - place[i] - place[j], and key order is lexicographic
+  order.  Only the upper triangle (i <= j) of each Hessian is filed, as a
+  flat list of n(n + 1)/2 entries.  The walk visits the keys in sorted order
+  and looks each entry tuple up in a memo that lives for one call, so each
+  distinct Hessian is eliminated once, for both coefficient kinds (equal
+  tuples have equal inertia).
 
 Symbols repeat their Hessians heavily, and exactly: the kappa = 4^4 symbol
-of the four-cycle of pairs has 44,000 derivatives but 87 distinct entry
-tuples.  The walk visits the keys in sorted order and looks each entry tuple
-up in a memo that lives for one call, so each distinct Hessian is eliminated
-once, for both coefficient kinds (equal tuples have equal inertia).  The
-walk still counts every derivative that does not vanish and stops at the
+of the four-cycle of pairs has 44,000 derivatives but 87 distinct Hessians.
+Either route counts every derivative that does not vanish and reports the
 first failing one, so `checked_derivatives` and the lexicographically first
 failing gamma, unpacked from its key only for the witness, are those of a
-walk that eliminates every Hessian (tests/oracles.certify_literal).
+walk that eliminates every Hessian (tests/oracles.walk_literal).
 
 A support S in n variables larger than 2^n is tested through
 `points_polymatroid` (Murota: M-convex sets are the integer points of
@@ -54,7 +70,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._packed import _places, _split
+from ._packed import _bitset, _mixed_digits, _mixed_places, _nonzero_digit, _places, _split
 from ._util import _inertia, checked_tolerance, clear_denominators, grlex_key, vec_factorial
 from .polymatroids import points_polymatroid
 from .polynomials import FloatPoly, Poly
@@ -226,16 +242,94 @@ def _support(f, tol):
     return (None if ok else CertFailure("support-not-M-convex", exponents=pair)), 0
 
 
+# the class route's two limits keep its memory below the filing walk's
+# (measured with tracemalloc): a box of at most _BOX_PER_POINT keys per
+# support point bounds its n + 5 box-sized ints, and its classes may hold at
+# most _POINTER_BITS bits per pointer the filing walk would store (one per
+# support point and one per Hessian slot of each derivative found so far);
+# past that the filing walk runs instead
+_BOX_PER_POINT = 32
+_POINTER_BITS = 64
+
+
 def _hessian_walk(f, tol):
     # homogeneous by now: any term's degree is the degree.  Degrees 0 and 1
-    # have no Hessian, and skipping the filing set-up halves their cost
+    # have no Hessian, and skipping the set-up halves their cost
     if sum(next(f.items())[0]) < 2:
         return None, 0
-    n = f.nvars
     exps, coeffs = zip(*f.items())
     if tol is None:
         _, coeffs = clear_denominators(coeffs)
-    table = {exp: c * vec_factorial(exp) for exp, c in zip(exps, coeffs)}
+    values = [c * vec_factorial(exp) for exp, c in zip(exps, coeffs)]
+    if values.count(values[0]) == len(values):
+        radices = [max(column) + 1 for column in zip(*exps)]
+        if math.prod(radices) <= _BOX_PER_POINT * len(exps):
+            found = _class_walk(exps, values[0], radices, tol)
+            if found is not None:
+                return found
+    return _filing_walk(dict(zip(exps, values)), f.nvars, tol)
+
+
+def _class_walk(exps, c, radices, tol):
+    # the support as one bitset over its mixed-radix box; hit (i, j) is the
+    # set of gamma with gamma + e_i + e_j in the support, the gamma whose
+    # Hessian holds c at (i, j).  Refining the box by every hit leaves the
+    # classes of equal Hessians, keyed by their 0/1 patterns (slot (0, 0)
+    # the most significant bit); None once the classes outgrow their bits
+    n = len(radices)
+    place = _mixed_places(radices)
+    size = place[0] * radices[0]
+    slots = n * (n + 1) // 2
+    support = _bitset((sum(map(operator.mul, exp, place)) for exp in exps), size)
+    ones = [_nonzero_digit(radices, place, i) for i in range(n)]
+    classes = {0: (1 << size) - 1}
+    union = 0
+    bit = 1 << slots
+    for i in range(n):
+        has_i = support & ones[i]
+        for j in range(i, n):
+            bit >>= 1
+            if j == i:
+                hit = (has_i & ones[i] << place[i]) >> 2 * place[i]
+            else:
+                hit = (has_i & ones[j]) >> place[i] + place[j]
+            if not hit:
+                continue
+            union |= hit
+            split = {}
+            for pattern, members in classes.items():
+                inside = members & hit
+                if inside:
+                    split[pattern | bit] = inside
+                    members ^= inside
+                if members:
+                    split[pattern] = members
+            classes = split
+            if len(classes) * size > _POINTER_BITS * (len(exps) + slots * union.bit_count()):
+                return None
+    # pattern 0 holds the gamma whose derivative vanishes
+    classes.pop(0, None)
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    first = None
+    for pattern, members in classes.items():
+        hess = [[0] * n for _ in range(n)]
+        for i, j in reversed(upper):
+            if pattern & 1:
+                hess[i][j] = hess[j][i] = c
+            pattern >>= 1
+        inertia = _inertia(hess, tol)
+        if inertia[0] > 1:
+            low = (members & -members).bit_length() - 1
+            if first is None or low < first[0]:
+                first = low, inertia
+    if first is None:
+        return None, union.bit_count()
+    low, inertia = first
+    failure = CertFailure("bad-inertia", derivative=_mixed_digits(radices, low), inertia=inertia)
+    return failure, (union & (2 << low) - 1).bit_count()
+
+
+def _filing_walk(table, n, tol):
     # one pass files each table entry into the upper triangle of the Hessian
     # of every gamma that reads it, a flat row-major list per packed gamma
     radix = max(map(max, table)) + 1

@@ -28,6 +28,11 @@ same answer:
   f = sum_d c_d e_d at degrees d <= m - 2; other f take the sumset walk.
 - `lorentzian.is_m_convex`: a support of more than 2^n points is first
   decided by `points_polymatroid`, else by the pair scan.
+- `lorentzian._hessian_walk`: a polynomial whose normalized coefficients
+  are all one value, on a box of at most `_BOX_PER_POINT` (32) keys per
+  support point, takes the class route (equal Hessians as lattice bitsets)
+  while its classes fit in `_POINTER_BITS` (64) bits per filed pointer;
+  other input takes the filing walk.
 - `polymatroids.hall_rado_member`: `single_vertex_cuts` drops source base
   points before any flow.
 - `matchings._flow`: `_fails_vertex_cut` rejects a pair before any
@@ -50,7 +55,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Mapping, Sequence
 
-from ._util import _brief, bounded_compositions, checked_tolerance, iter_box, vec_factorial
+from ._util import _brief, _cut, bounded_compositions, checked_tolerance, iter_box, vec_factorial
 from ._util import DEFAULT_SEED, DEFAULT_TOLERANCE, DEFAULT_TRIALS
 from .lorentzian import certify_lorentzian, is_m_convex, quad_inertia
 from .matchings import (
@@ -756,7 +761,14 @@ class Check:
     ratio: float = 1.0
 
     def trial_count(self, cfg: TrialConfig) -> int:
-        return max(1, round(cfg.trials * self.ratio)) if self.ratio else 1
+        """The budget scaled by the ratio, at least 1; ratio 0 runs once at
+        any budget.  A product past the float range is a ValueError."""
+        if not self.ratio:
+            return 1
+        try:
+            return max(1, round(cfg.trials * self.ratio))
+        except OverflowError:
+            raise ValueError(f"trial budget {_cut(str(cfg.trials))} is past the float range") from None
 
 
 CHECKS: dict[str, Check] = {

@@ -225,9 +225,9 @@ def m_convex_literal(supp) -> bool:
 def certify_literal(f, tol=None):
     """Lorentzian certification as first written: every multi-index of the
     degree box, each derivative taken term by term, zero derivatives
-    skipped, and the support checked by the literal exchange loop.  Exact
-    Hessians are counted by `charpoly_inertia`; floating ones go through
-    `quad_inertia` under the tolerance."""
+    skipped (`walk_literal`), and the support checked by the literal
+    exchange loop.  Exact Hessians are counted by `charpoly_inertia`;
+    floating ones go through `quad_inertia` under the tolerance."""
     is_float = isinstance(f, FloatPoly)
     if is_float:
         f = FloatPoly(f.nvars, {e: c for e, c in f.items() if abs(c) > tol})
@@ -247,21 +247,29 @@ def certify_literal(f, tol=None):
     pair = m_convex_witness(f.support())
     if pair is not None:
         return LorentzReport(False, CertFailure("support-not-M-convex", exponents=pair), 0)
+    failure, checked = walk_literal(f, tol)
+    return LorentzReport(failure is None, failure, checked)
+
+
+def walk_literal(f, tol=None):
+    """The Hessian stage of `certify_literal` on its own: (the first failure or
+    None, derivatives checked) over every multi-index of the degree box in
+    lexicographic order, each derivative taken term by term and skipped when
+    it vanishes.  `f` is homogeneous and nonzero; a float one has had its terms
+    at or below tol dropped."""
     checked = 0
-    for gamma in bounded_compositions(hd - 2, f.degree_profile()):
+    for gamma in bounded_compositions(f.homogeneous_degree() - 2, f.degree_profile()):
         g = f.derivative_multi(gamma)
         if not g.support():
             continue
         checked += 1
-        if is_float:
+        if isinstance(f, FloatPoly):
             inertia = quad_inertia(g, tol).as_tuple()
         else:
             inertia = charpoly_inertia(hessian_literal(g))
         if inertia[0] > 1:
-            return LorentzReport(
-                False, CertFailure("bad-inertia", derivative=gamma, inertia=inertia), checked
-            )
-    return LorentzReport(True, None, checked)
+            return CertFailure("bad-inertia", derivative=gamma, inertia=inertia), checked
+    return None, checked
 
 
 def polymatroid_axioms_literal(rank) -> bool:

@@ -24,6 +24,7 @@ X1X2 = '{"nvars":2,"terms":[{"exp":[1,1],"coeff":1}]}'
 ONE = '{"m":1,"sets":[[1]]}'
 X1 = '{"nvars":1,"terms":[{"exp":[1],"coeff":1}]}'
 TRIANGLE = '{"m":3,"sets":[[1,2],[2,3],[1,3]]}'
+NO_MEMBERSHIPS = '{"m":2,"sets":[[],[]]}'
 BASIS_STATS = '{"matroid":{"m":2,"rank":[0,1,1,2]},"seq":{"m":2,"sets":[[1],[2]]}}'
 MEMBERSHIP = '{"pm":{"m":2,"rank":[0,1,1,2]},"seq":{"m":2,"sets":[[1],[2]]},"delta":[1,1]}'
 # a truncated document: reading it would be a domain error (exit 1)
@@ -656,6 +657,17 @@ class TestNumberFlags:
         argv = ("tab-family", "--sets", NARROW, "--a", f"1,1,{text}", "--b", "0,0,0,0")
         self._refused(capsys, argv + ("--kappa", "1,1"), "--a", text)
 
+    def test_only_b_reads_empty_text_as_no_items(self, capsys):
+        # an empty --b where singletons exist meets tab_family_box's length check
+        argv = ("tab-family", "--sets", NARROW, "--a", "1,1,1", "--b", "", "--kappa", "1,1")
+        refused = '{"detail":"b has length 0, expected 4","error":"domain"}\n'
+        assert _call(capsys, *argv) == (1, refused, "")
+        argv = ("tab-family", "--sets", NO_MEMBERSHIPS, "--a", "", "--b", "", "--kappa", "1,1")
+        self._refused(capsys, argv, "--a", "")
+        argv = ("tab-family", "--sets", NO_MEMBERSHIPS, "--a", "1,1", "--b", "", "--kappa", "")
+        code, out, err = _call(capsys, *argv)
+        assert (code, err, json.loads(out)["flag"]) == (1, "", "--kappa")
+
     @pytest.mark.parametrize("text", REFUSED_RATIONALS)
     def test_q_refuses(self, capsys, text):
         argv = ("symbol", "--sets", ONE, "--kappa", "1", "--q", text)
@@ -1019,6 +1031,14 @@ SPLICED = {
             ).to_json(),
         },
     ),
+    # a sequence with no memberships has no singletons, so --b is empty
+    "tab-family-no-memberships": (
+        ("tab-family", "--sets", NO_MEMBERSHIPS, "--a", "1,1", "--b", "", "--kappa", "1,1"),
+        lambda: {
+            "augmented_sets": lormatch.augment_with_singletons(_seq(NO_MEMBERSHIPS)).to_json(),
+            "box": lormatch.tab_family_box(_seq(NO_MEMBERSHIPS), [1, 1], [], (1, 1)).to_json(),
+        },
+    ),
     "pminduce-egf": (
         ("pminduce", "--pm", FREE_PM, "--sets", TRIANGLE, "--egf"),
         lambda: _egf_payload(lormatch.induce_polymatroid(lormatch.free_polymatroid(3, 2), _seq(TRIANGLE))),
@@ -1105,6 +1125,21 @@ class TestVerifySubcommand:
     def test_zero_trials_refused(self, capsys):
         invalid = '{"detail":"trial count must be >= 1","error":"invalid-config"}\n'
         assert _call(capsys, "verify", "--trials", "0") == (1, invalid, "")
+
+    def test_budget_past_the_float_range_refused_before_any_trial(self, capsys):
+        budget = "1" + "0" * 400
+        invalid = (
+            '{"detail":"trial budget 1000000000000000000000000000000000000... '
+            'is past the float range","error":"invalid-config"}\n'
+        )
+        assert _call(capsys, "verify", "--check", "capped-matchings", "--trials", budget) == (1, invalid, "")
+        # every check's count is read before the first check runs
+        assert _call(capsys, "verify", "--trials", budget) == (1, invalid, "")
+        # ratio 0 reads no budget, and a replay counts no trials
+        code, out, err = _call(capsys, "verify", "--check", "golden-examples", "--trials", budget)
+        assert (code, err, json.loads(out.splitlines()[0])["trials"]) == (0, "", 1)
+        _, out, _ = _call(capsys, "verify", "--check", "capped-matchings", "--trials", budget, "--replay", "{}")
+        assert set(json.loads(out)) == {"check", "passed", "reasons"}
 
     def test_infinite_tolerance_refused(self, capsys, monkeypatch):
         invalid = '{"detail":"tolerance must be finite","error":"invalid-config"}\n'

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lormatch import (
@@ -30,9 +30,11 @@ from oracles import (
     hessian_literal,
     m_convex_literal,
     m_convex_witness,
+    walk_literal,
 )
 
 SIX_CYCLE = SubsetSeq(3, (frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})))
+FOUR_CYCLE = SubsetSeq(4, (frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4}), frozenset({4, 1})))
 
 
 @st.composite
@@ -106,6 +108,28 @@ def certify_inputs(draw):
     if draw(st.booleans()):
         floats[(0,) * nvars] = floats.get((0,) * nvars, 0.0) + 1e-12
     return FloatPoly(nvars, floats), 1e-9
+
+
+@st.composite
+def uniform_polys(draw):
+    """(f, tol): f homogeneous with one normalized coefficient on every term,
+    exact (tol None) or float, on an M-convex support (the points of the
+    degree under a cap vector) or on a random subset of the simplex."""
+    nvars = draw(st.integers(1, 5))
+    degree = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        caps = draw(st.lists(st.integers(0, degree), min_size=nvars, max_size=nvars))
+        support = list(bounded_compositions(degree, caps))
+    else:
+        pool = sorted(bounded_compositions(degree, (degree,) * nvars))
+        support = draw(st.sets(st.sampled_from(pool), max_size=40))
+    assume(support)
+    value = draw(st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(1, 7))))
+    if draw(st.booleans()):
+        return Poly(nvars, {e: value / vec_factorial(e) for e in support}), None
+    # exact when every exponent is at most 2 (each alpha! a power of two);
+    # otherwise some c * alpha! may round apart, and the filing walk runs
+    return FloatPoly(nvars, {e: float(value) / vec_factorial(e) for e in support}), 1e-9
 
 
 def _exponential(nvars, degree, bumps=()):
@@ -484,3 +508,77 @@ class TestCertify:
     def test_six_cycle_kappa_five_count(self):
         report = certify_lorentzian(symbol_of(inducing_box(SIX_CYCLE, (5, 5, 5))))
         assert report.verdict and report.checked_derivatives == 5130
+
+
+class TestHessianRoutes:
+    """`_hessian_walk` files every term, or takes the class route for a
+    polynomial with one normalized coefficient on a dense box; both give the
+    literal walk's verdict, witness, inertia and count."""
+
+    @staticmethod
+    def _routes(monkeypatch):
+        # (route, whether it gave an answer), in call order
+        taken = []
+        for name in ("_class_walk", "_filing_walk"):
+            def spy(*args, real=getattr(lorentzian, name), name=name):
+                out = real(*args)
+                taken.append((name, out is not None))
+                return out
+
+            monkeypatch.setattr(lorentzian, name, spy)
+        return taken
+
+    @given(uniform_polys())
+    @example((Poly(2, {(2, 0): Fraction(1, 2), (1, 1): 1, (0, 2): Fraction(1, 2)}), None))
+    @example((FloatPoly(3, {(2, 0, 0): 0.5, (1, 1, 0): 1.0, (0, 2, 0): 0.5, (1, 0, 1): 1.0}), 1e-9))
+    @settings(max_examples=300, deadline=None)
+    def test_walk_matches_literal_on_uniform_polys(self, case):
+        f, tol = case
+        assert lorentzian._hessian_walk(f, tol) == walk_literal(f, tol)
+
+    @pytest.mark.parametrize("tol", [None, 1e-9])
+    def test_uniform_dense_box_takes_the_class_route(self, monkeypatch, tol):
+        # the degree-4 points with entries at most 2 except (2, 1, 1): each
+        # alpha! is a power of two, so the float coefficients are uniform as
+        # well.  Three derivatives pass before the one at (1, 0, 1)
+        support = [e for e in bounded_compositions(4, (2, 2, 2)) if e != (2, 1, 1)]
+        f = Poly(3, {e: Fraction(1, vec_factorial(e)) for e in support})
+        if tol is not None:
+            f = float_poly_from(f)
+        taken = self._routes(monkeypatch)
+        failure, checked = lorentzian._hessian_walk(f, tol)
+        assert (failure, checked) == walk_literal(f, tol)
+        assert (failure.derivative, failure.inertia, checked) == ((1, 0, 1), (2, 1, 0), 4)
+        assert taken == [("_class_walk", True)]
+
+    def test_non_uniform_coefficients_take_the_filing_walk(self, monkeypatch):
+        f = _exponential(3, 6, {(1, 5, 0): 2})
+        taken = self._routes(monkeypatch)
+        assert lorentzian._hessian_walk(f, None) == walk_literal(f)
+        assert taken == [("_filing_walk", True)]
+
+    def test_sparse_box_takes_the_filing_walk(self, monkeypatch):
+        # 3 support points in a box of 8^3 = 512 keys
+        f = Poly(3, {e: Fraction(1, vec_factorial(e)) for e in ((7, 0, 0), (0, 7, 0), (0, 0, 7))})
+        taken = self._routes(monkeypatch)
+        assert lorentzian._hessian_walk(f, None) == walk_literal(f) == (None, 3)
+        assert taken == [("_filing_walk", True)]
+
+    def test_classes_past_their_bits_hand_over_to_the_filing_walk(self, monkeypatch):
+        monkeypatch.setattr(lorentzian, "_POINTER_BITS", 0)
+        symbol = symbol_of(inducing_box(SIX_CYCLE, (2, 2, 3)))
+        taken = self._routes(monkeypatch)
+        assert lorentzian._hessian_walk(symbol, None) == walk_literal(symbol)
+        assert taken == [("_class_walk", False), ("_filing_walk", True)]
+
+    def test_six_cycle_kappa_three_count(self, monkeypatch):
+        symbol = symbol_of(inducing_box(SIX_CYCLE, (3, 3, 3)))
+        taken = self._routes(monkeypatch)
+        assert certify_lorentzian(symbol).to_json() == {
+            "lorentzian": True, "failure": None, "checked_derivatives": 576,
+        }
+        assert taken == [("_class_walk", True)]
+
+    def test_four_cycle_kappa_four_count(self):
+        symbol = symbol_of(inducing_box(FOUR_CYCLE, (4, 4, 4, 4)))
+        assert lorentzian._hessian_walk(symbol, None) == (None, 44000)

@@ -1,6 +1,8 @@
 """The packed-int layouts of `_packed`, each against a plain spelling of its
-invariant: digit keys, guard-bit fields and subset masks."""
+invariant: digit keys, mixed-radix lattice bitsets, guard-bit fields and
+subset masks."""
 
+import itertools
 import math
 import operator
 
@@ -9,15 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lormatch._packed import (
+    _bitset,
     _field_width,
     _fields_le,
     _key_decoder,
     _mask_order,
+    _mixed_digits,
+    _mixed_places,
+    _nonzero_digit,
     _pack,
     _places,
     _split,
     _split_masks,
     _subset_sums,
+    _tile,
     mask_to_elements,
 )
 
@@ -83,6 +90,45 @@ class TestDigitKeys:
         if max(total) < radix:
             assert _key(radix, a) + _key(radix, b) == _key(radix, total)
             assert _split(radix, len(total), _key(radix, a) + _key(radix, b))[0] == total
+
+
+class TestMixedRadixBitsets:
+    """Digit i of a lattice key runs below radices[i]; bit k of a bitset over
+    the box stands for the key k."""
+
+    radices = st.lists(st.integers(1, 5), min_size=1, max_size=4)
+
+    @staticmethod
+    def _box(radices):
+        return list(itertools.product(*map(range, radices)))
+
+    @given(radices)
+    def test_keys_number_the_box_in_lex_order(self, radices):
+        places = _mixed_places(radices)
+        box = self._box(radices)
+        keys = [sum(map(operator.mul, point, places)) for point in box]
+        assert keys == list(range(math.prod(radices)))
+        assert [_mixed_digits(radices, key) for key in keys] == box
+
+    @given(radices, st.data())
+    def test_bitset_sets_one_bit_per_key(self, radices, data):
+        size = math.prod(radices)
+        keys = data.draw(st.lists(st.integers(0, size - 1)))
+        assert _bitset(keys, size) == sum(1 << key for key in set(keys))
+
+    @given(radices, st.data())
+    def test_digit_masks_hold_the_keys_with_a_large_digit(self, radices, data):
+        i = data.draw(st.integers(0, len(radices) - 1))
+        places = _mixed_places(radices)
+        ones = _nonzero_digit(radices, places, i)
+        box = list(enumerate(self._box(radices)))
+        assert ones == sum(1 << key for key, point in box if point[i] >= 1)
+        assert ones & ones << places[i] == sum(1 << key for key, point in box if point[i] >= 2)
+
+    @given(st.integers(1, 12), st.integers(1, 40), st.data())
+    def test_tile_repeats_a_unit_any_whole_number_of_times(self, period, count, data):
+        unit = data.draw(st.integers(0, (1 << period) - 1))
+        assert _tile(unit, period, period * count) == sum(unit << period * r for r in range(count))
 
 
 class TestGuardBitFields:

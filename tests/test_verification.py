@@ -129,6 +129,14 @@ class TestDeterminism:
         for trials in (1, 2, 7, 10**6, 10**400):
             assert CHECKS["golden-examples"].trial_count(TrialConfig(trials=trials)) == 1
 
+    def test_budget_past_the_float_range_is_a_value_error(self):
+        message = r"^trial budget 1000000000000000000000000000000000000\.\.\. is past the float range$"
+        with pytest.raises(ValueError, match=message):
+            CHECKS["capped-matchings"].trial_count(TrialConfig(trials=10**400))
+        # 1e308 is a float, but twice it rounds to infinity
+        with pytest.raises(ValueError, match="past the float range"):
+            CHECKS["base-membership-duality"].trial_count(TrialConfig(trials=10**308))
+
 
 class TestRunAndReplay:
     def test_all_pass_small(self):
