@@ -170,15 +170,19 @@ def _induce_by_bitsets(seq: SubsetSeq, layers: dict[int, Fraction]) -> Poly:
 
 def _bitset_layers(seq: SubsetSeq, f: Poly) -> dict[int, Fraction] | None:
     """{d: c_d} when f = sum_d c_d e_d takes the bitset route, else None;
-    `apply_inducing` states the gate."""
+    `apply_inducing` states the gate.  It reads f in column passes (`max`,
+    `map(sum, ...)`, `dict(zip(...))`) and compares the coefficients as one
+    list, which tests identity first: e_r's one shared object costs no
+    `Fraction` comparison."""
     m = seq.m
-    layers, sizes = {}, Counter()
-    for exp, c in f.items():
-        degree = sum(exp)
-        if max(exp) > 1 or layers.setdefault(degree, c) != c:
-            return None
-        sizes[degree] += 1
-    if m > _BITSET_M or any(d > m - 2 or k != math.comb(m, d) for d, k in sizes.items()):
+    terms = dict(f.items())
+    if max(chain.from_iterable(terms), default=0) > 1:
+        return None
+    degrees, coeffs = list(map(sum, terms)), list(terms.values())
+    layers = dict(zip(degrees, coeffs))
+    if coeffs != list(map(layers.__getitem__, degrees)):
+        return None
+    if m > _BITSET_M or any(d > m - 2 or k != math.comb(m, d) for d, k in Counter(degrees).items()):
         return None
     return layers
 

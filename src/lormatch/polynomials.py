@@ -27,7 +27,8 @@ and it is the reference that tests hold the other writer to.  `_json_text`
 returns the canonical text of that document, `json.dumps(to_json(basis),
 sort_keys=True, separators=(",", ":"))`, byte for byte; the CLI writes
 every polynomial it prints through it.  It formats the row text of each
-distinct coefficient once and splices each exponent's text into it.
+distinct coefficient once and splices each exponent's text into it: entries
+0-9 take one bytes pass, any larger entry `json`; `to_json` stays the reference.
 
 Exact coefficients are made in two places, each making one `Fraction` per
 distinct value: `_rows_poly` for counted rows (beta, beta!, total), which
@@ -110,10 +111,27 @@ def _float_row_format(c: float) -> str:
     return '{"coeff":%s,"exp":[%%s]}' % json.dumps(c)
 
 
+# byte -> its digit for 0-9, and -> "x", which `isdigit` refuses, for 10-255
+_DIGITS = b"0123456789" + b"x" * 246
+
+
 def _exponent_texts(exps: Sequence[ExpVec]) -> list[str]:
-    """The JSON text of each exponent list, without its brackets: `json`
-    writes the whole list of exponents once and the text is split between them."""
-    return json.dumps(exps, separators=(",", ":"))[2:-2].split("],[")
+    """The JSON text of each exponent list, without its brackets.  Entries
+    0-9 are written as digits to every other byte of a run of commas, each
+    row's last comma a space to split at, in C; any larger entry (`bytes`
+    refuses 256 and up) sends the whole list to `json`, written once and split."""
+    try:
+        digits = b"".join(map(bytes, exps)).translate(_DIGITS)
+    except ValueError:
+        digits = b""
+    if not digits.isdigit():
+        return json.dumps(exps, separators=(",", ":"))[2:-2].split("],[")
+    width = 2 * len(exps[0])
+    buf = bytearray(b",") * (2 * len(digits))
+    buf[0::2] = digits
+    buf[width - 1 :: width] = b" " * len(exps)
+    del buf[-1]
+    return buf.decode().split(" ")
 
 
 def _summed(pairs: Iterable[tuple[ExpVec, object]]) -> dict:

@@ -956,6 +956,9 @@ def _egf_payload(pm):
     return {"polymatroid": pm.to_json(), "egf": lormatch.base_egf(pm).to_json()}
 
 
+# 10 cyclic 3-windows, and one part holding all of 1..3
+WINDOWS10 = '{"m":10,"sets":[[1,2,3],[2,3,4],[3,4,5],[4,5,6],[5,6,7],[6,7,8],[7,8,9],[8,9,10],[9,10,1],[10,1,2]]}'
+ONE_PART = '{"m":3,"sets":[[1,2,3]]}'
 RATIONAL_POLY = '{"nvars":2,"terms":[{"exp":[2,0],"num":"-3","den":"4"},{"exp":[1,1],"coeff":5},{"exp":[0,1],"coeff":"1/6"}]}'
 FREE_PM = '{"free":[3,2]}'
 # every command whose payload holds a polynomial, with that payload built
@@ -1042,6 +1045,20 @@ SPLICED = {
     "pminduce-egf": (
         ("pminduce", "--pm", FREE_PM, "--sets", TRIANGLE, "--egf"),
         lambda: _egf_payload(lormatch.induce_polymatroid(lormatch.free_polymatroid(3, 2), _seq(TRIANGLE))),
+    ),
+    # the stats deck's shapes, whose exponent entries are all 0-9, and a
+    # one-part symbol whose y-exponents reach 12, so that it is written by `json`
+    "induce-e5-windows": (
+        ("induce", "--sets", WINDOWS10, "--elementary", "5"),
+        lambda: lormatch.apply_inducing(_seq(WINDOWS10), lormatch.elementary_symmetric(10, 5)).to_json(),
+    ),
+    "fpoly-r5-windows": (
+        ("fpoly", "--sets", WINDOWS10, "--r", "5"),
+        lambda: lormatch.match_poly(_seq(WINDOWS10), 5).to_json(),
+    ),
+    "symbol-one-part": (
+        ("symbol", "--sets", ONE_PART, "--kappa", "4,4,4"),
+        lambda: lormatch.symbol_of(lormatch.inducing_box(_seq(ONE_PART), (4, 4, 4))).to_json(),
     ),
     "tab-family-symbol": (
         ("tab-family", "--sets", NARROW, "--a", "1,2,1/2", "--b", "1,0,1/3,1", "--kappa", "1,1", "--symbol"),

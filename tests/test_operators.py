@@ -92,6 +92,25 @@ def _squarefree(m: int, degree: int) -> list[tuple[int, ...]]:
     return [tuple(int(i in chosen) for i in range(m)) for chosen in itertools.combinations(range(m), degree)]
 
 
+def _copied(f: Poly) -> dict:
+    """f's terms, each coefficient held by its own equal-valued object."""
+    return {exp: Fraction(c.numerator, c.denominator) for exp, c in f.items()}
+
+
+def _layers(m: int, weights: dict) -> dict:
+    """The terms of sum_d w_d e_d, one coefficient object per degree, as the
+    terms of e_d share one object."""
+    return {exp: w for d, w in weights.items() for exp in _squarefree(m, d)}
+
+
+def _last_entry_of_2(m: int) -> Poly:
+    """e_2 with x1 x2 moved, under the same coefficient object, to x1^2 as
+    the last-inserted term: only the multi-affine test tells it from e_2."""
+    terms = _layers(m, {2: Fraction(1)})
+    c = terms.pop((1, 1) + (0,) * (m - 2))
+    return Poly._trusted(m, {**terms, (2,) + (0,) * (m - 1): c})
+
+
 def _weighted(m: int, degree: int, groups: int) -> Poly:
     """Every squarefree monomial of one degree, with `groups` distinct weights."""
     exps = _squarefree(m, degree)
@@ -304,8 +323,16 @@ class TestInducingRoutes:
             (_windows(8), elementary_symmetric(8, 6), "_walk"),
             (_windows(8), elementary_symmetric(8, 7), "_induce_by_sumsets"),
             (_windows(8), elementary_symmetric(8, 2) - X1X2_OF_8, "_induce_by_sumsets"),
+            (_windows(8), Poly._trusted(8, _copied(elementary_symmetric(8, 3))), "_walk"),
+            (_windows(8), Poly._trusted(8, {**_copied(elementary_symmetric(8, 3)), _squarefree(8, 3)[0]: Fraction(2)}), "_induce_by_sumsets"),
+            (_windows(8), Poly._trusted(8, {**_layers(8, {2: Fraction(1), 4: Fraction(2)}), _squarefree(8, 4)[0]: Fraction(2, 1)}), "_walk"),
+            (_windows(8), _last_entry_of_2(8), "_induce_by_sumsets"),
         ],
-        ids=["m=16", "m=17", "entries-0-1", "an-entry-of-2", "one-weight-per-degree", "two-weights-in-a-degree", "degree-m-2", "degree-m-1", "one-term-missing"],
+        ids=[
+            "m=16", "m=17", "entries-0-1", "an-entry-of-2", "one-weight-per-degree", "two-weights-in-a-degree",
+            "degree-m-2", "degree-m-1", "one-term-missing", "equal-copies", "one-copy-of-2",
+            "an-equal-copy-in-a-layer", "an-entry-of-2-inserted-last",
+        ],
     )
     def test_route_gate(self, monkeypatch, seq, f, route):
         expected = _induce_by_sumsets(seq, f)
@@ -318,6 +345,15 @@ class TestInducingRoutes:
         image = apply_inducing(seq, f)
         assert set(ran) == {route}
         assert image == expected and list(image.items()) == list(expected.items())
+
+    def test_gate_compares_no_value_of_a_shared_coefficient(self, monkeypatch):
+        # e_r's terms hold one object, and list equality tests identity first
+        calls = []
+        real = Fraction.__eq__
+        monkeypatch.setattr(Fraction, "__eq__", lambda a, b: calls.append(b) or real(a, b))
+        layers = operators._bitset_layers(_windows(10), elementary_symmetric(10, 5))
+        monkeypatch.undo()
+        assert (calls, layers) == ([], {5: 1})
 
 
 class TestApplySubstitution:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lormatch import ANY_DEGREE, FloatPoly, Poly, elementary_symmetric
+from lormatch import polynomials
 from lormatch._util import grlex_key, vec_factorial
 from lormatch.polynomials import _column_terms, _rows_poly
 from oracles import eval_exact, float_poly_from, poly_from_json_two_pass, substitute_literal
@@ -617,6 +618,20 @@ class TestJsonText:
     @example(Poly(1), "plain")
     @example(Poly(1, {(3,): Fraction(-7, 2)}), "normalized")
     @example(Poly(2, {(1, 0): Fraction(2, 3), (0, 1): Fraction(2, 3)}), "plain")
+    # the route boundary of `_exponent_texts`: entries 0-9 take the bytes pass,
+    # and one larger entry sends the whole polynomial to `json`
+    @example(Poly(3, {(9, 9, 9): 1, (0, 1, 2): Fraction(-1, 2), (3, 0, 5): 7}), "plain")
+    @example(Poly(3, {(9, 9, 9): 1, (0, 1, 2): Fraction(-1, 2), (3, 0, 5): 7}), "normalized")
+    @example(Poly(3, {(10, 0, 0): 1, (0, 1, 2): 3, (1, 1, 1): 3}), "plain")
+    @example(Poly(2, {(255, 0): 1, (4, 5): 2}), "plain")
+    @example(Poly(2, {(0, 256): 1, (4, 5): 2}), "normalized")
+    @example(Poly(2, {(255, 0): 1, (0, 256): 2}), "plain")
+    # plain only: the normalized basis would take 3,000,000!
+    @example(Poly(2, {(3_000_000, 1): 1, (1, 1): 2}), "plain")
+    @example(Poly(1, {(0,): 1, (1,): 2, (7,): Fraction(1, 3), (9,): -1}), "plain")
+    @example(Poly(1, {(0,): 1, (1,): 2, (7,): Fraction(1, 3), (9,): -1}), "normalized")
+    @example(Poly.constant(3, Fraction(-5, 7)), "plain")
+    @example(Poly.constant(1, 2), "normalized")
     def test_exact_rows_match_json(self, f, basis):
         assert f._json_text(basis) == _canonical(f.to_json(basis))
 
@@ -625,8 +640,28 @@ class TestJsonText:
     @example(FloatPoly(1), "normalized")
     @example(FloatPoly._trusted(2, {(1, 0): math.nan, (0, 1): math.inf, (1, 1): -math.inf}), "plain")
     @example(FloatPoly._trusted(1, {(2,): math.nan, (3,): -math.inf}), "normalized")
+    @example(FloatPoly(3, {(9, 0, 9): 0.5, (1, 2, 3): -2.0, (0, 0, 0): 1e300}), "plain")
+    @example(FloatPoly(3, {(9, 0, 9): 0.5, (1, 2, 3): -2.0, (0, 0, 0): 1e300}), "normalized")
     def test_float_rows_match_json(self, f, basis):
         assert f._json_text(basis) == _canonical(f.to_json(basis))
+
+    def test_route_by_largest_entry(self, monkeypatch):
+        # with `json` gone, entries 0-9 still write (exact rows use no `json`),
+        # and a single entry of 10 sends the polynomial to `json`
+        digits = Poly(3, {(9, 9, 9): 1, (0, 1, 2): Fraction(-1, 2), (3, 0, 5): 7})
+        ten = Poly(3, {(10, 0, 0): 1, (0, 1, 2): 3})
+        expected = {basis: digits._json_text(basis) for basis in ("plain", "normalized")}
+
+        class NoDumps:
+            @staticmethod
+            def dumps(*args, **kwargs):
+                raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr(polynomials, "json", NoDumps)
+        for basis, text in expected.items():
+            assert digits._json_text(basis) == text
+        with pytest.raises(AssertionError, match="json.dumps called"):
+            ten._json_text()
 
     def test_unknown_basis_refused(self):
         with pytest.raises(ValueError, match="unknown basis"):
