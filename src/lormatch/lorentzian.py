@@ -35,15 +35,15 @@ verdict, witness, inertia and count:
   lowest gamma of a failing class is the witness.  When the classes would
   take more bits than the filing walk's pointers (`_POINTER_BITS`), the
   route hands over to the filing walk.
-- The filing walk, for every other input: one pass over the coefficient
-  table files each entry under its gamma, keyed by its `_packed` digit key
-  in radix (largest exponent entry + 1), so the key of gamma = exp - e_i -
-  e_j is key(exp) - place[i] - place[j], and key order is lexicographic
-  order.  Only the upper triangle (i <= j) of each Hessian is filed, as a
-  flat list of n(n + 1)/2 entries.  The walk visits the keys in sorted order
-  and looks each entry tuple up in a memo that lives for one call, so each
-  distinct Hessian is eliminated once, for both coefficient kinds (equal
-  tuples have equal inertia).
+- The filing walk, for every other input: one pass over the terms files
+  each under its gamma, keyed in the same mixed radix (`_mixed_places`,
+  digit i below max_i + 1), so the key of gamma = exp - e_i - e_j is
+  key(exp) - place[i] - place[j], and key order is lexicographic order.
+  Only the upper triangle (i <= j) of each Hessian is filed, as a flat list
+  of n(n + 1)/2 entries.  The walk visits the keys in sorted order and looks
+  each entry tuple up in a memo that lives for one call, so each distinct
+  Hessian is eliminated once, for both coefficient kinds (equal tuples have
+  equal inertia).
 
 Symbols repeat their Hessians heavily, and exactly: the kappa = 4^4 symbol
 of the four-cycle of pairs has 44,000 derivatives but 87 distinct Hessians.
@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._packed import _bitset, _mixed_digits, _mixed_places, _nonzero_digit, _places, _split
+from ._packed import _bitset, _mixed_digits, _mixed_places, _nonzero_digit
 from ._util import _inertia, checked_tolerance, clear_denominators, grlex_key, vec_factorial
 from .polymatroids import points_polymatroid
 from .polynomials import FloatPoly, Poly
@@ -261,13 +261,12 @@ def _hessian_walk(f, tol):
     if tol is None:
         _, coeffs = clear_denominators(coeffs)
     values = [c * vec_factorial(exp) for exp, c in zip(exps, coeffs)]
-    if values.count(values[0]) == len(values):
-        radices = [max(column) + 1 for column in zip(*exps)]
-        if math.prod(radices) <= _BOX_PER_POINT * len(exps):
-            found = _class_walk(exps, values[0], radices, tol)
-            if found is not None:
-                return found
-    return _filing_walk(dict(zip(exps, values)), f.nvars, tol)
+    radices = [max(column) + 1 for column in zip(*exps)]
+    if values.count(values[0]) == len(values) and math.prod(radices) <= _BOX_PER_POINT * len(exps):
+        found = _class_walk(exps, values[0], radices, tol)
+        if found is not None:
+            return found
+    return _filing_walk(exps, values, radices, tol)
 
 
 def _class_walk(exps, c, radices, tol):
@@ -329,17 +328,17 @@ def _class_walk(exps, c, radices, tol):
     return failure, (union & (2 << low) - 1).bit_count()
 
 
-def _filing_walk(table, n, tol):
-    # one pass files each table entry into the upper triangle of the Hessian
-    # of every gamma that reads it, a flat row-major list per packed gamma
-    radix = max(map(max, table)) + 1
-    place = _places(radix, n)
+def _filing_walk(exps, values, radices, tol):
+    # one pass files each term into the upper triangle of the Hessian of
+    # every gamma that reads it, a flat row-major list per packed gamma
+    n = len(radices)
+    place = _mixed_places(radices)
     upper = [(i, j) for i in range(n) for j in range(i, n)]
     slots = [[0] * n for _ in range(n)]
     for s, (i, j) in enumerate(upper):
         slots[i][j] = s
     flats: defaultdict[int, list] = defaultdict(([0] * len(upper)).copy)
-    for exp, c in table.items():
+    for exp, c in zip(exps, values):
         key = sum(map(operator.mul, exp, place))
         used = [i for i, e in enumerate(exp) if e]
         for at, i in enumerate(used):
@@ -359,7 +358,7 @@ def _filing_walk(table, n, tol):
                 hess[i][j] = hess[j][i] = v
             inertia = memo[entries] = _inertia(hess, tol)
         if inertia[0] > 1:
-            witness = _split(radix, n, gamma)[0]
+            witness = _mixed_digits(radices, gamma)
             return CertFailure("bad-inertia", derivative=witness, inertia=inertia), checked
     return None, len(flats)
 

@@ -491,8 +491,9 @@ class TestCertify:
         assert all(hessian_literal(f.derivative_multi(g)) == [[1] * 3] * 3 for g in earlier)
 
     def test_witness_with_exponents_above_ten(self):
-        # exponent entries up to 12, so gammas are packed in radix 13; the only
-        # failing gamma is the last one, (10, 0, 0)
+        # exponent entries up to 12 in every variable, so every digit of a
+        # gamma's key runs below 13; the only failing gamma is the last one,
+        # (10, 0, 0)
         f = _exponential(3, 12, {(12, 0, 0): 2})
         report = certify_lorentzian(f)
         assert report.to_json() == certify_literal(f).to_json()
