@@ -1,24 +1,20 @@
 """The packed-int layouts, each with the one invariant its users rely on.
 
 Digit keys (the sumsets of `matchings`, the boxes of `operators`, the
-Hessian keys of `lorentzian`).  A vector v of n entries is the key
-sum_i v_i * R**(n-1-i) (`_places`), entry 1 most significant, for a radix R
-above every entry that a key or a sum of keys can hold.  Then no addition
-carries, so adding keys adds their vectors, and int order is lexicographic
-order.  `_split` reads a key's digits back; `_key_decoder` does so for many
-keys that share their halves.
-
-Lattice bitsets (the class route of `lorentzian`'s Hessian walk).  In a
-mixed-radix key digit i runs below radices[i] (`_mixed_places`, entry 1 most
-significant), so the keys number the points of the box prod(radices) from 0
-up in lexicographic order; `_mixed_digits` reads one back.  A set of points
-is one int with bit k set for key k (`_bitset`), and `_nonzero_digit` is the
-set of the points whose digit i is not 0: runs of the box repeated with
-period radices[i] * places[i] by `_tile`, which takes any whole number of
-periods.  Shifting a bitset inside that mask right by places[i] lowers digit
-i of each of its points by 1 and borrows from no other digit, and the
-points whose digit i is at least 2 are those in both the mask and the mask
-shifted left by places[i].
+Hessian keys and lattice bitsets of `lorentzian`).  A vector v whose entry i
+runs below radices[i] is the key sum_i v_i * places[i] (`_places`), entry 1
+most significant, so the keys number the points of the box prod(radices)
+from 0 up and int order is lexicographic order.  `_split` reads a key's
+digits back; `_key_decoder` does so for many keys that share their halves.
+The sumsets and boxes give every digit one radix R above every entry that a
+key or a sum of keys can hold: then no addition carries, so adding keys adds
+their vectors.  A set of points is one int with bit k set for key k
+(`_bitset`), and `_nonzero_digit` is the set of the points whose digit i is
+not 0: runs of the box repeated with period radices[i] * places[i] by
+`_tile`, which takes any whole number of periods.  Shifting a bitset inside
+that mask right by places[i] lowers digit i of each of its points by 1 and
+borrows from no other digit, and the points whose digit i is at least 2 are
+those in both the mask and the mask shifted left by places[i].
 
 Guard-bit fields (the rank tables of `polymatroids`).  A table of 2^m
 entries, one per subset mask, is one int of `width`-byte fields (`_pack`)
@@ -40,21 +36,25 @@ from __future__ import annotations
 
 import functools
 import operator
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Iterable, Sequence
 
 
-def _places(radix: int, n: int) -> list[int]:
-    """The place value of each of n key digits, most significant first."""
-    return [radix ** (n - 1 - i) for i in range(n)]
+def _places(radices: Sequence[int]) -> list[int]:
+    """The place value of each key digit, most significant first: digit i
+    runs below radices[i]."""
+    places = [1] * len(radices)
+    for i in range(len(radices) - 1, 0, -1):
+        places[i - 1] = places[i] * radices[i]
+    return places
 
 
-def _split(radix: int, width: int, key: int) -> tuple[tuple[int, ...], int]:
-    """The width digits of a key, most significant first, and the product
-    of their factorials."""
+def _split(radices: Sequence[int], key: int) -> tuple[tuple[int, ...], int]:
+    """The digits of a key, most significant first, and the product of
+    their factorials."""
     out = []
     fact = 1
-    for _ in range(width):
+    for radix in reversed(radices):
         digit = key % radix
         key //= radix
         out.append(digit)
@@ -64,49 +64,31 @@ def _split(radix: int, width: int, key: int) -> tuple[tuple[int, ...], int]:
     return tuple(out), fact
 
 
-def _key_decoder(radix: int, n: int) -> Callable[[int], tuple[tuple[int, ...], int]]:
-    """The decoder of n-digit keys: key -> (its digits, most significant
-    first; the product of their factorials).
+def _key_decoder(radices: Sequence[int]) -> Callable[[int], tuple[tuple[int, ...], int]]:
+    """The decoder of keys with these radices: key -> (its digits, most
+    significant first; the product of their factorials).
 
-    A key is split once, by R**ceil(n/2), and each half is decoded on its
-    first sighting and looked up after that: the keys of one call share few
-    distinct halves.
+    A key of n digits is split once, above its last ceil(n/2) digits, and
+    each half is decoded on its first sighting and looked up after that: the
+    keys of one call share few distinct halves.
     """
-    low = (n + 1) // 2
-    size = radix**low
+    cut = len(radices) // 2
+    head, tail = radices[:cut], radices[cut:]
+    size = prod(tail)
     highs: dict[int, tuple[tuple[int, ...], int]] = {}
     lows: dict[int, tuple[tuple[int, ...], int]] = {}
 
     def decode(key: int) -> tuple[tuple[int, ...], int]:
         hi, lo = divmod(key, size)
-        head = highs.get(hi)
-        if head is None:
-            head = highs[hi] = _split(radix, n - low, hi)
-        tail = lows.get(lo)
-        if tail is None:
-            tail = lows[lo] = _split(radix, low, lo)
-        return head[0] + tail[0], head[1] * tail[1]
+        high = highs.get(hi)
+        if high is None:
+            high = highs[hi] = _split(head, hi)
+        low = lows.get(lo)
+        if low is None:
+            low = lows[lo] = _split(tail, lo)
+        return high[0] + low[0], high[1] * low[1]
 
     return decode
-
-
-def _mixed_places(radices: Sequence[int]) -> list[int]:
-    """The place value of each digit of a mixed-radix key, most significant
-    first: digit i runs below radices[i]."""
-    places = [1] * len(radices)
-    for i in range(len(radices) - 1, 0, -1):
-        places[i - 1] = places[i] * radices[i]
-    return places
-
-
-def _mixed_digits(radices: Sequence[int], key: int) -> tuple[int, ...]:
-    """The digits of a mixed-radix key, most significant first."""
-    out = []
-    for radix in reversed(radices):
-        key, digit = divmod(key, radix)
-        out.append(digit)
-    out.reverse()
-    return tuple(out)
 
 
 def _bitset(keys: Iterable[int], size: int) -> int:

@@ -26,7 +26,8 @@ verdict, witness, inertia and count:
   c (exactly; for float input, equal floats) and the box prod(max_i + 1) of
   the support holds at most `_BOX_PER_POINT` keys per support point.  Every
   inducing symbol has one normalized value.  The support is one `_packed`
-  lattice bitset over its mixed-radix box, and
+  lattice bitset over its box of digit keys (`_places`, digit i below
+  max_i + 1), and
   hit_ij = (support & D_ij) >> (place_i + place_j), D_ij the keys whose
   digits i and j are at least 1 (digit i at least 2 when i = j), is the set
   of gamma whose Hessian holds c at (i, j).  Refining the box by every hit
@@ -36,9 +37,9 @@ verdict, witness, inertia and count:
   take more bits than the filing walk's pointers (`_POINTER_BITS`), the
   route hands over to the filing walk.
 - The filing walk, for every other input: one pass over the terms files
-  each under its gamma, keyed in the same mixed radix (`_mixed_places`,
-  digit i below max_i + 1), so the key of gamma = exp - e_i - e_j is
-  key(exp) - place[i] - place[j], and key order is lexicographic order.
+  each under its gamma, keyed in the same radices, so the key of
+  gamma = exp - e_i - e_j is key(exp) - place[i] - place[j], and key order
+  is lexicographic order.
   Only the upper triangle (i <= j) of each Hessian is filed, as a flat list
   of n(n + 1)/2 entries.  The walk visits the keys in sorted order and looks
   each entry tuple up in a memo that lives for one call, so each distinct
@@ -49,8 +50,8 @@ Symbols repeat their Hessians heavily, and exactly: the kappa = 4^4 symbol
 of the four-cycle of pairs has 44,000 derivatives but 87 distinct Hessians.
 Either route counts every derivative that does not vanish and reports the
 first failing one, so `checked_derivatives` and the lexicographically first
-failing gamma, unpacked from its key only for the witness, are those of a
-walk that eliminates every Hessian (tests/oracles.walk_literal).
+failing gamma, read back from its key by `_split` only for the witness, are
+those of a walk that eliminates every Hessian (tests/oracles.walk_literal).
 
 A support S in n variables larger than 2^n is tested through
 `points_polymatroid` (Murota: M-convex sets are the integer points of
@@ -70,7 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._packed import _bitset, _mixed_digits, _mixed_places, _nonzero_digit
+from ._packed import _bitset, _nonzero_digit, _places, _split
 from ._util import _inertia, checked_tolerance, clear_denominators, grlex_key, vec_factorial
 from .polymatroids import points_polymatroid
 from .polynomials import FloatPoly, Poly
@@ -276,7 +277,7 @@ def _class_walk(exps, c, radices, tol):
     # classes of equal Hessians, keyed by their 0/1 patterns (slot (0, 0)
     # the most significant bit); None once the classes outgrow their bits
     n = len(radices)
-    place = _mixed_places(radices)
+    place = _places(radices)
     size = place[0] * radices[0]
     slots = n * (n + 1) // 2
     support = _bitset((sum(map(operator.mul, exp, place)) for exp in exps), size)
@@ -324,7 +325,7 @@ def _class_walk(exps, c, radices, tol):
     if first is None:
         return None, union.bit_count()
     low, inertia = first
-    failure = CertFailure("bad-inertia", derivative=_mixed_digits(radices, low), inertia=inertia)
+    failure = CertFailure("bad-inertia", derivative=_split(radices, low)[0], inertia=inertia)
     return failure, (union & (2 << low) - 1).bit_count()
 
 
@@ -332,7 +333,7 @@ def _filing_walk(exps, values, radices, tol):
     # one pass files each term into the upper triangle of the Hessian of
     # every gamma that reads it, a flat row-major list per packed gamma
     n = len(radices)
-    place = _mixed_places(radices)
+    place = _places(radices)
     upper = [(i, j) for i in range(n) for j in range(i, n)]
     slots = [[0] * n for _ in range(n)]
     for s, (i, j) in enumerate(upper):
@@ -358,7 +359,7 @@ def _filing_walk(exps, values, radices, tol):
                 hess[i][j] = hess[j][i] = v
             inertia = memo[entries] = _inertia(hess, tol)
         if inertia[0] > 1:
-            witness = _mixed_digits(radices, gamma)
+            witness = _split(radices, gamma)[0]
             return CertFailure("bad-inertia", derivative=witness, inertia=inertia), checked
     return None, len(flats)
 

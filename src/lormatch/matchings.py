@@ -16,16 +16,17 @@ at one vertex against a fixed beta.  `matched_degrees` lists the feasible
 beta for one alpha by spreading each element over its parts.
 
 The spreads are summed on packed ints: beta is the digit key of `_packed`
-in a radix R above sum(alpha), part 1 most significant.  No digit of a
-partial sum exceeds sum(alpha), so the sumset is a set of int additions.
+(`_places`) with one radix R above sum(alpha) for every part, part 1 most
+significant.  No digit of a partial sum exceeds sum(alpha), so the sumset is
+a set of int additions.
 `_packed_sums` walks many alphas in one call: it keeps the partial sumset
 of every prefix of the current alpha, so alphas in sorted order (the terms
 of a polynomial, the entries of a box) share the work on their common
 prefixes, and it builds each element's spreads once per call.
 `matched_degrees` is the walk over a single alpha, its keys read back by
-`_key_decoder`; the sumset route of `apply_inducing` and `inducing_box`
-accumulate on the keys directly and insert their terms in sorted key order,
-which is graded-lex order.
+`_key_decoder(radices)` with radices (R,) * n; the sumset route of
+`apply_inducing` and `inducing_box` accumulate on the keys directly and
+insert their terms in sorted key order, which is graded-lex order.
 """
 
 from __future__ import annotations
@@ -319,9 +320,9 @@ def _packed_sums(
     holds the sumset over the first k elements and serves the next alpha
     that agrees with this one there.  A sumset is empty iff some element
     with positive degree lies in no part.  The alphas must be checked, and
-    the radix must exceed each sum(alpha), so that adding keys never carries.
+    the radix must exceed each sum(alpha) (`_packed`'s no-carry rule).
     """
-    place = _places(radix, seq.n)
+    place = _places((radix,) * seq.n)
     units = [[place[j - 1] for j in parts] for parts in seq._parts_of]
 
     @functools.cache
@@ -356,7 +357,7 @@ def matched_degrees(seq: SubsetSeq, alpha: Sequence[int]) -> frozenset[tuple[int
     a = _check_degrees(alpha, seq.m, "alpha")
     radix = sum(a) + 1
     [(_, keys)] = _packed_sums(seq, [a], radix)
-    decode = _key_decoder(radix, seq.n)
+    decode = _key_decoder((radix,) * seq.n)
     return frozenset(decode(key)[0] for key in keys)
 
 

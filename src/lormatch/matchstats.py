@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Mapping
 
-from ._packed import _split_masks
+from ._packed import _bitset, _split_masks
 from .matchings import SubsetSeq
 from .polymatroids import Matroid, matroid_bases
 from .polynomials import Poly, _rows_poly
@@ -85,7 +85,7 @@ def _bitset_ops(seq: SubsetSeq, bases: set[int] | None):
 
     if bases is None:
         return 1, grow, int.bit_count
-    within = sum(1 << b for b in bases)
+    within = _bitset(bases, 1 << seq.m)
     return 1, grow, lambda family: (family & within).bit_count()
 
 

@@ -198,7 +198,7 @@ def _induce_by_sumsets(seq: SubsetSeq, f: Poly) -> Poly:
     weight) and the counts combined per beta.  A key is big-endian, so at
     one degree (|beta| = |alpha|) int order is lex order: the degrees in
     increasing order, each with its keys sorted, insert the terms in
-    graded-lex order.  Each term is decoded by the shared `_key_decoder`
+    graded-lex order.  Each term is decoded by one `_key_decoder(radices)`
     and made by `_rows_poly` with the scale L; a total that cancels to 0 is
     dropped.
     """
@@ -216,7 +216,7 @@ def _induce_by_sumsets(seq: SubsetSeq, f: Poly) -> Poly:
         into = totals.setdefault(degree, {})
         for key, k in group.items():
             into[key] = into.get(key, 0) + weight * k
-    decode = _key_decoder(radix, seq.n)
+    decode = _key_decoder((radix,) * seq.n)
     rows = (
         (*decode(key), total)
         for degree in sorted(totals)
@@ -265,11 +265,11 @@ def inducing_box(seq: SubsetSeq, kappa: Sequence[int]) -> OperatorBox:
     """Box table of the inducing operator: all matched images over alpha <= kappa.
 
     Each image is built in graded-lex order (its keys sorted, all of one
-    degree), its keys decoded by one `_key_decoder` and its terms made by
-    `_rows_poly` with one ratio table, both for the whole box."""
+    degree), its keys decoded by one `_key_decoder(radices)` and its terms
+    made by `_rows_poly` with one ratio table, both for the whole box."""
     k = _checked_kappa(kappa, seq.m)
     radix = sum(k) + 1
-    decode = _key_decoder(radix, seq.n)
+    decode = _key_decoder((radix,) * seq.n)
     ratios: dict = {}
     table = {}
     for alpha, keys in _packed_sums(seq, iter_box(k), radix):

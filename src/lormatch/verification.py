@@ -57,7 +57,7 @@ from typing import Callable, Mapping, Sequence
 
 from ._util import _brief, _cut, bounded_compositions, checked_tolerance, iter_box, vec_factorial
 from ._util import DEFAULT_SEED, DEFAULT_TOLERANCE, DEFAULT_TRIALS
-from .lorentzian import certify_lorentzian, is_m_convex, quad_inertia
+from .lorentzian import certify_lorentzian, is_m_convex, quad_inertia, symmetric_inertia
 from .matchings import (
     SubsetSeq,
     _check_degrees,
@@ -548,6 +548,11 @@ def _eval_support_induction(cfg: TrialConfig, instance: Mapping) -> list[str]:
     seq = _read_seq(instance["seq"], _MAX_BLOCKS, MAX_N)
     reasons = []
     pm = linreal_rank(real)
+    # the full set's rank once more, from one Gram of all the columns instead
+    # of the depth-first sums of block Grams
+    gram = symmetric_inertia([[sum(map(operator.mul, a, b)) for b in real.gens] for a in real.gens])
+    if pm.rank[-1] != gram.n_pos + gram.n_neg:
+        reasons.append("rank of the whole realization differs from its one Gram's")
     induced = induce_polymatroid(pm, seq)
     egf = base_egf(pm)
     if apply_inducing(seq, egf).support() != base_points(induced):

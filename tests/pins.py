@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import resource
 import subprocess
@@ -331,6 +332,17 @@ ROWS = [
     # terms), its box decoded from packed keys, then certified
     Row("symbol of the six-cycle", f"symbol --sets {SIX_CYCLE} --kappa 3,3,3", sha("7ee3cd2b908d24829ea1976663a05bd35d33fa58254dbb1eabed6592c8d61c95")),
     Row("certification of the six-cycle symbol", "certify --poly @s.json", '{"checked_derivatives":576,"failure":null,"lorentzian":true}', files={"s.json": Out("symbol of the six-cycle")}),
+    # the key decoder at an odd number of digits, whose two halves differ in width: every beta
+    # matched to alpha = 3^5 on the five-cycle of pairs (radix 16, 5 digits), byte for byte
+    Row("matched degrees of the five-cycle at alpha = 3^5", 'match --sets {"m":5,"sets":[[1,2],[2,3],[3,4],[4,5],[5,1]]} --alpha 3,3,3,3,3',
+        sha("90f19e521aae773cfe1f1dc586a11cf7e908ac35552e41e83f48d1734e7505e9"), quick=True),
+    # the filing walk's witness read back from its mixed-radix key: (x1 + x2 + x3 + x4)^5 with its
+    # x1^5 coefficient doubled has no one normalized value, and of its 20 derivatives only the
+    # last in lexicographic order, gamma = (3, 0, 0, 0), has two positive eigenvalues
+    Row("certification of (x1 + x2 + x3 + x4)^5 with x1^5 doubled", "certify --poly @f.json",
+        '{"checked_derivatives":20,"failure":{"derivative":[3,0,0,0],"inertia":[2,0,2],"kind":"bad-inertia"},"lorentzian":false}', quick=True, files={"f.json": doc(
+        {"nvars": 4, "terms": [{"exp": e, "coeff": 120 // math.prod(map(math.factorial, e)) * (1 + (e[0] == 5))}
+                               for e in ([c.count(i) for i in range(4)] for c in combinations_with_replacement(range(4), 5))]})}),
     # the a = 0, b = 1 end of tab-family is the substitution operator: on the kappa = 2^4
     # four-cycle (81 table entries from an augmented sequence of 12 parts) the collapsed inducing
     # box must equal the substitution box

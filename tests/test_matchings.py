@@ -1,6 +1,5 @@
 import json
 import operator
-import random
 import re
 
 import pytest
@@ -16,8 +15,7 @@ from lormatch import (
     matched_degrees,
 )
 from lormatch import matchings
-from lormatch._util import vec_factorial
-from lormatch.matchings import _key_decoder, _places, single_vertex_cuts
+from lormatch.matchings import single_vertex_cuts
 from lormatch.matchstats import stat_table
 
 from oracles import enumerate_matching, matched_degrees_box
@@ -380,19 +378,3 @@ class TestCompose:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             compose_seq(WIDE, WIDE)
-
-
-class TestKeyDecoder:
-    @pytest.mark.parametrize("radix", range(2, 18))
-    def test_round_trip(self, radix):
-        # both halves of the decoder are exercised at odd and even n
-        rng = random.Random(radix)
-        for n in range(1, 13):
-            betas = [(0,) * n, (radix - 1,) * n]
-            betas += [tuple(rng.randrange(radix) for _ in range(n)) for _ in range(60)]
-            decode = _key_decoder(radix, n)
-            place = _places(radix, n)
-            for beta in betas:
-                key = sum(b * radix ** (n - j) for j, b in enumerate(beta, start=1))
-                assert decode(key) == (beta, vec_factorial(beta))
-                assert sum(map(operator.mul, beta, place)) == key

@@ -1,6 +1,6 @@
 """The packed-int layouts of `_packed`, each against a plain spelling of its
-invariant: digit keys, mixed-radix lattice bitsets, guard-bit fields and
-subset masks."""
+invariant: digit keys and their lattice bitsets, guard-bit fields and subset
+masks."""
 
 import itertools
 import math
@@ -16,8 +16,6 @@ from lormatch._packed import (
     _fields_le,
     _key_decoder,
     _mask_order,
-    _mixed_digits,
-    _mixed_places,
     _nonzero_digit,
     _pack,
     _places,
@@ -31,15 +29,33 @@ from lormatch._packed import (
 
 @st.composite
 def digit_vectors(draw, count=1):
-    """(radix, vectors of one length n whose digits are below the radix)."""
-    radix = draw(st.integers(2, 40))
+    """(radices, vectors of one length n whose digit i is below radices[i]);
+    the radices are all equal, as the sumsets and boxes use them, or mixed,
+    as the Hessian keys use them."""
     n = draw(st.integers(1, 9))
-    vector = st.tuples(*[st.integers(0, radix - 1)] * n)
-    return radix, draw(st.lists(vector, min_size=count, max_size=count + 20))
+    radix = st.integers(1, 40)
+    radices = draw(st.one_of(radix.map(lambda r: (r,) * n), st.tuples(*[radix] * n)))
+    vector = st.tuples(*[st.integers(0, r - 1) for r in radices])
+    return radices, draw(st.lists(vector, min_size=count, max_size=count + 20))
 
 
-def _key(radix, vector):
-    return sum(v * radix ** (len(vector) - j) for j, v in enumerate(vector, start=1))
+def _key(radices, vector):
+    """The key of a vector, most significant digit first, by Horner's rule."""
+    key = 0
+    for radix, v in zip(radices, vector):
+        key = key * radix + v
+    return key
+
+
+def _check_round_trip(radices, vectors):
+    decode = _key_decoder(radices)  # one decoder shares its halves across keys
+    place = _places(radices)
+    for vector in vectors:
+        key = _key(radices, vector)
+        assert sum(map(operator.mul, vector, place)) == key
+        expected = (vector, math.prod(map(math.factorial, vector)))
+        assert _split(radices, key) == expected
+        assert decode(key) == expected
 
 
 def _position_mask(m, position):
@@ -63,33 +79,32 @@ def _check_split_masks(m, bits):
 class TestDigitKeys:
     @given(digit_vectors())
     def test_keys_round_trip(self, case):
-        radix, vectors = case
-        n = len(vectors[0])
-        decode = _key_decoder(radix, n)  # one decoder shares its halves across keys
-        place = _places(radix, n)
-        for vector in vectors:
-            key = _key(radix, vector)
-            assert sum(map(operator.mul, vector, place)) == key
-            expected = (vector, math.prod(map(math.factorial, vector)))
-            assert _split(radix, n, key) == expected
-            assert decode(key) == expected
+        _check_round_trip(*case)
+
+    @pytest.mark.parametrize("radix", range(2, 18))
+    def test_extreme_keys_round_trip(self, radix):
+        # the all-zero and all-(R - 1) vectors at n = 1..12 read both halves
+        # of the decoder, at odd and even n
+        for n in range(1, 13):
+            _check_round_trip((radix,) * n, [(0,) * n, (radix - 1,) * n])
 
     @given(digit_vectors(count=2))
     def test_int_order_is_lex_order(self, case):
         # the callers compare keys of one degree; the order holds for any two
-        radix, vectors = case
+        radices, vectors = case
         for a in vectors:
             for b in vectors:
-                assert (_key(radix, a) < _key(radix, b)) == (a < b)
+                assert (_key(radices, a) < _key(radices, b)) == (a < b)
 
     @given(digit_vectors(count=2))
     def test_adding_keys_never_carries(self, case):
-        radix, vectors = case
+        radices, vectors = case
         a, b = vectors[:2]
+        # b cut down so that every digit sum stays below its radix
+        b = tuple(min(v, radix - 1 - u) for u, v, radix in zip(a, b, radices))
         total = tuple(map(operator.add, a, b))
-        if max(total) < radix:
-            assert _key(radix, a) + _key(radix, b) == _key(radix, total)
-            assert _split(radix, len(total), _key(radix, a) + _key(radix, b))[0] == total
+        assert _key(radices, a) + _key(radices, b) == _key(radices, total)
+        assert _split(radices, _key(radices, a) + _key(radices, b))[0] == total
 
 
 class TestMixedRadixBitsets:
@@ -104,11 +119,11 @@ class TestMixedRadixBitsets:
 
     @given(radices)
     def test_keys_number_the_box_in_lex_order(self, radices):
-        places = _mixed_places(radices)
+        places = _places(radices)
         box = self._box(radices)
         keys = [sum(map(operator.mul, point, places)) for point in box]
         assert keys == list(range(math.prod(radices)))
-        assert [_mixed_digits(radices, key) for key in keys] == box
+        assert [_split(radices, key)[0] for key in keys] == box
 
     @given(radices, st.data())
     def test_bitset_sets_one_bit_per_key(self, radices, data):
@@ -119,7 +134,7 @@ class TestMixedRadixBitsets:
     @given(radices, st.data())
     def test_digit_masks_hold_the_keys_with_a_large_digit(self, radices, data):
         i = data.draw(st.integers(0, len(radices) - 1))
-        places = _mixed_places(radices)
+        places = _places(radices)
         ones = _nonzero_digit(radices, places, i)
         box = list(enumerate(self._box(radices)))
         assert ones == sum(1 << key for key, point in box if point[i] >= 1)

@@ -823,6 +823,20 @@ class TestDerivedTablesAtRunTime:
         reasons = replay(name, instance)
         assert reasons[0].startswith("induced table fails the axioms: monotonicity")
 
+    def test_a_capped_realization_rank_is_a_reason(self, monkeypatch):
+        # ranks capped at 2 still make polymatroids, and the realization and its
+        # induced one carry the same cap: only the one Gram of all columns sees it
+        instance = {"real": {"blockdims": [1, 1, 1], "gens": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+                    "seq": {"m": 3, "sets": [[1], [2, 3]]}}
+        assert replay("support-induction", instance) == []
+        real = verification.linreal_rank
+
+        def capped(realization):
+            return Polymatroid._derived(realization.m, [min(r, 2) for r in real(realization).rank])
+
+        monkeypatch.setattr(verification, "linreal_rank", capped)
+        assert replay("support-induction", instance) == ["rank of the whole realization differs from its one Gram's"]
+
 
 @st.composite
 def seq_kappa(draw):
